@@ -34,6 +34,8 @@ NEG_INFINITY = float("-inf")
 _JUNCTION_TOL = 1e-8
 # Dense sampling used for sign checks and kink scans.
 _SCAN_POINTS = 801
+# Arguments that RadialCurvature evaluates as one float.
+_SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 
 class ZeroTail:
@@ -262,6 +264,14 @@ class RadialCurvature:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
+        # scalars (one per stage of the ODE right-hand side) skip the masks
+        if isinstance(t, _SCALAR_TYPES) or (isinstance(t, np.ndarray) and t.ndim == 0):
+            t = float(t)
+            if t < 0:
+                raise DomainError("curvature is defined for t >= 0")
+            if t <= self.t_tail:
+                return float(self.core(t))
+            return float(self.tail.value(t, self.t_tail))
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0):
             raise DomainError("curvature is defined for t >= 0")

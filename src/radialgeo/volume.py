@@ -109,8 +109,8 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     accuracy is limited only by the ODE tolerance.
     """
     _check_dim(n)
-    if t < 0:
-        raise DomainError("ball radius must be nonnegative")
+    if not t >= 0:  # also rejects NaN
+        raise DomainError(f"ball radius must be nonnegative, got {t}")
     if t > w.t_max * (1.0 + 1e-12):
         raise HorizonExceededError(
             f"ball radius {t:.6g} exceeds solved horizon {w.t_max:.6g}")

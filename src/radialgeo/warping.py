@@ -8,6 +8,19 @@ output; for fast repeated evaluation the dense output is resampled onto a
 fine grid and rebuilt as a piecewise quintic (values, slopes, and the exact
 second derivative -k*m at every node), which keeps interpolation error far
 below the solver tolerance.
+
+The quintic of each cell is written in Bernstein form. With cell width h and
+(m, m', m'') at its left (0) and right (1) nodes, the end-derivative
+relations of a degree-5 Bezier segment (Farin, *Curves and Surfaces for
+CAGD*, the derivatives of a Bezier curve at its end points) give the six
+coefficients in closed form:
+
+    c0 = m0                         c5 = m1
+    c1 = m0 + h m0' / 5             c4 = m1 - h m1' / 5
+    c2 = m0 + 2h m0' / 5 + h^2 m0'' / 20
+    c3 = m1 - 2h m1' / 5 + h^2 m1'' / 20
+
+They are computed for all cells at once and handed to scipy's ``BPoly``.
 """
 
 from __future__ import annotations
@@ -41,6 +54,13 @@ _REL_TOL_MAX = 1e-3
 _NODES_PER_UNIT = 64
 # series start offset; below this m(t) = t to machine precision
 _T_START = 1e-6
+# a uniform node closer than this fraction of the node pitch to an interior
+# curvature breakpoint gives way to it. Rounding in the Bernstein
+# coefficients of a cell of width h perturbs m' by about eps * |m| / h, so a
+# sliver cell returns garbage; at the end node, which stays, the breakpoint
+# is dropped instead, and the kink it leaves inside the last cell moves m by
+# about (fraction * pitch)**3
+_SLIVER_FRACTION = 1e-3
 
 
 def default_horizon(k: RadialCurvature) -> float:
@@ -72,8 +92,13 @@ class WarpingSolution:
         self.m_prime_values = m_prime_values
         # quintic pieces: value, slope, and curvature-exact second derivative
         m_second = -np.asarray(k(grid)) * m_values
-        self._m_poly = BPoly.from_derivatives(
-            grid, np.stack([m_values, m_prime_values, m_second], axis=1))
+        h = np.diff(grid)
+        m0, m1 = m_values[:-1], m_values[1:]
+        d0, d1 = h * m_prime_values[:-1] / 5.0, h * m_prime_values[1:] / 5.0
+        s0, s1 = h * h * m_second[:-1] / 20.0, h * h * m_second[1:] / 20.0
+        coeffs = np.stack([m0, m0 + d0, m0 + 2.0 * d0 + s0,
+                           m1 - 2.0 * d1 + s1, m1 - d1, m1])
+        self._m_poly = BPoly(coeffs, grid)
         self._m_prime_poly = self._m_poly.derivative()
         self._m_second_poly = self._m_prime_poly.derivative()
 
@@ -127,7 +152,10 @@ def solve_warping(k: RadialCurvature, t_max: float,
     Uses an eighth-order embedded pair with dense output. Integration starts
     from a series step at t = 1e-6 (m = t - k(0) t^3 / 6, exact to well below
     machine precision there) so the zero-crossing event can stay armed for
-    the whole run without tripping on the initial condition m(0) = 0.
+    the whole run without tripping on the initial condition m(0) = 0. The
+    integration restarts at every curvature breakpoint: a step across a kink
+    of k (the core/tail junction, a zero crossing clipped by an envelope)
+    loses accuracy without the error estimate noticing.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing location is bisection
@@ -152,31 +180,40 @@ def solve_warping(k: RadialCurvature, t_max: float,
     vanish.terminal = True
     vanish.direction = -1
 
-    sol = solve_ivp(
-        rhs, (t0, t_max), y0, method="DOP853", dense_output=True,
-        events=vanish, rtol=max(rel_tol, 2.3e-14), atol=rel_tol * 1e-6,
-    )
-    if sol.status == 1:  # event hit
-        raise ConjugatePointError(float(sol.t_events[0][0]))
-    if not sol.success:
-        raise RuntimeError(f"warping integration failed: {sol.message}")
-
     n_nodes = int(max(64, math.ceil(t_max * _NODES_PER_UNIT))) + 1
     grid = np.linspace(0.0, t_max, n_nodes)
+    pitch = t_max / (n_nodes - 1)
     interior_bp = k.breakpoints[(k.breakpoints > 0) & (k.breakpoints < t_max)]
-    grid = np.unique(np.concatenate([grid, interior_bp]))
+    # the breakpoint takes the place of a uniform node it nearly meets; next
+    # to an end node, which must stay, the breakpoint is dropped instead
+    nearest = np.rint(interior_bp / pitch).astype(int)
+    close = np.abs(grid[nearest] - interior_bp) < _SLIVER_FRACTION * pitch
+    at_end = close & ((nearest == 0) | (nearest == n_nodes - 1))
+    keep = np.ones(n_nodes, dtype=bool)
+    keep[nearest[close & ~at_end]] = False
+    interior_bp = interior_bp[~at_end]
+    grid = np.unique(np.concatenate([grid[keep], interior_bp]))
 
     m_vals = np.empty_like(grid)
     mp_vals = np.empty_like(grid)
-    m_vals[0], mp_vals[0] = 0.0, 1.0
-    inner = grid[1:] < t0
-    if np.any(inner):  # series region below the integration start
-        ts = grid[1:][inner]
-        m_vals[1:][inner] = ts - k0 * ts ** 3 / 6.0
-        mp_vals[1:][inner] = 1.0 - k0 * ts ** 2 / 2.0
-    dense = sol.sol(np.clip(grid[1:], t0, t_max))
-    m_vals[1:][~inner] = dense[0][~inner]
-    mp_vals[1:][~inner] = dense[1][~inner]
+    inner = grid < t0  # series region below the integration start
+    m_vals[inner] = grid[inner] - k0 * grid[inner] ** 3 / 6.0
+    mp_vals[inner] = 1.0 - k0 * grid[inner] ** 2 / 2.0
+
+    edges = np.concatenate([[t0], interior_bp[interior_bp > t0], [t_max]])
+    y = y0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(
+            rhs, (a, b), y, method="DOP853", dense_output=True,
+            events=vanish, rtol=max(rel_tol, 2.3e-14), atol=rel_tol * 1e-6,
+        )
+        if sol.status == 1:  # event hit
+            raise ConjugatePointError(float(sol.t_events[0][0]))
+        if not sol.success:
+            raise RuntimeError(f"warping integration failed: {sol.message}")
+        piece = ~inner & (grid >= a) & (grid <= b)
+        m_vals[piece], mp_vals[piece] = sol.sol(grid[piece])
+        y = sol.y[:, -1]
 
     return WarpingSolution(k, t_max, rel_tol, grid, m_vals, mp_vals)
 

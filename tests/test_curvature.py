@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radialgeo as rg
 
@@ -150,3 +152,42 @@ def test_moment_error_estimate_is_honest():
         mi = rg.moment_integral(env)
         assert math.isfinite(mi.value)
         assert mi.abs_error <= 1e-8
+
+
+@st.composite
+def spline_curvatures(draw):
+    """Spline core of 2 to 6 knots with a zero, constant or power-law tail,
+    or the nonpositive envelope of one."""
+    t_tail = draw(st.floats(0.5, 3.0))
+    n = draw(st.integers(2, 6))
+    values = draw(st.lists(st.floats(-1.5, 0.5), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["zero", "constant", "power_law"]))
+    if kind == "zero":
+        tail, values[-1] = rg.ZeroTail(), 0.0
+    elif kind == "constant":
+        values[-1] = min(values[-1], 0.0)
+        tail = rg.ConstantTail(values[-1])
+    else:
+        tail = rg.PowerLawTail(values[-1], draw(st.floats(2.1, 5.0)))
+    k = rg.RadialCurvature.from_spline(np.linspace(0.0, t_tail, n), values, tail=tail)
+    return rg.nonpositive_min(k) if draw(st.booleans()) else k
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(k=spline_curvatures(), frac=st.floats(0.0, 3.0))
+def test_scalar_evaluation_matches_array_path(k, frac):
+    for t in (frac * k.t_tail, k.t_tail):
+        want = float(k(np.array([t]))[0])
+        for arg in (t, np.float64(t), np.array(t)):
+            got = k(arg)
+            assert type(got) is float
+            assert _same_float(got, want), (arg, got, want)
+    for arg in (math.nan, np.array(math.nan)):
+        assert _same_float(k(arg), float(k(np.array([math.nan]))[0]))
+    for arg in (-frac - 1e-9, np.float64(-frac - 1e-9), np.array(-frac - 1e-9)):
+        with pytest.raises(rg.DomainError):
+            k(arg)

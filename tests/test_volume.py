@@ -132,6 +132,13 @@ def test_classify_cusp_finite_matches_quadrature_oracle():
     assert out.total == pytest.approx(CUSP_TOTAL_VOLUME, rel=1e-8)
 
 
+def test_ball_volume_rejects_negative_and_nan_radius():
+    w = rg.solve_warping(rg.RadialCurvature.zero(), 5.0)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(rg.DomainError):
+            rg.model_ball_volume(3, w, bad)
+
+
 def test_cap_volume_rejects_out_of_range_angle():
     with pytest.raises(rg.DomainError):
         rg.cap_volume(3, -0.1)

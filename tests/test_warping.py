@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
 import radialgeo as rg
 
@@ -145,3 +146,62 @@ def test_model_surface_wraps_solution():
     assert np.max(np.abs(s.m(ts) - w.m(ts))) <= 1e-12
     assert abs(s.slope_limit - rg.slope_limit(w)) <= 1e-14
     assert abs(s.total_curvature - rg.total_curvature_direct(w)) <= 1e-12
+
+
+@pytest.mark.parametrize("k, horizon", [
+    (rg.RadialCurvature.constant(-1.0), 16.0),
+    # knots 0.3, 1.1, 1.7 and 2.35 fall between the 1/64-spaced nodes
+    (rg.RadialCurvature.from_spline([0.0, 0.3, 1.1, 1.7, 2.35],
+                                    [-0.8, -1.2, -0.4, -0.6, -0.3],
+                                    tail=rg.PowerLawTail(-0.3, 3.5)), 8.0),
+], ids=["hyperbolic", "spline-off-grid"])
+def test_interpolant_matches_hermite_reference(k, horizon):
+    w = rg.solve_warping(k, horizon)
+    # reference: scipy's general Hermite construction from the same node data
+    ref = BPoly.from_derivatives(w.grid, np.stack(
+        [w.m_values, w.m_prime_values, -k(w.grid) * w.m_values], axis=1))
+    assert np.array_equal(w.m(w.grid), w.m_values)
+    assert np.max(np.abs(w.m_prime(w.grid) - w.m_prime_values)
+                  / w.m_prime_values) <= 1e-12
+    ts = np.linspace(0.0, horizon, 20001)
+    cell = np.clip(np.searchsorted(w.grid, ts, side="right") - 1, 0, len(w.grid) - 2)
+    h = np.diff(w.grid)[cell]
+    m_ref = ref(ts)
+    # Both constructions round their Bernstein coefficients at about eps*|m|,
+    # and the j-th derivative divides that by h**j, so each derivative is
+    # compared relative to max(|reference|, |m| / h**j).
+    for j, got in enumerate((w.m(ts), w.m_prime(ts), w.m_second(ts))):
+        want = ref.derivative(j)(ts) if j else m_ref
+        scale = np.maximum(np.abs(want), np.abs(m_ref) / h ** j)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), j
+
+
+def test_breakpoint_next_to_a_node_leaves_no_sliver_cell():
+    # the last knot is t_tail, so at the default horizon 5 * t_tail it lies
+    # within an ulp of the uniform node at a fifth of the horizon
+    env = rg.nonpositive_min(rg.RadialCurvature.from_spline(
+        [0.0, 0.957661404947431, 1.915322809894862, 2.872984214842293],
+        [-1.1850741345986984, -0.7897154578683541, -1.1535533519483232, 0.0]))
+    w = rg.solve_warping(env, rg.default_horizon(env))
+    w12 = rg.solve_warping(env, 12.0)
+    assert abs(w.m_prime(env.t_tail) - w12.m_prime(env.t_tail)) <= 1e-9
+    assert abs(rg.slope_limit(w) - rg.slope_limit(w12)) <= 1e-9
+    assert abs(rg.total_curvature_direct(w) - rg.total_curvature_isoperimetric(w)) <= 1e-6
+
+
+@pytest.mark.parametrize("knots, values", [
+    # the envelope clips a narrow positive excursion on [0.596, 0.606]
+    (np.linspace(0.0, 2.502113312931691, 5),
+     [-1.188696709433065, -0.0012358323063138, -0.38637881810235486,
+      -0.21276237120798924, 0.0]),
+    # the core meets the zero tail with a nonzero slope at t_tail
+    ([0.0, 0.5869512851753205, 1.173902570350641, 1.7608538555259614,
+      2.347805140701282],
+     [-1.0918316713460046, -1.392676074111377, -0.8438432117082116,
+      -0.9916010200672085, 0.0]),
+], ids=["zero-crossing", "tail-junction"])
+def test_isoperimetric_identity_across_curvature_kinks(knots, values):
+    # a Runge-Kutta step across a kink of k missed m' by about 3e-7 here
+    env = rg.nonpositive_min(rg.RadialCurvature.from_spline(knots, values))
+    w = rg.solve_warping(env, 12.0)
+    assert abs(rg.total_curvature_direct(w) - rg.total_curvature_isoperimetric(w)) <= 1e-9
