@@ -77,6 +77,8 @@ class _Scenario:
         if n < 2:
             _fail("scenario.n", f"dimension must be >= 2, got {n}")
         self.n = n
+        if horizon is not None and not (horizon > 0 and math.isfinite(horizon)):
+            _fail("--horizon", f"expected a positive finite number, got {horizon}")
         self.rel_tol = rel_tol
         self.horizon = horizon
         self.output_dir = _field(doc, "output_dir", str, "scenario",

@@ -7,7 +7,16 @@ declared divergence. Three tail classes are supported:
 
 * ``ZeroTail``      -- curvature vanishes beyond t_tail,
 * ``PowerLawTail``  -- c * (t / t_tail)**(-p) with p > 2 (integrable moment),
-* ``ConstantTail``  -- constant c <= 0 (moment diverges to -inf when c < 0).
+* ``ConstantTail``  -- constant c < 0 (moment diverges to -inf).
+
+Tails own their closed forms: ``moment`` is the integral of t * tail(t) from
+a point past the anchor to infinity, and ``km_remainder`` the integral of
+tail(t) * (m_T + m'_T (t - T)) from T to infinity, the k*m remainder under a
+linearly extended warping function. Everything beyond t_tail that the
+comparison needs (the curvature moment, the slope limit of m', whether ball
+volumes diverge) is read from these. Zero curvature has one encoding:
+``RadialCurvature`` replaces a tail that is zero at its anchor (a zero
+constant or a zero power-law coefficient) with ``ZeroTail``.
 
 Cores are either cubic splines over breakpoints or closed-form callables.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
@@ -17,6 +26,7 @@ kink locations refined by bisection so downstream quadrature can split there.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,6 +57,12 @@ class ZeroTail:
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def value_at_anchor(self, t_tail):
+        return 0.0
+
+    def moment(self, t_from, t_tail):
+        return 0.0
+
+    def km_remainder(self, T, m_T, m_prime_T, t_tail):
         return 0.0
 
     def to_json(self):
@@ -86,6 +102,16 @@ class PowerLawTail:
         # same function, coefficient restated at a new anchor
         return PowerLawTail(self.c * (new_t_tail / old_t_tail) ** (-self.p), self.p)
 
+    def moment(self, t_from, t_tail):
+        c, p = self.c, self.p
+        return c * t_tail ** p * t_from ** (2.0 - p) / (p - 2.0)
+
+    def km_remainder(self, T, m_T, m_prime_T, t_tail):
+        c, p = self.c, self.p
+        return c * t_tail ** p * (
+            m_T * T ** (1.0 - p) / (p - 1.0)
+            + m_prime_T * T ** (2.0 - p) / ((p - 1.0) * (p - 2.0)))
+
     def to_json(self):
         return {"kind": "power_law", "c": self.c, "p": self.p}
 
@@ -97,7 +123,11 @@ class PowerLawTail:
 
 
 class ConstantTail:
-    """Curvature constant c <= 0 beyond t_tail."""
+    """Curvature constant c <= 0 beyond t_tail.
+
+    A zero constant becomes ``ZeroTail`` inside ``RadialCurvature``, so the
+    closed forms below are those of c < 0: both integrals diverge to -inf.
+    """
 
     kind = "constant"
 
@@ -116,6 +146,12 @@ class ConstantTail:
 
     def value_at_anchor(self, t_tail):
         return self.c
+
+    def moment(self, t_from, t_tail):
+        return NEG_INFINITY
+
+    def km_remainder(self, T, m_T, m_prime_T, t_tail):
+        return NEG_INFINITY
 
     def to_json(self):
         return {"kind": "constant", "c": self.c}
@@ -216,11 +252,34 @@ _EXPR_NAMESPACE = {
 }
 
 
+# Syntax allowed around the constants, names and calls of a formula.
+_EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.BinOp, ast.Compare,
+               ast.BoolOp, ast.IfExp, ast.unaryop, ast.operator, ast.cmpop, ast.boolop)
+
+
 def _compile_expr(expr: str) -> Callable:
-    code = compile(expr, "<curvature formula>", "eval")
-    for name in code.co_names:
-        if name not in _EXPR_NAMESPACE and name != "t":
-            raise DomainError(f"formula expression uses unknown name {name!r}")
+    """Compile a formula in t after checking every syntax node: numeric
+    constants, t, namespace names (functions called by plain name), and
+    unary, binary, comparison, boolean and conditional expressions. Nothing
+    else parses, so a scenario file cannot reach attributes or run code."""
+    if not isinstance(expr, str):
+        raise DomainError("formula expression must be a string")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise DomainError(f"formula expression {expr!r} is not valid: {exc.msg}") from exc
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        elif isinstance(node, ast.Name):
+            ok = node.id == "t" or node.id in _EXPR_NAMESPACE
+        elif isinstance(node, ast.Call):
+            ok = isinstance(node.func, ast.Name) and callable(_EXPR_NAMESPACE.get(node.func.id))
+        else:
+            ok = isinstance(node, _EXPR_NODES)
+        if not ok:
+            raise DomainError(f"formula expression may not use {ast.unparse(node)!r}")
+    code = compile(tree, "<curvature formula>", "eval")
 
     def func(t):
         return np.broadcast_to(
@@ -239,14 +298,15 @@ class RadialCurvature:
 
     Evaluation is vectorized; t < 0 raises DomainError. The core covers
     [0, t_tail]; the declared tail takes over beyond. Value continuity at the
-    junction is validated at construction.
+    junction is validated at construction. A tail that is zero at its anchor
+    is zero everywhere and is stored as ``ZeroTail``.
     """
 
     def __init__(self, core, tail, t_tail: float, *, _known_nonpositive: bool | None = None):
         if not (t_tail > 0 and math.isfinite(t_tail)):
             raise DomainError(f"t_tail must be positive and finite, got {t_tail}")
         self.core = core
-        self.tail = tail
+        self.tail = ZeroTail() if tail.value_at_anchor(t_tail) == 0 else tail
         self.t_tail = float(t_tail)
         self._nonpositive = _known_nonpositive
         self._check_junction()
@@ -302,8 +362,6 @@ class RadialCurvature:
             grid = _scan_grid(self.breakpoints, self.t_tail)
             core_ok = bool(np.max(self.__call__(grid)) <= 1e-12)
             tail_ok = self.tail.value_at_anchor(self.t_tail) <= 1e-12
-            if isinstance(self.tail, PowerLawTail):
-                tail_ok = self.tail.c <= 1e-12
             self._nonpositive = core_ok and tail_ok
         return self._nonpositive
 
@@ -333,24 +391,31 @@ class RadialCurvature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RadialCurvature":
+        """Inverse of ``to_json``; a malformed document raises DomainError."""
         try:
-            core_obj = obj["core"]
-            tail = _tail_from_json(obj["tail"])
+            core_obj, tail_obj = obj["core"], obj["tail"]
+            if not (isinstance(core_obj, dict) and isinstance(tail_obj, dict)):
+                raise DomainError("curvature core and tail must be objects")
+            tail = _tail_from_json(tail_obj)
             t_tail = float(obj["t_tail"])
+            kind = core_obj.get("kind")
+            if kind == "spline":
+                core = SplineCore(core_obj["breakpoints"], core_obj["values"])
+            elif kind == "formula":
+                core = FormulaCore(
+                    _compile_expr(core_obj["expr"]),
+                    expr=core_obj["expr"],
+                    breakpoints=core_obj.get("breakpoints"),
+                )
+            else:
+                raise DomainError(f"unknown core kind {kind!r}")
+            return cls(core, tail, t_tail)
+        except DomainError:  # a ValueError too; its message already says what is wrong
+            raise
         except KeyError as exc:
             raise DomainError(f"curvature object missing field {exc}") from exc
-        kind = core_obj.get("kind")
-        if kind == "spline":
-            core = SplineCore(core_obj["breakpoints"], core_obj["values"])
-        elif kind == "formula":
-            core = FormulaCore(
-                _compile_expr(core_obj["expr"]),
-                expr=core_obj["expr"],
-                breakpoints=core_obj.get("breakpoints"),
-            )
-        else:
-            raise DomainError(f"unknown core kind {kind!r}")
-        return cls(core, tail, t_tail)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed curvature object: {exc}") from exc
 
     # -- convenience constructors -------------------------------------------
 
@@ -399,55 +464,47 @@ def _scan_grid(breakpoints: np.ndarray, t_end: float) -> np.ndarray:
 
 
 def _normalized_tail(curv: RadialCurvature):
-    """Tail of min(0, curv) as ('zero'|'const'|'pow', params, anchor)."""
-    tail, anchor = curv.tail, curv.t_tail
-    if isinstance(tail, ZeroTail):
-        return ("zero", None, anchor)
-    if isinstance(tail, ConstantTail):
-        return ("zero", None, anchor) if tail.c == 0 else ("const", tail.c, anchor)
-    if tail.c >= 0:  # positive power law clamps to zero
-        return ("zero", None, anchor)
-    return ("pow", (tail.c, tail.p), anchor)
+    """Tail of min(0, curv) as a (tail, anchor) pair."""
+    if curv.tail.value_at_anchor(curv.t_tail) > 0:  # positive power law clamps to zero
+        return ZeroTail(), curv.t_tail
+    return curv.tail, curv.t_tail
+
+
+# Order in which _merge_tails takes a pair of tails apart.
+_MERGE_ORDER = {ZeroTail: 0, ConstantTail: 1, PowerLawTail: 2}
 
 
 def _merge_tails(a, b):
-    """Combine two normalized nonpositive tails; returns the same
-    ('zero'|'const'|'pow', params, anchor) shape.
+    """Combine two normalized nonpositive (tail, anchor) pairs into one.
 
     The returned anchor is where the closed form starts agreeing with the
     pointwise min; it can exceed both input anchors when the tails cross.
     """
-    kind_a, par_a, anch_a = a
-    kind_b, par_b, anch_b = b
+    (tail_a, anch_a), (tail_b, anch_b) = sorted(
+        (a, b), key=lambda pair: _MERGE_ORDER[type(pair[0])])
     t0 = max(anch_a, anch_b)
-    if kind_a == "zero" and kind_b == "zero":
-        return ("zero", None, t0)
-    if kind_a == "zero" or kind_b == "zero":
-        kind, par, anch = (kind_b, par_b, anch_b) if kind_a == "zero" else (kind_a, par_a, anch_a)
-        if kind == "const":
-            return ("const", par, t0)
-        c, p = par
-        return ("pow", (PowerLawTail(c, p).reanchored(anch, t0).c, p), t0)
-    if kind_a == "const" and kind_b == "const":
-        return ("const", min(par_a, par_b), t0)
-    if kind_a == "const" or kind_b == "const":
-        c_const = par_a if kind_a == "const" else par_b
-        (c_pow, p_pow), anch_pow = (par_b, anch_b) if kind_a == "const" else (par_a, anch_a)
+    if isinstance(tail_a, ZeroTail):
+        if isinstance(tail_b, PowerLawTail):
+            return tail_b.reanchored(anch_b, t0), t0
+        return tail_b, t0
+    if isinstance(tail_b, ConstantTail):  # both constant
+        return ConstantTail(min(tail_a.c, tail_b.c)), t0
+    if isinstance(tail_a, ConstantTail):
         # the power law rises through the constant at t_cross; constant wins beyond
-        t_cross = anch_pow * (c_pow / c_const) ** (1.0 / p_pow)
-        return ("const", c_const, max(t0, t_cross))
-    (c1, p1), (c2, p2) = par_a, par_b
-    if p1 == p2:
-        c1_new = PowerLawTail(c1, p1).reanchored(anch_a, t0).c
-        c2_new = PowerLawTail(c2, p2).reanchored(anch_b, t0).c
-        return ("pow", (min(c1_new, c2_new), p1), t0)
+        t_cross = anch_b * (tail_b.c / tail_a.c) ** (1.0 / tail_b.p)
+        return tail_a, max(t0, t_cross)
+    if tail_a.p == tail_b.p:
+        c_a = tail_a.reanchored(anch_a, t0).c
+        c_b = tail_b.reanchored(anch_b, t0).c
+        return PowerLawTail(min(c_a, c_b), tail_a.p), t0
     # slower decay (smaller p) is eventually more negative; find the crossing
-    if p1 > p2:
-        (c1, p1, anch_a), (c2, p2, anch_b) = (c2, p2, anch_b), (c1, p1, anch_a)
+    if tail_a.p > tail_b.p:
+        (tail_a, anch_a), (tail_b, anch_b) = (tail_b, anch_b), (tail_a, anch_a)
+    (c1, p1), (c2, p2) = (tail_a.c, tail_a.p), (tail_b.c, tail_b.p)
     log_cross = (math.log(abs(c2)) + p2 * math.log(anch_b)
                  - math.log(abs(c1)) - p1 * math.log(anch_a)) / (p2 - p1)
     t_from = max(t0, math.exp(log_cross))
-    return ("pow", (PowerLawTail(c1, p1).reanchored(anch_a, t_from).c, p1), t_from)
+    return tail_a.reanchored(anch_a, t_from), t_from
 
 
 def _refined_crossings(funcs, grid) -> list[float]:
@@ -485,13 +542,7 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     merged = _normalized_tail(curvatures[0])
     for curv in curvatures[1:]:
         merged = _merge_tails(merged, _normalized_tail(curv))
-    kind, par, t_tail = merged
-    if kind == "zero":
-        tail = ZeroTail()
-    elif kind == "const":
-        tail = ConstantTail(par)
-    else:
-        tail = PowerLawTail(par[0], par[1])
+    tail, t_tail = merged
 
     funcs = list(curvatures) + [lambda t: np.zeros_like(np.asarray(t, dtype=float))]
     bp = [c.breakpoints for c in curvatures]
@@ -540,21 +591,6 @@ class MomentIntegral:
         return self.value == NEG_INFINITY
 
 
-def _tail_moment(curv: RadialCurvature, t_from: float) -> float:
-    """Closed-form integral of t * tail(t) from t_from to infinity.
-
-    Requires t_from >= t_tail. Returns -inf for a negative constant tail.
-    """
-    tail = curv.tail
-    if isinstance(tail, ZeroTail):
-        return 0.0
-    if isinstance(tail, ConstantTail):
-        return 0.0 if tail.c == 0 else NEG_INFINITY
-    c, p, anchor = tail.c, tail.p, curv.t_tail
-    # integral of t * c * (t/anchor)^(-p) dt from t_from to infinity
-    return c * anchor ** p * t_from ** (2.0 - p) / (p - 2.0)
-
-
 def moment_integral(curv: RadialCurvature) -> MomentIntegral:
     """First moment of a nonpositive curvature function over [0, inf).
 
@@ -567,7 +603,7 @@ def moment_integral(curv: RadialCurvature) -> MomentIntegral:
             "moment_integral requires a nonpositive curvature; "
             "take nonpositive_min(...) or nonpositive_part(...) first"
         )
-    tail_part = _tail_moment(curv, curv.t_tail)
+    tail_part = curv.tail.moment(curv.t_tail, curv.t_tail)
     if tail_part == NEG_INFINITY:
         return MomentIntegral(NEG_INFINITY, 0.0)
 

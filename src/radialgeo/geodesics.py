@@ -54,8 +54,10 @@ class SurfacePoint:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:  # also rejects NaN
             raise DomainError("radial coordinate must be nonnegative")
+        if not math.isfinite(self.theta):
+            raise DomainError("angular coordinate must be finite")
         if self.t < _POLE_TOL and self.theta != 0.0:
             object.__setattr__(self, "theta", 0.0)
 
@@ -125,25 +127,23 @@ class _SideGeodesic:
         return max(self.r1, self.r2)
 
 
-def _side_angle(surface, side: _SideGeodesic) -> float:
-    a_hi = _side_integrals(surface, side.nu, side.t_hi)[0]
-    a_lo = _side_integrals(surface, side.nu, side.t_lo)[0]
-    return a_hi + a_lo if side.turning else a_hi - a_lo
+_ANGLE, _LENGTH, _AREA_MASS = 0, 1, 2
 
 
-def _side_length(surface, side: _SideGeodesic) -> float:
-    l_hi = _side_integrals(surface, side.nu, side.t_hi)[1]
-    l_lo = _side_integrals(surface, side.nu, side.t_lo)[1]
-    return l_hi + l_lo if side.turning else l_hi - l_lo
+def _side_value(surface, side: _SideGeodesic, part: int) -> float:
+    """One part of the side: its swept angle, its length, or its area mass.
 
-
-def _side_area_mass(surface, side: _SideGeodesic) -> float:
-    """Integral of the cumulative curvature mass along the side against
-    dtheta; by Fubini this equals the curvature integral over the region
-    between the side and the pole (theta is monotone along the side)."""
-    a_hi = _side_integrals(surface, side.nu, side.t_hi, with_area=True)[2]
-    a_lo = _side_integrals(surface, side.nu, side.t_lo, with_area=True)[2]
-    return a_hi + a_lo if side.turning else a_hi - a_lo
+    Each is the ``_side_integrals`` part up to t_hi plus (turning side) or
+    minus (monotone side) the same part up to t_lo. The area mass integrates
+    the cumulative curvature mass along the side against dtheta; by Fubini
+    this equals the curvature integral over the region between the side and
+    the pole (theta is monotone along the side). Only that part builds the
+    curvature-mass spline.
+    """
+    with_area = part == _AREA_MASS
+    hi = _side_integrals(surface, side.nu, side.t_hi, with_area)[part]
+    lo = _side_integrals(surface, side.nu, side.t_lo, with_area)[part]
+    return hi + lo if side.turning else hi - lo
 
 
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
@@ -156,29 +156,17 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     vs. turning), with the branch point at nu_c = m(min radius), so a
     safeguarded bracketed root-find is globally convergent.
     """
-    t_lo, t_hi = min(r1, r2), max(r1, r2)
-    nu_c = surface.m(t_lo)
-
-    if target_angle is not None:
-        def branch_value(nu, turning):
-            hi = _side_integrals(surface, nu, t_hi)[0]
-            lo = _side_integrals(surface, nu, t_lo)[0]
-            return (hi + lo) if turning else (hi - lo)
-        target = target_angle
-    else:
-        def branch_value(nu, turning):
-            hi = _side_integrals(surface, nu, t_hi)[1]
-            lo = _side_integrals(surface, nu, t_lo)[1]
-            return (hi + lo) if turning else (hi - lo)
-        target = target_length
-
-    crit = branch_value(nu_c, False)  # value when the turning radius is t_lo
+    nu_c = surface.m(min(r1, r2))
+    part, target = ((_ANGLE, target_angle) if target_angle is not None
+                    else (_LENGTH, target_length))
+    branch_point = _SideGeodesic(nu_c, False, r1, r2)  # turning at the min radius
+    crit = _side_value(surface, branch_point, part)
     scale = max(abs(target), abs(crit), 1e-30)
     if abs(target - crit) <= 1e-13 * scale:
-        return _SideGeodesic(nu_c, False, r1, r2)
+        return branch_point
 
     turning = target > crit
-    f = lambda nu: branch_value(nu, turning) - target
+    f = lambda nu: _side_value(surface, _SideGeodesic(nu, turning, r1, r2), part) - target
     if not turning:
         # value increases with nu from ~0 (radial limit) to crit
         lo_br, hi_br = nu_c * 1e-15, nu_c
@@ -222,7 +210,7 @@ def distance(surface: ModelSurface, a: SurfacePoint, b: SurfacePoint) -> float:
         # limit of the turning branch: the connecting geodesic runs through the pole
         return a.t + b.t
     side = _solve_side(surface, a.t, b.t, target_angle=dth)
-    return _side_length(surface, side)
+    return _side_value(surface, side, _LENGTH)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +341,6 @@ class GeodesicTriangle:
     vertices: tuple
     side_lengths: tuple
     angles: tuple
-    area_integrand_ready: bool = False
     _side: _SideGeodesic | None = None
 
     def angle_sum(self) -> float:
@@ -403,7 +390,7 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
                 f"vertex radius {r:.6g} beyond solved horizon {surface.t_max:.6g}")
 
     side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
-    theta_star = _side_angle(surface, side)
+    theta_star = _side_value(surface, side, _ANGLE)
     if theta_star > math.pi + 1e-12:
         raise SectorExceededError(
             f"apex angle {theta_star:.6g} exceeds pi; the triangle does not "
@@ -418,8 +405,7 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
         _endpoint_angle(surface, side, d_ox),
         _endpoint_angle(surface, side, d_oy),
     )
-    return GeodesicTriangle((pole, x, y), sides, angles,
-                            area_integrand_ready=True, _side=side)
+    return GeodesicTriangle((pole, x, y), sides, angles, _side=side)
 
 
 def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float:
@@ -435,7 +421,7 @@ def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float
     if side is None:
         d_ox, d_oy, d_xy = tri.side_lengths
         side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
-    area_integral = _side_area_mass(surface, side)
+    area_integral = _side_value(surface, side, _AREA_MASS)
     return (tri.angle_sum() - math.pi) - area_integral
 
 

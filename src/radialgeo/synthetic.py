@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curvature import ConstantTail, RadialCurvature, SplineCore, ZeroTail
+from .curvature import ConstantTail, RadialCurvature, SplineCore
 from .errors import DomainError, UnsupportedManifoldError
 from .volume import model_ball_volume, unit_sphere_volume
 from .warping import DEFAULT_REL_TOL, WarpingSolution, default_horizon, solve_warping
@@ -162,11 +162,9 @@ class RotSymManifold:
                 "boundary curvature is positive beyond the reconstruction "
                 "tolerance; no declared tail family can extend it. Construct "
                 "the instance with its generating curvature instead.")
-        values[-1] = min(c_end, 0.0)
-        tail = ZeroTail() if values[-1] > -1e-9 else ConstantTail(values[-1])
-        if isinstance(tail, ZeroTail):
-            values[-1] = 0.0
-        return RadialCurvature(SplineCore(grid, values), tail, end)
+        # a boundary value within 1e-9 of zero ends in a flat tail
+        values[-1] = 0.0 if c_end > -1e-9 else c_end
+        return RadialCurvature(SplineCore(grid, values), ConstantTail(values[-1]), end)
 
     # -- rays and volumes ------------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
-from .curvature import ConstantTail, PowerLawTail, RadialCurvature, ZeroTail
+from .curvature import NEG_INFINITY, RadialCurvature
 from .errors import (
     ConditionB1ViolatedError,
     ConjugatePointError,
@@ -152,19 +152,21 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     """Decide divergence of ball volumes in the n-model built from k.
 
     The decision is made analytically at the tail anchor rather than by
-    integrating far out: with f = m(t_tail) and s = m'(t_tail),
+    integrating far out. The tail's moment tells the cases apart; with
+    f = m(t_tail) and s = m'(t_tail),
 
-    * zero tail: m is linear beyond, so s > 0 diverges, s < 0 hits zero
-      (conjugate point), s = 0 stays constant and still diverges;
-    * constant tail c < 0: solutions split into growing/decaying exponential
-      modes; the growing-mode amplitude is proportional to s + sqrt(-c) f,
-      whose sign decides between divergence, a decaying (finite-volume)
-      model, and a conjugate point;
-    * power-law tail with c < 0: curvature is nonpositive there, so any
-      s > 0 diverges; s <= 0 is resolved by extending the horizon;
-    * power-law tail with c > 0: m' keeps decreasing but by no more than the
-      closed-form tail bound; once s exceeds that bound divergence is
-      certain, otherwise the horizon is extended and the test repeated.
+    * zero moment (zero tail): m is linear beyond, so s > 0 diverges, s < 0
+      hits zero (conjugate point), s = 0 stays constant and still diverges;
+    * divergent moment (constant tail c < 0): solutions split into
+      growing/decaying exponential modes; the growing-mode amplitude is
+      proportional to s + sqrt(-c) f, whose sign decides between divergence,
+      a decaying (finite-volume) model, and a conjugate point;
+    * finite moment (power-law tail), with f and s read at the solved
+      horizon T instead: for c < 0 the curvature is nonpositive there, so
+      any s > 0 diverges; for c > 0, m' keeps decreasing but by no more than
+      the tail's k*m remainder under m <= f + s (t - T), so s above that
+      remainder diverges. Otherwise the horizon is extended and the test
+      repeated.
 
     Numerical integration alone cannot certify the borderline decaying case
     (the growing mode amplifies roundoff exponentially), which is why the
@@ -177,53 +179,48 @@ def classify_ball_volume(n: int, k: RadialCurvature,
         w = solve_warping(k, max(10.0, 1.25 * t_anchor), rel_tol)
 
     tail = k.tail
-    horizon_mult = 1
-    while True:
-        t_eval = min(w.t_max, t_anchor) if isinstance(tail, (ZeroTail, ConstantTail)) \
-            else w.t_max
-        f = float(w.m(t_eval))
-        s = float(w.m_prime(t_eval))
+    tail_moment = tail.moment(t_anchor, t_anchor)
+    if tail_moment == 0.0 or tail_moment == NEG_INFINITY:
+        f = float(w.m(t_anchor))
+        s = float(w.m_prime(t_anchor))
         scale = abs(s) + abs(f)
 
-        if isinstance(tail, ZeroTail) or (isinstance(tail, ConstantTail) and tail.c == 0):
+        if tail_moment == 0.0:
             if s < -1e-12 * scale:
                 raise ConjugatePointError(
-                    t_eval + f / (-s),
+                    t_anchor + f / (-s),
                     "flat tail with decreasing warping crosses zero")
             return BallVolumeClass("divergent", None,
                                    "flat tail, nondecreasing linear warping")
 
-        if isinstance(tail, ConstantTail):
-            root = math.sqrt(-tail.c)
-            amp = s + root * f  # growing-mode amplitude (up to a positive factor)
-            if amp > 1e-9 * scale:
-                return BallVolumeClass("divergent", None,
-                                       "growing exponential mode present")
-            if amp < -1e-9 * scale:
-                raise ConjugatePointError(
-                    t_eval + 1.0,
-                    "decaying tail overshoots: warping will cross zero")
-            solved = model_ball_volume(n, w, t_eval)
-            tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
-            return BallVolumeClass(
-                "finite", solved + tail_vol,
-                "pure decaying mode at the tail anchor; closed-form tail volume")
+        root = math.sqrt(-tail.value_at_anchor(t_anchor))
+        amp = s + root * f  # growing-mode amplitude (up to a positive factor)
+        if amp > 1e-9 * scale:
+            return BallVolumeClass("divergent", None,
+                                   "growing exponential mode present")
+        if amp < -1e-9 * scale:
+            raise ConjugatePointError(
+                t_anchor + 1.0,
+                "decaying tail overshoots: warping will cross zero")
+        solved = model_ball_volume(n, w, t_anchor)
+        tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
+        return BallVolumeClass(
+            "finite", solved + tail_vol,
+            "pure decaying mode at the tail anchor; closed-form tail volume")
 
-        # power-law tails
-        c = tail.c
-        if c <= 0:
+    horizon_mult = 1
+    while True:
+        T = w.t_max
+        f = float(w.m(T))
+        s = float(w.m_prime(T))
+        scale = abs(s) + abs(f)
+        if tail.value_at_anchor(t_anchor) < 0:
             if s > 1e-12 * scale:
                 return BallVolumeClass("divergent", None,
                                        "nonpositive tail with positive slope")
-        else:
-            # m' can drop at most by the tail bound below; m <= f + s (t - T)
-            T = t_eval
-            drop = c * k.t_tail ** tail.p * (
-                f * T ** (1.0 - tail.p) / (tail.p - 1.0)
-                + max(s, 0.0) * T ** (2.0 - tail.p) / ((tail.p - 1.0) * (tail.p - 2.0)))
-            if s - drop > 1e-12 * scale:
-                return BallVolumeClass("divergent", None,
-                                       "slope stays positive under the tail bound")
+        elif s - tail.km_remainder(T, f, max(s, 0.0), t_anchor) > 1e-12 * scale:
+            return BallVolumeClass("divergent", None,
+                                   "slope stays positive under the tail bound")
         if horizon_mult >= 64:
             raise DomainError(
                 "could not classify ball volume growth within 64x the tail anchor")

@@ -33,13 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
-from .curvature import (
-    ConstantTail,
-    PowerLawTail,
-    RadialCurvature,
-    ZeroTail,
-    moment_integral,
-)
+from .curvature import NEG_INFINITY, RadialCurvature, moment_integral
 from .errors import (
     ConjugatePointError,
     DomainError,
@@ -223,18 +217,6 @@ def solve_warping(k: RadialCurvature, t_max: float,
 # ---------------------------------------------------------------------------
 
 
-def _tail_moment_beyond(k: RadialCurvature, t_from: float) -> float:
-    """|integral of t*k(t) dt| from t_from to infinity, for nonpositive
-    power-law tails; zero for compactly supported curvature."""
-    tail = k.tail
-    if isinstance(tail, ZeroTail) or (isinstance(tail, ConstantTail) and tail.c == 0):
-        return 0.0
-    if isinstance(tail, PowerLawTail):
-        t_from = max(t_from, k.t_tail)
-        return abs(tail.c) * k.t_tail ** tail.p * t_from ** (2.0 - tail.p) / (tail.p - 2.0)
-    raise UnboundedError("moment diverges for a negative constant tail")
-
-
 def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     """Limit of m'(t) as t -> infinity for nonpositive curvature.
 
@@ -250,12 +232,12 @@ def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     if not k.is_nonpositive():
         raise DomainError("slope_limit requires nonpositive curvature")
     tail = k.tail
-    if isinstance(tail, ConstantTail) and tail.c < 0:
+    tail_moment = tail.moment(k.t_tail, k.t_tail)
+    if tail_moment == NEG_INFINITY:
         raise UnboundedError(
             "m' grows without bound: constant negative tail has a divergent moment")
 
-    if isinstance(tail, ZeroTail) or (isinstance(tail, ConstantTail) and tail.c == 0) \
-            or (isinstance(tail, PowerLawTail) and tail.c == 0):
+    if tail_moment == 0.0:  # zero tail: m' is constant beyond the anchor
         src = w if w.t_max >= k.t_tail else solve_warping(k, k.t_tail, w.rel_tol)
         value = float(src.m_prime(k.t_tail))
         return (value, 0.0) if with_bound else value
@@ -268,7 +250,7 @@ def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     d1, d2 = a2 - a1, a3 - a2
     q = d2 / d1 if abs(d1) > 1e-300 and 0.0 < d2 / d1 < 0.9 else q_theory
     value = a3 + d2 * q / (1.0 - q)
-    bound = a3 * math.expm1(_tail_moment_beyond(k, 4 * T)) + abs(d2 * q / (1.0 - q))
+    bound = a3 * math.expm1(-tail.moment(4 * T, k.t_tail)) + abs(d2 * q / (1.0 - q))
     return (value, bound) if with_bound else value
 
 
@@ -301,33 +283,22 @@ def _integrate_km(w: WarpingSolution, t_end: float) -> float:
 def total_curvature_direct(w: WarpingSolution) -> float:
     """Total curvature of the surface of revolution: 2*pi * integral of k*m.
 
-    Quadrature runs over the solved range; an integrable power-law tail
-    contributes a closed-form remainder with m extended linearly (m is
-    asymptotically linear once the moment is finite). A negative constant
-    tail diverges and raises UnboundedError.
+    Quadrature runs over the solved range; the tail contributes its
+    closed-form k*m remainder with m extended linearly (m is asymptotically
+    linear once the moment is finite). A zero tail contributes nothing, so
+    quadrature stops at its anchor. A negative constant tail diverges and
+    raises UnboundedError.
     """
     k = w.k
-    tail = k.tail
-    if isinstance(tail, ConstantTail) and tail.c < 0:
+    tail_moment = k.tail.moment(k.t_tail, k.t_tail)
+    if tail_moment == NEG_INFINITY:
         raise UnboundedError("total curvature diverges: constant negative tail")
-    if isinstance(tail, PowerLawTail) and tail.c != 0:
-        if w.t_max < k.t_tail:
-            raise HorizonExceededError(
-                "solve at least to the tail anchor before integrating total curvature")
-        T = w.t_max
-        core = _integrate_km(w, T)
-        mT, mpT = float(w.m(T)), float(w.m_prime(T))
-        c, p, anchor = tail.c, tail.p, k.t_tail
-        # integral of c (t/anchor)^-p (mT + mpT (t - T)) dt from T to infinity
-        rem = c * anchor ** p * (
-            mT * T ** (1.0 - p) / (p - 1.0)
-            + mpT * T ** (2.0 - p) / ((p - 1.0) * (p - 2.0)))
-        return 2.0 * math.pi * (core + rem)
-    t_end = min(w.t_max, k.t_tail)
     if w.t_max < k.t_tail:
         raise HorizonExceededError(
             "solve at least to the tail anchor before integrating total curvature")
-    return 2.0 * math.pi * _integrate_km(w, t_end)
+    T = w.t_max if tail_moment else k.t_tail
+    rem = k.tail.km_remainder(T, float(w.m(T)), float(w.m_prime(T)), k.t_tail)
+    return 2.0 * math.pi * (_integrate_km(w, T) + rem)
 
 
 def total_curvature_isoperimetric(w: WarpingSolution) -> float:

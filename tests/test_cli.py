@@ -1,8 +1,10 @@
 """Scenario CLI: exit codes, report shape, CSV provenance, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,53 @@ def test_bad_power_tail_is_scenario_error(tmp_path, capsys):
     assert "scenario.curvatures.weird" in err
 
 
+def test_formula_sandbox_rejects_nested_code(tmp_path, capsys):
+    # a lambda keeps its names out of the top-level code object; with the
+    # tail matching t at the anchor the document is otherwise valid
+    doc = base_scenario()
+    doc["curvatures"]["evil"] = {
+        "core": {"kind": "formula",
+                 "expr": "(lambda: ().__class__.__base__.__subclasses__()[0].__name__)() and t"},
+        "tail": {"kind": "power_law", "c": 1.0, "p": 3.0},
+        "t_tail": 1.0,
+    }
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert "scenario.curvatures.evil" in err and "may not use" in err
+
+
+FLAT_CORE = {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("body", [
+    {"core": {"kind": "spline", "values": [0.0, 0.0]}, "tail": {"kind": "zero"}},
+    {"core": FLAT_CORE, "tail": "zero"},
+    {"core": {"kind": "formula", "expr": "0 * (t"}, "tail": {"kind": "zero"}},
+    {"core": {**FLAT_CORE, "values": ["0", "zero"]}, "tail": {"kind": "zero"}},
+], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values"])
+def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
+    doc = base_scenario()
+    doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: scenario.curvatures.bad: ")
+
+
+def test_nan_horizon_is_rejected(tmp_path, capsys):
+    doc = base_scenario(commands=[
+        {"task": "triangle", "surface": "flat", "sides": [1.0, 1.0, 1.0]},
+    ])
+    code, report, _ = run_cli(tmp_path, doc, extra_args=("--horizon", "nan"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert "--horizon" in err
+
+
 def test_unknown_task_lists_valid_names(tmp_path, capsys):
     doc = base_scenario(commands=["no-such-task"])
     code, _, _ = run_cli(tmp_path, doc)
@@ -179,10 +228,14 @@ def test_report_is_deterministic(tmp_path):
 def test_console_entry_point(tmp_path):
     p = write_scenario(tmp_path, base_scenario())
     out = tmp_path / "out"
+    # the child process imports the same package as this suite
+    src = str(Path(radialgeo.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "radialgeo.cli",
          "--scenario", str(p), "--out", str(out)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0
     assert (out / "report.json").exists()

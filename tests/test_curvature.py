@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import radialgeo as rg
 
@@ -46,6 +47,36 @@ def test_power_tail_moment_closed_form():
     mi = rg.moment_integral(k)
     assert abs(mi.value + 0.35) <= 1e-12
     assert mi.abs_error <= 1e-10
+
+
+@pytest.mark.parametrize("tail", [
+    rg.ZeroTail(), rg.ConstantTail(-0.7), rg.PowerLawTail(-0.3, 3.5),
+    rg.PowerLawTail(0.4, 2.5),
+], ids=repr)
+def test_tail_closed_forms_match_quadrature(tail):
+    """moment and km_remainder against quad of their integrands beyond
+    T > anchor; a divergent closed form must match partial integrals that
+    fall without bound (quadratically in the upper limit)."""
+    anchor, T, m_T, mp_T = 1.5, 2.5, 3.0, 1.4
+    k = lambda t: float(tail.value(t, anchor))
+    cases = [(tail.moment(T, anchor), lambda t: t * k(t)),
+             (tail.km_remainder(T, m_T, mp_T, anchor), lambda t: k(t) * (m_T + mp_T * (t - T)))]
+    for closed, integrand in cases:
+        if closed == rg.NEG_INFINITY:
+            near, far = (quad(integrand, T, x)[0] for x in (1e2, 1e4))
+            assert far < 1e3 * near < 0.0
+        else:
+            ref = quad(integrand, T, math.inf, epsabs=1e-14, epsrel=1e-12)[0]
+            assert abs(closed - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_zero_curvature_has_one_encoding():
+    for tail in (rg.ConstantTail(0.0), rg.PowerLawTail(0.0, 3.0), rg.ZeroTail()):
+        k = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.5, 0.0], tail=tail)
+        assert type(k.tail) is rg.ZeroTail
+    doc = rg.RadialCurvature.zero().to_json()
+    assert doc["tail"] == {"kind": "zero"}
+    assert type(rg.RadialCurvature.from_json(doc).tail) is rg.ZeroTail
 
 
 def test_multiknot_envelope_moment_matches_simpson_oracle():

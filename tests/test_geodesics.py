@@ -178,6 +178,12 @@ def test_angle_inequality_between_ordered_curvatures():
             assert ang1 >= ang2 - 1e-7
 
 
+@pytest.mark.parametrize("t, theta", [(math.nan, 0.0), (-1.0, 0.0), (1.0, math.nan)])
+def test_surface_point_rejects_nan_and_negative_radius(t, theta):
+    with pytest.raises(rg.DomainError):
+        rg.SurfacePoint(t, theta)
+
+
 def test_triangle_inequality_enforced():
     s = flat_surface()
     with pytest.raises(rg.DomainError):
