@@ -407,6 +407,8 @@ class RadialCurvature:
                     expr=core_obj["expr"],
                     breakpoints=core_obj.get("breakpoints"),
                 )
+                # a branch or chained comparison on t fails only on arrays
+                core(np.array([0.0, t_tail]))
             else:
                 raise DomainError(f"unknown core kind {kind!r}")
             return cls(core, tail, t_tail)

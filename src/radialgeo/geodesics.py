@@ -14,10 +14,13 @@ variable w with m(t) = nu*cosh(w) they become smooth bounded integrands:
     angle  = integral of dw / (cosh(w) m'(t(w)))        from 0 to W,
     length = nu * integral of cosh(w) / m'(t(w)) dw     from 0 to W,
 
-with W = arccosh(m(T)/nu). Gauss panels on these converge spectrally, which
-is what makes shooting on the conserved quantity cheap enough to use inside
-root-finds. The time-stepped geodesic flow (``shoot``) is kept for path
-output and conservation tests.
+with W = arccosh(m(T)/nu). Gauss panels on these converge spectrally once
+they are split at w_b = arccosh(m(b)/nu) for each curvature breakpoint b,
+where the integrand has a kink; that is what makes shooting on the conserved
+quantity cheap enough to use inside root-finds. t(w) comes from the inverse
+map t(mu) of the warping function, built once per surface, and one Newton
+polish. The time-stepped geodesic flow (``shoot``) is kept for path output
+and conservation tests.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .warping import ModelSurface
 
 _POLE_TOL = 1e-13
 _RADIAL_SIN_TOL = 1e-12
-_GL_NODES, _GL_WEIGHTS = leggauss(32)
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_WIDTH = 1.0
 
 
@@ -65,47 +68,6 @@ class SurfacePoint:
 # ---------------------------------------------------------------------------
 # Rotation-number quadrature kernels
 # ---------------------------------------------------------------------------
-
-
-def _invert_radius(surface: ModelSurface, mu: np.ndarray) -> np.ndarray:
-    """Solve m(t) = mu elementwise. m is convex increasing with m' >= 1 here,
-    so a grid-interpolated start plus a few Newton steps reaches roundoff."""
-    w = surface.warping
-    t = np.interp(mu, w.m_values, w.grid)
-    for _ in range(4):
-        t = t - (w.m(t) - mu) / w.m_prime(t)
-        np.clip(t, 0.0, w.t_max, out=t)
-    return t
-
-
-def _gauss_panels(W: float):
-    n_panels = max(1, int(math.ceil(W / _PANEL_WIDTH)))
-    edges = np.linspace(0.0, W, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    w = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return w, wt
-
-
-def _side_integrals(surface: ModelSurface, nu: float, T: float,
-                    with_area: bool = False):
-    """(angle, length, area_mass) integrals from the turning radius of nu up
-    to radius T; all zero when T is at or below the turning radius."""
-    m_T = surface.m(T)
-    ratio = m_T / nu
-    if ratio <= 1.0:
-        return 0.0, 0.0, 0.0
-    W = math.acosh(ratio)
-    w, wt = _gauss_panels(W)
-    ch = np.cosh(w)
-    mu = np.minimum(nu * ch, surface.m(surface.t_max))
-    t = _invert_radius(surface, mu)
-    mp = surface.m_prime(t)
-    angle = float(np.sum(wt / (ch * mp)))
-    length = nu * float(np.sum(wt * ch / mp))
-    area = float(np.sum(wt * surface.curvature_mass(t) / (ch * mp))) if with_area else 0.0
-    return angle, length, area
 
 
 @dataclass(frozen=True)
@@ -133,17 +95,38 @@ _ANGLE, _LENGTH, _AREA_MASS = 0, 1, 2
 def _side_value(surface, side: _SideGeodesic, part: int) -> float:
     """One part of the side: its swept angle, its length, or its area mass.
 
-    Each is the ``_side_integrals`` part up to t_hi plus (turning side) or
-    minus (monotone side) the same part up to t_lo. The area mass integrates
-    the cumulative curvature mass along the side against dtheta; by Fubini
-    this equals the curvature integral over the region between the side and
-    the pole (theta is monotone along the side). Only that part builds the
-    curvature-mass spline.
+    Each is the integral from the turning radius of nu up to t_hi plus
+    (turning side) or minus (monotone side) the same integral up to t_lo,
+    both in one pass; an end at or below the turning radius adds nothing.
+    The area mass integrates the cumulative curvature mass along the side
+    against dtheta; by Fubini this equals the curvature integral over the
+    region between the side and the pole (theta is monotone along the side).
+    Only that part builds the curvature-mass spline.
     """
-    with_area = part == _AREA_MASS
-    hi = _side_integrals(surface, side.nu, side.t_hi, with_area)[part]
-    lo = _side_integrals(surface, side.nu, side.t_lo, with_area)[part]
-    return hi + lo if side.turning else hi - lo
+    nu = side.nu
+    ratios = surface.m(np.concatenate([[side.t_hi, side.t_lo],
+                                       np.minimum(surface.k.breakpoints, surface.t_max)])) / nu
+    kinks = ratios[2:]
+    w_kinks = np.arccosh(kinks[kinks > 1.0]).tolist()
+    panels = []  # (mid, half-width, sign), none wider than _PANEL_WIDTH
+    for ratio, sign in zip(ratios[:2], (1.0, 1.0 if side.turning else -1.0)):
+        if ratio > 1.0:
+            W = math.acosh(ratio)
+            edges = [0.0, *(w for w in w_kinks if w < W), W]
+            for a, b in zip(edges[:-1], edges[1:]):
+                n = max(1, math.ceil((b - a) / _PANEL_WIDTH))
+                half = 0.5 * (b - a) / n
+                panels += [(a + half * (2 * i + 1), half, sign) for i in range(n)]
+    if not panels:
+        return 0.0
+    mid, half, sign = np.array(panels).T
+    ch = np.cosh((mid[:, None] + half[:, None] * _GL_NODES).ravel())
+    weights = ((sign * half)[:, None] * _GL_WEIGHTS).ravel()
+    t, mp = surface.warping.invert(nu * ch)
+    if part == _LENGTH:
+        return nu * float(np.sum(weights * ch / mp))
+    mass = surface.curvature_mass(t) if part == _AREA_MASS else 1.0
+    return float(np.sum(weights * mass / (ch * mp)))
 
 
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,

@@ -11,6 +11,7 @@ instances where the ray set would need cut-locus analysis are rejected.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -200,8 +201,11 @@ class RotSymManifold:
         n = _check_dimension(doc["n"])
         body = {key: val for key, val in doc.items() if key not in ("n", "t_max")}
         curvature = RadialCurvature.from_json(body)
-        t_max = float(doc.get("t_max", default_horizon(curvature)))
-        return cls.from_curvature(n, curvature, t_max=t_max, rel_tol=rel_tol)
+        t_max = doc.get("t_max", default_horizon(curvature))
+        if isinstance(t_max, bool) or not isinstance(t_max, (int, float)) \
+                or not 0.0 < t_max <= sys.float_info.max:
+            raise DomainError(f"manifold t_max must be a positive finite number, got {t_max!r}")
+        return cls.from_curvature(n, curvature, t_max=float(t_max), rel_tol=rel_tol)
 
     def __repr__(self):
         source = "profile" if self._curvature is None else "curvature"

@@ -21,6 +21,9 @@ coefficients in closed form:
     c3 = m1 - 2h m1' / 5 + h^2 m1'' / 20
 
 They are computed for all cells at once and handed to scipy's ``BPoly``.
+The same builder gives the inverse t(mu) of an increasing m, on the nodes
+mu_i = m_i with dt/dmu = 1/m' and d2t/dmu2 = -m''/m'^3; the geodesic code
+inverts radii with it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,17 @@ def default_horizon(k: RadialCurvature) -> float:
     return max(10.0, 5.0 * k.t_tail)
 
 
+def _quintic(x, y, dy, d2y) -> BPoly:
+    """Piecewise quintic through (y, y', y'') at the strictly increasing
+    nodes x, with the Bernstein coefficients of the module docstring."""
+    h = np.diff(x)
+    y0, y1 = y[:-1], y[1:]
+    d0, d1 = h * dy[:-1] / 5.0, h * dy[1:] / 5.0
+    s0, s1 = h * h * d2y[:-1] / 20.0, h * h * d2y[1:] / 20.0
+    return BPoly(np.stack([y0, y0 + d0, y0 + 2.0 * d0 + s0,
+                           y1 - 2.0 * d1 + s1, y1 - d1, y1]), x)
+
+
 class WarpingSolution:
     """Dense solution of m'' + k m = 0, m(0) = 0, m'(0) = 1 on [0, t_max].
 
@@ -85,16 +99,11 @@ class WarpingSolution:
         self.m_values = m_values
         self.m_prime_values = m_prime_values
         # quintic pieces: value, slope, and curvature-exact second derivative
-        m_second = -np.asarray(k(grid)) * m_values
-        h = np.diff(grid)
-        m0, m1 = m_values[:-1], m_values[1:]
-        d0, d1 = h * m_prime_values[:-1] / 5.0, h * m_prime_values[1:] / 5.0
-        s0, s1 = h * h * m_second[:-1] / 20.0, h * h * m_second[1:] / 20.0
-        coeffs = np.stack([m0, m0 + d0, m0 + 2.0 * d0 + s0,
-                           m1 - 2.0 * d1 + s1, m1 - d1, m1])
-        self._m_poly = BPoly(coeffs, grid)
+        self._m_second_values = -np.asarray(k(grid)) * m_values
+        self._m_poly = _quintic(grid, m_values, m_prime_values, self._m_second_values)
         self._m_prime_poly = self._m_poly.derivative()
         self._m_second_poly = self._m_prime_poly.derivative()
+        self._t_of_mu = None
 
     def _check_range(self, t):
         arr = np.asarray(t, dtype=float)
@@ -123,6 +132,23 @@ class WarpingSolution:
         arr = self._check_range(t)
         out = self._m_second_poly(arr)
         return float(out) if np.ndim(t) == 0 else out
+
+    def invert(self, mu):
+        """t with m(t) = mu, and m'(t), elementwise for an increasing m.
+
+        No range check runs: mu is clipped to [0, m(t_max)], t to [0, t_max].
+        The quintic t(mu) through t_i, 1/m'_i and -m''_i/m'_i^3 at the nodes
+        mu_i = m_i is built on the first call; one Newton step on m takes
+        its error (about 1e-11 next to a curvature kink) to roundoff.
+        """
+        if self._t_of_mu is None:
+            mp = self.m_prime_values
+            self._t_of_mu = _quintic(self.m_values, self.grid, 1.0 / mp,
+                                     -self._m_second_values / mp ** 3)
+        mu = np.clip(mu, 0.0, self.m_values[-1])
+        t = self._t_of_mu(mu)
+        t = np.clip(t - (self._m_poly(t) - mu) / self._m_prime_poly(t), 0.0, self.t_max)
+        return t, self._m_prime_poly(t)
 
     def to_csv(self, path, comment: str | None = None):
         """Write (t, m, m_prime) rows; optional provenance comment line."""

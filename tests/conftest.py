@@ -62,3 +62,13 @@ def compact_corpus():
         surface = rg.ModelSurface.from_curvature(env, max(8.0, env.t_tail * 2))
         out.append((k, env, surface))
     return out
+
+
+def newton_inverse(w, mu):
+    """Referee for the radius inversion m(t) = mu: a start interpolated
+    linearly in the node values, then four Newton steps on the public,
+    range-checked m and m'."""
+    t = np.interp(mu, w.m_values, w.grid)
+    for _ in range(4):
+        t = np.clip(t - (w.m(t) - mu) / w.m_prime(t), 0.0, w.t_max)
+    return t

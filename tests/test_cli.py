@@ -117,6 +117,7 @@ def test_formula_sandbox_rejects_nested_code(tmp_path, capsys):
 
 
 FLAT_CORE = {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [0.0, 0.0]}
+HALF_TAIL = {"kind": "constant", "c": -0.5}
 
 
 @pytest.mark.parametrize("body", [
@@ -124,7 +125,12 @@ FLAT_CORE = {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [0.0, 0.0]}
     {"core": FLAT_CORE, "tail": "zero"},
     {"core": {"kind": "formula", "expr": "0 * (t"}, "tail": {"kind": "zero"}},
     {"core": {**FLAT_CORE, "values": ["0", "zero"]}, "tail": {"kind": "zero"}},
-], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values"])
+    # formulas that evaluate on a scalar but not on an array of radii
+    {"core": {"kind": "formula", "expr": "-1 if t < 0.5 else -0.5"}, "tail": HALF_TAIL},
+    {"core": {"kind": "formula", "expr": "-0.5 * (0 <= t < 2)"}, "tail": HALF_TAIL},
+    {"core": {"kind": "formula", "expr": "(t > 0.5 and -0.5) or -1"}, "tail": HALF_TAIL},
+], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values",
+        "formula-branch", "formula-chained", "formula-boolean"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
     doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
@@ -133,6 +139,17 @@ def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     assert code == 1
     assert report is None
     assert err.startswith("error: scenario.curvatures.bad: ")
+
+
+@pytest.mark.parametrize("t_max", ["far", None, float("nan"), 0.0])
+def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
+    doc = base_scenario()
+    doc["manifold"]["t_max"] = t_max
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: scenario.manifold: ")
 
 
 def test_nan_horizon_is_rejected(tmp_path, capsys):

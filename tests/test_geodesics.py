@@ -1,13 +1,16 @@
 """Geodesics, distances, triangles, Gauss-Bonnet on model surfaces."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.optimize import brentq
 
 import radialgeo as rg
 
-from conftest import random_envelope
+from conftest import newton_inverse, random_envelope
 
 
 def flat_surface(t_max=24.0):
@@ -16,6 +19,13 @@ def flat_surface(t_max=24.0):
 
 def hyperbolic_surface(t_max=14.0):
     return rg.ModelSurface.from_curvature(rg.RadialCurvature.constant(-1.0), t_max)
+
+
+def bump_surface(t_max=16.0):
+    bump = rg.nonpositive_min(
+        rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4], [-1.0, -0.15, -0.6, 0.0])
+    )
+    return rg.ModelSurface.from_curvature(bump, t_max)
 
 
 def planar_distance(ra, tha, rb, thb):
@@ -193,10 +203,7 @@ def test_triangle_inequality_enforced():
 
 
 def test_gauss_bonnet_on_bump_surface():
-    bump = rg.nonpositive_min(
-        rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4], [-1.0, -0.15, -0.6, 0.0])
-    )
-    s = rg.ModelSurface.from_curvature(bump, 16.0)
+    s = bump_surface()
     rng = np.random.default_rng(21)
     for _ in range(6):
         a, b = rng.uniform(0.5, 4.0, 2)
@@ -224,3 +231,100 @@ def test_geodesic_path_csv(tmp_path):
     assert text[0] == "# smoke"
     assert text[1].split(",") == ["s", "t", "theta"]
     assert len(text) > 10
+
+
+# -- fine-panel referee -------------------------------------------------------
+# Side integrals by 32-point Gauss panels 20 times narrower than the
+# package's, split at every curvature breakpoint, with the radius inverted by
+# Newton steps on the public m and m'.
+
+_REF_NODES, _REF_WEIGHTS = leggauss(32)
+_REF_PANEL = 1.0 / 20.0
+
+
+def referee_side(surface, nu, turning, r1, r2):
+    """(swept angle, length) of the side with rotation number nu."""
+    kinks = surface.m(np.minimum(surface.k.breakpoints, surface.t_max)) / nu
+
+    def up_to(T):
+        ratio = surface.m(T) / nu
+        if ratio <= 1.0:
+            return np.zeros(2)
+        edges = np.unique(np.concatenate(
+            [[0.0, math.acosh(ratio)], np.arccosh(kinks[(kinks > 1.0) & (kinks < ratio)])]))
+        cuts = np.concatenate([np.linspace(a, b, int(math.ceil((b - a) / _REF_PANEL)) + 1)[1:]
+                               for a, b in zip(edges[:-1], edges[1:])])
+        lo, hi = np.concatenate([[0.0], cuts[:-1]]), cuts
+        w = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _REF_NODES).ravel()
+        wt = (0.5 * (hi - lo)[:, None] * _REF_WEIGHTS).ravel()
+        ch = np.cosh(w)
+        t = newton_inverse(surface.warping, np.minimum(nu * ch, surface.m(surface.t_max)))
+        mp = surface.m_prime(t)
+        return np.array([np.sum(wt / (ch * mp)), nu * np.sum(wt * ch / mp)])
+
+    hi, lo = up_to(max(r1, r2)), up_to(min(r1, r2))
+    return hi + lo if turning else hi - lo
+
+
+def referee_rotation_number(surface, r1, r2, part, target):
+    """(nu, turning) of the side between radii r1 and r2 whose angle
+    (part 0) or length (part 1) equals target."""
+    nu_c = surface.m(min(r1, r2))
+    turning = bool(target > referee_side(surface, nu_c, False, r1, r2)[part])
+    nu = brentq(lambda nu: referee_side(surface, nu, turning, r1, r2)[part] - target,
+                1e-15 * nu_c, nu_c, xtol=1e-15 * max(1.0, nu_c), rtol=8.9e-16)
+    return nu, turning
+
+
+def referee_distance(surface, ra, rb, dth):
+    nu, turning = referee_rotation_number(surface, ra, rb, 0, dth)
+    return referee_side(surface, nu, turning, ra, rb)[1]
+
+
+def referee_triangle_angles(surface, a, b, c):
+    nu, turning = referee_rotation_number(surface, a, b, 1, c)
+    apex = referee_side(surface, nu, turning, a, b)[0]
+    # the side leaves the inner end of a monotone side outward, so the angle
+    # against the meridian to the pole is obtuse there and acute elsewhere
+    base = [math.asin(min(1.0, nu / surface.m(r))) for r in (a, b)]
+    return [apex] + [math.pi - phi if not turning and r == min(a, b) else phi
+                     for phi, r in zip(base, (a, b))]
+
+
+def test_bump_distances_stay_between_flat_and_hyperbolic():
+    # angular separations within 0.006 of 0 and 0.012 of pi, where panels
+    # that straddled a curvature kink left these bounds by up to 2.1e-6
+    s = bump_surface()
+    for (ra, tha), (rb, thb) in [
+        ((5.264298389655956, 0.0), (3.472398676133508, 3.13733404923172)),
+        ((0.40007036021681913, 0.0), (4.276070615110392, 0.0017298977510716107)),
+    ]:
+        d = rg.distance(s, rg.SurfacePoint(ra, tha), rg.SurfacePoint(rb, thb))
+        dth = abs(thb - tha)
+        lower = planar_distance(ra, 0.0, rb, dth)
+        upper = hyperbolic_distance(ra, rb, dth)
+        assert lower - 1e-9 <= d <= upper + 1e-9
+
+
+def test_bump_geodesy_matches_fine_panel_referee():
+    s = bump_surface()
+    rng = np.random.default_rng(31)
+    dths = np.concatenate([rng.uniform(0.0, 0.05, 3), rng.uniform(0.05, math.pi - 0.05, 2),
+                           rng.uniform(math.pi - 0.05, math.pi, 3)])
+    for dth in dths:
+        ra, rb = rng.uniform(0.05, 6.0, 2)
+        got = rg.distance(s, rg.SurfacePoint(ra, 0.0), rg.SurfacePoint(rb, dth))
+        assert abs(got - referee_distance(s, ra, rb, dth)) <= 1e-9
+    for _ in range(3):
+        a, b = rng.uniform(0.4, 4.5, 2)
+        c = rng.uniform(abs(a - b) + 0.05, a + b - 0.05)
+        tri = rg.comparison_triangle(s, a, b, c)
+        want = referee_triangle_angles(s, a, b, c)
+        assert np.max(np.abs(np.array(tri.angles) - want)) <= 1e-9
+
+
+def test_triangle_json_has_python_types():
+    tri = rg.comparison_triangle(bump_surface(), 1.0, 1.5, 2.0)
+    doc = tri.to_json()
+    assert type(doc["turning"]) is bool
+    assert json.loads(json.dumps(doc)) == doc

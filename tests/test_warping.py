@@ -6,7 +6,7 @@ from scipy.interpolate import BPoly
 
 import radialgeo as rg
 
-from conftest import random_compact_curvature
+from conftest import newton_inverse, random_compact_curvature
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
 # below, evaluated at t = 3. Independent of the adaptive solver in the
@@ -205,3 +205,33 @@ def test_isoperimetric_identity_across_curvature_kinks(knots, values):
     env = rg.nonpositive_min(rg.RadialCurvature.from_spline(knots, values))
     w = rg.solve_warping(env, 12.0)
     assert abs(rg.total_curvature_direct(w) - rg.total_curvature_isoperimetric(w)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [
+    rg.RadialCurvature.zero(),
+    rg.RadialCurvature.constant(-1.0),
+    rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
+                                                      [-1.0, -0.15, -0.6, 0.0])),
+    rg.RadialCurvature.from_spline([0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+                                   tail=rg.PowerLawTail(-0.2, 3.0)),
+], ids=["flat", "hyperbolic", "bump", "power-law"])
+def test_inverse_matches_newton_referee(k):
+    w = rg.solve_warping(k, 16.0)
+    # radii between the nodes, on the nodes, at the pole and at the horizon
+    ts = np.concatenate([np.linspace(0.0, 16.0, 4001), w.grid[::7], [1e-9]])
+    mu = w.m(ts)
+    t, mp = w.invert(mu)
+    want = newton_inverse(w, mu)
+    assert np.all(np.abs(t - want) <= 2e-15 * np.maximum(want, 1e-300))
+    assert np.array_equal(mp, w.m_prime(t))
+
+
+def test_corpus_pipeline_builds_no_inverse():
+    k = rg.nonpositive_min(random_compact_curvature(np.random.default_rng(3)))
+    s = rg.ModelSurface.from_curvature(k, 12.0)
+    rg.slope_limit(s.warping, with_bound=True)
+    rg.total_curvature_direct(s.warping)
+    rg.model_ball_volume(3, s.warping, k.t_tail + 2.0)
+    assert s.warping._t_of_mu is None
+    rg.distance(s, rg.SurfacePoint(1.0), rg.SurfacePoint(2.0, 1.0))
+    assert s.warping._t_of_mu is not None
