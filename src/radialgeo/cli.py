@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (default: scenario's output_dir)")
     parser.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
-                        help="relative tolerance for ODE solves")
+                        help="requested relative accuracy of the warping solves")
     parser.add_argument("--horizon", type=float, default=None,
                         help="minimum solving horizon for surfaces")
     parser.add_argument("--tasks", default=None,

@@ -324,7 +324,7 @@ class RadialCurvature:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
-        # scalars (one per stage of the ODE right-hand side) skip the masks
+        # scalars (quadrature integrands ask for one at a time) skip the masks
         if isinstance(t, _SCALAR_TYPES) or (isinstance(t, np.ndarray) and t.ndim == 0):
             t = float(t)
             if t < 0:
@@ -581,8 +581,8 @@ class MomentIntegral:
     """Value of the improper integral of t * k(t) over [0, inf).
 
     ``value`` is -inf when a negative constant tail makes it diverge;
-    ``abs_error`` is the quadrature's own error estimate for the core part
-    (tail contributions are closed-form exact).
+    ``abs_error`` is the quadrature's own error estimate for the core part,
+    summed over its pieces (tail contributions are closed-form exact).
     """
 
     value: float
@@ -610,6 +610,15 @@ def moment_integral(curv: RadialCurvature) -> MomentIntegral:
         return MomentIntegral(NEG_INFINITY, 0.0)
 
     pts = [float(b) for b in curv.breakpoints if 0.0 < b < curv.t_tail]
+    # one rule over a gap [a, b] spanning decades (the envelope of two power
+    # laws can be anchored at 1e16) misses where the integrand lives, so a
+    # gap with b > 2a > 0 is cut at log-spaced points, ratio at most 2
+    edges = [0.0, *pts, curv.t_tail]
+    for a, b in zip(edges[1:-1], edges[2:]):
+        if b > 2.0 * a:
+            n = math.ceil(math.log2(b / a))
+            pts.extend((a * (b / a) ** (np.arange(1, n) / n)).tolist())
+    pts.sort()
     core_val, core_err = integrate.quad(
         lambda t: t * curv(t), 0.0, curv.t_tail,
         points=pts or None, limit=max(200, 10 * (len(pts) + 1)),

@@ -254,13 +254,14 @@ class GrowthRatio:
     dominated: bool = False
 
     def bracket(self) -> tuple[float, float]:
-        """Trend-based enclosure for the limit of the ratio.
+        """Enclosure for the limit of the ratio.
 
-        The last sample bounds the limit from above when the sequence is
-        nonincreasing; the lower end subtracts the geometric tail of the
-        recent drops (drops shrinking by factor q contribute at most
-        d*q/(1-q) more). A sequence that is not settling returns a wide,
-        honest bracket rather than a sharp guess.
+        A sequence that has settled (last drop at most 1e-12) is its own
+        limit within 1e-12. The last sample bounds the limit from above when
+        the sequence is nonincreasing; while it is still dropping, the samples
+        give no lower bound on the limit, so the lower end is 0. A sequence
+        that is not settling returns a wide, honest bracket rather than a
+        sharp guess.
         """
         ratios = [s[3] for s in self.samples]
         if len(ratios) == 1:
@@ -271,16 +272,7 @@ class GrowthRatio:
                 lo = ratios[-1] - 1e-12
                 hi = ratios[-1] + 1e-12
             elif self.monotone_nonincreasing:
-                hi = ratios[-1]
-                q = math.nan
-                if len(ratios) >= 3:
-                    d_prev = ratios[-3] - ratios[-2]
-                    if d_prev > 1e-300:
-                        q = d_last / d_prev
-                if math.isfinite(q) and 0.0 < q < 0.9:
-                    lo = ratios[-1] - d_last * q / (1.0 - q)
-                else:
-                    lo = 0.0
+                lo, hi = 0.0, ratios[-1]
             else:
                 spread = 3.0 * abs(d_last)
                 lo, hi = ratios[-1] - spread, ratios[-1] + spread

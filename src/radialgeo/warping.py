@@ -3,11 +3,20 @@
 The warping function m solves m'' + k(t) m = 0 with m(0) = 0, m'(0) = 1.
 It is the Jacobian of the exponential map along meridians, so everything
 downstream (volumes, geodesics, total curvature) reduces to integrals of m
-and m'. Solutions come from an adaptive embedded Runge-Kutta pair with dense
-output; for fast repeated evaluation the dense output is resampled onto a
-fine grid and rebuilt as a piecewise quintic (values, slopes, and the exact
-second derivative -k*m at every node), which keeps interpolation error far
-below the solver tolerance.
+and m'. ``solve_warping`` computes (m, m') at the nodes of a fine grid (pitch
+about 1/64, every curvature breakpoint a node) with one 2x2 transfer matrix
+per cell. Each matrix comes from the Taylor series of the two basis solutions
+about the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in
+one array call per block of cells (high-order Taylor methods for linear ODEs:
+Jorba and Zou, *Experimental Mathematics* 14, 2005). The requested relative
+accuracy ``rel_tol`` sets the number of Taylor terms; a cell where the
+interpolant misses k (a kink or jump of a formula core) is bisected into
+pieces with their own matrices; a cell with large |k| is split into equal
+steps; a conjugate point is the root of the series of the step where m
+first reaches zero. From the node data the solution is rebuilt as a
+piecewise quintic (values, slopes, and the exact second derivative -k*m at
+every node), which keeps interpolation error far below the solver
+tolerance.
 
 The quintic of each cell is written in Bernstein form. With cell width h and
 (m, m', m'') at its left (0) and right (1) nodes, the end-derivative
@@ -33,8 +42,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
+from scipy.optimize import brentq
 
 from .curvature import NEG_INFINITY, RadialCurvature, moment_integral
 from .errors import (
@@ -49,8 +58,6 @@ _REL_TOL_MIN = 1e-14
 _REL_TOL_MAX = 1e-3
 # dense interpolant nodes per unit length
 _NODES_PER_UNIT = 64
-# series start offset; below this m(t) = t to machine precision
-_T_START = 1e-6
 # a uniform node closer than this fraction of the node pitch to an interior
 # curvature breakpoint gives way to it. Rounding in the Bernstein
 # coefficients of a cell of width h perturbs m' by about eps * |m| / h, so a
@@ -58,6 +65,29 @@ _T_START = 1e-6
 # is dropped instead, and the kink it leaves inside the last cell moves m by
 # about (fraction * pitch)**3
 _SLIVER_FRACTION = 1e-3
+# k is sampled at these Chebyshev points of each piece of a cell (mapped to
+# [-1, 1]); _FIT takes the samples to the monomial coefficients of their
+# degree-8 interpolant. On [-1, 1] its Vandermonde condition number is about
+# 6e2; on [0, 1] it is about 7e5.
+_FIT_DEGREE = 8
+_CHEB = np.cos((2 * np.arange(_FIT_DEGREE + 1) + 1) * np.pi / (2 * _FIT_DEGREE + 2))
+_FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
+# _CHECK takes the same samples to the two highest Chebyshev coefficients of
+# the interpolant and to its values at s = -1 and s = +1. A jump or kink of
+# k inside the piece shows in the former, or, beyond the outer sample
+# points, in the latter: over all positions of a unit jump or kink either
+# is at least 0.8 of the error the fit makes in the integral of k.
+_CHECK = np.concatenate([
+    np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB, _FIT_DEGREE))[-2:],
+    np.vander([-1.0, 1.0], _FIT_DEGREE + 1, increasing=True) @ _FIT])
+# a cell is cut into at most this many pieces on average before the
+# curvature counts as too rough for the node grid
+_MAX_PIECES_PER_CELL = 16
+# cells solved together; bounds the memory of a solve whatever its horizon
+_BLOCK_CELLS = 2048
+# Taylor terms per step at most; with sum |kappa_i| <= 1 the series meet
+# the tightest tolerance well before this
+_MAX_TERMS = 64
 
 
 def default_horizon(k: RadialCurvature) -> float:
@@ -167,19 +197,45 @@ class WarpingSolution:
 
 def solve_warping(k: RadialCurvature, t_max: float,
                   rel_tol: float = DEFAULT_REL_TOL) -> WarpingSolution:
-    """Integrate the warping ODE out to t_max.
+    """Solve the warping ODE out to t_max by per-cell transfer matrices.
 
-    Uses an eighth-order embedded pair with dense output. Integration starts
-    from a series step at t = 1e-6 (m = t - k(0) t^3 / 6, exact to well below
-    machine precision there) so the zero-crossing event can stay armed for
-    the whole run without tripping on the initial condition m(0) = 0. The
-    integration restarts at every curvature breakpoint: a step across a kink
-    of k (the core/tail junction, a zero crossing clipped by an envelope)
-    loses accuracy without the error estimate noticing.
+    The node grid has pitch about 1/64 and contains every curvature
+    breakpoint. In the local variable s in [-1, 1] of a cell with midpoint c
+    and half-width r the ODE reads d2m/ds2 = -kappa(s) m with
+    kappa(s) = r^2 k(c + r s). kappa is replaced by its degree-8 interpolant
+    at the Chebyshev points (exact for spline cores), and the Taylor
+    coefficients of the two solutions with (m, dm/ds) = (1, 0) and (0, 1) at
+    s = 0 follow from the recurrence
+
+        (j + 2)(j + 1) a_{j+2} = -sum_i kappa_i a_{j-i},
+
+    vectorized over cells. Summed at s = -1 and s = +1 they give each
+    cell's 2x2 transfer matrix, and (m, m') is carried cell by cell from the
+    exact (0, 1) at t = 0. Cells are solved in blocks of 2048 (t = 32 at the
+    usual pitch), each sampling k in one array call, so the memory of a
+    solve does not grow with its horizon.
+
+    k need not be smooth inside a cell: a formula core may have kinks or
+    jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
+    fit is checked through its two highest Chebyshev coefficients and
+    against k next to both ends of the cell; a cell where it misses is
+    bisected into pieces, each with its own fit and matrix, until the miss
+    is negligible or the piece is a few ulps wide. Each round of bisection
+    is one more array call of k. A curvature that needs more than 16 pieces
+    per cell on average raises DomainError.
+
+    ``rel_tol`` is the requested relative accuracy. It sets the number of
+    Taylor terms: the series stop once the newest two coefficients of every
+    piece fall below rel_tol * 1e-3 of the leading ones. The fit check uses
+    the same bound times the piece's half-width. A piece whose kappa
+    coefficients sum to more than 1 in absolute value ((h/2)^2 |k| > 1 for
+    constant k) is split into equal steps whose matrices are multiplied,
+    which keeps the series short without changing the node grid.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
-    for strongly positive curvature; the crossing location is bisection
-    refined by the event machinery.
+    for strongly positive curvature; the crossing is the root of the series
+    of the step in which m first reaches zero. Raises DomainError when the
+    solution overflows.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
@@ -187,19 +243,79 @@ def solve_warping(k: RadialCurvature, t_max: float,
         raise DomainError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
 
-    t0 = min(_T_START, t_max / 100.0)
-    k0 = float(k(0.0))
-    y0 = [t0 - k0 * t0 ** 3 / 6.0, 1.0 - k0 * t0 ** 2 / 2.0]
+    grid = _node_grid(k, t_max)
+    m_nodes, mp_nodes = [np.zeros(1)], [np.ones(1)]
+    for first in range(0, grid.size - 1, _BLOCK_CELLS):
+        m, mp = _carry(k, grid[first:first + _BLOCK_CELLS + 1], rel_tol * 1e-3,
+                       float(m_nodes[-1][-1]), float(mp_nodes[-1][-1]))
+        if not (math.isfinite(m[-1]) and math.isfinite(mp[-1])):
+            raise DomainError(f"the warping function overflows before t = {t_max:g}")
+        m_nodes.append(m)
+        mp_nodes.append(mp)
+    return WarpingSolution(k, t_max, rel_tol, grid,
+                           np.concatenate(m_nodes), np.concatenate(mp_nodes))
 
-    def rhs(t, y):
-        return (y[1], -float(k(t)) * y[0])
 
-    def vanish(t, y):
-        return y[0]
+def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: float):
+    """(m, m') at nodes[1:] from (m, mp) at nodes[0], by the transfer
+    matrices of the cells between the nodes."""
+    mid, half, cell, kappa = _fitted_pieces(k, nodes, tol)
 
-    vanish.terminal = True
-    vanish.direction = -1
+    # a piece with sum |kappa_i| > 1 becomes n equal steps: kappa re-expanded
+    # about a step's centre in the step's own variable has a coefficient sum
+    # at most 1/n^2 of the piece's
+    n_sub = np.maximum(1, np.ceil(np.sqrt(np.sum(np.abs(kappa), axis=0)))).astype(int)
+    piece = np.repeat(np.arange(mid.size), n_sub)
+    n = n_sub[piece]
+    index = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    offset = (2 * index + 1) / n - 1.0
+    centre, width = mid[piece] + half[piece] * offset, half[piece] / n
+    if piece.size > mid.size:
+        s = offset + _CHEB[:, None] / n
+        step_samples = np.zeros_like(s)
+        for c in kappa[::-1, piece]:
+            step_samples = step_samples * s + c
+        kappa = _FIT @ (step_samples / n ** 2)
 
+    coef = _taylor_coefficients(kappa, tol)
+    j = np.arange(coef.shape[0])
+    sign = (-1.0) ** j
+    # basis values and s-derivatives at s = +1 (p) and s = -1 (q)
+    p0, p1, q0, q1 = np.tensordot(np.stack([np.ones_like(sign), j, sign, -j * sign]), coef, 1)
+    # transfer matrix P Q^-1 in s; the Wronskian makes det Q = 1
+    t00 = p0[0] * q1[1] - p0[1] * q1[0]
+    t01 = p0[1] * q0[0] - p0[0] * q0[1]
+    t10 = p1[0] * q1[1] - p1[1] * q1[0]
+    t11 = p1[1] * q0[0] - p1[0] * q0[1]
+
+    m_steps, mp_steps = [m], [mp]
+    for a, b, c, d in zip(t00.tolist(), (t01 * width).tolist(),
+                          (t10 / width).tolist(), t11.tolist()):
+        m, mp = a * m + b * mp, c * m + d * mp
+        m_steps.append(m)
+        mp_steps.append(mp)
+    m_steps, mp_steps = np.asarray(m_steps), np.asarray(mp_steps)
+
+    vanished = np.flatnonzero(m_steps[1:] <= 0.0)
+    if vanished.size:
+        i = vanished[0]
+        # the step's series from its midpoint state (m, dm/ds) = Q^-1 (m, r m')
+        m0, ds0 = m_steps[i], width[i] * mp_steps[i]
+        series = ((q1[1, i] * m0 - q0[1, i] * ds0) * coef[:, 0, i]
+                  + (q0[0, i] * ds0 - q1[0, i] * m0) * coef[:, 1, i])
+        s_root = 1.0
+        if np.polynomial.polynomial.polyval(1.0, series) < 0.0:
+            s_root = brentq(np.polynomial.polynomial.polyval, -1.0, 1.0,
+                            args=(series,), xtol=1e-15)
+        raise ConjugatePointError(float(centre[i] + width[i] * s_root))
+
+    last = np.cumsum(np.bincount(cell, weights=n_sub, minlength=nodes.size - 1)).astype(int)
+    return m_steps[last], mp_steps[last]
+
+
+def _node_grid(k: RadialCurvature, t_max: float) -> np.ndarray:
+    """Uniform nodes of pitch about 1/64 on [0, t_max] with the interior
+    curvature breakpoints merged in under the sliver rule."""
     n_nodes = int(max(64, math.ceil(t_max * _NODES_PER_UNIT))) + 1
     grid = np.linspace(0.0, t_max, n_nodes)
     pitch = t_max / (n_nodes - 1)
@@ -211,31 +327,73 @@ def solve_warping(k: RadialCurvature, t_max: float,
     at_end = close & ((nearest == 0) | (nearest == n_nodes - 1))
     keep = np.ones(n_nodes, dtype=bool)
     keep[nearest[close & ~at_end]] = False
-    interior_bp = interior_bp[~at_end]
-    grid = np.unique(np.concatenate([grid[keep], interior_bp]))
+    return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
 
-    m_vals = np.empty_like(grid)
-    mp_vals = np.empty_like(grid)
-    inner = grid < t0  # series region below the integration start
-    m_vals[inner] = grid[inner] - k0 * grid[inner] ** 3 / 6.0
-    mp_vals[inner] = 1.0 - k0 * grid[inner] ** 2 / 2.0
 
-    edges = np.concatenate([[t0], interior_bp[interior_bp > t0], [t_max]])
-    y = y0
-    for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(
-            rhs, (a, b), y, method="DOP853", dense_output=True,
-            events=vanish, rtol=max(rel_tol, 2.3e-14), atol=rel_tol * 1e-6,
-        )
-        if sol.status == 1:  # event hit
-            raise ConjugatePointError(float(sol.t_events[0][0]))
-        if not sol.success:
-            raise RuntimeError(f"warping integration failed: {sol.message}")
-        piece = ~inner & (grid >= a) & (grid <= b)
-        m_vals[piece], mp_vals[piece] = sol.sol(grid[piece])
-        y = sol.y[:, -1]
+def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
+    """The cells of grid cut into pieces on which the degree-8 fit of k holds,
+    as (midpoint, half-width, cell index, kappa) in the order of t; kappa
+    holds the monomial coefficients (9, pieces) of the fitted
+    r^2 k(c + r s).
 
-    return WarpingSolution(k, t_max, rel_tol, grid, m_vals, mp_vals)
+    Besides the Chebyshev points k is sampled one ulp inside either end of a
+    piece. The fit misses by the sum of its two highest Chebyshev
+    coefficients, or by its distance to those end samples if larger. A piece
+    where the miss exceeds tol * r, beyond rounding, is bisected: a miss d
+    in kappa moves m' by about d / r relative to m over the piece. Bisection
+    stops at a half-width of 64 ulps.
+    """
+    eps = np.finfo(float).eps
+    lo, hi, cell = grid[:-1], grid[1:], np.arange(grid.size - 1)
+    budget = _MAX_PIECES_PER_CELL * cell.size
+    pieces = []
+    while lo.size:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = np.concatenate([mid + half * _CHEB[:, None],
+                            [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+        samples = np.asarray(k(t.ravel()), dtype=float).reshape(t.shape)
+        if not np.all(np.isfinite(samples)):
+            raise DomainError(f"curvature is not finite on [0, {grid[-1]:g}]")
+        kappa = half ** 2 * samples
+        fit = kappa[:_CHEB.size]
+        check = _CHECK @ fit
+        miss = np.maximum(np.abs(check[0]) + np.abs(check[1]),
+                          np.max(np.abs(check[2:] - kappa[_CHEB.size:]), axis=0))
+        rounding = 64 * eps * np.max(np.abs(kappa), axis=0)
+        split = (miss > tol * half + rounding) & (half > 64 * eps * np.maximum(1.0, np.abs(mid)))
+        keep = ~split
+        pieces.append((mid[keep], half[keep], cell[keep], _FIT @ fit[:, keep]))
+        budget -= np.count_nonzero(keep)
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        cell = np.tile(cell[split], 2)
+        if lo.size > budget:
+            raise DomainError(
+                f"curvature varies too fast for the node grid near t = {float(np.min(lo)):.6g}")
+    if len(pieces) == 1:
+        return pieces[0]
+    mid, half, cell, kappa = (np.concatenate(part, axis=-1) for part in zip(*pieces))
+    order = np.argsort(mid, kind="stable")
+    return mid[order], half[order], cell[order], kappa[:, order]
+
+
+def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
+    """Taylor coefficients a_j of the solutions of m'' = -kappa(s) m with
+    (m, m') = (1, 0) and (0, 1) at s = 0, as an array (terms, 2, steps).
+
+    kappa holds the monomial coefficients (9, steps). The series stop once
+    the newest two coefficients of every step are below tol, or after
+    _MAX_TERMS terms.
+    """
+    one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])
+    a = [np.stack([one, zero]), np.stack([zero, one])]
+    for j in range(_MAX_TERMS - 2):
+        nxt = kappa[0] * a[j]
+        for i in range(1, min(j, _FIT_DEGREE) + 1):
+            nxt += kappa[i] * a[j - i]
+        a.append(nxt / (-(j + 2) * (j + 1)))
+        if max(np.max(np.abs(a[-2])), np.max(np.abs(a[-1]))) < tol:
+            break
+    return np.stack(a)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,23 @@ def test_main_check_manifold_numerator():
     assert hi - lo <= 1e-6
 
 
+def test_still_falling_growth_ratio_certifies_nothing():
+    # the ratio still falls at the last horizon; its limit m'(inf)^-3 =
+    # 0.673585 (m' is constant past t = 3) lies below the threshold
+    # 0.674117, and a lower end guessed from the trend of the samples was
+    # 0.674649
+    flat = rg.RotSymManifold.from_curvature(4, rg.RadialCurvature.zero(), t_max=16.0)
+    ricci = rg.RadialCurvature.from_spline([0, 1, 2, 3], [-0.125, -0.075, -0.025, 0])
+    c = -0.04701929890603108
+    sectional = rg.RadialCurvature.from_spline([0, 1, 2, 3], [c, c, c, 0])
+    rep = rg.ricci_pinch_check(4, ricci, sectional, numerator=flat)
+    assert rep.verdict == "Inconclusive"
+    assert rep.b2_holds == "Inconclusive"
+    lo, hi = rep.growth_limit
+    limit = rg.solve_warping(ricci, 4.0).m_prime(3.5) ** -3
+    assert lo <= limit < rep.threshold <= hi
+
+
 def test_main_check_domination_violation_raises():
     # declared bound 0 but the manifold curvature dips to -0.5
     dip = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.5, 0.0])

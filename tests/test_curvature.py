@@ -185,6 +185,50 @@ def test_moment_error_estimate_is_honest():
         assert mi.abs_error <= 1e-8
 
 
+def test_far_anchored_envelope_moment_matches_split_referee():
+    # two power-law tails with close exponents: the envelope takes over the
+    # slower one only where they cross, at t = 6.5e16
+    a = rg.RadialCurvature.from_spline(
+        [0.0, 1.4, 2.843172359121189], [-0.5, -0.4, -0.22997705783024244],
+        tail=rg.PowerLawTail(-0.22997705783024244, 4.209322996540566))
+    b = rg.RadialCurvature.from_spline(
+        [0.0, 1.2, 2.511584572330144], [-0.6, -0.3, -0.25060501023507686],
+        tail=rg.PowerLawTail(-0.25060501023507686, 4.197785018709158))
+    env = rg.nonpositive_min(a, b)
+    assert env.t_tail > 1e16
+    # referee: one quad per piece between breakpoints, decade-wide gaps cut
+    # at factors of 2
+    edges = [0.0]
+    for lo, hi in zip(env.breakpoints[:-1], env.breakpoints[1:]):
+        if lo > 0.0:
+            edges.extend(lo * 2.0 ** np.arange(1.0, math.log2(hi / lo)))
+        edges.append(hi)
+    want = env.tail.moment(env.t_tail, env.t_tail) + sum(
+        quad(lambda t: t * env(t), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]))
+    got = rg.moment_integral(env)
+    assert abs(got.value - want) <= 1e-8
+    assert got.abs_error <= 1e-8
+
+
+def test_moment_of_evenly_knotted_cores_adds_no_split_points():
+    # no gap between consecutive knots h, 2h, ... exceeds a factor of 2, so
+    # the moment is the one quad over the knots, bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        t_tail = rng.uniform(0.8, 3.0)
+        knots = np.linspace(0.0, t_tail, int(rng.integers(3, 9)))
+        values = -rng.uniform(0.1, 1.5, knots.size)
+        env = rg.nonpositive_min(rg.RadialCurvature.from_spline(
+            knots, values, tail=rg.PowerLawTail(values[-1], rng.uniform(3.0, 4.5))))
+        pts = [float(t) for t in env.breakpoints if 0.0 < t < env.t_tail]
+        core, err = quad(lambda t: t * env(t), 0.0, env.t_tail, points=pts or None,
+                         limit=max(200, 10 * (len(pts) + 1)), epsabs=1e-12, epsrel=1e-12)
+        got = rg.moment_integral(env)
+        assert got.value == core + env.tail.moment(env.t_tail, env.t_tail)
+        assert got.abs_error == err
+
+
 @st.composite
 def spline_curvatures(draw):
     """Spline core of 2 to 6 knots with a zero, constant or power-law tail,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 import radialgeo as rg
@@ -9,8 +10,8 @@ import radialgeo as rg
 from conftest import newton_inverse, random_compact_curvature
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
-# below, evaluated at t = 3. Independent of the adaptive solver in the
-# package; the interpolant is shared because it defines the curvature.
+# below, evaluated at t = 3. Independent of the solver in the package; the
+# interpolant is shared because it defines the curvature.
 RK4_KNOTS = [0.0, 0.7, 1.4, 2.1]
 RK4_VALUES = [-1.2, -0.3, -0.8, 0.0]
 RK4_M_AT_3 = 5.29965905815901
@@ -28,7 +29,6 @@ def power_tail_fixture():
 
 
 def test_flat_profile_is_identity():
-    # the adaptive solver carries ~1e-13 roundoff even on the trivial ODE
     w = rg.solve_warping(rg.RadialCurvature.zero(), 12.0)
     ts = np.linspace(0.0, 12.0, 601)
     assert np.max(np.abs(w.m(ts) - ts)) <= 1e-10
@@ -50,6 +50,141 @@ def test_solver_matches_fixed_step_rk4_oracle():
     w = rg.solve_warping(k, 5.0)
     assert abs(w.m(3.0) - RK4_M_AT_3) <= 1e-9
     assert abs(w.m_prime(3.0) - RK4_MP_AT_3) <= 1e-9
+
+
+def dop853_nodes(k, grid, kinks=()):
+    """Referee for the node values (m, m'): scipy's DOP853 at rtol 1e-13 from
+    (0, 1) at t = 0, restarted at every curvature breakpoint and at the given
+    kinks and jumps, and stepping at most one node pitch: with longer steps
+    its dense output alone was off by 2.5e-11 on a smooth formula core."""
+    bp = np.concatenate([k.breakpoints, kinks])
+    edges = np.unique(np.concatenate([[0.0], bp[bp < grid[-1]], [grid[-1]]]))
+    out = np.empty((2, grid.size))
+    y = np.array([0.0, 1.0])
+    for a, b in zip(edges[:-1], edges[1:]):
+        piece = (grid >= a) & (grid <= b)
+        sol = solve_ivp(lambda t, y: (y[1], -float(k(t)) * y[0]), (a, b), y,
+                        method="DOP853", t_eval=np.union1d(grid[piece], [b]),
+                        rtol=1e-13, atol=1e-20, max_step=1.0 / 64.0)
+        out[:, piece] = sol.y[:, :np.count_nonzero(piece)]
+        y = sol.y[:, -1]
+    return out
+
+
+def test_hyperbolic_nodes_match_sinh_to_roundoff():
+    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
+    t = w.grid[1:]
+    assert np.max(np.abs(w.m_values[1:] - np.sinh(t)) / np.sinh(t)) <= 1e-12
+    assert np.max(np.abs(w.m_prime_values - np.cosh(w.grid)) / np.cosh(w.grid)) <= 1e-12
+
+
+def test_loose_tolerance_keeps_its_accuracy():
+    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0, rel_tol=1e-6)
+    t = w.grid[1:]
+    assert np.max(np.abs(w.m_values[1:] - np.sinh(t)) / np.sinh(t)) <= 1e-6
+
+
+@pytest.mark.parametrize("c, horizon", [
+    (-400.0, 4.0),
+    # (h/2)^2 |k| = 3.8 on the 1/256 pitch: every cell is split in two
+    (-1e6, 0.25),
+], ids=["k=-400", "split-cells"])
+def test_large_curvature_matches_scaled_sinh(c, horizon):
+    w = rg.solve_warping(rg.RadialCurvature.constant(c), horizon)
+    r = np.sqrt(-c)
+    scale = np.cosh(r * w.grid)
+    assert np.max(np.abs(w.m_values - np.sinh(r * w.grid) / r) * r / scale) <= 1e-10
+    assert np.max(np.abs(w.m_prime_values - scale) / scale) <= 1e-10
+
+
+def test_overflowing_solution_raises_domain_error():
+    # sinh(100 t) passes the largest float before t = 7.1
+    with pytest.raises(rg.DomainError, match="overflows"):
+        rg.solve_warping(rg.RadialCurvature.constant(-1e4), 10.0)
+
+
+def test_conjugate_point_located_at_pi():
+    with pytest.raises(rg.ConjugatePointError) as info:
+        rg.solve_warping(rg.RadialCurvature.constant(1.0, t_tail=4.0), 4.0)
+    assert abs(info.value.t - np.pi) <= 1e-9
+
+
+SPL = rg.RadialCurvature.from_spline([0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+                                     tail=rg.PowerLawTail(-0.2, 3.0))
+
+
+def formula(expr, end_value):
+    """Formula core on [0, 2] from a scenario document, with a p = 3 tail."""
+    return rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": expr},
+        "tail": {"kind": "power_law", "c": end_value, "p": 3.0}, "t_tail": 2.0})
+
+
+@pytest.mark.parametrize("k, horizon, kinks", [
+    # the sampled envelope of SPL: 403 knots, all of them cell boundaries
+    (rg.RadialCurvature.from_json(rg.nonpositive_min(SPL).to_json(sampled=True)), 13.5, []),
+    (rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
+                                                       [-1.0, -0.15, -0.6, 0.0])), 16.0, []),
+    (SPL, 16.0, []),
+    # 2,560 cells, solved in two blocks
+    (SPL, 40.0, []),
+    # a jump and two kinks that are no breakpoints, each strictly inside a
+    # cell (the nodes lie on multiples of 1/64)
+    (formula("where(t < 1.003, -1.0, -0.5)", -0.5), 8.0, [1.003]),
+    (formula("-0.5 - 0.3 * abs(t - 1.003)", -0.5 - 0.3 * 0.997), 8.0, [1.003]),
+    (formula("minimum(-0.4, -1.2 + t)", -0.4), 8.0, [0.8]),
+], ids=["403-knots", "bump", "power-law", "power-law-two-blocks", "formula-jump", "formula-abs",
+        "formula-minimum"])
+def test_nodes_match_dop853_referee(k, horizon, kinks):
+    w = rg.solve_warping(k, horizon)
+    assert w.m_values[0] == 0.0 and w.m_prime_values[0] == 1.0
+    assert not np.any(np.isin(kinks, w.grid))
+    m_ref, mp_ref = dop853_nodes(k, w.grid, kinks)
+    assert np.max(np.abs(w.m_values[1:] - m_ref[1:]) / m_ref[1:]) <= 1e-10
+    assert np.max(np.abs(w.m_prime_values - mp_ref) / mp_ref) <= 1e-10
+
+
+class CountingCurvature(rg.RadialCurvature):
+    """A curvature that counts its array calls."""
+
+    def __init__(self, base):
+        super().__init__(base.core, base.tail, base.t_tail)
+        self.array_calls = 0
+
+    def __call__(self, t):
+        self.array_calls += np.ndim(t) > 0
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("horizon, blocks", [(16.0, 1), (48.0, 2)])
+def test_smooth_curvature_is_sampled_once_per_block(horizon, blocks):
+    k = CountingCurvature(SPL)
+    rg.solve_warping(k, horizon)
+    assert k.array_calls == blocks + 1  # the samples, then -k m at the nodes
+
+
+def test_conjugate_point_in_a_later_block():
+    # m = t up to t = 40, where a ramp to k = 1 and a p = 3 tail begin: m
+    # turns over after t = 41, past the first block of 2,048 cells
+    k = rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": "where(t < 40.0, 0.0, t - 40.0)"},
+        "tail": {"kind": "power_law", "c": 1.0, "p": 3.0}, "t_tail": 41.0})
+    rhs = lambda t, y: (y[1], -float(k(t)) * y[0])
+    vanish = lambda t, y: y[0]
+    vanish.terminal, vanish.direction = True, -1
+    y41 = solve_ivp(rhs, (40.0, 41.0), [40.0, 1.0], method="DOP853",
+                    rtol=1e-13, atol=1e-20, max_step=1.0 / 64.0).y[:, -1]
+    sol = solve_ivp(rhs, (41.0, 50.0), y41, method="DOP853", events=vanish,
+                    rtol=1e-13, atol=1e-20, max_step=1.0 / 64.0)
+    with pytest.raises(rg.ConjugatePointError) as info:
+        rg.solve_warping(k, 50.0)
+    assert abs(info.value.t - sol.t_events[0][0]) <= 1e-9
+
+
+def test_too_rough_curvature_raises_domain_error():
+    # every cell misses its fit, and so does every half of it, and so on
+    with pytest.raises(rg.DomainError, match="varies too fast"):
+        rg.solve_warping(formula("-1.0 + 0.5 * sin(1e5 * t)", -1.0 + 0.5 * np.sin(2e5)), 4.0)
 
 
 def test_conjugate_point_detected():
