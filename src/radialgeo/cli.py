@@ -66,6 +66,16 @@ def _field(obj: dict, key: str, types, path: str, what: str, required=True,
     return value
 
 
+def _positive_finite(value) -> bool:
+    """A JSON number in (0, inf); an integer too large for a float is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 class _Scenario:
     """Validated scenario with constructed geometry objects."""
 
@@ -161,18 +171,15 @@ class _Scenario:
         hs = cmd.get("horizons")
         if hs is None:
             return DEFAULT_HORIZONS
-        if (not isinstance(hs, list) or not hs or any(
-                isinstance(h, bool) or not isinstance(h, (int, float)) or h <= 0
-                for h in hs)):
-            _fail(f"{path}.horizons", "expected a nonempty list of positive numbers")
+        if not isinstance(hs, list) or not hs or not all(map(_positive_finite, hs)):
+            _fail(f"{path}.horizons",
+                  "expected a nonempty list of positive finite numbers")
         return tuple(float(h) for h in hs)
 
     def sides(self, cmd: dict, path: str):
         sides = _field(cmd, "sides", list, path, "a list of three side lengths")
-        if len(sides) != 3 or any(
-                isinstance(s, bool) or not isinstance(s, (int, float)) or s <= 0
-                for s in sides):
-            _fail(f"{path}.sides", "expected three positive side lengths")
+        if len(sides) != 3 or not all(map(_positive_finite, sides)):
+            _fail(f"{path}.sides", "expected three positive finite side lengths")
         return tuple(float(s) for s in sides)
 
 
@@ -207,6 +214,10 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
         _fail(f"{path}.numerator", "the growth task needs a manifold numerator")
     horizons = scn.horizons(cmd, path)
     max_h = max(horizons)
+    dominated = cmd.get("dominated", False)
+    if not isinstance(dominated, bool):
+        _fail(f"{path}.dominated",
+              f"expected true or false, got {type(dominated).__name__}")
 
     num_w = numerator.warping
     if num_w.t_max < max_h * (1 - 1e-12):
@@ -215,7 +226,6 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
                   f"manifold profile reaches only t = {num_w.t_max:.6g}")
         num_w = solve_warping(numerator.curvature, max_h, scn.rel_tol)
     den_w = solve_warping(den_k, max_h, scn.rel_tol)
-    dominated = bool(cmd.get("dominated", False))
     ratio = growth_ratio(scn.n, num_w, den_w, horizons, dominated=dominated)
 
     csv_name = f"growth_{idx}.csv"

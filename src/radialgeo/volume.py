@@ -3,8 +3,11 @@
 Unit-sphere volumes come from the dimension recurrence so no special
 functions are needed; the cap fraction (normalized integral of sin^(n-2))
 and cap volumes share the same quadrature kernel, which makes the identity
-cap_volume = omega_{n-1} * cap_fraction numerically tight. Ball volumes in a
-model integrate m^(n-1) piecewise-exactly against the warping interpolant.
+cap_volume = omega_{n-1} * cap_fraction numerically tight. A ball volume in
+a model is omega_{n-1} times the integral of m^(n-1), which each warping
+solution reads from a cumulative table over its cells (built once per
+exponent, exact for the piecewise quintic interpolant) plus one Gauss panel
+in the cell holding the radius.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from .curvature import NEG_INFINITY, RadialCurvature
@@ -105,8 +107,12 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     the pole of the n-dimensional model with warping m.
 
     The integrand is a piecewise polynomial (the warping interpolant raised
-    to n-1), so per-cell Gauss rules of matching order integrate it exactly;
-    accuracy is limited only by the ODE tolerance.
+    to n-1), which Gauss rules of matching order integrate exactly; accuracy
+    is limited only by the ODE tolerance. The integral comes from
+    ``WarpingSolution.power_integral``: the first call for a dimension
+    builds the solution's cumulative table over all cells, and every call
+    adds one panel from the last node below t to t, so the horizons of a
+    growth ratio cost one table and a panel each.
     """
     _check_dim(n)
     if not t >= 0:  # also rejects NaN
@@ -114,18 +120,7 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     if t > w.t_max * (1.0 + 1e-12):
         raise HorizonExceededError(
             f"ball radius {t:.6g} exceeds solved horizon {w.t_max:.6g}")
-    t = min(t, w.t_max)
-    if t == 0.0:
-        return 0.0
-    edges = w.grid[w.grid < t]
-    edges = np.append(edges, t)
-    degree = 5 * (n - 1)
-    nodes, weights = leggauss(degree // 2 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = w.m(x.ravel()).reshape(x.shape) ** (n - 1)
-    return unit_sphere_volume(n - 1) * float(np.sum(half * (vals @ weights)))
+    return unit_sphere_volume(n - 1) * w.power_integral(n - 1, t)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -106,6 +107,18 @@ def _quintic(x, y, dy, d2y) -> BPoly:
                            y1 - 2.0 * d1 + s1, y1 - d1, y1]), x)
 
 
+@lru_cache(maxsize=None)
+def _power_rule(q: int):
+    """Gauss-Legendre rule of order floor(5q/2) + 1, exact for the q-th
+    power of a quintic: nodes and weights on [-1, 1], and the (nodes, 6)
+    matrix of the quintic Bernstein basis at those nodes mapped to [0, 1]."""
+    nodes, weights = leggauss(5 * q // 2 + 1)
+    u = 0.5 * (nodes[:, None] + 1.0)
+    j = np.arange(6)
+    basis = np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0]) * u ** j * (1.0 - u) ** (5 - j)
+    return nodes, weights, basis
+
+
 class WarpingSolution:
     """Dense solution of m'' + k m = 0, m(0) = 0, m'(0) = 1 on [0, t_max].
 
@@ -119,6 +132,9 @@ class WarpingSolution:
         Node values; m_values[0] == 0 and m_prime_values[0] == 1 exactly.
 
     ``m`` and ``m_prime`` evaluate anywhere in [0, t_max], vectorized.
+    ``power_integral(q, t)`` is the integral of m^q over [0, t], read from a
+    cumulative table over the cells that is built on the first call for
+    each q and kept with the solution.
     """
 
     def __init__(self, k, t_max, rel_tol, grid, m_values, m_prime_values):
@@ -134,6 +150,7 @@ class WarpingSolution:
         self._m_prime_poly = self._m_poly.derivative()
         self._m_second_poly = self._m_prime_poly.derivative()
         self._t_of_mu = None
+        self._power_tables = {}
 
     def _check_range(self, t):
         arr = np.asarray(t, dtype=float)
@@ -162,6 +179,32 @@ class WarpingSolution:
         arr = self._check_range(t)
         out = self._m_second_poly(arr)
         return float(out) if np.ndim(t) == 0 else out
+
+    def power_integral(self, q: int, t: float) -> float:
+        """Integral of m^q over [0, t] for an integer q >= 1; t is clipped
+        to [0, t_max], with no range check.
+
+        On m^q, a polynomial of degree 5q on each cell, the Gauss-Legendre
+        rule of ``_power_rule`` is exact. The first call for a given q takes
+        m at the rule's nodes in every cell by one product of the Bernstein
+        basis matrix with the cells' coefficients, and keeps the cumulative
+        sums of the cell integrals as the table of the integral up to every
+        node. A call adds to the table entry at the last node i with
+        grid[i] <= t one panel of the same rule over [grid[i], t].
+        """
+        nodes, weights, basis = _power_rule(q)
+        table = self._power_tables.get(q)
+        if table is None:
+            cells = 0.5 * np.diff(self.grid) * (weights @ (basis @ self._m_poly.c) ** q)
+            table = self._power_tables[q] = np.concatenate([[0.0], np.cumsum(cells)])
+        t = min(max(float(t), 0.0), self.t_max)
+        i = int(np.searchsorted(self.grid, t, side="right")) - 1
+        lo = self.grid[i]
+        if t == lo:
+            return float(table[i])
+        mid, half = 0.5 * (t + lo), 0.5 * (t - lo)
+        vals = self._m_poly(mid + half * nodes) ** q
+        return float(table[i] + half * (vals @ weights))
 
     def invert(self, mu):
         """t with m(t) = mu, and m'(t), elementwise for an increasing m.
@@ -450,18 +493,24 @@ _GL_NODES_32, _GL_WEIGHTS_32 = leggauss(32)
 
 def _integrate_km(w: WarpingSolution, t_end: float) -> float:
     """Integral of k(t) m(t) dt over [0, t_end] by composite Gauss panels
-    split at curvature breakpoints (panel width <= 0.5)."""
-    edges = [b for b in w.k.breakpoints if 0.0 < b < t_end] + [0.0, t_end]
-    edges = np.unique(np.asarray(edges))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n_sub = int(math.ceil((b - a) / 0.5))
-        sub = np.linspace(a, b, n_sub + 1)
-        for lo, hi in zip(sub[:-1], sub[1:]):
-            x = 0.5 * (hi - lo) * _GL_NODES_32 + 0.5 * (hi + lo)
-            total += 0.5 * (hi - lo) * float(
-                np.sum(_GL_WEIGHTS_32 * np.asarray(w.k(x)) * w.m(x)))
-    return total
+    split at curvature breakpoints (panel width <= 0.5), with one array call
+    of k and one of m over the nodes of all panels.
+
+    Each gap between breakpoints is cut into equal panels with the points
+    np.linspace would give, and the panel sums are added in order, so the
+    result is that of a loop over the panels."""
+    bp = w.k.breakpoints
+    edges = np.unique(np.concatenate([bp[(bp > 0.0) & (bp < t_end)], [0.0, t_end]]))
+    a, b = edges[:-1], edges[1:]
+    n_sub = np.ceil((b - a) / 0.5).astype(int)
+    gap = np.repeat(np.arange(a.size), n_sub)
+    j = np.arange(gap.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    step = ((b - a) / n_sub)[gap]
+    lo = j * step + a[gap]
+    hi = np.where(j + 1 == n_sub[gap], b[gap], (j + 1) * step + a[gap])
+    x = 0.5 * (hi - lo)[:, None] * _GL_NODES_32 + 0.5 * (hi + lo)[:, None]
+    vals = _GL_WEIGHTS_32 * np.asarray(w.k(x.ravel())).reshape(x.shape) * w.m(x)
+    return float(np.cumsum(0.5 * (hi - lo) * np.sum(vals, axis=1))[-1])
 
 
 def total_curvature_direct(w: WarpingSolution) -> float:

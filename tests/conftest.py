@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import radialgeo as rg
 
@@ -72,3 +73,19 @@ def newton_inverse(w, mu):
     for _ in range(4):
         t = np.clip(t - (w.m(t) - mu) / w.m_prime(t), 0.0, w.t_max)
     return t
+
+
+def gauss_ball_volume(n, w, t):
+    """Referee for model_ball_volume: one Gauss panel of order
+    floor(5(n-1)/2) + 1 per cell from 0 to t, each read through the public,
+    range-checked m, summed afresh on every call."""
+    t = min(t, w.t_max)
+    if t == 0.0:
+        return 0.0
+    edges = np.append(w.grid[w.grid < t], t)
+    nodes, weights = leggauss(5 * (n - 1) // 2 + 1)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = w.m(x.ravel()).reshape(x.shape) ** (n - 1)
+    return rg.unit_sphere_volume(n - 1) * float(np.sum(half * (vals @ weights)))

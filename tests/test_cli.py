@@ -152,6 +152,28 @@ def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
     assert err.startswith("error: scenario.manifold: ")
 
 
+@pytest.mark.parametrize("command, field, raw", [
+    ({"task": "growth", "denominator": "flat"}, "dominated", '"no"'),
+    ({"task": "growth", "denominator": "flat"}, "dominated", "1"),
+    ({"task": "growth", "denominator": "flat"}, "horizons", "[2.0, 1e309]"),
+    ({"task": "growth", "denominator": "flat"}, "horizons", "[NaN]"),
+    ({"task": "growth", "denominator": "flat"}, "horizons", "[1" + "0" * 400 + "]"),
+    ({"task": "triangle", "surface": "flat"}, "sides", "[1.0, 1.0, 1e309]"),
+    ({"task": "gauss-bonnet", "surface": "flat"}, "sides", "[NaN, 1.0, 1.0]"),
+], ids=["dominated-string", "dominated-number", "horizon-inf", "horizon-nan",
+        "horizon-huge-int", "side-inf", "side-nan"])
+def test_bad_command_field_exits_one_with_path(tmp_path, capsys, command, field, raw):
+    # the raw JSON text goes in verbatim: 1e309 parses to inf, NaN to nan
+    doc = base_scenario(commands=[{"task": "threshold"}, {**command, field: "@RAW@"}])
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc).replace('"@RAW@"', raw))
+    code = cli.main(["--scenario", str(p), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert err.startswith(f"error: scenario.commands[1].{field}: ")
+
+
 def test_nan_horizon_is_rejected(tmp_path, capsys):
     doc = base_scenario(commands=[
         {"task": "triangle", "surface": "flat", "sides": [1.0, 1.0, 1.0]},

@@ -7,7 +7,7 @@ import pytest
 
 import radialgeo as rg
 
-from conftest import bishop_pair
+from conftest import bishop_pair, gauss_ball_volume
 
 # Total volume of the finite fixture below: classical RK4 (h = 1e-5) to the
 # tail anchor plus the closed-form integral of the decaying tail mode.
@@ -137,6 +137,75 @@ def test_ball_volume_rejects_negative_and_nan_radius():
     for bad in (-0.5, math.nan):
         with pytest.raises(rg.DomainError):
             rg.model_ball_volume(3, w, bad)
+
+
+def test_ball_volume_rejects_radius_beyond_horizon():
+    w = rg.solve_warping(rg.RadialCurvature.zero(), 5.0)
+    with pytest.raises(rg.HorizonExceededError):
+        rg.model_ball_volume(3, w, 5.0 * (1.0 + 1e-11))
+
+
+def _ball_curvatures():
+    return {
+        "flat": (rg.RadialCurvature.zero(), 8.0),
+        "hyperbolic": (rg.RadialCurvature.constant(-1.0), 8.0),
+        "bump": (rg.nonpositive_min(rg.RadialCurvature.from_spline(
+            [0.0, 0.8, 1.6, 2.4], [-1.0, -0.15, -0.6, 0.0])), 16.0),
+        "power-law": (rg.RadialCurvature.from_spline(
+            [0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+            tail=rg.PowerLawTail(-0.2, 3.0)), 12.0),
+    }
+
+
+@pytest.fixture(scope="module")
+def ball_solutions():
+    return {name: rg.solve_warping(k, t_max)
+            for name, (k, t_max) in _ball_curvatures().items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", list(_ball_curvatures()))
+def test_ball_volume_matches_per_cell_referee(ball_solutions, name, n):
+    w = ball_solutions[name]
+    breakpoint = float(w.k.breakpoints[w.k.breakpoints > 0][0])
+    radii = (0.0, float(w.grid[37]), 0.3 * float(w.grid[100] + w.grid[102]), breakpoint,
+             w.t_max, w.t_max * (1.0 + 1e-13))
+    for t in radii:
+        expect = gauss_ball_volume(n, w, t)
+        got = rg.model_ball_volume(n, w, t)
+        assert abs(got - expect) <= 1e-13 * expect, (t, got, expect)
+
+
+class _ReadCounter:
+    """Stands in for a solution's interpolant and counts the points it is
+    evaluated at; reading its coefficients counts as reading every cell."""
+
+    def __init__(self, poly):
+        self.poly, self.points = poly, 0
+
+    def __getattr__(self, name):
+        if name == "c":
+            self.points += self.poly.c.shape[1] * 6
+        return getattr(self.poly, name)
+
+    def __call__(self, x, *args):
+        self.points += np.size(x)
+        return self.poly(x, *args)
+
+
+def test_ball_volume_repeat_call_reads_one_panel():
+    k, t_max = _ball_curvatures()["bump"]
+    w = rg.solve_warping(k, t_max)
+    for n in (2, 3, 6):
+        rg.model_ball_volume(n, w, 2.0)
+        w._m_poly = spy = _ReadCounter(w._m_poly)
+        try:
+            for t in (2.0, 9.3, 0.8, t_max):
+                before = spy.points
+                rg.model_ball_volume(n, w, t)
+                assert spy.points - before <= 5 * (n - 1) // 2 + 1
+        finally:
+            w._m_poly = spy.poly
 
 
 def test_cap_volume_rejects_out_of_range_angle():
