@@ -32,7 +32,6 @@ from .curvature import (
     ZeroTail,
     moment_integral,
     nonpositive_min,
-    nonpositive_part,
 )
 from .warping import (
     DEFAULT_REL_TOL,
@@ -61,7 +60,6 @@ from .geodesics import (
     GeodesicTriangle,
     SurfacePoint,
     comparison_triangle,
-    critical_angle_bound,
     distance,
     gauss_bonnet_residual,
     shoot,
@@ -85,7 +83,7 @@ __all__ = [
     # curvature
     "RadialCurvature", "SplineCore", "FormulaCore", "ZeroTail", "PowerLawTail",
     "ConstantTail", "MomentIntegral", "moment_integral", "nonpositive_min",
-    "nonpositive_part", "NEG_INFINITY",
+    "NEG_INFINITY",
     # warping
     "WarpingSolution", "solve_warping", "default_horizon", "ModelSurface",
     "slope_limit", "slope_limit_bounds", "total_curvature_direct",
@@ -96,7 +94,7 @@ __all__ = [
     "bishop_monotonicity_check",
     # geodesics
     "SurfacePoint", "GeodesicPath", "GeodesicTriangle", "shoot", "distance",
-    "comparison_triangle", "gauss_bonnet_residual", "critical_angle_bound",
+    "comparison_triangle", "gauss_bonnet_residual",
     # synthetic
     "RotSymManifold",
     # criteria

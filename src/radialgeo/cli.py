@@ -34,6 +34,7 @@ from pathlib import Path
 from . import __version__
 from .criteria import (
     DEFAULT_HORIZONS,
+    _checked_bracket,
     critical_angle,
     growth_threshold,
     ricci_pinch_check,
@@ -164,7 +165,10 @@ class _Scenario:
         if isinstance(source, list) and len(source) == 2 and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
                 for v in source):
-            return (float(source[0]), float(source[1]))
+            try:
+                return _checked_bracket(source)
+            except GeometryError as exc:
+                _fail(path, str(exc))
         _fail(path, "expected \"manifold\" or a two-element [lo, hi] bracket")
 
     def horizons(self, cmd: dict, path: str):
@@ -221,9 +225,6 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
 
     num_w = numerator.warping
     if num_w.t_max < max_h * (1 - 1e-12):
-        if numerator.profile_derived:
-            _fail(f"{path}.horizons",
-                  f"manifold profile reaches only t = {num_w.t_max:.6g}")
         num_w = solve_warping(numerator.curvature, max_h, scn.rel_tol)
     den_w = solve_warping(den_k, max_h, scn.rel_tol)
     ratio = growth_ratio(scn.n, num_w, den_w, horizons, dominated=dominated)

@@ -1,12 +1,16 @@
 """Decision procedures tying curvature envelopes to volume growth.
 
-A check takes the model curvature bounds and a volume-growth numerator
-(either a synthetic instance whose growth is computed here, or an externally
-asserted bracket), derives the critical angle and the growth threshold from
-the nonpositive curvature envelope, evaluates the two hypotheses, and emits a
-CriterionReport. Verdicts are one-directional: the checker certifies the
-conclusion when the hypotheses hold and otherwise reports Inconclusive; it
-never claims the converse.
+``ricci_pinch_check`` (the main theorem) and ``sectional_pinch_check`` (the
+finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
+envelope of the model bounds gives the critical angle and the growth
+threshold; the model curvature is solved once to the last horizon, and that
+solve both decides hypothesis B-1 (do model ball volumes diverge?) and gives
+the denominators of the growth ratio of a synthetic numerator, whose
+declared domination is spot-checked on a grid first. An asserted growth
+bracket passes through instead. The two checks differ only in their verdict
+rules, which compare the growth bracket with the threshold (B-2). Verdicts
+are one-directional: a check certifies the conclusion when the hypotheses
+hold and otherwise reports Inconclusive; it never claims the converse.
 
 Verdict strings, tri-state values, and the report's JSON field order are wire
 format shared with the command-line front end; do not reword them.
@@ -19,15 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    RadialCurvature,
-    moment_integral,
-    nonpositive_min,
-    nonpositive_part,
-)
+from .curvature import RadialCurvature, moment_integral, nonpositive_min
 from .errors import DomainError, HorizonExceededError
 from .synthetic import RotSymManifold
-from .volume import _assemble_ratio, cap_fraction, classify_ball_volume, growth_ratio
+from .volume import (
+    _assemble_ratio,
+    _checked_horizons,
+    cap_fraction,
+    classify_ball_volume,
+)
 from .warping import DEFAULT_REL_TOL, solve_warping
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 16.0)
@@ -95,15 +99,6 @@ class CriterionReport:
         }
 
 
-def _checked_horizons(horizons) -> tuple:
-    hs = tuple(sorted(float(h) for h in horizons))
-    if not hs:
-        raise DomainError("at least one growth horizon is required")
-    if hs[0] <= 0 or not all(math.isfinite(h) for h in hs):
-        raise DomainError(f"growth horizons must be positive and finite, got {hs}")
-    return hs
-
-
 def _tri_state(growth_limit, threshold: float) -> str:
     lo, hi = growth_limit
     if lo >= threshold - _B2_EPS:
@@ -113,31 +108,50 @@ def _tri_state(growth_limit, threshold: float) -> str:
     return B2_INCONCLUSIVE
 
 
-def _growth_bracket(n, numerator, model_curvature, b1, horizons, rel_tol,
-                    bound_checks):
-    """Resolve the numerator into a growth bracket.
+def _checked_bracket(bracket) -> tuple:
+    """A declared growth bracket [lo, hi] as floats with 0 <= lo <= hi <= 1."""
+    if len(bracket) != 2:
+        raise DomainError("a declared growth bracket needs exactly [lo, hi]")
+    try:
+        lo, hi = float(bracket[0]), float(bracket[1])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("invalid growth bracket: ends must be numbers in [0, 1]") from None
+    if not 0.0 <= lo <= hi <= 1.0:  # also rejects NaN
+        raise DomainError(f"invalid growth bracket [{lo!r}, {hi!r}]: "
+                          "need 0 <= lo <= hi <= 1")
+    return lo, hi
 
-    Synthetic numerators get their declared domination spot-checked on a
-    grid, then the ratio sequence is computed against the model; asserted
-    brackets pass through untouched. Returns (bracket, ratio_or_None, notes).
+
+def _pinch_check(n, bounds, numerator, horizons, rel_tol):
+    """The decision both checks share, up to the verdict.
+
+    ``bounds`` lists (curvature, label) pairs: all of them join the
+    nonpositive envelope that sets delta and the threshold, a manifold
+    numerator must dominate each (checked on a grid, the label names the
+    failing one), and the first generates the comparison model. The model
+    is solved once to the last horizon; that solve serves both the
+    ball-volume class (B-1) and the growth-ratio denominators. Asserted
+    brackets pass through. Returns (delta, threshold, model ball-volume
+    class, growth bracket, notes).
     """
-    notes = []
+    horizons = _checked_horizons(horizons)
+    max_h = horizons[-1]
+    delta = critical_angle(nonpositive_min(*(bound for bound, _label in bounds)))
+    threshold = growth_threshold(n, delta)
+    model = bounds[0][0]
+
     if isinstance(numerator, (tuple, list)):
-        if len(numerator) != 2:
-            raise DomainError("a declared growth bracket needs exactly [lo, hi]")
-        lo, hi = float(numerator[0]), float(numerator[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
-            raise DomainError(f"invalid growth bracket [{lo!r}, {hi!r}]")
-        notes.append("growth bracket asserted by caller; domination not verified here")
-        return (lo, hi), None, notes
+        bracket = _checked_bracket(numerator)
+        classification = classify_ball_volume(n, model, rel_tol=rel_tol)
+        return delta, threshold, classification, bracket, [
+            f"model ball volumes {classification.kind}: {classification.note}",
+            "growth bracket asserted by caller; domination not verified here"]
     if not isinstance(numerator, RotSymManifold):
         raise DomainError(
             "numerator must be a RotSymManifold or a declared [lo, hi] bracket")
     if numerator.dimension != n:
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
-
-    max_h = horizons[-1]
     mfd = numerator
     if mfd.t_max < max_h * (1.0 - 1e-12):
         if mfd.profile_derived:
@@ -147,10 +161,17 @@ def _growth_bracket(n, numerator, model_curvature, b1, horizons, rel_tol,
         mfd = RotSymManifold.from_curvature(n, mfd.curvature, t_max=max_h,
                                             rel_tol=rel_tol)
 
+    den_warping = solve_warping(model, max_h, rel_tol)
+    classification = classify_ball_volume(n, model, warping=den_warping,
+                                          rel_tol=rel_tol)
+    notes = [f"model ball volumes {classification.kind}: {classification.note}"]
+
     tol = _DOMINATION_TOL_PROFILE if mfd.profile_derived else _DOMINATION_TOL_EXACT
     grid = np.linspace(0.0, max_h, 641)
-    for bound, accessor, label in bound_checks:
-        vals = np.asarray(getattr(mfd, accessor)(grid))
+    # every radial plane has the same curvature on this class, so the one
+    # sample stands for the radial Ricci and the radial sectional curvature
+    vals = np.asarray(mfd.radial_sectional(grid))
+    for bound, label in bounds:
         bound_vals = np.asarray(bound(grid))
         bad = np.nonzero(vals + tol < bound_vals)[0]
         if bad.size:
@@ -163,20 +184,16 @@ def _growth_bracket(n, numerator, model_curvature, b1, horizons, rel_tol,
         notes.append("numerator curvature reconstructed from profile data "
                      "(reduced accuracy)")
 
-    den_warping = solve_warping(model_curvature, max_h, rel_tol)
-    if b1:
-        ratio = growth_ratio(n, mfd.warping, den_warping, horizons, dominated=True)
-    else:
-        # bounded denominator: the ratio is still well defined pointwise,
-        # only its reading as a growth limit is
-        ratio = _assemble_ratio(n, mfd.warping, den_warping, list(horizons), True)
+    # a bounded denominator leaves the ratio well defined pointwise; only its
+    # reading as a growth limit needs B-1, which the verdict rules check
+    ratio = _assemble_ratio(n, mfd.warping, den_warping, horizons, True)
     if not ratio.monotone_nonincreasing:
         t0, r0, t1, r1 = ratio.first_violation
         notes.append(f"ratio sequence not monotone: {r0!r} at t = {t0!r} "
                      f"then {r1!r} at t = {t1!r}")
     for t, _vn, _vd, r in ratio.samples:
         notes.append(f"growth ratio at t = {t!r}: {r!r}")
-    return ratio.bracket(), ratio, notes
+    return delta, threshold, classification, ratio.bracket(), notes
 
 
 def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
@@ -190,24 +207,10 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
     envelope that sets the critical angle. The numerator manifold must
     dominate both bounds; declared brackets skip that verification.
     """
-    horizons = _checked_horizons(horizons)
-    envelope = nonpositive_min(ricci_bound, sectional_bound)
-    delta = critical_angle(envelope)
-    threshold = growth_threshold(n, delta)
-
-    classification = classify_ball_volume(n, ricci_bound, rel_tol=rel_tol)
+    delta, threshold, classification, growth_limit, notes = _pinch_check(
+        n, [(ricci_bound, "radial Ricci"), (sectional_bound, "radial sectional")],
+        numerator, horizons, rel_tol)
     b1 = classification.kind == "divergent"
-    notes = [f"model ball volumes {classification.kind}: {classification.note}"]
-    flags = []
-
-    growth_limit, _ratio, more = _growth_bracket(
-        n, numerator, ricci_bound, b1, horizons, rel_tol,
-        bound_checks=[
-            (ricci_bound, "radial_ricci", "radial Ricci"),
-            (sectional_bound, "radial_sectional", "radial sectional"),
-        ])
-    notes.extend(more)
-
     b2 = _tri_state(growth_limit, threshold)
     if b1 and b2 == B2_HOLDS:
         verdict = VERDICT_RIGIDITY if delta == 0.0 else VERDICT_DIFFEO
@@ -215,11 +218,10 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
         verdict = VERDICT_INCONCLUSIVE
         if not b1:
             notes.append("hypothesis B-1 fails: model ball volumes stay bounded")
-
     return CriterionReport(n=n, delta=delta, threshold=threshold,
                            growth_limit=growth_limit, b1_holds=b1, b2_holds=b2,
                            verdict=verdict,
-                           diagnostics={"flags": flags, "notes": notes})
+                           diagnostics={"flags": [], "notes": notes})
 
 
 def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
@@ -232,22 +234,11 @@ def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
     the growth hypothesis at all; the report then carries the
     FiniteModelVolume flag and b1_holds stays False.
     """
-    horizons = _checked_horizons(horizons)
-    envelope = nonpositive_part(sectional_bound)
-    delta = critical_angle(envelope)
-    threshold = growth_threshold(n, delta)
-
-    classification = classify_ball_volume(n, sectional_bound, rel_tol=rel_tol)
+    delta, threshold, classification, growth_limit, notes = _pinch_check(
+        n, [(sectional_bound, "radial sectional")], numerator, horizons, rel_tol)
     b1 = classification.kind == "divergent"
-    notes = [f"model ball volumes {classification.kind}: {classification.note}"]
-    flags = []
-
-    growth_limit, _ratio, more = _growth_bracket(
-        n, numerator, sectional_bound, b1, horizons, rel_tol,
-        bound_checks=[(sectional_bound, "radial_sectional", "radial sectional")])
-    notes.extend(more)
-
     b2 = _tri_state(growth_limit, threshold)
+    flags = []
     if not b1:
         flags.append("FiniteModelVolume")
         notes.append(f"total model volume {classification.total!r}; the "
@@ -257,7 +248,6 @@ def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
         verdict = VERDICT_RIGIDITY if delta == 0.0 else VERDICT_DIFFEO
     else:
         verdict = VERDICT_INCONCLUSIVE
-
     return CriterionReport(n=n, delta=delta, threshold=threshold,
                            growth_limit=growth_limit, b1_holds=b1, b2_holds=b2,
                            verdict=verdict,

@@ -566,11 +566,6 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     return RadialCurvature(core, tail, t_tail, _known_nonpositive=True)
 
 
-def nonpositive_part(curv: RadialCurvature) -> RadialCurvature:
-    """min(0, curvature): the floor used by the sectional-bound criterion."""
-    return nonpositive_min(curv)
-
-
 # ---------------------------------------------------------------------------
 # Moment integral
 # ---------------------------------------------------------------------------
@@ -596,14 +591,14 @@ class MomentIntegral:
 def moment_integral(curv: RadialCurvature) -> MomentIntegral:
     """First moment of a nonpositive curvature function over [0, inf).
 
-    The input must be nonpositive (apply nonpositive_min / nonpositive_part
-    first); this keeps the improper integral monotone and its divergence
-    one-sided, so the answer is either a finite value <= 0 or -inf.
+    The input must be nonpositive (apply nonpositive_min first); this keeps
+    the improper integral monotone and its divergence one-sided, so the
+    answer is either a finite value <= 0 or -inf.
     """
     if not curv.is_nonpositive():
         raise DomainError(
             "moment_integral requires a nonpositive curvature; "
-            "take nonpositive_min(...) or nonpositive_part(...) first"
+            "take nonpositive_min(...) first"
         )
     tail_part = curv.tail.moment(curv.t_tail, curv.t_tail)
     if tail_part == NEG_INFINITY:

@@ -34,7 +34,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .curvature import moment_integral
 from .errors import (
     DomainError,
     HorizonExceededError,
@@ -406,15 +405,3 @@ def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float
         side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
     area_integral = _side_value(surface, side, _AREA_MASS)
     return (tri.angle_sum() - math.pi) - area_integral
-
-
-def critical_angle_bound(surface: ModelSurface, apex: float) -> float:
-    """Upper bound (pi/2 - apex) * exp(moment) for the base angles of thin
-    pole triangles with the given apex angle; collapses to zero when the
-    curvature moment diverges."""
-    if not 0.0 <= apex <= math.pi / 2.0 + 1e-12:
-        raise DomainError("apex angle must lie in [0, pi/2]")
-    mom = moment_integral(surface.k)
-    if mom.divergent:
-        return 0.0
-    return (math.pi / 2.0 - apex) * math.exp(mom.value)

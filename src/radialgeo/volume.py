@@ -286,6 +286,15 @@ class GrowthRatio:
                 writer.writerow([repr(t), repr(vn), repr(vd), repr(r)])
 
 
+def _checked_horizons(horizons) -> tuple:
+    hs = tuple(sorted(float(h) for h in horizons))
+    if not hs:
+        raise DomainError("at least one growth horizon is required")
+    if hs[0] <= 0 or not all(math.isfinite(h) for h in hs):
+        raise DomainError(f"growth horizons must be positive and finite, got {hs}")
+    return hs
+
+
 def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolution,
                  horizons, dominated: bool = False) -> GrowthRatio:
     """Ratio of model ball volumes numerator/denominator at given horizons.
@@ -294,11 +303,7 @@ def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolutio
     bounded: a finite denominator turns the ratio into a plain number with no
     growth content, and every consumer of the ratio assumes divergence.
     """
-    horizons = sorted(float(h) for h in horizons)
-    if not horizons:
-        raise DomainError("at least one horizon is required")
-    if horizons[0] <= 0:
-        raise DomainError("horizons must be positive")
+    horizons = _checked_horizons(horizons)
     for w, name in ((numerator, "numerator"), (denominator, "denominator")):
         if w.t_max < horizons[-1] * (1.0 - 1e-12):
             raise HorizonExceededError(

@@ -152,6 +152,9 @@ def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
     assert err.startswith("error: scenario.manifold: ")
 
 
+CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
+
+
 @pytest.mark.parametrize("command, field, raw", [
     ({"task": "growth", "denominator": "flat"}, "dominated", '"no"'),
     ({"task": "growth", "denominator": "flat"}, "dominated", "1"),
@@ -160,8 +163,16 @@ def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
     ({"task": "growth", "denominator": "flat"}, "horizons", "[1" + "0" * 400 + "]"),
     ({"task": "triangle", "surface": "flat"}, "sides", "[1.0, 1.0, 1e309]"),
     ({"task": "gauss-bonnet", "surface": "flat"}, "sides", "[NaN, 1.0, 1.0]"),
+    (CHECK_FLAT, "numerator", "[NaN, 0.5]"),
+    (CHECK_FLAT, "numerator", "[0.3, Infinity]"),
+    (CHECK_FLAT, "numerator", "[0.9, 0.1]"),
+    (CHECK_FLAT, "numerator", "[-0.1, 0.5]"),
+    (CHECK_FLAT, "numerator", "[1.2, 1.5]"),
+    (CHECK_FLAT, "numerator", "[0.5, 1" + "0" * 400 + "]"),
 ], ids=["dominated-string", "dominated-number", "horizon-inf", "horizon-nan",
-        "horizon-huge-int", "side-inf", "side-nan"])
+        "horizon-huge-int", "side-inf", "side-nan", "bracket-nan", "bracket-inf",
+        "bracket-reversed", "bracket-negative", "bracket-above-one",
+        "bracket-huge-int"])
 def test_bad_command_field_exits_one_with_path(tmp_path, capsys, command, field, raw):
     # the raw JSON text goes in verbatim: 1e309 parses to inf, NaN to nan
     doc = base_scenario(commands=[{"task": "threshold"}, {**command, field: "@RAW@"}])

@@ -119,7 +119,8 @@ def test_main_check_domination_violation_raises():
     dip = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.5, 0.0])
     mfd = rg.RotSymManifold.from_curvature(3, dip, t_max=18.0)
     flat = rg.RadialCurvature.zero()
-    with pytest.raises(rg.DomainError, match="domination"):
+    with pytest.raises(rg.DomainError,
+                       match=r"domination fails near t = .*: radial Ricci "):
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
 
 
@@ -162,7 +163,44 @@ def test_report_json_shape():
 
 def test_bracket_validation():
     flat = rg.RadialCurvature.zero()
-    with pytest.raises(rg.DomainError):
-        rg.ricci_pinch_check(3, flat, flat, numerator=(0.8, 0.2))
-    with pytest.raises(rg.DomainError):
-        rg.ricci_pinch_check(3, flat, flat, numerator=(-0.1, 0.5))
+    for bracket in [(0.8, 0.2), (-0.1, 0.5), (1.2, 1.5), (0.5, 1.0 + 1e-12),
+                    (math.nan, 0.5), (0.3, math.inf), (-math.inf, 0.5),
+                    (0.5, 10 ** 400), (0.5,), (0.1, 0.2, 0.3)]:
+        with pytest.raises(rg.DomainError):
+            rg.ricci_pinch_check(3, flat, flat, numerator=bracket)
+        with pytest.raises(rg.DomainError):
+            rg.sectional_pinch_check(3, flat, numerator=bracket)
+    # both ends may touch the unit interval's ends
+    assert rg.ricci_pinch_check(3, flat, flat, numerator=[0.0, 1.0]).growth_limit == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("check", ["main", "corollary"])
+def test_manifold_numerator_solves_and_classifies_model_once(monkeypatch, check):
+    # one solve of the model to the last horizon serves both the ball-volume
+    # class (B-1) and the growth-ratio denominators
+    from radialgeo import criteria, volume
+
+    if check == "main":
+        model = rg.RadialCurvature.constant(-1.0)
+    else:
+        model = rg.RadialCurvature.from_spline(
+            [0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+            tail=rg.PowerLawTail(-0.2, 3.0))
+    calls = {"solve_warping": 0, "classify_ball_volume": 0}
+    for name, k_pos in (("solve_warping", 0), ("classify_ball_volume", 1)):
+        def counted(*args, _name=name, _k_pos=k_pos, _func=getattr(volume, name),
+                    **kwargs):
+            if args[_k_pos] is model:
+                calls[_name] += 1
+            return _func(*args, **kwargs)
+        # every module binding the check's calls go through
+        for module in (criteria, volume):
+            monkeypatch.setattr(module, name, counted)
+
+    mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=17.0)
+    if check == "main":
+        rep = rg.ricci_pinch_check(3, model, model, numerator=mfd)
+    else:
+        rep = rg.sectional_pinch_check(3, model, numerator=mfd)
+    assert rep.b1_holds
+    assert calls == {"solve_warping": 1, "classify_ball_volume": 1}

@@ -137,14 +137,6 @@ def test_envelope_crossings_property():
             assert np.min(np.abs(bp - ts[idx])) <= ts[1] + 1e-9
 
 
-def test_nonpositive_part_equals_single_argument_envelope():
-    k = rg.RadialCurvature.from_spline(MULTIKNOT_KNOTS, MULTIKNOT_VALUES)
-    a = rg.nonpositive_part(k)
-    b = rg.nonpositive_min(k)
-    ts = np.linspace(0.0, 4.0, 1001)
-    assert np.max(np.abs(a(ts) - b(ts))) == 0.0
-
-
 def test_json_round_trip_preserves_values_and_tail():
     cases = [
         rg.RadialCurvature.zero(),

@@ -212,16 +212,6 @@ def test_gauss_bonnet_on_bump_surface():
         assert abs(rg.gauss_bonnet_residual(s, tri)) <= 1e-6
 
 
-def test_critical_angle_bound_flat_and_ramp():
-    s = flat_surface()
-    assert abs(rg.critical_angle_bound(s, 0.0) - math.pi / 2.0) <= 1e-14
-    assert abs(rg.critical_angle_bound(s, 0.4) - (math.pi / 2.0 - 0.4)) <= 1e-14
-    ramp = rg.RadialCurvature.from_spline([0.0, 1.0], [-1.0, 0.0])
-    s2 = rg.ModelSurface.from_curvature(ramp, 10.0)
-    expect = (math.pi / 2.0) * math.exp(-1.0 / 6.0)
-    assert abs(rg.critical_angle_bound(s2, 0.0) - expect) <= 1e-12
-
-
 def test_geodesic_path_csv(tmp_path):
     s = flat_surface()
     path = rg.shoot(s, rg.SurfacePoint(1.0, 0.0), 0.7, 2.0)
