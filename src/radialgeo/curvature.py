@@ -10,13 +10,14 @@ declared divergence. Three tail classes are supported:
 * ``ConstantTail``  -- constant c < 0 (moment diverges to -inf).
 
 Tails own their closed forms: ``moment`` is the integral of t * tail(t) from
-a point past the anchor to infinity, and ``km_remainder`` the integral of
-tail(t) * (m_T + m'_T (t - T)) from T to infinity, the k*m remainder under a
-linearly extended warping function. Everything beyond t_tail that the
-comparison needs (the curvature moment, the slope limit of m', whether ball
-volumes diverge) is read from these. Zero curvature has one encoding:
-``RadialCurvature`` replaces a tail that is zero at its anchor (a zero
-constant or a zero power-law coefficient) with ``ZeroTail``.
+a point past the anchor to infinity, and ``continuation`` carries a state
+(m, m') of m'' + k m = 0 at the anchor through the exact solution of the
+tail (linear, exponential modes, or Bessel functions of t**(1 - p/2)) to
+the limit of m' at infinity, or to the first zero of m past the anchor.
+Everything beyond t_tail that the comparison needs (the curvature moment,
+the slope limit of m', whether ball volumes diverge) is read from these.
+Zero curvature has one encoding: ``RadialCurvature`` replaces a tail that is
+zero at its anchor (a zero constant or power-law coefficient) with ``ZeroTail``.
 
 Cores are either cubic splines over breakpoints or closed-form callables.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
@@ -32,11 +33,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import DomainError
+from .errors import ConjugatePointError, DomainError
 
 NEG_INFINITY = float("-inf")
 
@@ -46,6 +47,8 @@ _JUNCTION_TOL = 1e-8
 _SCAN_POINTS = 801
 # Arguments that RadialCurvature evaluates as one float.
 _SCALAR_TYPES = (float, int, np.floating, np.integer)
+# A slope at the anchor within this fraction of the state's scale counts as zero.
+_FLAT_SLOPE_TOL = 1e-12
 
 
 class ZeroTail:
@@ -62,8 +65,14 @@ class ZeroTail:
     def moment(self, t_from, t_tail):
         return 0.0
 
-    def km_remainder(self, T, m_T, m_prime_T, t_tail):
-        return 0.0
+    def continuation(self, t_tail, m_a, mp_a):
+        """lim m' from (m, m') = (m_a, mp_a) at the anchor: m is linear past
+        it, and a falling line vanishes at t_tail + m_a / -mp_a
+        (ConjugatePointError)."""
+        if mp_a < -_FLAT_SLOPE_TOL * (abs(m_a) + abs(mp_a)):
+            raise ConjugatePointError(t_tail + m_a / -mp_a,
+                                      "flat tail with decreasing warping crosses zero")
+        return float(mp_a)
 
     def to_json(self):
         return {"kind": "zero"}
@@ -106,11 +115,60 @@ class PowerLawTail:
         c, p = self.c, self.p
         return c * t_tail ** p * t_from ** (2.0 - p) / (p - 2.0)
 
-    def km_remainder(self, T, m_T, m_prime_T, t_tail):
-        c, p = self.c, self.p
-        return c * t_tail ** p * (
-            m_T * T ** (1.0 - p) / (p - 1.0)
-            + m_prime_T * T ** (2.0 - p) / ((p - 1.0) * (p - 2.0)))
+    def continuation(self, t_tail, m_a, mp_a):
+        """lim m' from (m, m') = (m_a, mp_a) at the anchor a.
+
+        Past a, m = sqrt(t) [A Z(z) + B W(z)], z = beta t^(1 - p/2), of
+        order nu = 1/(p - 2), with J, Y for c > 0 and I, K for c < 0 (DLMF
+        10.13.1). The J or I solution over its leading power of z is
+        phi = 0F1(; nu + 1; x), x = -k(t) t^2 / (p - 2)^2: phi -> 1 and
+        t phi' -> 0, so its Wronskian with the solution asymptotic to t is 1
+        and the limit is L = phi(a) m'(a) - phi'(a) m(a).
+
+        The first zero of m past a raises ConjugatePointError. Where
+        z >= z_s = max(nu, 1/2) (c > 0 only), zeros are more than 2 apart
+        in z (Sturm comparison on the Bessel equation): m is sampled in
+        closed form at z-steps of at most 1 and a sign change refined.
+        Beyond t_s (z < z_s, or a for c <= 0) phi > 0 and
+        m / phi = m(t_s) / phi(t_s) + L * integral of phi^-2 from t_s,
+        which vanishes exactly when L < 0.
+        """
+        nu, q = 1.0 / (self.p - 2.0), 1.0 - 0.5 * self.p
+        x_a = -self.c * (t_tail * nu) ** 2
+        phi = lambda t: special.hyp0f1(nu + 1.0, x_a * (t / t_tail) ** (2.0 * q))
+        phi_a = phi(t_tail)
+        dphi_a = 2.0 * q * x_a * special.hyp0f1(nu + 2.0, x_a) / ((nu + 1.0) * t_tail)
+        limit = float(phi_a * mp_a - dphi_a * m_a)
+        t_s, m_s = t_tail, m_a
+        z_a = 2.0 * math.sqrt(max(-x_a, 0.0))
+        z_s = min(z_a, max(nu, 0.5))
+        if z_a > z_s:
+            # J and Y coefficients from m / sqrt(t) and its z-derivative at a;
+            # the Wronskian of J and Y is 2 / (pi z)
+            f = m_a / math.sqrt(t_tail)
+            df = (mp_a - 0.5 * m_a / t_tail) * math.sqrt(t_tail) / (q * z_a)
+            A = (f * special.yvp(nu, z_a) - df * special.yv(nu, z_a)) * 0.5 * math.pi * z_a
+            B = (df * special.jv(nu, z_a) - f * special.jvp(nu, z_a)) * 0.5 * math.pi * z_a
+            bessel = lambda z: A * special.jv(nu, z) + B * special.yv(nu, z)
+            z = np.linspace(z_a, z_s, math.ceil(z_a - z_s) + 1)
+            vals = bessel(z)
+            down = np.flatnonzero(vals <= 0.0)
+            if down.size:
+                i = down[0]
+                z_root = z[i] if vals[i] == 0.0 else brentq(bessel, z[i], z[i - 1], xtol=1e-15)
+                raise ConjugatePointError(t_tail * (z_root / z_a) ** (1.0 / q))
+            t_s = t_tail * (z_s / z_a) ** (1.0 / q)
+            m_s = math.sqrt(t_s) * vals[-1]
+        if not math.isfinite(limit):  # 0F1 of order above ~170 at x < 0, or overflow
+            raise DomainError(f"no closed-form continuation of {self!r} from t = {t_tail:g}")
+        if limit < -_FLAT_SLOPE_TOL * (abs(phi_a * mp_a) + abs(dphi_a * m_a)):
+            level = m_s / (phi(t_s) * -limit)
+            psi = lambda t: integrate.quad(lambda u: phi(u) ** -2.0, t_s, t, epsabs=0.0,
+                                           epsrel=1e-13, limit=200)[0] - level
+            # phi^-2 >= min(1, phi(t_s)^-2) beyond t_s: psi changes sign before t_hi
+            t_hi = t_s + level * max(1.0, phi(t_s) ** 2)
+            raise ConjugatePointError(brentq(psi, t_s, t_hi, xtol=1e-14, rtol=1e-14))
+        return limit
 
     def to_json(self):
         return {"kind": "power_law", "c": self.c, "p": self.p}
@@ -150,8 +208,21 @@ class ConstantTail:
     def moment(self, t_from, t_tail):
         return NEG_INFINITY
 
-    def km_remainder(self, T, m_T, m_prime_T, t_tail):
-        return NEG_INFINITY
+    def continuation(self, t_tail, m_a, mp_a):
+        """lim m' from (m, m') = (m_a, mp_a) at the anchor: with r = sqrt(-c),
+        m = m_a cosh(r s) + (mp_a / r) sinh(r s) for s = t - t_tail. A growing
+        mode (amplitude mp_a + r m_a above 1e-9 of the state's scale) gives
+        inf, a pure decaying one 0.0; a negative amplitude crosses zero where
+        tanh(r s) = -r m_a / mp_a (ConjugatePointError)."""
+        root = math.sqrt(-self.c)
+        amp, scale = mp_a + root * m_a, abs(m_a) + abs(mp_a)
+        if amp > 1e-9 * scale:
+            return math.inf
+        if amp < -1e-9 * scale:
+            raise ConjugatePointError(
+                t_tail + math.atanh(-root * m_a / mp_a) / root,
+                "decaying tail overshoots: warping crosses zero")
+        return 0.0
 
     def to_json(self):
         return {"kind": "constant", "c": self.c}

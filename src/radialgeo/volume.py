@@ -21,12 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from .curvature import NEG_INFINITY, RadialCurvature
-from .errors import (
-    ConditionB1ViolatedError,
-    ConjugatePointError,
-    DomainError,
-    HorizonExceededError,
-)
+from .errors import ConditionB1ViolatedError, DomainError, HorizonExceededError
 from .warping import WarpingSolution, solve_warping
 
 _MONOTONE_TOL = 1e-9
@@ -146,81 +141,37 @@ def classify_ball_volume(n: int, k: RadialCurvature,
                          rel_tol: float = 1e-12) -> BallVolumeClass:
     """Decide divergence of ball volumes in the n-model built from k.
 
-    The decision is made analytically at the tail anchor rather than by
-    integrating far out. The tail's moment tells the cases apart; with
-    f = m(t_tail) and s = m'(t_tail),
+    The decision is made in closed form at the tail anchor a, not by
+    integrating far out (a growing mode amplifies roundoff exponentially):
+    the tail's ``continuation`` carries the state (m, m') at a, read from
+    the node values of ``warping`` (or of a solve to a when none reaching a
+    is given), to the limit of m' at infinity.
 
-    * zero moment (zero tail): m is linear beyond, so s > 0 diverges, s < 0
-      hits zero (conjugate point), s = 0 stays constant and still diverges;
-    * divergent moment (constant tail c < 0): solutions split into
-      growing/decaying exponential modes; the growing-mode amplitude is
-      proportional to s + sqrt(-c) f, whose sign decides between divergence,
-      a decaying (finite-volume) model, and a conjugate point;
-    * finite moment (power-law tail), with f and s read at the solved
-      horizon T instead: for c < 0 the curvature is nonpositive there, so
-      any s > 0 diverges; for c > 0, m' keeps decreasing but by no more than
-      the tail's k*m remainder under m <= f + s (t - T), so s above that
-      remainder diverges. Otherwise the horizon is extended and the test
-      repeated.
-
-    Numerical integration alone cannot certify the borderline decaying case
-    (the growing mode amplifies roundoff exponentially), which is why the
-    mode split at the anchor is used instead.
+    * A zero of m past the anchor raises ConjugatePointError there.
+    * An infinite limit (growing mode of a constant tail c < 0) or any
+      other limit of a zero or power-law tail diverges: a limit > 0 makes m
+      grow linearly, and a zero limit leaves m at a positive constant.
+    * A zero limit of a constant tail is its pure decaying mode,
+      m = m(a) exp(-sqrt(-c) (t - a)): the total is the solved part plus
+      the closed-form tail volume.
     """
     _check_dim(n)
     t_anchor = k.t_tail
     w = warping
     if w is None or w.t_max < t_anchor:
-        w = solve_warping(k, max(10.0, 1.25 * t_anchor), rel_tol)
-
-    tail = k.tail
-    tail_moment = tail.moment(t_anchor, t_anchor)
-    if tail_moment == 0.0 or tail_moment == NEG_INFINITY:
-        f = float(w.m(t_anchor))
-        s = float(w.m_prime(t_anchor))
-        scale = abs(s) + abs(f)
-
-        if tail_moment == 0.0:
-            if s < -1e-12 * scale:
-                raise ConjugatePointError(
-                    t_anchor + f / (-s),
-                    "flat tail with decreasing warping crosses zero")
-            return BallVolumeClass("divergent", None,
-                                   "flat tail, nondecreasing linear warping")
-
-        root = math.sqrt(-tail.value_at_anchor(t_anchor))
-        amp = s + root * f  # growing-mode amplitude (up to a positive factor)
-        if amp > 1e-9 * scale:
-            return BallVolumeClass("divergent", None,
-                                   "growing exponential mode present")
-        if amp < -1e-9 * scale:
-            raise ConjugatePointError(
-                t_anchor + 1.0,
-                "decaying tail overshoots: warping will cross zero")
-        solved = model_ball_volume(n, w, t_anchor)
-        tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
-        return BallVolumeClass(
-            "finite", solved + tail_vol,
-            "pure decaying mode at the tail anchor; closed-form tail volume")
-
-    horizon_mult = 1
-    while True:
-        T = w.t_max
-        f = float(w.m(T))
-        s = float(w.m_prime(T))
-        scale = abs(s) + abs(f)
-        if tail.value_at_anchor(t_anchor) < 0:
-            if s > 1e-12 * scale:
-                return BallVolumeClass("divergent", None,
-                                       "nonpositive tail with positive slope")
-        elif s - tail.km_remainder(T, f, max(s, 0.0), t_anchor) > 1e-12 * scale:
-            return BallVolumeClass("divergent", None,
-                                   "slope stays positive under the tail bound")
-        if horizon_mult >= 64:
-            raise DomainError(
-                "could not classify ball volume growth within 64x the tail anchor")
-        horizon_mult *= 2
-        w = solve_warping(k, w.t_max * 2.0, rel_tol)
+        w = solve_warping(k, t_anchor, rel_tol)
+    f, s = w.anchor_state()
+    limit = k.tail.continuation(t_anchor, f, s)
+    if limit == math.inf:
+        return BallVolumeClass("divergent", None, "growing exponential mode present")
+    if limit != 0.0 or k.tail.moment(t_anchor, t_anchor) != NEG_INFINITY:
+        return BallVolumeClass("divergent", None, f"warping slope tends to {limit!r}")
+    root = math.sqrt(-k.tail.value_at_anchor(t_anchor))
+    solved = model_ball_volume(n, w, t_anchor)
+    tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
+    return BallVolumeClass(
+        "finite", solved + tail_vol,
+        "pure decaying mode at the tail anchor; closed-form tail volume")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BPoly
 from scipy.optimize import brentq
 
-from .curvature import NEG_INFINITY, RadialCurvature, moment_integral
+from .curvature import RadialCurvature, moment_integral
 from .errors import (
     ConjugatePointError,
     DomainError,
@@ -179,6 +179,17 @@ class WarpingSolution:
         arr = self._check_range(t)
         out = self._m_second_poly(arr)
         return float(out) if np.ndim(t) == 0 else out
+
+    def anchor_state(self):
+        """(m, m') at the tail anchor of k from the node values, which the
+        interpolant's m' misses by about eps * |m| / h next to a short cell.
+        An anchor within the sliver distance of t_max is no node; there the
+        interpolant is read."""
+        a = self.k.t_tail
+        i = int(np.searchsorted(self.grid, a))
+        if i < self.grid.size and self.grid[i] == a:
+            return float(self.m_values[i]), float(self.m_prime_values[i])
+        return self.m(a), self.m_prime(a)
 
     def power_integral(self, q: int, t: float) -> float:
         """Integral of m^q over [0, t] for an integer q >= 1; t is clipped
@@ -447,38 +458,26 @@ def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
 def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     """Limit of m'(t) as t -> infinity for nonpositive curvature.
 
-    For compactly supported curvature m' is constant past the support, so the
-    value is exact. For an integrable power-law tail the limit is estimated
-    by Richardson extrapolation over horizons T, 2T, 4T; the returned bound
-    uses m'(4T) * (exp(remaining tail moment) - 1), which dominates the true
-    remainder because (log m')' = -k m / m' <= -k t for convex m.
+    The state (m, m') at the tail anchor, read from the node values (after a
+    solve to the anchor when w stops short of it), goes through the tail's
+    exact ``continuation``. The limit is linear in that state,
+    L = u m(a) + v m'(a); for k <= 0 both weights and both values are
+    nonnegative, so the returned bound 10 * rel_tol * (|u m(a)| + |v m'(a)|)
+    is 10 * rel_tol * L. A negative constant tail has a growing mode and
+    raises UnboundedError.
 
     With ``with_bound=True`` returns (value, error_bound).
     """
     k = w.k
     if not k.is_nonpositive():
         raise DomainError("slope_limit requires nonpositive curvature")
-    tail = k.tail
-    tail_moment = tail.moment(k.t_tail, k.t_tail)
-    if tail_moment == NEG_INFINITY:
+    if w.t_max < k.t_tail:
+        w = solve_warping(k, k.t_tail, w.rel_tol)
+    value = k.tail.continuation(k.t_tail, *w.anchor_state())
+    if value == math.inf:
         raise UnboundedError(
-            "m' grows without bound: constant negative tail has a divergent moment")
-
-    if tail_moment == 0.0:  # zero tail: m' is constant beyond the anchor
-        src = w if w.t_max >= k.t_tail else solve_warping(k, k.t_tail, w.rel_tol)
-        value = float(src.m_prime(k.t_tail))
-        return (value, 0.0) if with_bound else value
-
-    T = max(w.t_max, k.t_tail)
-    a1 = float((w if w.t_max >= T else solve_warping(k, T, w.rel_tol)).m_prime(T))
-    a2 = float(solve_warping(k, 2 * T, w.rel_tol).m_prime(2 * T))
-    a3 = float(solve_warping(k, 4 * T, w.rel_tol).m_prime(4 * T))
-    q_theory = 2.0 ** (2.0 - tail.p)  # remainder scales like T^(2-p)
-    d1, d2 = a2 - a1, a3 - a2
-    q = d2 / d1 if abs(d1) > 1e-300 and 0.0 < d2 / d1 < 0.9 else q_theory
-    value = a3 + d2 * q / (1.0 - q)
-    bound = a3 * math.expm1(-tail.moment(4 * T, k.t_tail)) + abs(d2 * q / (1.0 - q))
-    return (value, bound) if with_bound else value
+            "m' grows without bound: constant negative tail has a growing mode")
+    return (value, 10.0 * w.rel_tol * value) if with_bound else value
 
 
 def slope_limit_bounds(w: WarpingSolution) -> tuple[float, float]:
@@ -516,30 +515,28 @@ def _integrate_km(w: WarpingSolution, t_end: float) -> float:
 def total_curvature_direct(w: WarpingSolution) -> float:
     """Total curvature of the surface of revolution: 2*pi * integral of k*m.
 
-    Quadrature runs over the solved range; the tail contributes its
-    closed-form k*m remainder with m extended linearly (m is asymptotically
-    linear once the moment is finite). A zero tail contributes nothing, so
-    quadrature stops at its anchor. A negative constant tail diverges and
-    raises UnboundedError.
+    Quadrature runs to the tail anchor a. Past it m'' = -k m integrates once
+    in closed form, so the tail contributes m'(a) - lim m', with the node
+    value of m'(a) and the limit from the tail's ``continuation``. A growing
+    mode (negative constant tail) raises UnboundedError.
     """
     k = w.k
-    tail_moment = k.tail.moment(k.t_tail, k.t_tail)
-    if tail_moment == NEG_INFINITY:
-        raise UnboundedError("total curvature diverges: constant negative tail")
     if w.t_max < k.t_tail:
         raise HorizonExceededError(
             "solve at least to the tail anchor before integrating total curvature")
-    T = w.t_max if tail_moment else k.t_tail
-    rem = k.tail.km_remainder(T, float(w.m(T)), float(w.m_prime(T)), k.t_tail)
-    return 2.0 * math.pi * (_integrate_km(w, T) + rem)
+    m_a, mp_a = w.anchor_state()
+    limit = k.tail.continuation(k.t_tail, m_a, mp_a)
+    if limit == math.inf:
+        raise UnboundedError("total curvature diverges: constant negative tail")
+    return 2.0 * math.pi * (_integrate_km(w, k.t_tail) + mp_a - limit)
 
 
 def total_curvature_isoperimetric(w: WarpingSolution) -> float:
     """Total curvature through the boundary-length route: 2*pi*(1 - lim m').
 
-    Integrating m'' = -k m once gives the same number as the direct
-    quadrature; the two routes agreeing is a nontrivial consistency check on
-    the solver and is exercised by the test suite.
+    Integrating m'' = -k m once gives the same number as the direct route;
+    both take the tail past the anchor from its continuation, so their
+    agreement checks the quadrature of k*m to the anchor against the solver.
     """
     return 2.0 * math.pi * (1.0 - slope_limit(w))
 
@@ -565,7 +562,6 @@ class ModelSurface:
         self.warping = warping
         self._slope_limit = None
         self._total_curvature = None
-        self._mass_antiderivative = None
 
     @classmethod
     def from_curvature(cls, k: RadialCurvature, t_max: float | None = None,
@@ -598,27 +594,6 @@ class ModelSurface:
         if self._total_curvature is None:
             self._total_curvature = total_curvature_direct(self.warping)
         return self._total_curvature
-
-    def curvature_mass(self, t):
-        """Cumulative integral of k(r) m(r) dr from 0 to t, vectorized.
-
-        Backed by the antiderivative of a fine spline of k*m (nodes at 1/512
-        spacing plus every curvature breakpoint); built once per surface.
-        """
-        if self._mass_antiderivative is None:
-            from scipy.interpolate import CubicSpline
-
-            h = 1.0 / 512.0
-            grid = np.arange(0.0, self.t_max + h, h)
-            grid = grid[grid <= self.t_max]
-            if grid[-1] < self.t_max:
-                grid = np.append(grid, self.t_max)
-            bp = self.k.breakpoints
-            grid = np.unique(np.concatenate([grid, bp[bp <= self.t_max]]))
-            vals = np.asarray(self.k(grid)) * self.warping.m(grid)
-            self._mass_antiderivative = CubicSpline(grid, vals).antiderivative()
-        out = self._mass_antiderivative(np.asarray(t, dtype=float))
-        return float(out) if np.ndim(t) == 0 else out
 
     def __repr__(self):
         return f"ModelSurface({self.warping!r})"

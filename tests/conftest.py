@@ -1,8 +1,11 @@
 """Shared corpus generators. Every random corpus is seeded so failures replay."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad, solve_ivp
 
 import radialgeo as rg
 
@@ -89,3 +92,36 @@ def gauss_ball_volume(n, w, t):
     x = mid[:, None] + half[:, None] * nodes[None, :]
     vals = w.m(x.ravel()).reshape(x.shape) ** (n - 1)
     return rg.unit_sphere_volume(n - 1) * float(np.sum(half * (vals @ weights)))
+
+
+def tail_referee(tail, anchor, m_a, mp_a, t_end=1e12):
+    """Referee for a tail's ``continuation``: DOP853 (rtol 1e-13) on
+    m'' = -tail(t) m from (m_a, mp_a) at the anchor, in the variable
+    s = log t, out to t_end.
+
+    Returns ("zero", t) at the first zero of m, ("grows", None) once m'
+    passes 1e8 times the anchor state's scale, and otherwise
+    ("limit", m'(t_end) - integral of tail * m beyond t_end with m extended
+    linearly), whose error is second order in the tail past t_end.
+    """
+    k = lambda t: float(tail.value(t, anchor))
+
+    def rhs(s, y):
+        t = math.exp(s)
+        return [t * y[1], -t * k(t) * y[0]]
+
+    zero = lambda s, y: y[0]
+    grows = lambda s, y: y[1] - 1e8 * (abs(m_a) + abs(mp_a))
+    zero.terminal = grows.terminal = True
+    sol = solve_ivp(rhs, (math.log(anchor), math.log(t_end)), [m_a, mp_a], method="DOP853",
+                    rtol=1e-13, atol=1e-300, events=(zero, grows))
+    if sol.t_events[0].size:
+        return "zero", math.exp(sol.t_events[0][0])
+    if sol.t_events[1].size:
+        return "grows", None
+    m_T, mp_T = sol.y[:, -1]
+    # t = t_end * e^u: the integrand decays like e^((2 - p) u)
+    rest = quad(lambda u: k(t_end * math.exp(u)) * t_end * math.exp(u)
+                * (m_T + mp_T * t_end * math.expm1(u)), 0.0, math.inf,
+                epsabs=1e-15 * abs(mp_T), epsrel=1e-10)[0]
+    return "limit", mp_T - rest

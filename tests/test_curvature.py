@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import radialgeo as rg
 
-from conftest import random_compact_curvature
+from conftest import random_compact_curvature, tail_referee
 
 # Composite Simpson (2**20 + 1 points) of t * min(0, k(t)) for the spline
 # below, whose interpolant overshoots to +1.01 near t = 2.1.
@@ -54,20 +54,28 @@ def test_power_tail_moment_closed_form():
     rg.PowerLawTail(0.4, 2.5),
 ], ids=repr)
 def test_tail_closed_forms_match_quadrature(tail):
-    """moment and km_remainder against quad of their integrands beyond
-    T > anchor; a divergent closed form must match partial integrals that
-    fall without bound (quadratically in the upper limit)."""
-    anchor, T, m_T, mp_T = 1.5, 2.5, 3.0, 1.4
-    k = lambda t: float(tail.value(t, anchor))
-    cases = [(tail.moment(T, anchor), lambda t: t * k(t)),
-             (tail.km_remainder(T, m_T, mp_T, anchor), lambda t: k(t) * (m_T + mp_T * (t - T)))]
-    for closed, integrand in cases:
-        if closed == rg.NEG_INFINITY:
-            near, far = (quad(integrand, T, x)[0] for x in (1e2, 1e4))
-            assert far < 1e3 * near < 0.0
+    """moment against quad of its integrand beyond T > anchor (a divergent
+    closed form must match partial integrals that fall without bound,
+    quadratically in the upper limit), and continuation against a DOP853
+    referee from a rising and a falling anchor state."""
+    anchor, T = 1.5, 2.5
+    closed, integrand = tail.moment(T, anchor), lambda t: t * float(tail.value(t, anchor))
+    if closed == rg.NEG_INFINITY:
+        near, far = (quad(integrand, T, x)[0] for x in (1e2, 1e4))
+        assert far < 1e3 * near < 0.0
+    else:
+        ref = quad(integrand, T, math.inf, epsabs=1e-14, epsrel=1e-12)[0]
+        assert abs(closed - ref) <= 1e-10 * max(1.0, abs(ref))
+    for m_a, mp_a in ((3.0, 1.4), (3.0, -3.0)):
+        kind, want = tail_referee(tail, anchor, m_a, mp_a)
+        if kind == "zero":
+            with pytest.raises(rg.ConjugatePointError) as err:
+                tail.continuation(anchor, m_a, mp_a)
+            assert abs(err.value.t - want) <= 1e-9 * want
+        elif kind == "grows":
+            assert tail.continuation(anchor, m_a, mp_a) == math.inf
         else:
-            ref = quad(integrand, T, math.inf, epsabs=1e-14, epsrel=1e-12)[0]
-            assert abs(closed - ref) <= 1e-10 * max(1.0, abs(ref))
+            assert abs(tail.continuation(anchor, m_a, mp_a) - want) <= 1e-9 * abs(want)
 
 
 def test_zero_curvature_has_one_encoding():
@@ -258,3 +266,22 @@ def test_scalar_evaluation_matches_array_path(k, frac):
     for arg in (-frac - 1e-9, np.float64(-frac - 1e-9), np.array(-frac - 1e-9)):
         with pytest.raises(rg.DomainError):
             k(arg)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(k=spline_curvatures())
+def test_tail_continuation_properties(k):
+    # classification ends in a class or a conjugate point, never a domain
+    # error; on k <= 0 the slope limit lies in [1, exp(-moment)]
+    try:
+        rg.classify_ball_volume(3, k)
+    except rg.ConjugatePointError:
+        pass
+    if k.is_nonpositive():
+        w = rg.solve_warping(k, k.t_tail)
+        mom = rg.moment_integral(k)
+        if mom.divergent:
+            with pytest.raises(rg.UnboundedError):
+                rg.slope_limit(w)
+        else:
+            assert 1.0 - 1e-9 <= rg.slope_limit(w) <= math.exp(-mom.value) + 1e-6

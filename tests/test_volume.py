@@ -15,10 +15,9 @@ CUSP_AMPLITUDE = 3.8205221749659675
 CUSP_TOTAL_VOLUME = 3.7774359874679977
 
 
-def cusp_fixture():
+def cusp_fixture(a=CUSP_AMPLITUDE):
     # interior values tuned (bisection on the growing-mode amplitude) so the
     # profile decays like e^{-t} past the anchor
-    a = CUSP_AMPLITUDE
     return rg.RadialCurvature.from_spline(
         [0.0, 0.5, 1.0, 1.5, 2.0],
         [a, a, 0.5 * a, -0.5, -1.0],
@@ -130,6 +129,40 @@ def test_classify_cusp_finite_matches_quadrature_oracle():
     out = rg.classify_ball_volume(3, cusp_fixture())
     assert out.kind == "finite"
     assert out.total == pytest.approx(CUSP_TOTAL_VOLUME, rel=1e-8)
+
+
+def test_classify_overshooting_cusp_at_exact_conjugate_point():
+    k = cusp_fixture(CUSP_AMPLITUDE * (1.0 + 1e-8))
+    with pytest.raises(rg.ConjugatePointError) as solved:
+        rg.solve_warping(k, 40.0)
+    with pytest.raises(rg.ConjugatePointError) as classified:
+        rg.classify_ball_volume(3, k)
+    assert abs(classified.value.t - solved.value.t) <= 1e-6
+
+
+def positive_tail(c, p):
+    return rg.RadialCurvature.from_spline([0.0, 1.0], [-0.2, c], tail=rg.PowerLawTail(c, p))
+
+
+@pytest.mark.parametrize("c, p", [(0.05, 3.0), (0.3, 2.5), (1.0, 4.0)])
+def test_classify_positive_power_tail_divergent(c, p):
+    assert rg.classify_ball_volume(3, positive_tail(c, p)).kind == "divergent"
+
+
+@pytest.mark.parametrize("c, p, t_zero", [
+    (2.0, 3.0, 4.35710095583), (5.0, 2.2, 1.69178234182), (0.6, 2.2, 246.817040539),
+])
+def test_classify_positive_power_tail_conjugate_point(monkeypatch, c, p, t_zero):
+    from radialgeo import volume
+
+    horizons = []
+    solve = volume.solve_warping
+    monkeypatch.setattr(volume, "solve_warping",
+                        lambda k, t_max, *a: horizons.append(t_max) or solve(k, t_max, *a))
+    with pytest.raises(rg.ConjugatePointError) as err:
+        rg.classify_ball_volume(3, positive_tail(c, p))
+    assert abs(err.value.t - t_zero) <= 1e-8
+    assert horizons == [1.0]
 
 
 def test_ball_volume_rejects_negative_and_nan_radius():

@@ -1,5 +1,8 @@
 """Warping ODE solutions and model-surface scalars."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,7 +10,7 @@ from scipy.interpolate import BPoly
 
 import radialgeo as rg
 
-from conftest import newton_inverse, random_compact_curvature
+from conftest import newton_inverse, random_compact_curvature, tail_referee
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
 # below, evaluated at t = 3. Independent of the solver in the package; the
@@ -225,11 +228,63 @@ def test_power_tail_slope_against_referee():
     assert lo - 1e-12 <= POWER_TAIL_SLOPE <= hi + 1e-12
 
 
-def test_slope_extrapolation_tightens_with_horizon():
+def bench_reference():
+    """radialbench/reference.py, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "radialbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("radialbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SLOW_TAIL_KNOTS = [0.0, 0.9, 1.8, 2.7]
+SLOW_TAIL_VALUES = [-0.6226, -1.1584, -0.5752, -0.1983]
+
+
+@pytest.mark.parametrize("p", [2.1, 2.3, 2.8056, 3.0, 4.0, 5.0])
+def test_power_tail_slope_matches_bessel_reference(p):
+    c = SLOW_TAIL_VALUES[-1]
+    k = rg.RadialCurvature.from_spline(SLOW_TAIL_KNOTS, SLOW_TAIL_VALUES,
+                                       tail=rg.PowerLawTail(c, p))
+    w = rg.solve_warping(k, 12.0)
+    value, bound = rg.slope_limit(w, with_bound=True)
+    ref = bench_reference()
+    want = ref.power_law_slope_limit(
+        ref.SplineCurvature(SLOW_TAIL_KNOTS, SLOW_TAIL_VALUES, ("power_law", c, p)))
+    assert abs(value - want) <= min(1e-9 * want, bound)
+    if p >= 4.0:
+        kind, far = tail_referee(k.tail, k.t_tail, *w.anchor_state(), t_end=1e6)
+        assert kind == "limit"
+        assert abs(value - far) <= 1e-9 * far
+
+
+def test_slope_reads_the_anchor_state_from_the_nodes():
+    # the anchor node is followed by a cell 0.0017 of the pitch wide, where
+    # the interpolant's m' is off by 1.4e-11
+    knots = [0.0, 0.3812447509124314, 0.7624895018248627, 1.143734252737294,
+             1.5249790036497255, 1.906223754562157]
+    values = [-1.193021108536957, -0.5463498554043624, -1.1996071920142608,
+              -0.4764033876007819, -0.6776730026260516, -0.20389743312528796]
+    tail = ("power_law", values[-1], 3.609832296335494)
+    k = rg.RadialCurvature.from_spline(knots, values, tail=rg.PowerLawTail(*tail[1:]))
+    w = rg.solve_warping(k, 12.0)
+    ref = bench_reference()
+    want = ref.power_law_slope_limit(ref.SplineCurvature(knots, values, tail))
+    assert abs(rg.slope_limit(w) - want) <= 2e-12 * want
+
+
+def test_anchor_state_consumers_make_no_solve(monkeypatch):
+    from radialgeo import volume, warping
+
     k = power_tail_fixture()
-    err_near = abs(rg.slope_limit(rg.solve_warping(k, 40.0)) - POWER_TAIL_SLOPE)
-    err_far = abs(rg.slope_limit(rg.solve_warping(k, 160.0)) - POWER_TAIL_SLOPE)
-    assert err_far < err_near
+    w = rg.solve_warping(k, k.t_tail)
+    calls = []
+    for module in (volume, warping):
+        monkeypatch.setattr(module, "solve_warping", lambda *a, **kw: calls.append(a))
+    rg.slope_limit(w)
+    rg.classify_ball_volume(3, k, warping=w)
+    rg.total_curvature_direct(w)
+    assert calls == []
 
 
 def test_total_curvature_diverges_for_constant_tail():
