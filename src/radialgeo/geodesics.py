@@ -100,7 +100,9 @@ def _side_value(surface, side: _SideGeodesic, part: int) -> float:
     The area mass integrates the cumulative curvature mass along the side
     against dtheta; by Fubini this equals the curvature integral over the
     region between the side and the pole (theta is monotone along the side).
-    The mass up to t is 1 - m'(t), since m'' = -k m and m'(0) = 1.
+    The mass up to t is the warping's ``km_integral``, a quadrature of k*m
+    that never reads m': by m'' = -k m it equals 1 - m'(t), and the
+    Gauss-Bonnet residual is the gap between the two along the side.
     """
     nu = side.nu
     ratios = surface.m(np.concatenate([[side.t_hi, side.t_lo],
@@ -124,7 +126,7 @@ def _side_value(surface, side: _SideGeodesic, part: int) -> float:
     t, mp = surface.warping.invert(nu * ch)
     if part == _LENGTH:
         return nu * float(np.sum(weights * ch / mp))
-    mass = 1.0 - mp if part == _AREA_MASS else 1.0
+    mass = surface.warping.km_integral(t) if part == _AREA_MASS else 1.0
     return float(np.sum(weights * mass / (ch * mp)))
 
 

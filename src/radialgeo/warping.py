@@ -108,11 +108,11 @@ def _quintic(x, y, dy, d2y) -> BPoly:
 
 
 @lru_cache(maxsize=None)
-def _power_rule(q: int):
-    """Gauss-Legendre rule of order floor(5q/2) + 1, exact for the q-th
-    power of a quintic: nodes and weights on [-1, 1], and the (nodes, 6)
-    matrix of the quintic Bernstein basis at those nodes mapped to [0, 1]."""
-    nodes, weights = leggauss(5 * q // 2 + 1)
+def _gauss_rule(n: int):
+    """n-point Gauss-Legendre rule: nodes and weights on [-1, 1], and the
+    (n, 6) matrix of the quintic Bernstein basis at those nodes mapped to
+    [0, 1]."""
+    nodes, weights = leggauss(n)
     u = 0.5 * (nodes[:, None] + 1.0)
     j = np.arange(6)
     basis = np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0]) * u ** j * (1.0 - u) ** (5 - j)
@@ -151,6 +151,7 @@ class WarpingSolution:
         self._m_second_poly = self._m_prime_poly.derivative()
         self._t_of_mu = None
         self._power_tables = {}
+        self._km_table = None
 
     def _check_range(self, t):
         arr = np.asarray(t, dtype=float)
@@ -196,14 +197,14 @@ class WarpingSolution:
         to [0, t_max], with no range check.
 
         On m^q, a polynomial of degree 5q on each cell, the Gauss-Legendre
-        rule of ``_power_rule`` is exact. The first call for a given q takes
-        m at the rule's nodes in every cell by one product of the Bernstein
-        basis matrix with the cells' coefficients, and keeps the cumulative
-        sums of the cell integrals as the table of the integral up to every
-        node. A call adds to the table entry at the last node i with
+        rule of order floor(5q/2) + 1 is exact. The first call for a given
+        q takes m at the rule's nodes in every cell by one product of the
+        Bernstein basis matrix with the cells' coefficients, and keeps the
+        cumulative sums of the cell integrals as the table of the integral
+        up to every node. A call adds to the entry at the last node i with
         grid[i] <= t one panel of the same rule over [grid[i], t].
         """
-        nodes, weights, basis = _power_rule(q)
+        nodes, weights, basis = _gauss_rule(5 * q // 2 + 1)
         table = self._power_tables.get(q)
         if table is None:
             cells = 0.5 * np.diff(self.grid) * (weights @ (basis @ self._m_poly.c) ** q)
@@ -216,6 +217,30 @@ class WarpingSolution:
         mid, half = 0.5 * (t + lo), 0.5 * (t - lo)
         vals = self._m_poly(mid + half * nodes) ** q
         return float(table[i] + half * (vals @ weights))
+
+    def km_integral(self, t):
+        """Integral of k*m over [0, t] (clipped to [0, t_max]), vectorized.
+
+        It reads k and m, never m', so it checks 1 - m'(t) independently.
+        As in ``power_integral``, the first call builds a cumulative table
+        of an 8-point Gauss rule over the cells, with m at the nodes of all
+        cells from one product of the Bernstein basis with the coefficients;
+        each t adds one panel of the rule over [grid[i], t].
+        """
+        nodes, weights, basis = _gauss_rule(8)
+        if self._km_table is None:
+            half = 0.5 * np.diff(self.grid)
+            x = (self.grid[:-1] + half) + half * nodes[:, None]
+            k = np.asarray(self.k(x.ravel())).reshape(x.shape)
+            cells = half * (weights @ (k * (basis @ self._m_poly.c)))
+            self._km_table = np.concatenate([[0.0], np.cumsum(cells)])
+        t = np.clip(np.asarray(t, dtype=float), 0.0, self.t_max)
+        i = np.searchsorted(self.grid, t, side="right") - 1
+        half = 0.5 * (t - self.grid[i])
+        x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
+        k = np.asarray(self.k(x.ravel())).reshape(x.shape)
+        out = self._km_table[i] + half * ((k * self._m_poly(x)) @ weights)
+        return float(out) if np.ndim(t) == 0 else out
 
     def invert(self, mu):
         """t with m(t) = mu, and m'(t), elementwise for an increasing m.
@@ -487,31 +512,6 @@ def slope_limit_bounds(w: WarpingSolution) -> tuple[float, float]:
     return 1.0, upper
 
 
-_GL_NODES_32, _GL_WEIGHTS_32 = leggauss(32)
-
-
-def _integrate_km(w: WarpingSolution, t_end: float) -> float:
-    """Integral of k(t) m(t) dt over [0, t_end] by composite Gauss panels
-    split at curvature breakpoints (panel width <= 0.5), with one array call
-    of k and one of m over the nodes of all panels.
-
-    Each gap between breakpoints is cut into equal panels with the points
-    np.linspace would give, and the panel sums are added in order, so the
-    result is that of a loop over the panels."""
-    bp = w.k.breakpoints
-    edges = np.unique(np.concatenate([bp[(bp > 0.0) & (bp < t_end)], [0.0, t_end]]))
-    a, b = edges[:-1], edges[1:]
-    n_sub = np.ceil((b - a) / 0.5).astype(int)
-    gap = np.repeat(np.arange(a.size), n_sub)
-    j = np.arange(gap.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    step = ((b - a) / n_sub)[gap]
-    lo = j * step + a[gap]
-    hi = np.where(j + 1 == n_sub[gap], b[gap], (j + 1) * step + a[gap])
-    x = 0.5 * (hi - lo)[:, None] * _GL_NODES_32 + 0.5 * (hi + lo)[:, None]
-    vals = _GL_WEIGHTS_32 * np.asarray(w.k(x.ravel())).reshape(x.shape) * w.m(x)
-    return float(np.cumsum(0.5 * (hi - lo) * np.sum(vals, axis=1))[-1])
-
-
 def total_curvature_direct(w: WarpingSolution) -> float:
     """Total curvature of the surface of revolution: 2*pi * integral of k*m.
 
@@ -528,7 +528,7 @@ def total_curvature_direct(w: WarpingSolution) -> float:
     limit = k.tail.continuation(k.t_tail, m_a, mp_a)
     if limit == math.inf:
         raise UnboundedError("total curvature diverges: constant negative tail")
-    return 2.0 * math.pi * (_integrate_km(w, k.t_tail) + mp_a - limit)
+    return 2.0 * math.pi * (w.km_integral(k.t_tail) + mp_a - limit)
 
 
 def total_curvature_isoperimetric(w: WarpingSolution) -> float:

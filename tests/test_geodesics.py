@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import radialgeo as rg
@@ -210,6 +211,28 @@ def test_gauss_bonnet_on_bump_surface():
         c = rng.uniform(abs(a - b) + 0.05, a + b - 0.05)
         tri = rg.comparison_triangle(s, float(a), float(b), float(c))
         assert abs(rg.gauss_bonnet_residual(s, tri)) <= 1e-6
+
+
+def test_curvature_mass_matches_quadrature_referee():
+    s = bump_surface()
+    w = s.warping
+    ts = np.array([0.0, 0.3, 0.8, 1.234, 2.4, 5.0, 16.0])
+    want = [quad(lambda x: float(w.k(x)) * w.m(x), 0.0, t, points=[0.8, 1.6, 2.4],
+                 limit=200, epsabs=1e-14, epsrel=1e-13)[0] for t in ts]
+    assert np.max(np.abs(w.km_integral(ts) - want)) <= 1e-13
+    assert np.max(np.abs(w.km_integral(ts) - (1.0 - w.m_prime(ts)))) <= 1e-11
+
+
+def test_gauss_bonnet_residual_sees_curvature_mass_error(monkeypatch):
+    # a mass offset of c along the side moves the area part by c times the
+    # pole angle, so the residual is not an identity of the angle formulas
+    s = bump_surface()
+    tri = rg.comparison_triangle(s, 2.0, 3.0, 2.5)
+    before = rg.gauss_bonnet_residual(s, tri)
+    exact = s.warping.km_integral
+    monkeypatch.setattr(s.warping, "km_integral", lambda t: exact(t) + 1e-6)
+    after = rg.gauss_bonnet_residual(s, tri)
+    assert after - before == pytest.approx(-1e-6 * tri.angles[0], rel=1e-6)
 
 
 def test_geodesic_path_csv(tmp_path):
