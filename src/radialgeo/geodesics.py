@@ -71,21 +71,25 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class _SideGeodesic:
-    """Geodesic arc between radii r1 and r2, described by its rotation
-    number and whether it passes an interior turning radius."""
+    """Geodesic arc between radii r1 and r2, where the warping function
+    takes the values m1 and m2, described by its rotation number and
+    whether it passes an interior turning radius."""
 
     nu: float
     turning: bool
     r1: float
     r2: float
+    m1: float
+    m2: float
 
     @property
     def t_lo(self):
         return min(self.r1, self.r2)
 
     @property
-    def t_hi(self):
-        return max(self.r1, self.r2)
+    def m_hi_lo(self):
+        """m at the outer and at the inner end."""
+        return (self.m1, self.m2) if self.r1 >= self.r2 else (self.m2, self.m1)
 
 
 _ANGLE, _LENGTH, _AREA_MASS = 0, 1, 2
@@ -103,14 +107,17 @@ def _side_value(surface, side: _SideGeodesic, part: int) -> float:
     The mass up to t is the warping's ``km_integral``, a quadrature of k*m
     that never reads m': by m'' = -k m it equals 1 - m'(t), and the
     Gauss-Bonnet residual is the gap between the two along the side.
+
+    m at the ends comes with the side and m at the curvature breakpoints
+    from the warping solution, which keeps it: a call inside a root-find
+    on nu reads the interpolant only through the inverse radius map.
     """
     nu = side.nu
-    ratios = surface.m(np.concatenate([[side.t_hi, side.t_lo],
-                                       np.minimum(surface.k.breakpoints, surface.t_max)])) / nu
-    kinks = ratios[2:]
+    kinks = surface.warping.breakpoint_values() / nu
     w_kinks = np.arccosh(kinks[kinks > 1.0]).tolist()
     panels = []  # (mid, half-width, sign), none wider than _PANEL_WIDTH
-    for ratio, sign in zip(ratios[:2], (1.0, 1.0 if side.turning else -1.0)):
+    for m_end, sign in zip(side.m_hi_lo, (1.0, 1.0 if side.turning else -1.0)):
+        ratio = m_end / nu
         if ratio > 1.0:
             W = math.acosh(ratio)
             edges = [0.0, *(w for w in w_kinks if w < W), W]
@@ -138,19 +145,22 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
 
     Both endpoint maps are strictly monotone on each branch (monotone radius
     vs. turning), with the branch point at nu_c = m(min radius), so a
-    safeguarded bracketed root-find is globally convergent.
+    safeguarded bracketed root-find is globally convergent. m at both radii
+    is read once here and carried by every trial side.
     """
-    nu_c = surface.m(min(r1, r2))
+    m1, m2 = surface.m(np.array([r1, r2])).tolist()
+    nu_c = m1 if r1 <= r2 else m2
     part, target = ((_ANGLE, target_angle) if target_angle is not None
                     else (_LENGTH, target_length))
-    branch_point = _SideGeodesic(nu_c, False, r1, r2)  # turning at the min radius
+    branch_point = _SideGeodesic(nu_c, False, r1, r2, m1, m2)  # turning at the min radius
     crit = _side_value(surface, branch_point, part)
     scale = max(abs(target), abs(crit), 1e-30)
     if abs(target - crit) <= 1e-13 * scale:
         return branch_point
 
     turning = target > crit
-    f = lambda nu: _side_value(surface, _SideGeodesic(nu, turning, r1, r2), part) - target
+    f = lambda nu: _side_value(surface, _SideGeodesic(nu, turning, r1, r2, m1, m2),
+                               part) - target
     if not turning:
         # value increases with nu from ~0 (radial limit) to crit
         lo_br, hi_br = nu_c * 1e-15, nu_c
@@ -165,7 +175,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
             raise DomainError("side target unreachable within the sector")
     nu = brentq(f, lo_br, hi_br, xtol=1e-15 * max(1.0, nu_c), rtol=8.9e-16,
                 maxiter=200)
-    return _SideGeodesic(float(nu), turning, r1, r2)
+    return _SideGeodesic(float(nu), turning, r1, r2, m1, m2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +350,11 @@ class GeodesicTriangle:
         }
 
 
-def _endpoint_angle(surface, side: _SideGeodesic, r: float) -> float:
-    """Angle at the radius-r endpoint between the meridian to the pole and
-    the side, read off the conserved rotation number."""
-    sin_phi = min(side.nu / surface.m(r), 1.0)
+def _endpoint_angle(side: _SideGeodesic, r: float, m_r: float) -> float:
+    """Angle at the radius-r endpoint, where the warping function is m_r,
+    between the meridian to the pole and the side, read off the conserved
+    rotation number."""
+    sin_phi = min(side.nu / m_r, 1.0)
     radial = math.sqrt(max(0.0, 1.0 - sin_phi * sin_phi))
     # leaving a monotone side from its inner endpoint moves outward (v_t > 0);
     # every other case starts inward. cos(angle) = -v_t against the meridian.
@@ -386,8 +397,8 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
     y = SurfacePoint(d_oy, theta_star)
     angles = (
         theta_star,
-        _endpoint_angle(surface, side, d_ox),
-        _endpoint_angle(surface, side, d_oy),
+        _endpoint_angle(side, d_ox, side.m1),
+        _endpoint_angle(side, d_oy, side.m2),
     )
     return GeodesicTriangle((pole, x, y), sides, angles, _side=side)
 

@@ -18,18 +18,24 @@ piecewise quintic (values, slopes, and the exact second derivative -k*m at
 every node), which keeps interpolation error far below the solver
 tolerance.
 
-The quintic of each cell is written in Bernstein form. With cell width h and
-(m, m', m'') at its left (0) and right (1) nodes, the end-derivative
-relations of a degree-5 Bezier segment (Farin, *Curves and Surfaces for
-CAGD*, the derivatives of a Bezier curve at its end points) give the six
-coefficients in closed form:
+The quintic of each cell is written in power form about its left node.
+With cell width h, Delta = m1 - m0 and (m, m', m'') at its left (0) and
+right (1) nodes, the Hermite conditions at both ends give the coefficients
+of the powers of s = t - t0 in closed form:
 
-    c0 = m0                         c5 = m1
-    c1 = m0 + h m0' / 5             c4 = m1 - h m1' / 5
-    c2 = m0 + 2h m0' / 5 + h^2 m0'' / 20
-    c3 = m1 - 2h m1' / 5 + h^2 m1'' / 20
+    a0 = m0        a1 = m0'        a2 = m0'' / 2
+    a3 = (20 Delta - (8 m1' + 12 m0') h - (3 m0'' - m1'') h^2) / (2 h^3)
+    a4 = (-30 Delta + (14 m1' + 16 m0') h + (3 m0'' - 2 m1'') h^2) / (2 h^4)
+    a5 = (12 Delta - 6 (m0' + m1') h - (m0'' - m1'') h^2) / (2 h^5)
 
-They are computed for all cells at once and handed to scipy's ``BPoly``.
+They are computed for all cells at once and handed to scipy's ``PPoly``,
+which evaluates a cell by Horner's rule. One more cell past the last node
+holds that node's Taylor data (m, m', m''/2 and zeros), so m, m' and m'' at
+t_max, like at every other node, are the node values exactly: a read at a
+node falls in the cell the node starts, at s = 0. The coefficients are not
+converted from the Bernstein form of the same quintic
+(``PPoly.from_bernstein_basis``): that conversion cancels at the right end
+of a cell, and put m'(16) of a bump surface 2.8e-11 off its node value.
 The same builder gives the inverse t(mu) of an increasing m, on the nodes
 mu_i = m_i with dt/dmu = 1/m' and d2t/dmu2 = -m''/m'^3; the geodesic code
 inverts radii with it.
@@ -43,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BPoly
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .curvature import RadialCurvature, moment_integral
@@ -60,7 +66,7 @@ _REL_TOL_MAX = 1e-3
 # dense interpolant nodes per unit length
 _NODES_PER_UNIT = 64
 # a uniform node closer than this fraction of the node pitch to an interior
-# curvature breakpoint gives way to it. Rounding in the Bernstein
+# curvature breakpoint gives way to it. Rounding in the quintic
 # coefficients of a cell of width h perturbs m' by about eps * |m| / h, so a
 # sliver cell returns garbage; at the end node, which stays, the breakpoint
 # is dropped instead, and the kink it leaves inside the last cell moves m by
@@ -96,27 +102,30 @@ def default_horizon(k: RadialCurvature) -> float:
     return max(10.0, 5.0 * k.t_tail)
 
 
-def _quintic(x, y, dy, d2y) -> BPoly:
+def _quintic(x, y, dy, d2y) -> PPoly:
     """Piecewise quintic through (y, y', y'') at the strictly increasing
-    nodes x, with the Bernstein coefficients of the module docstring."""
+    nodes x, with the power-form coefficients of the module docstring and
+    one more cell, as wide as the last, holding the Taylor data of x[-1]."""
     h = np.diff(x)
-    y0, y1 = y[:-1], y[1:]
-    d0, d1 = h * dy[:-1] / 5.0, h * dy[1:] / 5.0
-    s0, s1 = h * h * d2y[:-1] / 20.0, h * h * d2y[1:] / 20.0
-    return BPoly(np.stack([y0, y0 + d0, y0 + 2.0 * d0 + s0,
-                           y1 - 2.0 * d1 + s1, y1 - d1, y1]), x)
+    hh = h * h
+    delta, d0, d1, s0, s1 = y[1:] - y[:-1], dy[:-1], dy[1:], d2y[:-1], d2y[1:]
+    c = np.zeros((6, x.size))  # rows a5 .. a0: PPoly keeps the highest power first
+    c[0, :-1] = (12.0 * delta - 6.0 * (d0 + d1) * h - (s0 - s1) * hh) / (2.0 * hh * hh * h)
+    c[1, :-1] = ((-30.0 * delta + (14.0 * d1 + 16.0 * d0) * h + (3.0 * s0 - 2.0 * s1) * hh)
+                 / (2.0 * hh * hh))
+    c[2, :-1] = (20.0 * delta - (8.0 * d1 + 12.0 * d0) * h - (3.0 * s0 - s1) * hh) / (2.0 * hh * h)
+    c[3], c[4], c[5] = 0.5 * d2y, dy, y
+    return PPoly.construct_fast(c, np.append(x, x[-1] + h[-1]))
 
 
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int):
     """n-point Gauss-Legendre rule: nodes and weights on [-1, 1], and the
-    (n, 6) matrix of the quintic Bernstein basis at those nodes mapped to
-    [0, 1]."""
+    (n, 6) matrix of the monomials u**j, j = 0..5, at those nodes mapped to
+    u in [0, 1]."""
     nodes, weights = leggauss(n)
     u = 0.5 * (nodes[:, None] + 1.0)
-    j = np.arange(6)
-    basis = np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0]) * u ** j * (1.0 - u) ** (5 - j)
-    return nodes, weights, basis
+    return nodes, weights, u ** np.arange(6)
 
 
 class WarpingSolution:
@@ -131,7 +140,8 @@ class WarpingSolution:
     m_values, m_prime_values : ndarray
         Node values; m_values[0] == 0 and m_prime_values[0] == 1 exactly.
 
-    ``m`` and ``m_prime`` evaluate anywhere in [0, t_max], vectorized.
+    ``m`` and ``m_prime`` evaluate anywhere in [0, t_max], vectorized, and
+    return the node values exactly at every node.
     ``power_integral(q, t)`` is the integral of m^q over [0, t], read from a
     cumulative table over the cells that is built on the first call for
     each q and kept with the solution.
@@ -150,6 +160,7 @@ class WarpingSolution:
         self._m_prime_poly = self._m_poly.derivative()
         self._m_second_poly = self._m_prime_poly.derivative()
         self._t_of_mu = None
+        self._breakpoint_values = None
         self._power_tables = {}
         self._km_table = None
 
@@ -183,14 +194,34 @@ class WarpingSolution:
 
     def anchor_state(self):
         """(m, m') at the tail anchor of k from the node values, which the
-        interpolant's m' misses by about eps * |m| / h next to a short cell.
-        An anchor within the sliver distance of t_max is no node; there the
-        interpolant is read."""
+        interpolant returns there too, at the cost of two range-checked
+        reads. An anchor within the sliver distance of t_max is no node;
+        there the interpolant is read."""
         a = self.k.t_tail
         i = int(np.searchsorted(self.grid, a))
         if i < self.grid.size and self.grid[i] == a:
             return float(self.m_values[i]), float(self.m_prime_values[i])
         return self.m(a), self.m_prime(a)
+
+    def breakpoint_values(self):
+        """m at the curvature breakpoints, those past t_max read at t_max;
+        computed on the first call and kept. The geodesic integrands have
+        their kinks there."""
+        if self._breakpoint_values is None:
+            self._breakpoint_values = self._m_poly(np.minimum(self.k.breakpoints, self.t_max))
+        return self._breakpoint_values
+
+    def _cell_values(self, powers):
+        """m at the points u of every cell (t = grid[i] + u h_i), given the
+        matrix powers[p, j] = u_p**j: its product with the power-form
+        coefficients of the cells, the j-th scaled by h**j."""
+        c = self._m_poly.c[::-1, :-1].copy()
+        h = np.diff(self.grid)
+        scale = h
+        for row in c[1:]:
+            row *= scale
+            scale = scale * h
+        return powers @ c
 
     def power_integral(self, q: int, t: float) -> float:
         """Integral of m^q over [0, t] for an integer q >= 1; t is clipped
@@ -198,16 +229,16 @@ class WarpingSolution:
 
         On m^q, a polynomial of degree 5q on each cell, the Gauss-Legendre
         rule of order floor(5q/2) + 1 is exact. The first call for a given
-        q takes m at the rule's nodes in every cell by one product of the
-        Bernstein basis matrix with the cells' coefficients, and keeps the
-        cumulative sums of the cell integrals as the table of the integral
-        up to every node. A call adds to the entry at the last node i with
-        grid[i] <= t one panel of the same rule over [grid[i], t].
+        q takes m at the rule's nodes in every cell from ``_cell_values``
+        (one product of the monomial matrix with the power-form coefficients)
+        and keeps the cumulative sums of the cell integrals as the table of
+        the integral up to every node. A call adds to the entry at the last
+        node i with grid[i] <= t one panel of the same rule over [grid[i], t].
         """
-        nodes, weights, basis = _gauss_rule(5 * q // 2 + 1)
+        nodes, weights, powers = _gauss_rule(5 * q // 2 + 1)
         table = self._power_tables.get(q)
         if table is None:
-            cells = 0.5 * np.diff(self.grid) * (weights @ (basis @ self._m_poly.c) ** q)
+            cells = 0.5 * np.diff(self.grid) * (weights @ self._cell_values(powers) ** q)
             table = self._power_tables[q] = np.concatenate([[0.0], np.cumsum(cells)])
         t = min(max(float(t), 0.0), self.t_max)
         i = int(np.searchsorted(self.grid, t, side="right")) - 1
@@ -224,15 +255,15 @@ class WarpingSolution:
         It reads k and m, never m', so it checks 1 - m'(t) independently.
         As in ``power_integral``, the first call builds a cumulative table
         of an 8-point Gauss rule over the cells, with m at the nodes of all
-        cells from one product of the Bernstein basis with the coefficients;
-        each t adds one panel of the rule over [grid[i], t].
+        cells from ``_cell_values``; each t adds one panel of the rule over
+        [grid[i], t].
         """
-        nodes, weights, basis = _gauss_rule(8)
+        nodes, weights, powers = _gauss_rule(8)
         if self._km_table is None:
             half = 0.5 * np.diff(self.grid)
             x = (self.grid[:-1] + half) + half * nodes[:, None]
             k = np.asarray(self.k(x.ravel())).reshape(x.shape)
-            cells = half * (weights @ (k * (basis @ self._m_poly.c)))
+            cells = half * (weights @ (k * self._cell_values(powers)))
             self._km_table = np.concatenate([[0.0], np.cumsum(cells)])
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.t_max)
         i = np.searchsorted(self.grid, t, side="right") - 1
@@ -247,8 +278,10 @@ class WarpingSolution:
 
         No range check runs: mu is clipped to [0, m(t_max)], t to [0, t_max].
         The quintic t(mu) through t_i, 1/m'_i and -m''_i/m'_i^3 at the nodes
-        mu_i = m_i is built on the first call; one Newton step on m takes
-        its error (about 1e-11 next to a curvature kink) to roundoff.
+        mu_i = m_i is built on the first call, in the same power form as m
+        and with the same end cell, so mu = m(t_max) gives t_max exactly;
+        one Newton step on m takes its error (about 1e-11 next to a
+        curvature kink) to roundoff.
         """
         if self._t_of_mu is None:
             mp = self.m_prime_values

@@ -235,6 +235,31 @@ def test_gauss_bonnet_residual_sees_curvature_mass_error(monkeypatch):
     assert after - before == pytest.approx(-1e-6 * tri.angles[0], rel=1e-6)
 
 
+def test_side_root_find_reads_m_once_per_side(monkeypatch):
+    from radialgeo import geodesics
+
+    s = bump_surface()
+    reads = {"breakpoints": 0, "m": 0, "side_value": 0}
+
+    def counted(name, func):
+        def spy(*args, **kwargs):
+            reads[name] += 1
+            return func(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(rg.RadialCurvature, "breakpoints",
+                        property(counted("breakpoints", rg.RadialCurvature.breakpoints.fget)))
+    monkeypatch.setattr(rg.WarpingSolution, "m", counted("m", rg.WarpingSolution.m))
+    monkeypatch.setattr(geodesics, "_side_value", counted("side_value", geodesics._side_value))
+    rg.distance(s, rg.SurfacePoint(1.3, 0.0), rg.SurfacePoint(3.1, 1.2))
+    rg.comparison_triangle(s, 2.0, 3.0, 2.5)
+    # the breakpoint radii are read once per surface and m at the two radii
+    # once per side solved, however many brentq steps evaluate the side
+    assert reads["breakpoints"] <= 1
+    assert reads["m"] <= 2
+    assert reads["side_value"] >= 20
+
+
 def test_geodesic_path_csv(tmp_path):
     s = flat_surface()
     path = rg.shoot(s, rg.SurfacePoint(1.0, 0.0), 0.7, 2.0)

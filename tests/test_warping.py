@@ -338,13 +338,16 @@ def test_model_surface_wraps_solution():
     assert abs(s.total_curvature - rg.total_curvature_direct(w)) <= 1e-12
 
 
-@pytest.mark.parametrize("k, horizon", [
+_INTERPOLANT_CASES = pytest.mark.parametrize("k, horizon", [
     (rg.RadialCurvature.constant(-1.0), 16.0),
     # knots 0.3, 1.1, 1.7 and 2.35 fall between the 1/64-spaced nodes
     (rg.RadialCurvature.from_spline([0.0, 0.3, 1.1, 1.7, 2.35],
                                     [-0.8, -1.2, -0.4, -0.6, -0.3],
                                     tail=rg.PowerLawTail(-0.3, 3.5)), 8.0),
 ], ids=["hyperbolic", "spline-off-grid"])
+
+
+@_INTERPOLANT_CASES
 def test_interpolant_matches_hermite_reference(k, horizon):
     w = rg.solve_warping(k, horizon)
     # reference: scipy's general Hermite construction from the same node data
@@ -364,6 +367,17 @@ def test_interpolant_matches_hermite_reference(k, horizon):
         want = ref.derivative(j)(ts) if j else m_ref
         scale = np.maximum(np.abs(want), np.abs(m_ref) / h ** j)
         assert np.all(np.abs(got - want) <= 1e-13 * scale), j
+
+
+@_INTERPOLANT_CASES
+def test_interpolant_reproduces_node_data_exactly(k, horizon):
+    # every node, t_max included, starts a cell whose constant, linear and
+    # quadratic coefficients are m, m' and m''/2 there
+    w = rg.solve_warping(k, horizon)
+    assert w.grid[-1] == horizon
+    assert np.array_equal(w.m(w.grid), w.m_values)
+    assert np.array_equal(w.m_prime(w.grid), w.m_prime_values)
+    assert np.array_equal(w.m_second(w.grid), -k(w.grid) * w.m_values)
 
 
 def test_breakpoint_next_to_a_node_leaves_no_sliver_cell():
