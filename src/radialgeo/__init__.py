@@ -19,7 +19,6 @@ from .errors import (
     ScenarioError,
     SectorExceededError,
     UnboundedError,
-    UnsupportedManifoldError,
 )
 from .curvature import (
     NEG_INFINITY,
@@ -56,13 +55,11 @@ from .volume import (
     unit_sphere_volume,
 )
 from .geodesics import (
-    GeodesicPath,
     GeodesicTriangle,
     SurfacePoint,
     comparison_triangle,
     distance,
     gauss_bonnet_residual,
-    shoot,
 )
 from .synthetic import RotSymManifold
 from .criteria import (
@@ -79,7 +76,7 @@ __all__ = [
     # errors
     "GeometryError", "DomainError", "ConjugatePointError", "UnboundedError",
     "HorizonExceededError", "SectorExceededError", "ConditionB1ViolatedError",
-    "UnsupportedManifoldError", "ScenarioError",
+    "ScenarioError",
     # curvature
     "RadialCurvature", "SplineCore", "FormulaCore", "ZeroTail", "PowerLawTail",
     "ConstantTail", "MomentIntegral", "moment_integral", "nonpositive_min",
@@ -93,8 +90,8 @@ __all__ = [
     "classify_ball_volume", "BallVolumeClass", "GrowthRatio", "growth_ratio",
     "bishop_monotonicity_check",
     # geodesics
-    "SurfacePoint", "GeodesicPath", "GeodesicTriangle", "shoot", "distance",
-    "comparison_triangle", "gauss_bonnet_residual",
+    "SurfacePoint", "GeodesicTriangle", "distance", "comparison_triangle",
+    "gauss_bonnet_residual",
     # synthetic
     "RotSymManifold",
     # criteria

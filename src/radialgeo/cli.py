@@ -362,19 +362,25 @@ def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL,
             runner = _RUNNERS[cmd["task"]]
             records.append(runner(scn, cmd, f"scenario.commands[{idx}]",
                                   outdir, idx))
+        report = {
+            "scenario": scn.name,
+            "toolkit": {"name": "radialgeo", "version": __version__},
+            "n": scn.n,
+            "tasks": records,
+        }
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            print("error: the report holds a NaN or infinity", file=sys.stderr)
+            return 1
+        (outdir / "report.json").write_text(text)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    report = {
-        "scenario": scn.name,
-        "toolkit": {"name": "radialgeo", "version": __version__},
-        "n": scn.n,
-        "tasks": records,
-    }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    except OSError as exc:
+        field = "--out" if out_dir else "scenario.output_dir"
+        print(f"error: {field}: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     verdicts = [r["report"]["verdict"] for r in records if "report" in r]
     if any(v == "Inconclusive" for v in verdicts):

@@ -487,7 +487,7 @@ class RadialCurvature:
             raise
         except KeyError as exc:
             raise DomainError(f"curvature object missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed curvature object: {exc}") from exc
 
     # -- convenience constructors -------------------------------------------
@@ -515,11 +515,6 @@ class RadialCurvature:
         core = SplineCore(breakpoints, values)
         return cls(core, tail if tail is not None else ZeroTail(),
                    float(core.breakpoints[-1]))
-
-    @classmethod
-    def from_function(cls, func, t_tail, tail=None, expr=None, breakpoints=None):
-        core = FormulaCore(func, expr=expr, breakpoints=breakpoints)
-        return cls(core, tail if tail is not None else ZeroTail(), t_tail)
 
     def __repr__(self):
         return (f"RadialCurvature(core={self.core.kind}, tail={self.tail!r}, "
@@ -682,6 +677,8 @@ def moment_integral(curv: RadialCurvature) -> MomentIntegral:
     edges = [0.0, *pts, curv.t_tail]
     for a, b in zip(edges[1:-1], edges[2:]):
         if b > 2.0 * a:
+            if b / a == math.inf:
+                raise DomainError(f"curvature breakpoints {a!r} and {b!r} are too far apart")
             n = math.ceil(math.log2(b / a))
             pts.extend((a * (b / a) ** (np.arange(1, n) / n)).tolist())
     pts.sort()

@@ -39,10 +39,5 @@ class ConditionB1ViolatedError(GeometryError):
     against it do not measure growth at infinity."""
 
 
-class UnsupportedManifoldError(GeometryError):
-    """The manifold violates a structural hypothesis of the operation
-    (for example g' > 0 is required for the ray-mass computation)."""
-
-
 class ScenarioError(GeometryError, ValueError):
     """Scenario file failed validation; message carries the field path."""

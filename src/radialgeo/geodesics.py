@@ -19,19 +19,16 @@ they are split at w_b = arccosh(m(b)/nu) for each curvature breakpoint b,
 where the integrand has a kink; that is what makes shooting on the conserved
 quantity cheap enough to use inside root-finds. t(w) comes from the inverse
 map t(mu) of the warping function, built once per surface, and one Newton
-polish. The time-stepped geodesic flow (``shoot``) is kept for path output
-and conservation tests.
+polish.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -42,7 +39,6 @@ from .errors import (
 from .warping import ModelSurface
 
 _POLE_TOL = 1e-13
-_RADIAL_SIN_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_WIDTH = 1.0
 
@@ -205,117 +201,6 @@ def distance(surface: ModelSurface, a: SurfacePoint, b: SurfacePoint) -> float:
         return a.t + b.t
     side = _solve_side(surface, a.t, b.t, target_angle=dth)
     return _side_value(surface, side, _LENGTH)
-
-
-# ---------------------------------------------------------------------------
-# Geodesic flow (time stepping)
-# ---------------------------------------------------------------------------
-
-
-class GeodesicPath:
-    """Unit-speed geodesic sampled along arclength.
-
-    Arrays s, t, theta, v_t, v_theta hold the dense samples; v_t and
-    v_theta are the coordinate velocities (dt/ds, dtheta/ds), so the
-    conserved rotation number is m(t)^2 * v_theta at every sample.
-    """
-
-    def __init__(self, start, angle, length, s, t, theta, v_t, v_theta,
-                 clairaut_constant):
-        self.start = start
-        self.initial_angle = float(angle)
-        self.length = float(length)
-        self.s = s
-        self.t = t
-        self.theta = theta
-        self.v_t = v_t
-        self.v_theta = v_theta
-        self.clairaut_constant = float(clairaut_constant)
-
-    @property
-    def end(self) -> SurfacePoint:
-        return SurfacePoint(float(self.t[-1]), float(self.theta[-1]))
-
-    def to_csv(self, path, comment: str | None = None):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["s", "t", "theta"])
-            for row in zip(self.s, self.t, self.theta):
-                writer.writerow([repr(float(v)) for v in row])
-
-
-def shoot(surface: ModelSurface, start: SurfacePoint, angle: float,
-          length: float, rel_tol: float = 1e-11,
-          n_samples: int | None = None) -> GeodesicPath:
-    """Integrate the geodesic flow from ``start`` for the given arclength.
-
-    ``angle`` is measured from the outward meridian direction, in [0, pi].
-    Radial shots (sin(angle) ~ 0) are meridians and are emitted in closed
-    form, including the pass through the pole for inward shots; everything
-    else runs through the adaptive integrator with dense output.
-    """
-    if not 0.0 <= angle <= math.pi + 1e-12:
-        raise DomainError("shot angle must lie in [0, pi] measured from the meridian")
-    if length < 0:
-        raise DomainError("arclength must be nonnegative")
-    if start.t > surface.t_max * (1 + 1e-12):
-        raise HorizonExceededError("start point beyond solved horizon")
-    n = n_samples or max(65, int(math.ceil(length * 32)) + 1)
-    s = np.linspace(0.0, length, n)
-
-    sin_a = math.sin(angle)
-    if start.t < _POLE_TOL or sin_a < _RADIAL_SIN_TOL:
-        return _meridian_path(surface, start, angle, length, s)
-
-    m0 = surface.m(start.t)
-    nu = m0 * sin_a
-    y0 = [start.t, start.theta, math.cos(angle), sin_a / m0]
-    w = surface.warping
-
-    def rhs(_s, y):
-        t_c = y[0]
-        m = w.m(t_c)
-        mp = w.m_prime(t_c)
-        return (y[2], y[3], m * mp * y[3] ** 2, -2.0 * (mp / m) * y[2] * y[3])
-
-    def beyond(_s, y):
-        return surface.t_max * (1.0 - 1e-9) - y[0]
-
-    beyond.terminal = True
-    beyond.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, length), y0, method="DOP853", dense_output=True,
-                    events=beyond, rtol=rel_tol, atol=rel_tol * 1e-2)
-    if sol.status == 1:
-        raise HorizonExceededError(
-            f"trajectory left the solved disc at arclength "
-            f"{float(sol.t_events[0][0]):.6g}; re-solve the surface farther out")
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
-    states = sol.sol(s)
-    return GeodesicPath(start, angle, length, s, states[0], states[1],
-                        states[2], states[3], nu)
-
-
-def _meridian_path(surface, start, angle, length, s):
-    outward = math.cos(angle) >= 0.0 or start.t < _POLE_TOL
-    if outward:
-        t = start.t + s
-        theta = np.full_like(s, start.theta)
-        v_t = np.ones_like(s)
-    else:
-        signed = start.t - s
-        t = np.abs(signed)
-        theta = np.where(signed >= 0.0, start.theta, start.theta + math.pi)
-        v_t = np.where(signed >= 0.0, -1.0, 1.0)
-    if np.any(t > surface.t_max * (1 + 1e-12)):
-        raise HorizonExceededError("meridian shot leaves the solved disc")
-    return GeodesicPath(start, angle, length, s, t, theta,
-                        v_t, np.zeros_like(s), 0.0)
 
 
 # ---------------------------------------------------------------------------

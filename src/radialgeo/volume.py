@@ -55,12 +55,14 @@ def _sin_power_integral(q: int, upper: float) -> float:
 @lru_cache(maxsize=None)
 def unit_sphere_volume(k: int) -> float:
     """Volume of the unit k-sphere via the recurrence
-    omega_k = omega_{k-1} * integral of sin^(k-1) over [0, pi], omega_0 = 2."""
+    omega_k = omega_{k-1} * integral of sin^(k-1) over [0, pi], omega_0 = 2,
+    which stays 0 once it underflows (k >= 455)."""
     if k < 0:
         raise DomainError("sphere dimension must be >= 0")
-    if k == 0:
-        return 2.0
-    return unit_sphere_volume(k - 1) * 2.0 * _sin_power_half_integral(k - 1)
+    omega, j = 2.0, 0
+    while j < k and omega > 0.0:
+        omega, j = omega * 2.0 * _sin_power_half_integral(j), j + 1
+    return omega
 
 
 def cap_fraction(n: int, r: float) -> float:
@@ -103,7 +105,8 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
 
     The integrand is a piecewise polynomial (the warping interpolant raised
     to n-1), which Gauss rules of matching order integrate exactly; accuracy
-    is limited only by the ODE tolerance. The integral comes from
+    is limited only by the ODE tolerance. A t > 0 volume that underflows to
+    0 or overflows (large n) raises DomainError. The integral comes from
     ``WarpingSolution.power_integral``: the first call for a dimension
     builds the solution's cumulative table over all cells, and every call
     adds one panel from the last node below t to t, so the horizons of a
@@ -115,7 +118,13 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     if t > w.t_max * (1.0 + 1e-12):
         raise HorizonExceededError(
             f"ball radius {t:.6g} exceeds solved horizon {w.t_max:.6g}")
-    return unit_sphere_volume(n - 1) * w.power_integral(n - 1, t)
+    omega = unit_sphere_volume(n - 1)
+    # omega = 0 skips the m^(n-1) table, whose Gauss rule has order ~5n/2
+    vol = omega * w.power_integral(n - 1, t) if omega > 0.0 else 0.0
+    if t > 0 and not 0.0 < vol < math.inf:
+        raise DomainError(f"ball volume of radius {t:.6g} in dimension {n} is "
+                          "not a positive finite float")
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,6 @@ class GrowthRatio:
     """Sampled ratio of ball volumes at increasing horizons.
 
     samples : list of (t, numerator volume, denominator volume, ratio)
-    limit_estimate : last-horizon ratio
     monotone_nonincreasing : whether ratios never rise beyond 1e-9
     first_violation : (t_prev, r_prev, t_next, r_next) for the first rise,
         or None
@@ -194,7 +202,6 @@ class GrowthRatio:
 
     n: int
     samples: list = field(default_factory=list)
-    limit_estimate: float = math.nan
     monotone_nonincreasing: bool = False
     first_violation: tuple | None = None
     dominated: bool = False
@@ -283,11 +290,7 @@ def _assemble_ratio(n, numerator, denominator, horizons, dominated):
             monotone = False
             violation = (samples[i][0], ratios[i], samples[i + 1][0], ratios[i + 1])
             break
-    limit = ratios[-1]
-    if dominated:
-        limit = min(max(limit, 0.0), 1.0)
-    return GrowthRatio(n=n, samples=samples, limit_estimate=limit,
-                       monotone_nonincreasing=monotone,
+    return GrowthRatio(n=n, samples=samples, monotone_nonincreasing=monotone,
                        first_violation=violation, dominated=dominated)
 
 

@@ -43,7 +43,6 @@ inverts radii with it.
 
 from __future__ import annotations
 
-import csv
 import math
 from functools import lru_cache
 
@@ -65,6 +64,8 @@ _REL_TOL_MIN = 1e-14
 _REL_TOL_MAX = 1e-3
 # dense interpolant nodes per unit length
 _NODES_PER_UNIT = 64
+# largest solving horizon: 2^18 nodes, about 75 MB for a solution and its tables
+_MAX_HORIZON = 4096.0
 # a uniform node closer than this fraction of the node pitch to an interior
 # curvature breakpoint gives way to it. Rounding in the quintic
 # coefficients of a cell of width h perturbs m' by about eps * |m| / h, so a
@@ -87,8 +88,8 @@ _FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
 _CHECK = np.concatenate([
     np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB, _FIT_DEGREE))[-2:],
     np.vander([-1.0, 1.0], _FIT_DEGREE + 1, increasing=True) @ _FIT])
-# a cell is cut into at most this many pieces on average before the
-# curvature counts as too rough for the node grid
+# pieces, and steps, per cell at most on average before the curvature counts
+# as too rough or too large for the node grid; bounds the memory of a block
 _MAX_PIECES_PER_CELL = 16
 # cells solved together; bounds the memory of a solve whatever its horizon
 _BLOCK_CELLS = 2048
@@ -292,16 +293,6 @@ class WarpingSolution:
         t = np.clip(t - (self._m_poly(t) - mu) / self._m_prime_poly(t), 0.0, self.t_max)
         return t, self._m_prime_poly(t)
 
-    def to_csv(self, path, comment: str | None = None):
-        """Write (t, m, m_prime) rows; optional provenance comment line."""
-        with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "m", "m_prime"])
-            for t, m, mp in zip(self.grid, self.m_values, self.m_prime_values):
-                writer.writerow([repr(float(t)), repr(float(m)), repr(float(mp))])
-
     def __repr__(self):
         return (f"WarpingSolution(t_max={self.t_max!r}, rel_tol={self.rel_tol!r}, "
                 f"nodes={len(self.grid)})")
@@ -342,15 +333,16 @@ def solve_warping(k: RadialCurvature, t_max: float,
     the same bound times the piece's half-width. A piece whose kappa
     coefficients sum to more than 1 in absolute value ((h/2)^2 |k| > 1 for
     constant k) is split into equal steps whose matrices are multiplied,
-    which keeps the series short without changing the node grid.
+    which keeps the series short without changing the node grid; more than
+    16 steps per cell on average (|k| above about 4e6) raise DomainError.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing is the root of the series
     of the step in which m first reaches zero. Raises DomainError when the
-    solution overflows.
+    solution overflows, and when t_max exceeds 4096.
     """
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
+    if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
+        raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise DomainError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
@@ -376,7 +368,10 @@ def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: floa
     # a piece with sum |kappa_i| > 1 becomes n equal steps: kappa re-expanded
     # about a step's centre in the step's own variable has a coefficient sum
     # at most 1/n^2 of the piece's
-    n_sub = np.maximum(1, np.ceil(np.sqrt(np.sum(np.abs(kappa), axis=0)))).astype(int)
+    n_sub = np.maximum(1.0, np.ceil(np.sqrt(np.sum(np.abs(kappa), axis=0))))
+    if not n_sub.sum() <= _MAX_PIECES_PER_CELL * (nodes.size - 1):  # also NaN
+        raise DomainError(f"curvature is too large to solve on [{nodes[0]:g}, {nodes[-1]:g}]")
+    n_sub = n_sub.astype(int)
     piece = np.repeat(np.arange(mid.size), n_sub)
     n = n_sub[piece]
     index = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)

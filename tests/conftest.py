@@ -1,6 +1,7 @@
 """Shared corpus generators. Every random corpus is seeded so failures replay."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -125,3 +126,77 @@ def tail_referee(tail, anchor, m_a, mp_a, t_end=1e12):
                 * (m_T + mp_T * t_end * math.expm1(u)), 0.0, math.inf,
                 epsabs=1e-15 * abs(mp_T), epsrel=1e-10)[0]
     return "limit", mp_T - rest
+
+
+@dataclass(frozen=True)
+class GeodesicPath:
+    """Unit-speed geodesic sampled along arclength.
+
+    Arrays t, theta, v_t, v_theta hold the dense samples; v_t and v_theta
+    are the coordinate velocities (dt/ds, dtheta/ds), so the conserved
+    rotation number is m(t)^2 * v_theta at every sample.
+    """
+
+    t: np.ndarray
+    theta: np.ndarray
+    v_t: np.ndarray
+    v_theta: np.ndarray
+    clairaut_constant: float
+
+    @property
+    def end(self):
+        return rg.SurfacePoint(float(self.t[-1]), float(self.theta[-1]))
+
+
+def shoot(surface, start, angle, length):
+    """Referee for the geodesic code: the geodesic flow of the metric
+    dt^2 + m(t)^2 dtheta^2 from ``start`` for the given arclength, by DOP853
+    (rtol 1e-11) with dense output.
+
+    ``angle`` is measured from the outward meridian direction, in [0, pi].
+    Radial shots (sin(angle) ~ 0) are meridians and are emitted in closed
+    form, including the pass through the pole for inward shots. Leaving the
+    solved disc raises HorizonExceededError.
+    """
+    if start.t > surface.t_max * (1 + 1e-12):
+        raise rg.HorizonExceededError("start point beyond solved horizon")
+    s = np.linspace(0.0, length, max(65, int(math.ceil(length * 32)) + 1))
+    sin_a = math.sin(angle)
+    if start.t < 1e-13 or sin_a < 1e-12:
+        return _meridian_path(surface, start, angle, s)
+
+    m0 = surface.m(start.t)
+    w = surface.warping
+
+    def rhs(_s, y):
+        m = w.m(y[0])
+        mp = w.m_prime(y[0])
+        return (y[2], y[3], m * mp * y[3] ** 2, -2.0 * (mp / m) * y[2] * y[3])
+
+    def beyond(_s, y):
+        return surface.t_max * (1.0 - 1e-9) - y[0]
+
+    beyond.terminal = True
+    beyond.direction = -1
+    sol = solve_ivp(rhs, (0.0, length), [start.t, start.theta, math.cos(angle), sin_a / m0],
+                    method="DOP853", dense_output=True, events=beyond,
+                    rtol=1e-11, atol=1e-13)
+    if sol.status == 1:
+        raise rg.HorizonExceededError("trajectory left the solved disc")
+    assert sol.success, sol.message
+    return GeodesicPath(*sol.sol(s), m0 * sin_a)
+
+
+def _meridian_path(surface, start, angle, s):
+    if math.cos(angle) >= 0.0 or start.t < 1e-13:
+        t = start.t + s
+        theta = np.full_like(s, start.theta)
+        v_t = np.ones_like(s)
+    else:
+        signed = start.t - s
+        t = np.abs(signed)
+        theta = np.where(signed >= 0.0, start.theta, start.theta + math.pi)
+        v_t = np.where(signed >= 0.0, -1.0, 1.0)
+    if np.any(t > surface.t_max * (1 + 1e-12)):
+        raise rg.HorizonExceededError("meridian shot leaves the solved disc")
+    return GeodesicPath(t, theta, v_t, np.zeros_like(s), 0.0)

@@ -1,12 +1,16 @@
 """Scenario CLI: exit codes, report shape, CSV provenance, determinism."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radialgeo
 from radialgeo import cli
@@ -299,3 +303,107 @@ def test_task_filter_option(tmp_path):
     code, report, _ = run_cli(tmp_path, doc, extra_args=("--tasks", "threshold"))
     assert code == 0
     assert [t["task"] for t in report["tasks"]] == ["threshold"]
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_large_dimension_growth_exits_one(tmp_path, capsys, n):
+    # m^(n-1) overflows at t = 16 for n = 300; the unit-sphere volume
+    # underflows for n = 3000
+    doc = base_scenario(n=n, manifold={**SPLINE_FLAT, "n": n, "t_max": 17.0},
+                        commands=[{"task": "growth", "denominator": "flat"}])
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("use_flag", [False, True])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unwritable_output_dir_exits_one(tmp_path, capsys, below, use_flag):
+    # the output path names an existing file, or a directory below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / below if below else blocker
+    doc = base_scenario(output_dir=str(target))
+    p = write_scenario(tmp_path, doc)
+    code = cli.run(p, out_dir=str(target) if use_flag else None)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: " + ("--out" if use_flag else "scenario.output_dir"))
+    assert "Traceback" not in err
+
+
+# -- property test over scenario documents ------------------------------------
+
+FUZZ_SKELETON = {
+    "name": "fuzz",
+    "n": 3,
+    "curvatures": {"flat": SPLINE_FLAT, "ramp": SPLINE_RAMP},
+    "manifold": {**SPLINE_FLAT, "n": 3, "t_max": 5.0},
+    "commands": [
+        "threshold",
+        {"task": "growth", "denominator": "ramp", "horizons": [1.0, 4.0],
+         "dominated": True},
+        {"task": "check-corollary", "g": "ramp", "numerator": "manifold",
+         "horizons": [1.0, 4.0]},
+        {"task": "triangle", "surface": "ramp", "sides": [1.0, 1.5, 2.0]},
+    ],
+    "output_dir": "out",
+}
+
+# letters only, so a mutated output_dir stays inside the working directory
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**64, 2**64),
+    st.sampled_from([10**30, -10**30, 10**400]), st.floats(),
+    st.text(alphabet="abnr", max_size=4), st.lists(st.floats(-10, 10), max_size=3),
+    st.dictionaries(st.text(alphabet="abnr", max_size=3), st.integers(), max_size=2),
+)
+
+
+def _field_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _strict_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_scenario_documents_exit_cleanly(data):
+    """One field of a valid document is mutated per example; the run must
+    end in exit status 0, 1 or 2 and leave only strict JSON reports."""
+    doc = copy.deepcopy(FUZZ_SKELETON)
+    kind = data.draw(st.sampled_from(["replace", "delete", "dimension", "file"]))
+    if kind == "dimension":
+        doc["n"] = doc["manifold"]["n"] = data.draw(st.integers(2, 10**4))
+    elif kind == "file":
+        doc["output_dir"] = "taken"
+    else:
+        paths = list(_field_paths(doc))[1 if kind == "delete" else 0:]
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+        else:
+            doc = data.draw(JSON_VALUES)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("taken").write_text("")
+            Path("scenario.json").write_text(json.dumps(doc))
+            assert cli.run("scenario.json") in (0, 1, 2)
+            for report in Path(tmp).rglob("report.json"):
+                json.loads(report.read_text(), parse_constant=_strict_constant)
+        finally:
+            os.chdir(cwd)

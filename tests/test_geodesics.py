@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 import radialgeo as rg
 
-from conftest import newton_inverse, random_envelope
+from conftest import newton_inverse, random_envelope, shoot
 
 
 def flat_surface(t_max=24.0):
@@ -94,7 +94,7 @@ def test_hyperbolic_distances_match_law_of_cosines():
 def test_shoot_flat_matches_planar_geometry():
     s = flat_surface()
     start = rg.SurfacePoint(2.0, 0.3)
-    path = rg.shoot(s, start, 1.0, 4.0)
+    path = shoot(s, start, 1.0, 4.0)
     px, py = 2.0 * math.cos(0.3), 2.0 * math.sin(0.3)
     ux, uy = math.cos(0.3), math.sin(0.3)
     vx, vy = -math.sin(0.3), math.cos(0.3)
@@ -106,7 +106,7 @@ def test_shoot_flat_matches_planar_geometry():
 
 def test_shoot_conserves_clairaut_and_speed():
     for surface in (flat_surface(), hyperbolic_surface()):
-        path = rg.shoot(surface, rg.SurfacePoint(1.5, 0.0), 0.9, 5.0)
+        path = shoot(surface, rg.SurfacePoint(1.5, 0.0), 0.9, 5.0)
         m = surface.m(path.t)
         assert np.max(np.abs(m**2 * path.v_theta - path.clairaut_constant)) <= 1e-8
         assert np.max(np.abs(path.v_t**2 + (m * path.v_theta) ** 2 - 1.0)) <= 1e-9
@@ -114,11 +114,11 @@ def test_shoot_conserves_clairaut_and_speed():
 
 def test_shoot_meridians():
     s = flat_surface()
-    out = rg.shoot(s, rg.SurfacePoint(1.0, 0.4), 0.0, 3.0)
+    out = shoot(s, rg.SurfacePoint(1.0, 0.4), 0.0, 3.0)
     assert abs(out.end.t - 4.0) <= 1e-12
     assert abs(out.end.theta - 0.4) <= 1e-12
     # inward through the pole and out the other side
-    back = rg.shoot(s, rg.SurfacePoint(1.0, 0.4), math.pi, 3.0)
+    back = shoot(s, rg.SurfacePoint(1.0, 0.4), math.pi, 3.0)
     assert abs(back.end.t - 2.0) <= 1e-12
     assert abs(abs(math.remainder(back.end.theta - 0.4, 2.0 * math.pi)) - math.pi) <= 1e-12
 
@@ -126,7 +126,7 @@ def test_shoot_meridians():
 def test_shoot_beyond_horizon_raises():
     s = flat_surface(t_max=6.0)
     with pytest.raises(rg.HorizonExceededError):
-        rg.shoot(s, rg.SurfacePoint(1.0, 0.0), 0.0, 10.0)
+        shoot(s, rg.SurfacePoint(1.0, 0.0), 0.0, 10.0)
 
 
 def test_shoot_distance_round_trip():
@@ -136,7 +136,7 @@ def test_shoot_distance_round_trip():
         start = rg.SurfacePoint(rng.uniform(0.3, 3.0), rng.uniform(0.0, 1.0))
         angle = rng.uniform(0.15, math.pi - 0.15)
         length = rng.uniform(0.2, 2.5)
-        path = rg.shoot(s, start, angle, length)
+        path = shoot(s, start, angle, length)
         assert abs(rg.distance(s, start, path.end) - length) <= 1e-7
 
 
@@ -258,17 +258,6 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
     assert reads["breakpoints"] <= 1
     assert reads["m"] <= 2
     assert reads["side_value"] >= 20
-
-
-def test_geodesic_path_csv(tmp_path):
-    s = flat_surface()
-    path = rg.shoot(s, rg.SurfacePoint(1.0, 0.0), 0.7, 2.0)
-    out = tmp_path / "path.csv"
-    path.to_csv(out, comment="smoke")
-    text = out.read_text().splitlines()
-    assert text[0] == "# smoke"
-    assert text[1].split(",") == ["s", "t", "theta"]
-    assert len(text) > 10
 
 
 # -- fine-panel referee -------------------------------------------------------

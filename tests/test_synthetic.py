@@ -1,7 +1,5 @@
 """Synthetic rotationally symmetric manifolds: solve then extract."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,66 +16,10 @@ def generating_curvature():
 def test_round_trip_exact_path():
     k = generating_curvature()
     mfd = rg.RotSymManifold.from_curvature(3, k, t_max=12.0)
-    assert not mfd.profile_derived
+    assert mfd.curvature is k
     ts = np.linspace(0.0, 10.0, 2001)
     err = np.max(np.abs(mfd.radial_sectional(ts) - k(ts)))
     assert err <= 1e-6
-
-
-def test_round_trip_hidden_path():
-    # values-only reconstruction: the curvature object is withheld, the
-    # second derivative comes from the sampled profile
-    k = generating_curvature()
-    mfd = rg.RotSymManifold.from_curvature(3, k, t_max=12.0, hide_curvature=True)
-    assert mfd.profile_derived
-    assert mfd.curvature is None
-    ts = np.linspace(0.05, 10.0, 2001)
-    err = np.max(np.abs(mfd.radial_sectional(ts) - k(ts)))
-    assert err <= 1e-4
-
-
-def test_radial_ricci_equals_sectional_for_models():
-    # every 2-plane through the radial direction carries the same curvature
-    mfd = rg.RotSymManifold.from_curvature(4, generating_curvature(), t_max=10.0)
-    ts = np.linspace(0.1, 9.0, 401)
-    assert np.max(np.abs(mfd.radial_ricci(ts) - mfd.radial_sectional(ts))) <= 1e-12
-
-
-def test_curvature_envelope_declared_is_exact():
-    # all directions carry the same radial value, so the direction-min is
-    # the generating curvature itself
-    k = generating_curvature()
-    mfd = rg.RotSymManifold.from_curvature(3, k, t_max=12.0)
-    env = mfd.curvature_envelope()
-    ts = np.linspace(0.0, 11.0, 1101)
-    assert np.max(np.abs(env(ts) - k(ts))) == 0.0
-
-
-def test_curvature_envelope_hidden_close_to_truth():
-    k = generating_curvature()
-    mfd = rg.RotSymManifold.from_curvature(3, k, t_max=12.0, hide_curvature=True)
-    env = mfd.curvature_envelope(t_max=10.0)
-    # on its own sample grid the reconstruction carries the full contract
-    grid = np.arange(1, 640) / 64.0
-    assert np.max(np.abs(env(grid) - k(grid))) <= 1e-4
-    # between samples the spline smooths the (unknown) tail junction kink
-    ts = np.linspace(0.05, 10.0, 1001)
-    assert np.max(np.abs(env(ts) - k(ts))) <= 5e-3
-
-
-def test_ray_mass_full_sphere_for_nonpositive_curvature():
-    mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=10.0)
-    assert abs(mfd.ray_mass() - 4.0 * math.pi) <= 1e-12
-    hyp = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.constant(-1.0), t_max=10.0)
-    assert abs(hyp.ray_mass() - 4.0 * math.pi) <= 1e-12
-
-
-def test_ball_volume_delegates_to_model():
-    k = generating_curvature()
-    mfd = rg.RotSymManifold.from_curvature(3, k, t_max=12.0)
-    for r in (0.5, 2.0, 8.0):
-        expect = rg.model_ball_volume(3, mfd.warping, r)
-        assert abs(mfd.ball_volume(r) - expect) <= 1e-12 * max(1.0, expect)
 
 
 def test_json_round_trip():
@@ -88,14 +30,6 @@ def test_json_round_trip():
     assert back.dimension == 3
     ts = np.linspace(0.0, 11.0, 401)
     assert np.max(np.abs(back.warping.m(ts) - mfd.warping.m(ts))) <= 1e-11
-
-
-def test_hidden_manifold_rejects_serialization():
-    mfd = rg.RotSymManifold.from_curvature(
-        3, generating_curvature(), t_max=12.0, hide_curvature=True
-    )
-    with pytest.raises(rg.UnsupportedManifoldError):
-        mfd.to_json()
 
 
 def test_dimension_validation():

@@ -80,7 +80,7 @@ def test_growth_ratio_flat_over_flat_is_one():
     w2 = rg.solve_warping(rg.RadialCurvature.zero(), 18.0)
     gr = rg.growth_ratio(3, w1, w2, rg.DEFAULT_HORIZONS, dominated=True)
     assert gr.monotone_nonincreasing
-    assert abs(gr.limit_estimate - 1.0) <= 1e-9
+    assert abs(gr.samples[-1][3] - 1.0) <= 1e-9
     for _, _, _, ratio in gr.samples:
         assert abs(ratio - 1.0) <= 1e-10
 
@@ -93,7 +93,7 @@ def test_growth_ratio_flat_over_hyperbolic_decays():
     assert rg.bishop_monotonicity_check(gr)
     ratios = [s[3] for s in gr.samples]
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
-    assert gr.limit_estimate <= 1e-6
+    assert gr.samples[-1][3] <= 1e-6
 
 
 def test_growth_ratio_violation_reported():
