@@ -133,8 +133,10 @@ HALF_TAIL = {"kind": "constant", "c": -0.5}
     {"core": {"kind": "formula", "expr": "-1 if t < 0.5 else -0.5"}, "tail": HALF_TAIL},
     {"core": {"kind": "formula", "expr": "-0.5 * (0 <= t < 2)"}, "tail": HALF_TAIL},
     {"core": {"kind": "formula", "expr": "(t > 0.5 and -0.5) or -1"}, "tail": HALF_TAIL},
+    # an integer no float can hold
+    {"core": {**FLAT_CORE, "values": [0.0, 10**400]}, "tail": {"kind": "zero"}},
 ], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values",
-        "formula-branch", "formula-chained", "formula-boolean"])
+        "formula-branch", "formula-chained", "formula-boolean", "huge-int"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
     doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
@@ -145,7 +147,7 @@ def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     assert err.startswith("error: scenario.curvatures.bad: ")
 
 
-@pytest.mark.parametrize("t_max", ["far", None, float("nan"), 0.0])
+@pytest.mark.parametrize("t_max", ["far", None, float("nan"), 0.0, 1e17])
 def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
     doc = base_scenario()
     doc["manifold"]["t_max"] = t_max

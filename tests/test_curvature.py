@@ -101,6 +101,13 @@ def test_moment_rejects_sign_indefinite_input():
         rg.moment_integral(k)
 
 
+def test_moment_rejects_breakpoints_too_far_apart():
+    # the log splits between 5e-324 and 1 would need a ratio past the float range
+    k = rg.RadialCurvature.from_spline([0.0, 5e-324, 1.0], [-1.0, -1.0, 0.0])
+    with pytest.raises(rg.DomainError, match="too far apart"):
+        rg.moment_integral(k)
+
+
 def test_envelope_is_pointwise_min():
     k1 = rg.RadialCurvature.from_spline([0.0, 0.7, 1.4, 2.1], [-1.2, -0.3, -0.8, 0.0])
     k2 = rg.RadialCurvature.from_spline(

@@ -190,6 +190,18 @@ def test_too_rough_curvature_raises_domain_error():
         rg.solve_warping(formula("-1.0 + 0.5 * sin(1e5 * t)", -1.0 + 0.5 * np.sin(2e5)), 4.0)
 
 
+@pytest.mark.parametrize("c, horizon, match", [
+    # about 250 equal steps per cell near t = 0, 16 per cell allowed on average
+    (1e9, 5.0, "too large to solve"),
+    (-1e9, 5.0, "too large to solve"),
+    # 6.4e18 nodes
+    (-1.0, 1e17, "t_max must lie in"),
+], ids=["huge-positive", "huge-negative", "far-horizon"])
+def test_out_of_budget_solve_raises_domain_error(c, horizon, match):
+    with pytest.raises(rg.DomainError, match=match):
+        rg.solve_warping(rg.RadialCurvature.from_spline([0.0, 1.0], [c, 0.0]), horizon)
+
+
 def test_conjugate_point_detected():
     # k >= 1 on most of [0, 3.5] forces the profile to vanish near pi < 4
     k = rg.RadialCurvature.from_spline([0.0, 3.5, 4.0], [1.0, 1.0, 0.0])
