@@ -1,10 +1,15 @@
 """Volume calculus for rotationally symmetric balls and spheres.
 
-Unit-sphere volumes come from the dimension recurrence so no special
-functions are needed; the cap fraction (normalized integral of sin^(n-2))
-and cap volumes share the same quadrature kernel, which makes the identity
-cap_volume = omega_{n-1} * cap_fraction numerically tight. A ball volume in
-a model is omega_{n-1} times the integral of m^(n-1), which each warping
+The integrals of sin^q behind sphere and cap volumes have closed forms in
+beta functions: over [0, pi/2] the integral is B((q + 1)/2, 1/2) / 2, and
+the cap fraction F(r) (the integral over [0, r] normalized by the one over
+[0, pi]) is I(sin^2 r; (q + 1)/2, 1/2) / 2 for r <= pi/2, with I the
+regularized incomplete beta function (DLMF 8.17). Past pi/2 the fraction is
+1 - F(pi - r), so the reflection identity holds exactly. Unit-sphere volumes
+come from the dimension recurrence omega_k = omega_{k-1} B(k/2, 1/2). A cap
+volume is omega_{n-2} times the integral of sin^(n-2) up to its angle, so
+comparing it with omega_{n-1} * F checks the recurrence. A ball volume in a
+model is omega_{n-1} times the integral of m^(n-1), which each warping
 solution reads from a cumulative table over its cells (built once per
 exponent, exact for the piecewise quintic interpolant) plus one Gauss panel
 in the cell holding the radius.
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .curvature import NEG_INFINITY, RadialCurvature
 from .errors import ConditionB1ViolatedError, DomainError, HorizonExceededError
@@ -32,24 +37,7 @@ def _sin_power_half_integral(q: int) -> float:
     """Integral of sin(t)^q over [0, pi/2]."""
     if q == 0:
         return math.pi / 2.0
-    val, _ = integrate.quad(lambda t: math.sin(t) ** q, 0.0, math.pi / 2.0,
-                            epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
-
-
-def _sin_power_integral(q: int, upper: float) -> float:
-    """Integral of sin(t)^q over [0, upper], upper in [0, pi].
-
-    Split at pi/2 so symmetric arguments give exactly symmetric values
-    (in particular the half-sphere value is exact by construction).
-    """
-    if upper <= math.pi / 2.0:
-        if q == 0:
-            return upper
-        val, _ = integrate.quad(lambda t: math.sin(t) ** q, 0.0, upper,
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-    return 2.0 * _sin_power_half_integral(q) - _sin_power_integral(q, math.pi - upper)
+    return 0.5 * float(special.beta(0.5 * (q + 1), 0.5))
 
 
 @lru_cache(maxsize=None)
@@ -69,15 +57,17 @@ def cap_fraction(n: int, r: float) -> float:
     """Fraction of unit (n-1)-sphere volume within angular radius r.
 
     Strictly increasing bijection [0, pi] -> [0, 1]; equals 1/2 at pi/2 for
-    every dimension by symmetry (the reflection identity
-    F(pi - r) = 1 - F(r) holds exactly by construction).
+    every dimension by symmetry. Past pi/2 it is computed as 1 - F(pi - r),
+    so the reflection identity F(pi - r) = 1 - F(r) holds exactly whenever
+    pi - r is exact (r in [pi/2, pi]).
     """
     _check_dim(n)
     if not 0.0 <= r <= math.pi + 1e-15:
         raise DomainError(f"angular radius must lie in [0, pi], got {r}")
     r = min(r, math.pi)
-    full = 2.0 * _sin_power_half_integral(n - 2)
-    return _sin_power_integral(n - 2, r) / full
+    if r > math.pi / 2.0:
+        return 1.0 - cap_fraction(n, math.pi - r)
+    return 0.5 * float(special.betainc(0.5 * (n - 1), 0.5, math.sin(r) ** 2))
 
 
 def cap_volume(n: int, delta: float) -> float:
@@ -86,7 +76,8 @@ def cap_volume(n: int, delta: float) -> float:
     _check_dim(n)
     if not 0.0 <= delta <= math.pi + 1e-15:
         raise DomainError(f"cap angle must lie in [0, pi], got {delta}")
-    return unit_sphere_volume(n - 2) * _sin_power_integral(n - 2, min(delta, math.pi))
+    sin_integral = 2.0 * _sin_power_half_integral(n - 2) * cap_fraction(n, delta)
+    return unit_sphere_volume(n - 2) * sin_integral
 
 
 def _check_dim(n: int):

@@ -239,7 +239,9 @@ class WarpingSolution:
         nodes, weights, powers = _gauss_rule(5 * q // 2 + 1)
         table = self._power_tables.get(q)
         if table is None:
-            cells = 0.5 * np.diff(self.grid) * (weights @ self._cell_values(powers) ** q)
+            # m^q overflows at large q: the caller rejects the infinite volume
+            with np.errstate(over="ignore"):
+                cells = 0.5 * np.diff(self.grid) * (weights @ self._cell_values(powers) ** q)
             table = self._power_tables[q] = np.concatenate([[0.0], np.cumsum(cells)])
         t = min(max(float(t), 0.0), self.t_max)
         i = int(np.searchsorted(self.grid, t, side="right")) - 1
@@ -247,7 +249,8 @@ class WarpingSolution:
         if t == lo:
             return float(table[i])
         mid, half = 0.5 * (t + lo), 0.5 * (t - lo)
-        vals = self._m_poly(mid + half * nodes) ** q
+        with np.errstate(over="ignore"):
+            vals = self._m_poly(mid + half * nodes) ** q
         return float(table[i] + half * (vals @ weights))
 
     def km_integral(self, t):

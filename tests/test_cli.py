@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,18 @@ def test_large_dimension_growth_exits_one(tmp_path, capsys, n):
     assert code == 1
     assert report is None
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_large_dimension_growth_warns_nothing(tmp_path, capsys):
+    # the overflow of m^(n-1) is reported once, as the error, with no
+    # numpy warning before it
+    doc = base_scenario(n=300, manifold={**SPLINE_FLAT, "n": 300, "t_max": 17.0},
+                        commands=[{"task": "growth", "denominator": "flat"}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report, _ = run_cli(tmp_path, doc)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("use_flag", [False, True])

@@ -190,6 +190,10 @@ def test_moment_error_estimate_is_honest():
         mi = rg.moment_integral(env)
         assert math.isfinite(mi.value)
         assert mi.abs_error <= 1e-8
+        pts = [float(t) for t in env.breakpoints if 0.0 < t < env.t_tail]
+        want = quad(lambda t: t * env(t), 0.0, env.t_tail, points=pts or None, limit=200,
+                    epsabs=1e-13, epsrel=1e-13)[0] + env.tail.moment(env.t_tail, env.t_tail)
+        assert abs(mi.value - want) <= mi.abs_error + 1e-15
 
 
 def test_far_anchored_envelope_moment_matches_split_referee():
@@ -218,9 +222,21 @@ def test_far_anchored_envelope_moment_matches_split_referee():
     assert got.abs_error <= 1e-8
 
 
+def _counting(k):
+    """k behind a formula core that records each array call."""
+    calls = []
+    counted = rg.RadialCurvature(
+        rg.FormulaCore(lambda t: calls.append(t.size) or k(t), breakpoints=k.breakpoints),
+        k.tail, k.t_tail)
+    counted.is_nonpositive()
+    calls.clear()
+    return counted, calls
+
+
 def test_moment_of_evenly_knotted_cores_adds_no_split_points():
     # no gap between consecutive knots h, 2h, ... exceeds a factor of 2, so
-    # the moment is the one quad over the knots, bit for bit
+    # the panels are the knot intervals, on which t * k is a polynomial that
+    # both rules integrate exactly: one array call of k, no bisection
     rng = np.random.default_rng(7)
     for _ in range(20):
         t_tail = rng.uniform(0.8, 3.0)
@@ -229,11 +245,47 @@ def test_moment_of_evenly_knotted_cores_adds_no_split_points():
         env = rg.nonpositive_min(rg.RadialCurvature.from_spline(
             knots, values, tail=rg.PowerLawTail(values[-1], rng.uniform(3.0, 4.5))))
         pts = [float(t) for t in env.breakpoints if 0.0 < t < env.t_tail]
-        core, err = quad(lambda t: t * env(t), 0.0, env.t_tail, points=pts or None,
-                         limit=max(200, 10 * (len(pts) + 1)), epsabs=1e-12, epsrel=1e-12)
-        got = rg.moment_integral(env)
-        assert got.value == core + env.tail.moment(env.t_tail, env.t_tail)
-        assert got.abs_error == err
+        core = quad(lambda t: t * env(t), 0.0, env.t_tail, points=pts or None,
+                    limit=max(200, 10 * (len(pts) + 1)), epsabs=1e-12, epsrel=1e-12)[0]
+        want = core + env.tail.moment(env.t_tail, env.t_tail)
+        counted, calls = _counting(env)
+        got = rg.moment_integral(counted)
+        assert abs(got.value - want) <= 1e-14 * abs(want)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("breakpoints", [None, [0.0, 0.5, 1.0, 1.5, 2.0]], ids=["1", "4"])
+@pytest.mark.parametrize("expr, kink, c", [
+    ("-0.5 - 0.3*abs(t - 1.003)", 1.003, -0.7991),
+    ("where(t < 1.003, -1.0, -0.5)", 1.003, -0.5),
+    ("where(t < 0.9999999, -1.0, -0.5)", 0.9999999, -0.5),
+    ("minimum(-0.6, -1.2 + 0.45*t*t)", math.sqrt(0.6 / 0.45), -0.6),
+    ("-sqrt(abs(t - 1.0))", 1.0, -1.0),
+])
+def test_moment_of_formula_core_with_kink_inside_a_panel(expr, kink, c, breakpoints):
+    # the kink, jump or cusp is no breakpoint: bisection finds it, also
+    # where it lies between the centre or an end of a panel and the nearest
+    # node of either rule (1.003 in [0, 2], and in [1, 2] after one bisection)
+    t_tail = 2.0
+    core = {"kind": "formula", "expr": expr}
+    if breakpoints is not None:
+        core["breakpoints"] = breakpoints
+    k = rg.RadialCurvature.from_json(
+        {"core": core, "tail": {"kind": "power_law", "c": c, "p": 3.0}, "t_tail": t_tail})
+    want = k.tail.moment(t_tail, t_tail) + sum(
+        quad(lambda t: t * k(t), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for lo, hi in ((0.0, kink), (kink, t_tail)))
+    got = rg.moment_integral(k)
+    assert abs(got.value - want) <= 1e-10
+    assert abs(got.value - want) <= got.abs_error + 1e-14
+    assert got.abs_error <= 1e-10
+
+
+def test_moment_of_too_rough_core_raises():
+    core = rg.FormulaCore(lambda t: -1.0 + 0.5 * np.sin(1e5 * t))
+    k = rg.RadialCurvature(core, rg.PowerLawTail(float(core(1.0)), 3.0), 1.0)
+    with pytest.raises(rg.DomainError, match="too fast"):
+        rg.moment_integral(k)
 
 
 @st.composite

@@ -47,6 +47,24 @@ def test_cap_fraction_trivials_and_symmetry():
     assert abs(rg.cap_fraction(3, 2.0 * math.pi / 3.0) - 0.75) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [3, 4, 300, 3000, 10**4])
+def test_cap_fraction_matches_mpmath_at_any_dimension(n):
+    # referee: the regularized incomplete beta function at 50 digits, at
+    # every angle where the fraction is a normal float
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for r in np.linspace(0.05, math.pi - 0.05, 13):
+        r = float(r)
+        lower = mp.betainc((n - 1) / mp.mpf(2), 0.5, 0, mp.sin(mp.mpf(r)) ** 2,
+                           regularized=True) / 2
+        want = lower if r <= math.pi / 2.0 else 1 - lower
+        if want > 1e-300:
+            assert abs(rg.cap_fraction(n, r) - want) <= 1e-12 * want, r
+        # reflection, bit for bit: pi - r is exact for r in [pi/2, pi]
+        if r >= math.pi / 2.0:
+            assert rg.cap_fraction(n, r) == 1.0 - rg.cap_fraction(n, math.pi - r)
+
+
 def test_cap_volume_consistent_with_fraction():
     # cap_volume integrates sin^{n-2} directly; the fraction normalizes by a
     # separately computed total, so agreement checks the sphere recurrence
