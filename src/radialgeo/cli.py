@@ -4,7 +4,7 @@ A scenario file is a JSON document naming curvature functions, optionally a
 synthetic manifold, and a list of task commands. Running it produces a
 deterministic report.json plus CSV curves for the plot-producing tasks; exit
 status separates "hypotheses not met" (2) from genuine failure (1) so sweep
-scripts can branch on it.
+scripts can branch on it; a command-line usage error exits 1 too.
 
 Example scenario::
 
@@ -45,7 +45,8 @@ from .errors import GeometryError, ScenarioError
 from .geodesics import comparison_triangle, gauss_bonnet_residual
 from .synthetic import RotSymManifold
 from .volume import growth_ratio
-from .warping import DEFAULT_REL_TOL, ModelSurface, default_horizon, solve_warping
+from .warping import (_REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface,
+                      default_horizon, solve_warping)
 
 _TASKS = ("threshold", "growth", "triangle", "gauss-bonnet",
           "check-main", "check-corollary")
@@ -80,7 +81,7 @@ def _positive_finite(value) -> bool:
 class _Scenario:
     """Validated scenario with constructed geometry objects."""
 
-    def __init__(self, doc: dict, rel_tol: float, horizon: float | None):
+    def __init__(self, doc: dict, rel_tol: float):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario: top level must be a JSON object")
         self.name = _field(doc, "name", str, "scenario", "a string")
@@ -88,10 +89,10 @@ class _Scenario:
         if n < 2:
             _fail("scenario.n", f"dimension must be >= 2, got {n}")
         self.n = n
-        if horizon is not None and not (horizon > 0 and math.isfinite(horizon)):
-            _fail("--horizon", f"expected a positive finite number, got {horizon}")
+        if not _REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX:  # also rejects NaN
+            _fail("--tol", f"expected a number in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], "
+                           f"got {rel_tol}")
         self.rel_tol = rel_tol
-        self.horizon = horizon
         self.output_dir = _field(doc, "output_dir", str, "scenario",
                                  "a string path", required=False, default=".")
 
@@ -147,8 +148,7 @@ class _Scenario:
 
     def surface(self, cname: str, needed_radius: float, path: str) -> ModelSurface:
         k = self.curvature(cname, path)
-        t_max = max(default_horizon(k), needed_radius * 1.05,
-                    self.horizon or 0.0)
+        t_max = max(default_horizon(k), needed_radius * 1.05)
         key = (cname, round(t_max, 9))
         if key not in self._surfaces:
             self._surfaces[key] = ModelSurface.from_curvature(
@@ -340,8 +340,7 @@ def _select_commands(scn: _Scenario, task_filter: str | None):
     return chosen
 
 
-def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL,
-        horizon=None, tasks=None) -> int:
+def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL, tasks=None) -> int:
     """Execute a scenario file; returns the process exit status."""
     try:
         with open(scenario_path) as fh:
@@ -354,7 +353,7 @@ def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL,
         return 1
 
     try:
-        scn = _Scenario(doc, rel_tol, horizon)
+        scn = _Scenario(doc, rel_tol)
         outdir = Path(out_dir) if out_dir else Path(scn.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         records = []
@@ -398,14 +397,15 @@ def main(argv=None) -> int:
                         help="output directory (default: scenario's output_dir)")
     parser.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                         help="requested relative accuracy of the warping solves")
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="minimum solving horizon for surfaces")
     parser.add_argument("--tasks", default=None,
                         help="comma-separated task subset overriding the "
                              "scenario's command list")
-    args = parser.parse_args(argv)
-    return run(args.scenario, out_dir=args.out, rel_tol=args.tol,
-               horizon=args.horizon, tasks=args.tasks)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; exit 2 would read as Inconclusive
+        return 1 if exc.code else 0
+    return run(args.scenario, out_dir=args.out, rel_tol=args.tol, tasks=args.tasks)
 
 
 if __name__ == "__main__":

@@ -375,13 +375,8 @@ def _compile_expr(expr: str) -> Callable:
     code = compile(tree, "<curvature formula>", "eval")
 
     def func(t):
-        return np.broadcast_to(
-            np.asarray(eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t}),
-                       dtype=float),
-            np.shape(t),
-        ).copy() if np.ndim(t) else float(
-            eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t})
-        )
+        out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t})
+        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
 
     return func
 

@@ -157,12 +157,10 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     turning = target > crit
     f = lambda nu: _side_value(surface, _SideGeodesic(nu, turning, r1, r2, m1, m2),
                                part) - target
-    if not turning:
-        # value increases with nu from ~0 (radial limit) to crit
-        lo_br, hi_br = nu_c * 1e-15, nu_c
-    else:
-        # value decreases with nu; small nu passes near the pole
-        lo_br, hi_br = nu_c * 1e-15, nu_c
+    # the value increases with nu from ~0 (radial limit) to crit, or, on the
+    # turning branch, decreases with nu; small nu passes near the pole
+    lo_br, hi_br = nu_c * 1e-15, nu_c
+    if turning:
         for _ in range(6):
             if f(lo_br) > 0.0:
                 break

@@ -26,17 +26,15 @@ class RotSymManifold:
     """Complete rotationally symmetric n-manifold with metric
     dt^2 + g(t)^2 dtheta^2 around a pole, g solved from a radial curvature.
 
-    The generating curvature is kept: radial curvature queries differentiate
-    the stored dense profile, which is exact at the solver grid nodes, and
-    serialization writes the curvature back out.
+    The generating curvature is the warping's: radial curvature queries
+    differentiate the stored dense profile, which is exact at the solver grid
+    nodes, and serialization writes the curvature back out.
     """
 
-    def __init__(self, dimension: int, warping: WarpingSolution,
-                 curvature: RadialCurvature):
+    def __init__(self, dimension: int, warping: WarpingSolution):
         _check_dim(dimension)
         self._n = int(dimension)
         self._warping = warping
-        self._curvature = curvature
 
     @classmethod
     def from_curvature(cls, dimension: int, curvature: RadialCurvature,
@@ -44,7 +42,7 @@ class RotSymManifold:
                        rel_tol: float = DEFAULT_REL_TOL) -> "RotSymManifold":
         if t_max is None:
             t_max = default_horizon(curvature)
-        return cls(dimension, solve_warping(curvature, t_max, rel_tol), curvature)
+        return cls(dimension, solve_warping(curvature, t_max, rel_tol))
 
     @property
     def dimension(self) -> int:
@@ -61,7 +59,7 @@ class RotSymManifold:
     @property
     def curvature(self) -> RadialCurvature:
         """Generating curvature."""
-        return self._curvature
+        return self._warping.k
 
     def radial_sectional(self, t):
         """Sectional curvature of planes containing the radial direction,
@@ -79,7 +77,7 @@ class RotSymManifold:
 
     def to_json(self) -> dict:
         doc = {"n": self._n}
-        doc.update(self._curvature.to_json())
+        doc.update(self.curvature.to_json())
         doc["t_max"] = self.t_max
         return doc
 

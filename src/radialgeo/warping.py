@@ -10,10 +10,10 @@ about the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in
 one array call per block of cells (high-order Taylor methods for linear ODEs:
 Jorba and Zou, *Experimental Mathematics* 14, 2005). The requested relative
 accuracy ``rel_tol`` sets the number of Taylor terms; a cell where the
-interpolant misses k (a kink or jump of a formula core) is bisected into
-pieces with their own matrices; a cell with large |k| is split into equal
-steps; a conjugate point is the root of the series of the step where m
-first reaches zero. From the node data the solution is rebuilt as a
+interpolant misses k (a kink or jump of a formula core) or where |k| is
+large is bisected into pieces with their own matrices; a conjugate point is
+the root of the series of the piece where m first reaches zero. From the
+node data the solution is rebuilt as a
 piecewise quintic (values, slopes, and the exact second derivative -k*m at
 every node), which keeps interpolation error far below the solver
 tolerance.
@@ -88,13 +88,13 @@ _FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
 _CHECK = np.concatenate([
     np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB, _FIT_DEGREE))[-2:],
     np.vander([-1.0, 1.0], _FIT_DEGREE + 1, increasing=True) @ _FIT])
-# pieces, and steps, per cell at most on average before the curvature counts
-# as too rough or too large for the node grid; bounds the memory of a block
+# pieces per cell at most on average before the curvature counts as too
+# rough or too large for the node grid; bounds the memory of a block
 _MAX_PIECES_PER_CELL = 16
 # cells solved together; bounds the memory of a solve whatever its horizon
 _BLOCK_CELLS = 2048
-# Taylor terms per step at most; with sum |kappa_i| <= 1 the series meet
-# the tightest tolerance well before this
+# Taylor terms per piece at most; every piece has sum |kappa_i| <= 1, so the
+# series meet the tightest tolerance well before this
 _MAX_TERMS = 64
 
 
@@ -141,11 +141,11 @@ class WarpingSolution:
     m_values, m_prime_values : ndarray
         Node values; m_values[0] == 0 and m_prime_values[0] == 1 exactly.
 
-    ``m`` and ``m_prime`` evaluate anywhere in [0, t_max], vectorized, and
-    return the node values exactly at every node.
-    ``power_integral(q, t)`` is the integral of m^q over [0, t], read from a
-    cumulative table over the cells that is built on the first call for
-    each q and kept with the solution.
+    ``m``, ``m_prime`` and ``m_second`` evaluate anywhere in [0, t_max],
+    vectorized, and return the node values exactly at every node.
+    ``power_integral(q, t)`` and ``km_integral(t)`` are the integrals of m^q
+    and k*m over [0, t], read from a cumulative table over the cells that
+    is built on the first call for each integrand and kept with the solution.
     """
 
     def __init__(self, k, t_max, rel_tol, grid, m_values, m_prime_values):
@@ -162,36 +162,30 @@ class WarpingSolution:
         self._m_second_poly = self._m_prime_poly.derivative()
         self._t_of_mu = None
         self._breakpoint_values = None
-        self._power_tables = {}
-        self._km_table = None
+        self._tables = {}
 
-    def _check_range(self, t):
+    def _read(self, poly, t):
+        """poly at t after the range check, a float for a scalar t."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr < -1e-12):
             raise DomainError("warping functions are defined for t >= 0")
         if np.any(arr > self.t_max * (1.0 + 1e-12) + 1e-12):
             raise HorizonExceededError(
                 f"evaluation at t = {float(np.max(arr)):.6g} exceeds the solved "
-                f"horizon t_max = {self.t_max:.6g}; re-solve with a larger horizon"
-            )
-        return np.clip(arr, 0.0, self.t_max)
+                f"horizon t_max = {self.t_max:.6g}; re-solve with a larger horizon")
+        out = poly(np.clip(arr, 0.0, self.t_max))
+        return float(out) if np.ndim(t) == 0 else out
 
     def m(self, t):
-        arr = self._check_range(t)
-        out = self._m_poly(arr)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._read(self._m_poly, t)
 
     def m_prime(self, t):
-        arr = self._check_range(t)
-        out = self._m_prime_poly(arr)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._read(self._m_prime_poly, t)
 
     def m_second(self, t):
         """Second derivative of the interpolated profile (equals -k*m at the
         grid nodes exactly, and to interpolation accuracy in between)."""
-        arr = self._check_range(t)
-        out = self._m_second_poly(arr)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._read(self._m_second_poly, t)
 
     def anchor_state(self):
         """(m, m') at the tail anchor of k from the node values, which the
@@ -224,58 +218,48 @@ class WarpingSolution:
             scale = scale * h
         return powers @ c
 
+    def _integral(self, key, t):
+        """Integral over [0, t] (t clipped to [0, t_max]) of m^key for an
+        integer key >= 1, or of k*m for key "km"; vectorized in t.
+
+        The first call for a key sums an n-point Gauss-Legendre rule over
+        every cell, with m at its nodes from ``_cell_values``, into the table
+        of the integral up to every node: n = floor(5q/2) + 1 is exact on
+        m^q, of degree 5q on a cell, and k*m takes n = 8. A call adds to the
+        entry at the last node i with grid[i] <= t one panel of the rule over
+        [grid[i], t], which is empty at a node.
+        """
+        if key == "km":
+            n, integrand = 8, lambda x, m: np.asarray(self.k(x.ravel())).reshape(x.shape) * m
+        else:
+            n, integrand = 5 * key // 2 + 1, lambda x, m: m ** key
+        nodes, weights, powers = _gauss_rule(n)
+        table = self._tables.get(key)
+        if table is None:
+            half = 0.5 * np.diff(self.grid)
+            x = (self.grid[:-1] + half) + half * nodes[:, None]
+            cells = half * (weights @ integrand(x, self._cell_values(powers)))
+            table = self._tables[key] = np.concatenate([[0.0], np.cumsum(cells)])
+        t = np.clip(np.asarray(t, dtype=float), 0.0, self.t_max)
+        i = np.searchsorted(self.grid, t, side="right") - 1
+        half = 0.5 * (t - self.grid[i])
+        x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
+        out = table[i] + half * (integrand(x, self._m_poly(x)) @ weights)
+        return float(out) if np.ndim(t) == 0 else out
+
     def power_integral(self, q: int, t: float) -> float:
         """Integral of m^q over [0, t] for an integer q >= 1; t is clipped
-        to [0, t_max], with no range check.
-
-        On m^q, a polynomial of degree 5q on each cell, the Gauss-Legendre
-        rule of order floor(5q/2) + 1 is exact. The first call for a given
-        q takes m at the rule's nodes in every cell from ``_cell_values``
-        (one product of the monomial matrix with the power-form coefficients)
-        and keeps the cumulative sums of the cell integrals as the table of
-        the integral up to every node. A call adds to the entry at the last
-        node i with grid[i] <= t one panel of the same rule over [grid[i], t].
-        """
-        nodes, weights, powers = _gauss_rule(5 * q // 2 + 1)
-        table = self._power_tables.get(q)
-        if table is None:
-            # m^q overflows at large q: the caller rejects the infinite volume
-            with np.errstate(over="ignore"):
-                cells = 0.5 * np.diff(self.grid) * (weights @ self._cell_values(powers) ** q)
-            table = self._power_tables[q] = np.concatenate([[0.0], np.cumsum(cells)])
-        t = min(max(float(t), 0.0), self.t_max)
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        lo = self.grid[i]
-        if t == lo:
-            return float(table[i])
-        mid, half = 0.5 * (t + lo), 0.5 * (t - lo)
-        with np.errstate(over="ignore"):
-            vals = self._m_poly(mid + half * nodes) ** q
-        return float(table[i] + half * (vals @ weights))
+        to [0, t_max], with no range check."""
+        # m^q overflows at large q (0 * inf in an empty panel): the caller rejects the volume
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._integral(q, t)
 
     def km_integral(self, t):
         """Integral of k*m over [0, t] (clipped to [0, t_max]), vectorized.
 
         It reads k and m, never m', so it checks 1 - m'(t) independently.
-        As in ``power_integral``, the first call builds a cumulative table
-        of an 8-point Gauss rule over the cells, with m at the nodes of all
-        cells from ``_cell_values``; each t adds one panel of the rule over
-        [grid[i], t].
         """
-        nodes, weights, powers = _gauss_rule(8)
-        if self._km_table is None:
-            half = 0.5 * np.diff(self.grid)
-            x = (self.grid[:-1] + half) + half * nodes[:, None]
-            k = np.asarray(self.k(x.ravel())).reshape(x.shape)
-            cells = half * (weights @ (k * self._cell_values(powers)))
-            self._km_table = np.concatenate([[0.0], np.cumsum(cells)])
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.t_max)
-        i = np.searchsorted(self.grid, t, side="right") - 1
-        half = 0.5 * (t - self.grid[i])
-        x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
-        k = np.asarray(self.k(x.ravel())).reshape(x.shape)
-        out = self._km_table[i] + half * ((k * self._m_poly(x)) @ weights)
-        return float(out) if np.ndim(t) == 0 else out
+        return self._integral("km", t)
 
     def invert(self, mu):
         """t with m(t) = mu, and m'(t), elementwise for an increasing m.
@@ -324,24 +308,23 @@ def solve_warping(k: RadialCurvature, t_max: float,
     k need not be smooth inside a cell: a formula core may have kinks or
     jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
     fit is checked through its two highest Chebyshev coefficients and
-    against k next to both ends of the cell; a cell where it misses is
-    bisected into pieces, each with its own fit and matrix, until the miss
-    is negligible or the piece is a few ulps wide. Each round of bisection
-    is one more array call of k. A curvature that needs more than 16 pieces
-    per cell on average raises DomainError.
+    against k next to both ends of the cell. A cell where it misses, or
+    whose kappa coefficients sum to more than 1 in absolute value
+    ((h/2)^2 |k| > 1 for constant k, which keeps the series short), is
+    bisected into pieces, each with its own fit and matrix, until neither
+    holds or the piece is a few ulps wide. Each round of bisection is one
+    more array call of k. A curvature that needs more than 16 pieces per
+    cell on average (a constant |k| above about 4e6 on the usual pitch), or
+    a piece at the ulp floor whose kappa is still large, raises DomainError.
 
     ``rel_tol`` is the requested relative accuracy. It sets the number of
     Taylor terms: the series stop once the newest two coefficients of every
     piece fall below rel_tol * 1e-3 of the leading ones. The fit check uses
-    the same bound times the piece's half-width. A piece whose kappa
-    coefficients sum to more than 1 in absolute value ((h/2)^2 |k| > 1 for
-    constant k) is split into equal steps whose matrices are multiplied,
-    which keeps the series short without changing the node grid; more than
-    16 steps per cell on average (|k| above about 4e6) raise DomainError.
+    the same bound times the piece's half-width.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing is the root of the series
-    of the step in which m first reaches zero. Raises DomainError when the
+    of the piece in which m first reaches zero. Raises DomainError when the
     solution overflows, and when t_max exceeds 4096.
     """
     if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
@@ -365,28 +348,8 @@ def solve_warping(k: RadialCurvature, t_max: float,
 
 def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: float):
     """(m, m') at nodes[1:] from (m, mp) at nodes[0], by the transfer
-    matrices of the cells between the nodes."""
+    matrices of the pieces of the cells between the nodes."""
     mid, half, cell, kappa = _fitted_pieces(k, nodes, tol)
-
-    # a piece with sum |kappa_i| > 1 becomes n equal steps: kappa re-expanded
-    # about a step's centre in the step's own variable has a coefficient sum
-    # at most 1/n^2 of the piece's
-    n_sub = np.maximum(1.0, np.ceil(np.sqrt(np.sum(np.abs(kappa), axis=0))))
-    if not n_sub.sum() <= _MAX_PIECES_PER_CELL * (nodes.size - 1):  # also NaN
-        raise DomainError(f"curvature is too large to solve on [{nodes[0]:g}, {nodes[-1]:g}]")
-    n_sub = n_sub.astype(int)
-    piece = np.repeat(np.arange(mid.size), n_sub)
-    n = n_sub[piece]
-    index = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    offset = (2 * index + 1) / n - 1.0
-    centre, width = mid[piece] + half[piece] * offset, half[piece] / n
-    if piece.size > mid.size:
-        s = offset + _CHEB[:, None] / n
-        step_samples = np.zeros_like(s)
-        for c in kappa[::-1, piece]:
-            step_samples = step_samples * s + c
-        kappa = _FIT @ (step_samples / n ** 2)
-
     coef = _taylor_coefficients(kappa, tol)
     j = np.arange(coef.shape[0])
     sign = (-1.0) ** j
@@ -399,8 +362,8 @@ def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: floa
     t11 = p1[1] * q0[0] - p1[0] * q0[1]
 
     m_steps, mp_steps = [m], [mp]
-    for a, b, c, d in zip(t00.tolist(), (t01 * width).tolist(),
-                          (t10 / width).tolist(), t11.tolist()):
+    for a, b, c, d in zip(t00.tolist(), (t01 * half).tolist(),
+                          (t10 / half).tolist(), t11.tolist()):
         m, mp = a * m + b * mp, c * m + d * mp
         m_steps.append(m)
         mp_steps.append(mp)
@@ -409,17 +372,17 @@ def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: floa
     vanished = np.flatnonzero(m_steps[1:] <= 0.0)
     if vanished.size:
         i = vanished[0]
-        # the step's series from its midpoint state (m, dm/ds) = Q^-1 (m, r m')
-        m0, ds0 = m_steps[i], width[i] * mp_steps[i]
+        # the piece's series from its midpoint state (m, dm/ds) = Q^-1 (m, r m')
+        m0, ds0 = m_steps[i], half[i] * mp_steps[i]
         series = ((q1[1, i] * m0 - q0[1, i] * ds0) * coef[:, 0, i]
                   + (q0[0, i] * ds0 - q1[0, i] * m0) * coef[:, 1, i])
         s_root = 1.0
         if np.polynomial.polynomial.polyval(1.0, series) < 0.0:
             s_root = brentq(np.polynomial.polynomial.polyval, -1.0, 1.0,
                             args=(series,), xtol=1e-15)
-        raise ConjugatePointError(float(centre[i] + width[i] * s_root))
+        raise ConjugatePointError(float(mid[i] + half[i] * s_root))
 
-    last = np.cumsum(np.bincount(cell, weights=n_sub, minlength=nodes.size - 1)).astype(int)
+    last = np.cumsum(np.bincount(cell, minlength=nodes.size - 1))
     return m_steps[last], mp_steps[last]
 
 
@@ -441,17 +404,20 @@ def _node_grid(k: RadialCurvature, t_max: float) -> np.ndarray:
 
 
 def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
-    """The cells of grid cut into pieces on which the degree-8 fit of k holds,
-    as (midpoint, half-width, cell index, kappa) in the order of t; kappa
-    holds the monomial coefficients (9, pieces) of the fitted
+    """The cells of grid cut into pieces on which the degree-8 fit of k holds
+    and is small, as (midpoint, half-width, cell index, kappa) in the order
+    of t; kappa holds the monomial coefficients (9, pieces) of the fitted
     r^2 k(c + r s).
 
     Besides the Chebyshev points k is sampled one ulp inside either end of a
     piece. The fit misses by the sum of its two highest Chebyshev
     coefficients, or by its distance to those end samples if larger. A piece
     where the miss exceeds tol * r, beyond rounding, is bisected: a miss d
-    in kappa moves m' by about d / r relative to m over the piece. Bisection
-    stops at a half-width of 64 ulps.
+    in kappa moves m' by about d / r relative to m over the piece. So is a
+    piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
+    quarter or less. Bisection stops at a half-width of 64 ulps, where a
+    piece that is still too large for its series raises DomainError, as do
+    more than _MAX_PIECES_PER_CELL pieces per cell on average.
     """
     eps = np.finfo(float).eps
     lo, hi, cell = grid[:-1], grid[1:], np.arange(grid.size - 1)
@@ -466,19 +432,23 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
             raise DomainError(f"curvature is not finite on [0, {grid[-1]:g}]")
         kappa = half ** 2 * samples
         fit = kappa[:_CHEB.size]
-        check = _CHECK @ fit
+        coef, check = _FIT @ fit, _CHECK @ fit
         miss = np.maximum(np.abs(check[0]) + np.abs(check[1]),
                           np.max(np.abs(check[2:] - kappa[_CHEB.size:]), axis=0))
         rounding = 64 * eps * np.max(np.abs(kappa), axis=0)
-        split = (miss > tol * half + rounding) & (half > 64 * eps * np.maximum(1.0, np.abs(mid)))
+        large = np.sum(np.abs(coef), axis=0) > 1.0
+        floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
+        split = ((miss > tol * half + rounding) | large) & ~floor
         keep = ~split
-        pieces.append((mid[keep], half[keep], cell[keep], _FIT @ fit[:, keep]))
+        pieces.append((mid[keep], half[keep], cell[keep], coef[:, keep]))
         budget -= np.count_nonzero(keep)
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         cell = np.tile(cell[split], 2)
-        if lo.size > budget:
+        stuck = mid[large & floor]
+        if stuck.size or lo.size > budget:
             raise DomainError(
-                f"curvature varies too fast for the node grid near t = {float(np.min(lo)):.6g}")
+                "curvature is too large to solve or varies too fast for the node grid "
+                f"near t = {float(np.min(np.concatenate([stuck, lo]))):.6g}")
     if len(pieces) == 1:
         return pieces[0]
     mid, half, cell, kappa = (np.concatenate(part, axis=-1) for part in zip(*pieces))
@@ -488,10 +458,10 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
 
 def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
     """Taylor coefficients a_j of the solutions of m'' = -kappa(s) m with
-    (m, m') = (1, 0) and (0, 1) at s = 0, as an array (terms, 2, steps).
+    (m, m') = (1, 0) and (0, 1) at s = 0, as an array (terms, 2, pieces).
 
-    kappa holds the monomial coefficients (9, steps). The series stop once
-    the newest two coefficients of every step are below tol, or after
+    kappa holds the monomial coefficients (9, pieces). The series stop once
+    the newest two coefficients of every piece are below tol, or after
     _MAX_TERMS terms.
     """
     one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])

@@ -203,6 +203,32 @@ def test_nan_horizon_is_rejected(tmp_path, capsys):
     assert "--horizon" in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    ((), "--scenario"),
+    (("--scenario", "s.json", "--no-such-flag"), "--no-such-flag"),
+    (("--scenario", "s.json", "--tol", "abc"), "--tol"),
+], ids=["missing-scenario", "unknown-flag", "tol-not-a-number"])
+def test_usage_error_returns_one(capsys, args, flag):
+    # argparse's own exit status 2 would read as Inconclusive
+    assert cli.main(list(args)) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_help_returns_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "1.0", "-1"])
+def test_out_of_range_tol_is_rejected_before_any_task(tmp_path, capsys, tol):
+    # a threshold-only document makes no solve that would check rel_tol
+    code, report, _ = run_cli(tmp_path, base_scenario(), extra_args=("--tol", tol))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: --tol: ")
+
+
 def test_unknown_task_lists_valid_names(tmp_path, capsys):
     doc = base_scenario(commands=["no-such-task"])
     code, _, _ = run_cli(tmp_path, doc)

@@ -136,8 +136,11 @@ def formula(expr, end_value):
     (formula("where(t < 1.003, -1.0, -0.5)", -0.5), 8.0, [1.003]),
     (formula("-0.5 - 0.3 * abs(t - 1.003)", -0.5 - 0.3 * 0.997), 8.0, [1.003]),
     (formula("minimum(-0.4, -1.2 + t)", -0.4), 8.0, [0.8]),
+    # (h/2)^2 |k| > 1 on the 1/256 pitch splits every cell, and the kink
+    # inside the cell of 0.1003 splits its halves again
+    (formula("-1e6 - 2e5 * abs(t - 0.1003)", -1e6 - 2e5 * (2.0 - 0.1003)), 0.25, [0.1003]),
 ], ids=["403-knots", "bump", "power-law", "power-law-two-blocks", "formula-jump", "formula-abs",
-        "formula-minimum"])
+        "formula-minimum", "formula-large-abs"])
 def test_nodes_match_dop853_referee(k, horizon, kinks):
     w = rg.solve_warping(k, horizon)
     assert w.m_values[0] == 0.0 and w.m_prime_values[0] == 1.0
@@ -145,6 +148,16 @@ def test_nodes_match_dop853_referee(k, horizon, kinks):
     m_ref, mp_ref = dop853_nodes(k, w.grid, kinks)
     assert np.max(np.abs(w.m_values[1:] - m_ref[1:]) / m_ref[1:]) <= 1e-10
     assert np.max(np.abs(w.m_prime_values - mp_ref) / mp_ref) <= 1e-10
+
+
+def test_integrals_at_the_nodes_are_their_table_entries():
+    # a read at a node adds an empty panel to the cumulative table, so the
+    # growth volumes at the node horizons 2, 4, 8 and 16 are table sums
+    w = rg.solve_warping(SPL, 16.0)
+    for q in (1, 2, 4):
+        assert np.array_equal([w.power_integral(q, t) for t in w.grid], w._tables[q])
+    assert np.array_equal([w.km_integral(t) for t in w.grid], w._tables["km"])
+    assert np.array_equal(w.km_integral(w.grid), w._tables["km"])
 
 
 class CountingCurvature(rg.RadialCurvature):
@@ -188,6 +201,17 @@ def test_too_rough_curvature_raises_domain_error():
     # every cell misses its fit, and so does every half of it, and so on
     with pytest.raises(rg.DomainError, match="varies too fast"):
         rg.solve_warping(formula("-1.0 + 0.5 * sin(1e5 * t)", -1.0 + 0.5 * np.sin(2e5)), 4.0)
+
+
+def test_large_curvature_at_the_ulp_floor_raises_domain_error():
+    # k = -1e30 within 1e-15 of the node t = 1: the pieces next to it reach
+    # the 64-ulp floor with (h/2)^2 |k| still far above 1, where a series cut
+    # at its last term would return m' of order 1e40
+    k = rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": "where(abs(t - 1.0) < 1e-15, -1e30, -1.0)"},
+        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 2.0})
+    with pytest.raises(rg.DomainError, match="too large to solve"):
+        rg.solve_warping(k, 2.0)
 
 
 @pytest.mark.parametrize("c, horizon, match", [
