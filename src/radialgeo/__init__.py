@@ -15,7 +15,6 @@ from .errors import (
     ConjugatePointError,
     DomainError,
     GeometryError,
-    HorizonExceededError,
     ScenarioError,
     SectorExceededError,
     UnboundedError,
@@ -36,12 +35,9 @@ from .warping import (
     DEFAULT_REL_TOL,
     ModelSurface,
     WarpingSolution,
-    default_horizon,
     slope_limit,
-    slope_limit_bounds,
     solve_warping,
     total_curvature_direct,
-    total_curvature_isoperimetric,
 )
 from .volume import (
     BallVolumeClass,
@@ -75,16 +71,14 @@ __all__ = [
     "__version__",
     # errors
     "GeometryError", "DomainError", "ConjugatePointError", "UnboundedError",
-    "HorizonExceededError", "SectorExceededError", "ConditionB1ViolatedError",
-    "ScenarioError",
+    "SectorExceededError", "ConditionB1ViolatedError", "ScenarioError",
     # curvature
     "RadialCurvature", "SplineCore", "FormulaCore", "ZeroTail", "PowerLawTail",
     "ConstantTail", "MomentIntegral", "moment_integral", "nonpositive_min",
     "NEG_INFINITY",
     # warping
-    "WarpingSolution", "solve_warping", "default_horizon", "ModelSurface",
-    "slope_limit", "slope_limit_bounds", "total_curvature_direct",
-    "total_curvature_isoperimetric", "DEFAULT_REL_TOL",
+    "WarpingSolution", "solve_warping", "ModelSurface", "slope_limit",
+    "total_curvature_direct", "DEFAULT_REL_TOL",
     # volume
     "unit_sphere_volume", "cap_fraction", "cap_volume", "model_ball_volume",
     "classify_ball_volume", "BallVolumeClass", "GrowthRatio", "growth_ratio",

@@ -45,8 +45,7 @@ from .errors import GeometryError, ScenarioError
 from .geodesics import comparison_triangle, gauss_bonnet_residual
 from .synthetic import RotSymManifold
 from .volume import growth_ratio
-from .warping import (_REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface,
-                      default_horizon, solve_warping)
+from .warping import _REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface, solve_warping
 
 _TASKS = ("threshold", "growth", "triangle", "gauss-bonnet",
           "check-main", "check-corollary")
@@ -146,14 +145,11 @@ class _Scenario:
                         f"(have: {', '.join(sorted(self.curvatures))})")
         return self.curvatures[cname]
 
-    def surface(self, cname: str, needed_radius: float, path: str) -> ModelSurface:
-        k = self.curvature(cname, path)
-        t_max = max(default_horizon(k), needed_radius * 1.05)
-        key = (cname, round(t_max, 9))
-        if key not in self._surfaces:
-            self._surfaces[key] = ModelSurface.from_curvature(
-                k, t_max=t_max, rel_tol=self.rel_tol)
-        return self._surfaces[key]
+    def surface(self, cname: str, path: str) -> ModelSurface:
+        if cname not in self._surfaces:
+            self._surfaces[cname] = ModelSurface.from_curvature(
+                self.curvature(cname, path), rel_tol=self.rel_tol)
+        return self._surfaces[cname]
 
     def numerator(self, source, path: str):
         if source is None or source == "manifold":
@@ -217,17 +213,13 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
     if not isinstance(numerator, RotSymManifold):
         _fail(f"{path}.numerator", "the growth task needs a manifold numerator")
     horizons = scn.horizons(cmd, path)
-    max_h = max(horizons)
     dominated = cmd.get("dominated", False)
     if not isinstance(dominated, bool):
         _fail(f"{path}.dominated",
               f"expected true or false, got {type(dominated).__name__}")
 
-    num_w = numerator.warping
-    if num_w.t_max < max_h * (1 - 1e-12):
-        num_w = solve_warping(numerator.curvature, max_h, scn.rel_tol)
-    den_w = solve_warping(den_k, max_h, scn.rel_tol)
-    ratio = growth_ratio(scn.n, num_w, den_w, horizons, dominated=dominated)
+    den_w = solve_warping(den_k, max(horizons), scn.rel_tol)
+    ratio = growth_ratio(scn.n, numerator.warping, den_w, horizons, dominated=dominated)
 
     csv_name = f"growth_{idx}.csv"
     ratio.to_csv(outdir / csv_name,
@@ -246,7 +238,7 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
 def _triangle_pieces(scn: _Scenario, cmd: dict, path: str):
     surf_name = _field(cmd, "surface", str, path, "a curvature name")
     sides = scn.sides(cmd, path)
-    surface = scn.surface(surf_name, max(sides[0], sides[1]), f"{path}.surface")
+    surface = scn.surface(surf_name, f"{path}.surface")
     tri = comparison_triangle(surface, *sides)
     residual = gauss_bonnet_residual(surface, tri)
     return surf_name, sides, surface, tri, residual

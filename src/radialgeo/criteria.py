@@ -5,12 +5,13 @@ finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
 threshold; the model curvature is solved once to the last horizon, and that
 solve both decides hypothesis B-1 (do model ball volumes diverge?) and gives
-the denominators of the growth ratio of a synthetic numerator, whose
-declared domination is spot-checked on a grid first. An asserted growth
-bracket passes through instead. The two checks differ only in their verdict
-rules, which compare the growth bracket with the threshold (B-2). Verdicts
-are one-directional: a check certifies the conclusion when the hypotheses
-hold and otherwise reports Inconclusive; it never claims the converse.
+the denominators of the growth ratio of a synthetic numerator, whose solution
+carries itself on to the horizons and whose declared domination is
+spot-checked on a grid first. An asserted growth bracket passes through
+instead. The two checks differ only in their verdict rules, which compare
+the growth bracket with the threshold (B-2). Verdicts are one-directional:
+a check certifies the conclusion when the hypotheses hold and otherwise
+reports Inconclusive; it never claims the converse.
 
 Verdict strings, tri-state values, and the report's JSON field order are wire
 format shared with the command-line front end; do not reword them.
@@ -150,10 +151,6 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
     if numerator.dimension != n:
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
-    mfd = numerator
-    if mfd.t_max < max_h * (1.0 - 1e-12):
-        mfd = RotSymManifold.from_curvature(n, mfd.curvature, t_max=max_h,
-                                            rel_tol=rel_tol)
 
     den_warping = solve_warping(model, max_h, rel_tol)
     classification = classify_ball_volume(n, model, warping=den_warping,
@@ -163,7 +160,7 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
     grid = np.linspace(0.0, max_h, 641)
     # every radial plane has the same curvature on this class, so the one
     # sample stands for the radial Ricci and the radial sectional curvature
-    vals = np.asarray(mfd.radial_sectional(grid))
+    vals = np.asarray(numerator.radial_sectional(grid))
     for bound, label in bounds:
         bound_vals = np.asarray(bound(grid))
         bad = np.nonzero(vals + _DOMINATION_TOL < bound_vals)[0]
@@ -176,7 +173,7 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
 
     # a bounded denominator leaves the ratio well defined pointwise; only its
     # reading as a growth limit needs B-1, which the verdict rules check
-    ratio = _assemble_ratio(n, mfd.warping, den_warping, horizons, True)
+    ratio = _assemble_ratio(n, numerator.warping, den_warping, horizons, True)
     if not ratio.monotone_nonincreasing:
         t0, r0, t1, r1 = ratio.first_violation
         notes.append(f"ratio sequence not monotone: {r0!r} at t = {t0!r} "

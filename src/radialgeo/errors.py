@@ -26,10 +26,6 @@ class UnboundedError(GeometryError):
     """A total (curvature integral, moment, slope limit) diverges."""
 
 
-class HorizonExceededError(GeometryError):
-    """Evaluation requested beyond the solved horizon T_max."""
-
-
 class SectorExceededError(GeometryError):
     """A comparison triangle does not fit inside an angular sector of width pi."""
 

@@ -31,11 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from .errors import (
-    DomainError,
-    HorizonExceededError,
-    SectorExceededError,
-)
+from .errors import DomainError, SectorExceededError
 from .warping import ModelSurface
 
 _POLE_TOL = 1e-13
@@ -179,10 +175,6 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
 
 def distance(surface: ModelSurface, a: SurfacePoint, b: SurfacePoint) -> float:
     """Geodesic distance between two points in a sector of width <= pi."""
-    for pt in (a, b):
-        if pt.t > surface.t_max * (1.0 + 1e-12):
-            raise HorizonExceededError(
-                f"point radius {pt.t:.6g} beyond solved horizon {surface.t_max:.6g}")
     dth = abs(a.theta - b.theta)
     if dth > math.pi + 1e-9:
         raise DomainError(
@@ -262,11 +254,6 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
     if not (d_xy < d_ox + d_oy and d_ox < d_oy + d_xy and d_oy < d_ox + d_xy):
         raise DomainError(
             f"side lengths {sides} violate the strict triangle inequality")
-    for r in (d_ox, d_oy):
-        if r > surface.t_max * (1 + 1e-12):
-            raise HorizonExceededError(
-                f"vertex radius {r:.6g} beyond solved horizon {surface.t_max:.6g}")
-
     side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
     theta_star = _side_value(surface, side, _ANGLE)
     if theta_star > math.pi + 1e-12:

@@ -17,7 +17,7 @@ import numpy as np
 from .curvature import RadialCurvature
 from .errors import DomainError
 from .volume import _check_dim
-from .warping import DEFAULT_REL_TOL, WarpingSolution, default_horizon, solve_warping
+from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
 
 _T_FLOOR_EXACT = 1e-8
 
@@ -28,7 +28,8 @@ class RotSymManifold:
 
     The generating curvature is the warping's: radial curvature queries
     differentiate the stored dense profile, which is exact at the solver grid
-    nodes, and serialization writes the curvature back out.
+    nodes, and serialization writes the curvature and the t_max reached so
+    far back out. t_max only sets where the first solve stops.
     """
 
     def __init__(self, dimension: int, warping: WarpingSolution):
@@ -40,8 +41,6 @@ class RotSymManifold:
     def from_curvature(cls, dimension: int, curvature: RadialCurvature,
                        t_max: float | None = None,
                        rel_tol: float = DEFAULT_REL_TOL) -> "RotSymManifold":
-        if t_max is None:
-            t_max = default_horizon(curvature)
         return cls(dimension, solve_warping(curvature, t_max, rel_tol))
 
     @property
@@ -89,11 +88,11 @@ class RotSymManifold:
         _check_dim(n)
         body = {key: val for key, val in doc.items() if key not in ("n", "t_max")}
         curvature = RadialCurvature.from_json(body)
-        t_max = doc.get("t_max", default_horizon(curvature))
-        if isinstance(t_max, bool) or not isinstance(t_max, (int, float)) \
-                or not 0.0 < t_max <= sys.float_info.max:
+        t_max = doc.get("t_max")
+        if "t_max" in doc and (isinstance(t_max, bool) or not isinstance(t_max, (int, float))
+                               or not 0.0 < t_max <= sys.float_info.max):
             raise DomainError(f"manifold t_max must be a positive finite number, got {t_max!r}")
-        return cls.from_curvature(n, curvature, t_max=float(t_max), rel_tol=rel_tol)
+        return cls.from_curvature(n, curvature, t_max=t_max, rel_tol=rel_tol)
 
     def __repr__(self):
         return f"RotSymManifold(n={self._n}, t_max={self.t_max!r})"

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .curvature import NEG_INFINITY, RadialCurvature
-from .errors import ConditionB1ViolatedError, DomainError, HorizonExceededError
+from .errors import ConditionB1ViolatedError, DomainError
 from .warping import WarpingSolution, solve_warping
 
 _MONOTONE_TOL = 1e-9
@@ -100,15 +100,12 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     0 or overflows (large n) raises DomainError. The integral comes from
     ``WarpingSolution.power_integral``: the first call for a dimension
     builds the solution's cumulative table over all cells, and every call
-    adds one panel from the last node below t to t, so the horizons of a
-    growth ratio cost one table and a panel each.
+    adds one panel from the last node below t to t (carrying the solution
+    on first if t is past it), so growth-ratio horizons cost a panel each.
     """
     _check_dim(n)
     if not t >= 0:  # also rejects NaN
         raise DomainError(f"ball radius must be nonnegative, got {t}")
-    if t > w.t_max * (1.0 + 1e-12):
-        raise HorizonExceededError(
-            f"ball radius {t:.6g} exceeds solved horizon {w.t_max:.6g}")
     omega = unit_sphere_volume(n - 1)
     # omega = 0 skips the m^(n-1) table, whose Gauss rule has order ~5n/2
     vol = omega * w.power_integral(n - 1, t) if omega > 0.0 else 0.0
@@ -144,8 +141,8 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     The decision is made in closed form at the tail anchor a, not by
     integrating far out (a growing mode amplifies roundoff exponentially):
     the tail's ``continuation`` carries the state (m, m') at a, read from
-    the node values of ``warping`` (or of a solve to a when none reaching a
-    is given), to the limit of m' at infinity.
+    the node values of ``warping`` (or of a solve to a when none is given),
+    to the limit of m' at infinity.
 
     * A zero of m past the anchor raises ConjugatePointError there.
     * An infinite limit (growing mode of a constant tail c < 0) or any
@@ -157,9 +154,7 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     """
     _check_dim(n)
     t_anchor = k.t_tail
-    w = warping
-    if w is None or w.t_max < t_anchor:
-        w = solve_warping(k, t_anchor, rel_tol)
+    w = solve_warping(k, rel_tol=rel_tol) if warping is None else warping
     f, s = w.anchor_state()
     limit = k.tail.continuation(t_anchor, f, s)
     if limit == math.inf:
@@ -253,11 +248,6 @@ def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolutio
     growth content, and every consumer of the ratio assumes divergence.
     """
     horizons = _checked_horizons(horizons)
-    for w, name in ((numerator, "numerator"), (denominator, "denominator")):
-        if w.t_max < horizons[-1] * (1.0 - 1e-12):
-            raise HorizonExceededError(
-                f"{name} solved only to {w.t_max:.6g} but horizons reach "
-                f"{horizons[-1]:.6g}")
     den_class = classify_ball_volume(n, denominator.k, warping=denominator)
     if den_class.kind == "finite":
         raise ConditionB1ViolatedError(

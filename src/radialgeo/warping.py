@@ -39,6 +39,11 @@ of a cell, and put m'(16) of a bump surface 2.8e-11 off its node value.
 The same builder gives the inverse t(mu) of an increasing m, on the nodes
 mu_i = m_i with dt/dmu = 1/m' and d2t/dmu2 = -m''/m'^3; the geodesic code
 inverts radii with it.
+
+A read past the last node, up to t = 4096, carries (m, m') on from there
+in whole cells of the 1/64 pitch. Each cell's matrix depends only on the
+cell, so this gives the node data of a longer solve; the nodes already
+computed stay, and only the interpolant is rebuilt.
 """
 
 from __future__ import annotations
@@ -51,13 +56,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
-from .curvature import RadialCurvature, moment_integral
-from .errors import (
-    ConjugatePointError,
-    DomainError,
-    HorizonExceededError,
-    UnboundedError,
-)
+from .curvature import RadialCurvature
+from .errors import ConjugatePointError, DomainError, UnboundedError
 
 DEFAULT_REL_TOL = 1e-12
 _REL_TOL_MIN = 1e-14
@@ -98,11 +98,6 @@ _BLOCK_CELLS = 2048
 _MAX_TERMS = 64
 
 
-def default_horizon(k: RadialCurvature) -> float:
-    """Solving horizon policy: generous past the tail anchor."""
-    return max(10.0, 5.0 * k.t_tail)
-
-
 def _quintic(x, y, dy, d2y) -> PPoly:
     """Piecewise quintic through (y, y', y'') at the strictly increasing
     nodes x, with the power-form coefficients of the module docstring and
@@ -130,7 +125,7 @@ def _gauss_rule(n: int):
 
 
 class WarpingSolution:
-    """Dense solution of m'' + k m = 0, m(0) = 0, m'(0) = 1 on [0, t_max].
+    """Dense solution of m'' + k m = 0, m(0) = 0, m'(0) = 1.
 
     Attributes
     ----------
@@ -141,11 +136,13 @@ class WarpingSolution:
     m_values, m_prime_values : ndarray
         Node values; m_values[0] == 0 and m_prime_values[0] == 1 exactly.
 
-    ``m``, ``m_prime`` and ``m_second`` evaluate anywhere in [0, t_max],
-    vectorized, and return the node values exactly at every node.
-    ``power_integral(q, t)`` and ``km_integral(t)`` are the integrals of m^q
-    and k*m over [0, t], read from a cumulative table over the cells that
-    is built on the first call for each integrand and kept with the solution.
+    ``m``, ``m_prime`` and ``m_second`` evaluate anywhere in [0, 4096],
+    vectorized, and return the node values exactly at every node; a t past
+    t_max first carries the solution on to the first node at or past it,
+    which moves t_max. ``power_integral(q, t)`` and ``km_integral(t)`` are
+    the integrals of m^q and k*m over [0, t], read from a cumulative table
+    over the cells that is built on the first call for each integrand and
+    kept with the solution.
     """
 
     def __init__(self, k, t_max, rel_tol, grid, m_values, m_prime_values):
@@ -164,35 +161,55 @@ class WarpingSolution:
         self._breakpoint_values = None
         self._tables = {}
 
-    def _read(self, poly, t):
-        """poly at t after the range check, a float for a scalar t."""
+    def _reach(self, t):
+        """t as a float array clipped to [0, t_max], after carrying (m, m')
+        on from the last node, in whole cells of the 1/64 pitch with the
+        breakpoints merged in, to the first node at or past its largest
+        entry (NaN aside). That raises as a solve so far would: past
+        t = 4096, or at a zero of m."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < -1e-12):
+        hi = float(np.fmax.reduce(arr, axis=None)) if arr.size else 0.0
+        if hi > self.t_max * (1.0 + 1e-12) + 1e-12:
+            if not hi <= _MAX_HORIZON:
+                raise DomainError(
+                    f"warping functions are solved up to t = {_MAX_HORIZON:g}, got t = {hi:.6g}")
+            cells = math.ceil((hi - self.t_max) * _NODES_PER_UNIT)
+            stop = self.t_max + cells / _NODES_PER_UNIT
+            nodes = _node_grid(self.k, self.t_max, stop, cells)
+            m, mp = _carry(self.k, nodes, self.rel_tol,
+                           float(self.m_values[-1]), float(self.m_prime_values[-1]))
+            # through __init__, as after a solve: a new interpolant, empty caches
+            self.__init__(self.k, stop, self.rel_tol, np.concatenate([self.grid, nodes[1:]]),
+                          np.concatenate([self.m_values, m]),
+                          np.concatenate([self.m_prime_values, mp]))
+        return np.clip(arr, 0.0, self.t_max)
+
+    def _read(self, name, t):
+        """The interpolant in attribute ``name`` at t; a float for a scalar t."""
+        if np.any(np.asarray(t) < -1e-12):
             raise DomainError("warping functions are defined for t >= 0")
-        if np.any(arr > self.t_max * (1.0 + 1e-12) + 1e-12):
-            raise HorizonExceededError(
-                f"evaluation at t = {float(np.max(arr)):.6g} exceeds the solved "
-                f"horizon t_max = {self.t_max:.6g}; re-solve with a larger horizon")
-        out = poly(np.clip(arr, 0.0, self.t_max))
+        arr = self._reach(t)  # before the lookup: an extension rebuilds the interpolant
+        out = getattr(self, name)(arr)
         return float(out) if np.ndim(t) == 0 else out
 
     def m(self, t):
-        return self._read(self._m_poly, t)
+        return self._read("_m_poly", t)
 
     def m_prime(self, t):
-        return self._read(self._m_prime_poly, t)
+        return self._read("_m_prime_poly", t)
 
     def m_second(self, t):
         """Second derivative of the interpolated profile (equals -k*m at the
         grid nodes exactly, and to interpolation accuracy in between)."""
-        return self._read(self._m_second_poly, t)
+        return self._read("_m_second_poly", t)
 
     def anchor_state(self):
         """(m, m') at the tail anchor of k from the node values, which the
-        interpolant returns there too, at the cost of two range-checked
-        reads. An anchor within the sliver distance of t_max is no node;
-        there the interpolant is read."""
+        interpolant returns there too, at the cost of two reads. An anchor
+        within the sliver distance of a node is no node; there the
+        interpolant is read."""
         a = self.k.t_tail
+        self._reach(a)
         i = int(np.searchsorted(self.grid, a))
         if i < self.grid.size and self.grid[i] == a:
             return float(self.m_values[i]), float(self.m_prime_values[i])
@@ -219,16 +236,19 @@ class WarpingSolution:
         return powers @ c
 
     def _integral(self, key, t):
-        """Integral over [0, t] (t clipped to [0, t_max]) of m^key for an
-        integer key >= 1, or of k*m for key "km"; vectorized in t.
+        """Integral over [0, t] (t clipped at 0, the solution carried on to
+        t) of m^key for an integer key >= 1, or of k*m for key "km";
+        vectorized in t.
 
         The first call for a key sums an n-point Gauss-Legendre rule over
         every cell, with m at its nodes from ``_cell_values``, into the table
         of the integral up to every node: n = floor(5q/2) + 1 is exact on
         m^q, of degree 5q on a cell, and k*m takes n = 8. A call adds to the
         entry at the last node i with grid[i] <= t one panel of the rule over
-        [grid[i], t], which is empty at a node.
+        [grid[i], t]; where every panel is empty (t at nodes) it returns the
+        table entries.
         """
+        t = self._reach(t)
         if key == "km":
             n, integrand = 8, lambda x, m: np.asarray(self.k(x.ravel())).reshape(x.shape) * m
         else:
@@ -240,22 +260,22 @@ class WarpingSolution:
             x = (self.grid[:-1] + half) + half * nodes[:, None]
             cells = half * (weights @ integrand(x, self._cell_values(powers)))
             table = self._tables[key] = np.concatenate([[0.0], np.cumsum(cells)])
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.t_max)
         i = np.searchsorted(self.grid, t, side="right") - 1
         half = 0.5 * (t - self.grid[i])
-        x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
-        out = table[i] + half * (integrand(x, self._m_poly(x)) @ weights)
+        out = table[i]
+        if np.any(half):
+            x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
+            out = out + half * (integrand(x, self._m_poly(x)) @ weights)
         return float(out) if np.ndim(t) == 0 else out
 
     def power_integral(self, q: int, t: float) -> float:
-        """Integral of m^q over [0, t] for an integer q >= 1; t is clipped
-        to [0, t_max], with no range check."""
+        """Integral of m^q over [0, t] for an integer q >= 1."""
         # m^q overflows at large q (0 * inf in an empty panel): the caller rejects the volume
         with np.errstate(over="ignore", invalid="ignore"):
             return self._integral(q, t)
 
     def km_integral(self, t):
-        """Integral of k*m over [0, t] (clipped to [0, t_max]), vectorized.
+        """Integral of k*m over [0, t], vectorized.
 
         It reads k and m, never m', so it checks 1 - m'(t) independently.
         """
@@ -285,9 +305,12 @@ class WarpingSolution:
                 f"nodes={len(self.grid)})")
 
 
-def solve_warping(k: RadialCurvature, t_max: float,
+def solve_warping(k: RadialCurvature, t_max: float | None = None,
                   rel_tol: float = DEFAULT_REL_TOL) -> WarpingSolution:
     """Solve the warping ODE out to t_max by per-cell transfer matrices.
+
+    Without a t_max the solve stops at the first multiple of the 1/64 pitch
+    at or past the tail anchor of k; reads further out carry it on.
 
     The node grid has pitch about 1/64 and contains every curvature
     breakpoint. In the local variable s in [-1, 1] of a cell with midpoint c
@@ -327,26 +350,34 @@ def solve_warping(k: RadialCurvature, t_max: float,
     of the piece in which m first reaches zero. Raises DomainError when the
     solution overflows, and when t_max exceeds 4096.
     """
+    if t_max is None:
+        t_max = math.ceil(_NODES_PER_UNIT * k.t_tail) / _NODES_PER_UNIT
     if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
         raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise DomainError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
+    grid = _node_grid(k, 0.0, t_max, max(64, math.ceil(t_max * _NODES_PER_UNIT)))
+    m, mp = _carry(k, grid, rel_tol, 0.0, 1.0)
+    return WarpingSolution(k, t_max, rel_tol, grid, np.concatenate([[0.0], m]),
+                           np.concatenate([[1.0], mp]))
 
-    grid = _node_grid(k, t_max)
-    m_nodes, mp_nodes = [np.zeros(1)], [np.ones(1)]
+
+def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: float):
+    """(m, m') at grid[1:] from (m, mp) at grid[0], in blocks of 2048 cells."""
+    m_nodes, mp_nodes = [], []
     for first in range(0, grid.size - 1, _BLOCK_CELLS):
-        m, mp = _carry(k, grid[first:first + _BLOCK_CELLS + 1], rel_tol * 1e-3,
-                       float(m_nodes[-1][-1]), float(mp_nodes[-1][-1]))
-        if not (math.isfinite(m[-1]) and math.isfinite(mp[-1])):
-            raise DomainError(f"the warping function overflows before t = {t_max:g}")
-        m_nodes.append(m)
-        mp_nodes.append(mp)
-    return WarpingSolution(k, t_max, rel_tol, grid,
-                           np.concatenate(m_nodes), np.concatenate(mp_nodes))
+        m_block, mp_block = _carry_block(k, grid[first:first + _BLOCK_CELLS + 1],
+                                         rel_tol * 1e-3, m, mp)
+        m, mp = float(m_block[-1]), float(mp_block[-1])
+        if not (math.isfinite(m) and math.isfinite(mp)):
+            raise DomainError(f"the warping function overflows before t = {grid[-1]:g}")
+        m_nodes.append(m_block)
+        mp_nodes.append(mp_block)
+    return np.concatenate(m_nodes), np.concatenate(mp_nodes)
 
 
-def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: float):
+def _carry_block(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: float):
     """(m, m') at nodes[1:] from (m, mp) at nodes[0], by the transfer
     matrices of the pieces of the cells between the nodes."""
     mid, half, cell, kappa = _fitted_pieces(k, nodes, tol)
@@ -386,19 +417,18 @@ def _carry(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: floa
     return m_steps[last], mp_steps[last]
 
 
-def _node_grid(k: RadialCurvature, t_max: float) -> np.ndarray:
-    """Uniform nodes of pitch about 1/64 on [0, t_max] with the interior
-    curvature breakpoints merged in under the sliver rule."""
-    n_nodes = int(max(64, math.ceil(t_max * _NODES_PER_UNIT))) + 1
-    grid = np.linspace(0.0, t_max, n_nodes)
-    pitch = t_max / (n_nodes - 1)
-    interior_bp = k.breakpoints[(k.breakpoints > 0) & (k.breakpoints < t_max)]
+def _node_grid(k: RadialCurvature, start: float, stop: float, cells: int) -> np.ndarray:
+    """Uniform nodes of the given number of cells on [start, stop] with the
+    interior curvature breakpoints merged in under the sliver rule."""
+    grid = np.linspace(start, stop, cells + 1)
+    pitch = (stop - start) / cells
+    interior_bp = k.breakpoints[(k.breakpoints > start) & (k.breakpoints < stop)]
     # the breakpoint takes the place of a uniform node it nearly meets; next
     # to an end node, which must stay, the breakpoint is dropped instead
-    nearest = np.rint(interior_bp / pitch).astype(int)
+    nearest = np.rint((interior_bp - start) / pitch).astype(int)
     close = np.abs(grid[nearest] - interior_bp) < _SLIVER_FRACTION * pitch
-    at_end = close & ((nearest == 0) | (nearest == n_nodes - 1))
-    keep = np.ones(n_nodes, dtype=bool)
+    at_end = close & ((nearest == 0) | (nearest == cells))
+    keep = np.ones(cells + 1, dtype=bool)
     keep[nearest[close & ~at_end]] = False
     return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
 
@@ -484,10 +514,9 @@ def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
 def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     """Limit of m'(t) as t -> infinity for nonpositive curvature.
 
-    The state (m, m') at the tail anchor, read from the node values (after a
-    solve to the anchor when w stops short of it), goes through the tail's
-    exact ``continuation``. The limit is linear in that state,
-    L = u m(a) + v m'(a); for k <= 0 both weights and both values are
+    The state (m, m') at the tail anchor, read from the node values, goes
+    through the tail's exact ``continuation``. The limit is linear in that
+    state, L = u m(a) + v m'(a); for k <= 0 both weights and both values are
     nonnegative, so the returned bound 10 * rel_tol * (|u m(a)| + |v m'(a)|)
     is 10 * rel_tol * L. A negative constant tail has a growing mode and
     raises UnboundedError.
@@ -497,20 +526,11 @@ def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     k = w.k
     if not k.is_nonpositive():
         raise DomainError("slope_limit requires nonpositive curvature")
-    if w.t_max < k.t_tail:
-        w = solve_warping(k, k.t_tail, w.rel_tol)
     value = k.tail.continuation(k.t_tail, *w.anchor_state())
     if value == math.inf:
         raise UnboundedError(
             "m' grows without bound: constant negative tail has a growing mode")
     return (value, 10.0 * w.rel_tol * value) if with_bound else value
-
-
-def slope_limit_bounds(w: WarpingSolution) -> tuple[float, float]:
-    """Two-sided bracket [1, exp(-moment)] containing the slope limit."""
-    mom = moment_integral(w.k)
-    upper = math.inf if mom.divergent else math.exp(-mom.value)
-    return 1.0, upper
 
 
 def total_curvature_direct(w: WarpingSolution) -> float:
@@ -522,24 +542,11 @@ def total_curvature_direct(w: WarpingSolution) -> float:
     mode (negative constant tail) raises UnboundedError.
     """
     k = w.k
-    if w.t_max < k.t_tail:
-        raise HorizonExceededError(
-            "solve at least to the tail anchor before integrating total curvature")
     m_a, mp_a = w.anchor_state()
     limit = k.tail.continuation(k.t_tail, m_a, mp_a)
     if limit == math.inf:
         raise UnboundedError("total curvature diverges: constant negative tail")
     return 2.0 * math.pi * (w.km_integral(k.t_tail) + mp_a - limit)
-
-
-def total_curvature_isoperimetric(w: WarpingSolution) -> float:
-    """Total curvature through the boundary-length route: 2*pi*(1 - lim m').
-
-    Integrating m'' = -k m once gives the same number as the direct route;
-    both take the tail past the anchor from its continuation, so their
-    agreement checks the quadrature of k*m to the anchor against the solver.
-    """
-    return 2.0 * math.pi * (1.0 - slope_limit(w))
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +557,6 @@ def total_curvature_isoperimetric(w: WarpingSolution) -> float:
 class ModelSurface:
     """Surface of revolution dt^2 + m(t)^2 dtheta^2 with nonpositive radial
     curvature (the Cartan-Hadamard setting every triangle operation needs).
-
-    slope_limit and total_curvature are computed on first access and cached;
-    both raise UnboundedError for divergent (negative constant tail) inputs,
-    which does not impede geodesic work on the same surface.
     """
 
     def __init__(self, warping: WarpingSolution):
@@ -561,14 +564,11 @@ class ModelSurface:
             raise DomainError(
                 "model surfaces are restricted to nonpositive radial curvature")
         self.warping = warping
-        self._slope_limit = None
-        self._total_curvature = None
 
     @classmethod
     def from_curvature(cls, k: RadialCurvature, t_max: float | None = None,
                        rel_tol: float = DEFAULT_REL_TOL) -> "ModelSurface":
-        horizon = default_horizon(k) if t_max is None else float(t_max)
-        return cls(solve_warping(k, horizon, rel_tol))
+        return cls(solve_warping(k, t_max, rel_tol))
 
     @property
     def k(self) -> RadialCurvature:
@@ -583,18 +583,6 @@ class ModelSurface:
 
     def m_prime(self, t):
         return self.warping.m_prime(t)
-
-    @property
-    def slope_limit(self) -> float:
-        if self._slope_limit is None:
-            self._slope_limit = slope_limit(self.warping)
-        return self._slope_limit
-
-    @property
-    def total_curvature(self) -> float:
-        if self._total_curvature is None:
-            self._total_curvature = total_curvature_direct(self.warping)
-        return self._total_curvature
 
     def __repr__(self):
         return f"ModelSurface({self.warping!r})"

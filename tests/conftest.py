@@ -156,10 +156,10 @@ def shoot(surface, start, angle, length):
     ``angle`` is measured from the outward meridian direction, in [0, pi].
     Radial shots (sin(angle) ~ 0) are meridians and are emitted in closed
     form, including the pass through the pole for inward shots. Leaving the
-    solved disc raises HorizonExceededError.
+    solved disc raises DomainError.
     """
     if start.t > surface.t_max * (1 + 1e-12):
-        raise rg.HorizonExceededError("start point beyond solved horizon")
+        raise rg.DomainError("start point beyond solved horizon")
     s = np.linspace(0.0, length, max(65, int(math.ceil(length * 32)) + 1))
     sin_a = math.sin(angle)
     if start.t < 1e-13 or sin_a < 1e-12:
@@ -182,7 +182,7 @@ def shoot(surface, start, angle, length):
                     method="DOP853", dense_output=True, events=beyond,
                     rtol=1e-11, atol=1e-13)
     if sol.status == 1:
-        raise rg.HorizonExceededError("trajectory left the solved disc")
+        raise rg.DomainError("trajectory left the solved disc")
     assert sol.success, sol.message
     return GeodesicPath(*sol.sol(s), m0 * sin_a)
 
@@ -198,5 +198,5 @@ def _meridian_path(surface, start, angle, s):
         theta = np.where(signed >= 0.0, start.theta, start.theta + math.pi)
         v_t = np.where(signed >= 0.0, -1.0, 1.0)
     if np.any(t > surface.t_max * (1 + 1e-12)):
-        raise rg.HorizonExceededError("meridian shot leaves the solved disc")
+        raise rg.DomainError("meridian shot leaves the solved disc")
     return GeodesicPath(t, theta, v_t, np.zeros_like(s), 0.0)

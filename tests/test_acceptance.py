@@ -56,7 +56,7 @@ def test_criterion_03_slope_sandwich(compact_corpus):
     # 1 - 1e-9 <= slope_limit <= exp(-moment) + 1e-6 over the 100 corpus
     worst_low, worst_high = 0.0, 0.0
     for _k, env, surface in compact_corpus:
-        s = surface.slope_limit
+        s = rg.slope_limit(surface.warping)
         upper = math.exp(-rg.moment_integral(env).value)
         worst_low = max(worst_low, 1.0 - s)
         worst_high = max(worst_high, s - upper)
@@ -69,8 +69,8 @@ def test_criterion_03_slope_sandwich(compact_corpus):
 def test_criterion_04_isoperimetric_identity(compact_corpus):
     worst = 0.0
     for _k, _env, surface in compact_corpus:
-        direct = surface.total_curvature
-        iso = 2.0 * math.pi * (1.0 - surface.slope_limit)
+        direct = rg.total_curvature_direct(surface.warping)
+        iso = 2.0 * math.pi * (1.0 - rg.slope_limit(surface.warping))
         worst = max(worst, abs(direct - iso))
     report(4, worst <= 1e-6,
            f"isoperimetric identity over 100 curvatures, worst |diff| = {worst:.3e} (tol 1e-6)")

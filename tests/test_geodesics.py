@@ -125,7 +125,7 @@ def test_shoot_meridians():
 
 def test_shoot_beyond_horizon_raises():
     s = flat_surface(t_max=6.0)
-    with pytest.raises(rg.HorizonExceededError):
+    with pytest.raises(rg.DomainError):
         shoot(s, rg.SurfacePoint(1.0, 0.0), 0.0, 10.0)
 
 
@@ -154,6 +154,18 @@ def test_hyperbolic_equilateral_triangle():
     assert abs(pole - expect) <= 1e-9
     # angle defect equals area
     assert abs(rg.gauss_bonnet_residual(s, tri)) <= 1e-8
+
+
+@pytest.mark.parametrize("sides", [
+    (1.0, 1.5, 2.0), (1.760676806659212, 2.9087734919472004, 2.1), (4.4, 0.6, 4.3),
+    (6.3, 7.1, 9.0)])
+def test_triangle_on_a_surface_without_a_horizon_equals_a_longer_solve(sides):
+    # the surface starts at t_tail = 1 and is carried on by the side solve
+    carried = rg.ModelSurface.from_curvature(rg.RadialCurvature.constant(-1.0))
+    longer = hyperbolic_surface(10.0)
+    tri, want = rg.comparison_triangle(carried, *sides), rg.comparison_triangle(longer, *sides)
+    assert tri.to_json() == want.to_json()  # angles, rotation number and turning
+    assert rg.gauss_bonnet_residual(carried, tri) == rg.gauss_bonnet_residual(longer, want)
 
 
 def test_comparison_angle_monotone_in_opposite_side():

@@ -1,6 +1,7 @@
 """Warping ODE solutions and model-surface scalars."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,8 @@ def test_large_curvature_at_the_ulp_floor_raises_domain_error():
 
 
 @pytest.mark.parametrize("c, horizon, match", [
-    # about 250 equal steps per cell near t = 0, 16 per cell allowed on average
+    # bisection cuts each cell near t = 0 into 256 pieces ((h/2)^2 |k| <= 1
+    # needs h <= 6.3e-5); 16 pieces per cell are allowed on average
     (1e9, 5.0, "too large to solve"),
     (-1e9, 5.0, "too large to solve"),
     # 6.4e18 nodes
@@ -233,17 +235,11 @@ def test_conjugate_point_detected():
         rg.solve_warping(k, 4.0)
 
 
-def test_evaluation_outside_horizon_rejected():
-    w = rg.solve_warping(rg.RadialCurvature.zero(), 5.0)
-    with pytest.raises(rg.HorizonExceededError):
-        w.m(5.5)
-
-
 def test_slope_limit_trivials():
     w = rg.solve_warping(rg.RadialCurvature.zero(), 12.0)
     assert abs(rg.slope_limit(w) - 1.0) <= 1e-12
     assert abs(rg.total_curvature_direct(w)) <= 1e-12
-    assert abs(rg.total_curvature_isoperimetric(w)) <= 1e-11
+    assert abs(2.0 * math.pi * (1.0 - rg.slope_limit(w))) <= 1e-11
 
 
 def test_slope_limit_exact_beyond_compact_support():
@@ -260,7 +256,7 @@ def test_power_tail_slope_against_referee():
     assert abs(value - POWER_TAIL_SLOPE) <= bound + 1e-8
     assert abs(value - POWER_TAIL_SLOPE) <= 1e-4
     assert bound <= 4e-3
-    lo, hi = rg.slope_limit_bounds(w)
+    lo, hi = 1.0, math.exp(-rg.moment_integral(w.k).value)
     assert lo - 1e-12 <= POWER_TAIL_SLOPE <= hi + 1e-12
 
 
@@ -335,7 +331,7 @@ def test_ramp_isoperimetric_identity():
     k = rg.RadialCurvature.from_spline([0.0, 1.0], [-1.0, 0.0])
     w = rg.solve_warping(k, 10.0)
     direct = rg.total_curvature_direct(w)
-    iso = rg.total_curvature_isoperimetric(w)
+    iso = 2.0 * math.pi * (1.0 - rg.slope_limit(w))
     assert direct < 0.0
     assert abs(direct - iso) <= 1e-6
 
@@ -370,8 +366,6 @@ def test_model_surface_wraps_solution():
     ts = np.linspace(0.0, 10.0, 201)
     w = rg.solve_warping(env, 10.0)
     assert np.max(np.abs(s.m(ts) - w.m(ts))) <= 1e-12
-    assert abs(s.slope_limit - rg.slope_limit(w)) <= 1e-14
-    assert abs(s.total_curvature - rg.total_curvature_direct(w)) <= 1e-12
 
 
 _INTERPOLANT_CASES = pytest.mark.parametrize("k, horizon", [
@@ -417,16 +411,17 @@ def test_interpolant_reproduces_node_data_exactly(k, horizon):
 
 
 def test_breakpoint_next_to_a_node_leaves_no_sliver_cell():
-    # the last knot is t_tail, so at the default horizon 5 * t_tail it lies
-    # within an ulp of the uniform node at a fifth of the horizon
+    # the last knot is t_tail, so at the horizon 5 * t_tail it lies within
+    # an ulp of the uniform node at a fifth of the horizon
     env = rg.nonpositive_min(rg.RadialCurvature.from_spline(
         [0.0, 0.957661404947431, 1.915322809894862, 2.872984214842293],
         [-1.1850741345986984, -0.7897154578683541, -1.1535533519483232, 0.0]))
-    w = rg.solve_warping(env, rg.default_horizon(env))
+    w = rg.solve_warping(env, 5.0 * env.t_tail)
     w12 = rg.solve_warping(env, 12.0)
     assert abs(w.m_prime(env.t_tail) - w12.m_prime(env.t_tail)) <= 1e-9
     assert abs(rg.slope_limit(w) - rg.slope_limit(w12)) <= 1e-9
-    assert abs(rg.total_curvature_direct(w) - rg.total_curvature_isoperimetric(w)) <= 1e-6
+    iso = 2.0 * math.pi * (1.0 - rg.slope_limit(w))
+    assert abs(rg.total_curvature_direct(w) - iso) <= 1e-6
 
 
 @pytest.mark.parametrize("knots, values", [
@@ -444,7 +439,8 @@ def test_isoperimetric_identity_across_curvature_kinks(knots, values):
     # a Runge-Kutta step across a kink of k missed m' by about 3e-7 here
     env = rg.nonpositive_min(rg.RadialCurvature.from_spline(knots, values))
     w = rg.solve_warping(env, 12.0)
-    assert abs(rg.total_curvature_direct(w) - rg.total_curvature_isoperimetric(w)) <= 1e-9
+    iso = 2.0 * math.pi * (1.0 - rg.slope_limit(w))
+    assert abs(rg.total_curvature_direct(w) - iso) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [
@@ -475,3 +471,88 @@ def test_corpus_pipeline_builds_no_inverse():
     assert s.warping._t_of_mu is None
     rg.distance(s, rg.SurfacePoint(1.0), rg.SurfacePoint(2.0, 1.0))
     assert s.warping._t_of_mu is not None
+
+
+# ---------------------------------------------------------------------------
+# Reads past t_max carry the solution on
+# ---------------------------------------------------------------------------
+
+_CARRY_CURVATURES = pytest.mark.parametrize("k", [
+    rg.RadialCurvature.constant(-1.0),
+    rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
+                                                      [-1.0, -0.15, -0.6, 0.0])),
+    SPL,
+], ids=["hyperbolic", "bump", "power-law"])
+
+_READERS = {
+    "m": lambda w, t: w.m(t),
+    "m_prime": lambda w, t: w.m_prime(t),
+    "m_second": lambda w, t: w.m_second(t),
+    "power_integral": lambda w, t: w.power_integral(3, t),
+    "km_integral": lambda w, t: w.km_integral(t),
+}
+
+
+@_CARRY_CURVATURES
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_reads_past_the_horizon_equal_a_longer_solve(k, reader):
+    full = rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k, 1.0)
+    read = _READERS[reader]
+    # each of these reads is the one that carries w on to its t
+    assert read(w, 4.3) == read(full, 4.3)
+    assert w.t_max == 4.3125
+    assert read(w, 16.0) == read(full, 16.0)
+    assert w.t_max == 16.0
+    assert np.array_equal(w.grid, full.grid)
+    assert np.array_equal(w.m_values, full.m_values)
+    assert np.array_equal(w.m_prime_values, full.m_prime_values)
+    ts = np.linspace(0.0, 16.0, 1601)
+    for other in _READERS.values():
+        assert np.array_equal(other(w, ts), other(full, ts))
+    mu = full.m(ts)
+    assert all(np.array_equal(a, b) for a, b in zip(w.invert(mu), full.invert(mu)))
+
+
+@_CARRY_CURVATURES
+def test_carrying_on_keeps_the_node_data_already_computed(k):
+    # 2.3 is no multiple of the 1/64 pitch: the first solve has its own pitch
+    w = rg.solve_warping(k, 2.3)
+    grid, m, mp = w.grid.copy(), w.m_values.copy(), w.m_prime_values.copy()
+    w.m_prime(np.array([0.5, 7.9]))
+    assert w.t_max == 2.3 + 359 / 64
+    assert np.array_equal(w.grid[:grid.size], grid)
+    assert np.array_equal(w.m_values[:grid.size], m)
+    assert np.array_equal(w.m_prime_values[:grid.size], mp)
+
+
+def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
+    # t_tail = 2.7 lies between the nodes 172/64 and 173/64
+    assert rg.solve_warping(SPL).t_max == 173 / 64
+    assert rg.ModelSurface.from_curvature(SPL).t_max == 173 / 64
+    assert rg.RotSymManifold.from_curvature(3, SPL).t_max == 173 / 64
+    doc = rg.RotSymManifold.from_curvature(3, SPL, t_max=5.0).to_json()
+    del doc["t_max"]
+    assert rg.RotSymManifold.from_json(doc).t_max == 173 / 64
+    assert rg.solve_warping(rg.RadialCurvature.constant(-1.0)).t_max == 1.0
+
+
+def test_read_past_4096_raises_domain_error():
+    w = rg.solve_warping(rg.RadialCurvature.zero(), 1.0)
+    for read in _READERS.values():
+        with pytest.raises(rg.DomainError, match="solved up to t = 4096"):
+            read(w, np.array([0.5, 4096.5]))
+    assert w.t_max == 1.0
+
+
+def test_read_past_a_conjugate_point_raises_where_a_solve_does():
+    k = rg.RadialCurvature.constant(1.0, t_tail=4.0)
+    with pytest.raises(rg.ConjugatePointError) as direct:
+        rg.solve_warping(k, 3.5)
+    w = rg.solve_warping(k, 1.0)
+    with pytest.raises(rg.ConjugatePointError) as carried:
+        w.m(3.5)
+    assert carried.value.t == direct.value.t
+    assert abs(carried.value.t - np.pi) <= 1e-9
+    # the failed read leaves the solution as it was
+    assert w.t_max == 1.0 and w.m(1.0) == rg.solve_warping(k, 1.0).m(1.0)
