@@ -318,18 +318,18 @@ _RUNNERS = {
 
 
 def _select_commands(scn: _Scenario, task_filter: str | None):
+    """(index, command) pairs to run, in document order: all, or those of the
+    listed tasks, each of which must have a command."""
     if not task_filter:
-        return scn.commands
-    chosen = []
-    for raw in task_filter.split(","):
-        name = raw.strip()
+        return list(enumerate(scn.commands))
+    names = [raw.strip() for raw in task_filter.split(",")]
+    for name in names:
         if name not in _TASKS:
             _fail("--tasks", f"unknown task '{name}' "
                              f"(expected one of {'|'.join(_TASKS)})")
-        match = next((c for c in scn.commands if c["task"] == name),
-                     {"task": name})
-        chosen.append(match)
-    return chosen
+        if not any(cmd["task"] == name for cmd in scn.commands):
+            _fail("--tasks", f"the scenario has no '{name}' command")
+    return [(idx, cmd) for idx, cmd in enumerate(scn.commands) if cmd["task"] in names]
 
 
 def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL, tasks=None) -> int:
@@ -349,10 +349,14 @@ def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL, tasks=None) -> int
         outdir = Path(out_dir) if out_dir else Path(scn.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         records = []
-        for idx, cmd in enumerate(_select_commands(scn, tasks)):
-            runner = _RUNNERS[cmd["task"]]
-            records.append(runner(scn, cmd, f"scenario.commands[{idx}]",
-                                  outdir, idx))
+        for idx, cmd in _select_commands(scn, tasks):
+            path = f"scenario.commands[{idx}]"
+            try:
+                records.append(_RUNNERS[cmd["task"]](scn, cmd, path, outdir, idx))
+            except ScenarioError:
+                raise
+            except GeometryError as exc:
+                raise ScenarioError(f"{path}: {exc}") from exc
         report = {
             "scenario": scn.name,
             "toolkit": {"name": "radialgeo", "version": __version__},
@@ -390,8 +394,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
                         help="requested relative accuracy of the warping solves")
     parser.add_argument("--tasks", default=None,
-                        help="comma-separated task subset overriding the "
-                             "scenario's command list")
+                        help="comma-separated task names: run only the "
+                             "scenario's commands of those tasks")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,12 +6,12 @@ envelope of the model bounds gives the critical angle and the growth
 threshold; the model curvature is solved once to the last horizon, and that
 solve both decides hypothesis B-1 (do model ball volumes diverge?) and gives
 the denominators of the growth ratio of a synthetic numerator, whose solution
-carries itself on to the horizons and whose declared domination is
-spot-checked on a grid first. An asserted growth bracket passes through
-instead. The two checks differ only in their verdict rules, which compare
-the growth bracket with the threshold (B-2). Verdicts are one-directional:
-a check certifies the conclusion when the hypotheses hold and otherwise
-reports Inconclusive; it never claims the converse.
+carries itself on to the horizons and whose own curvature is first checked
+against each bound at every knot up to the last horizon. An asserted growth
+bracket passes through instead. The two checks differ only in their verdict
+rules, which compare the growth bracket with the threshold (B-2). Verdicts
+are one-directional: a check certifies the conclusion when the hypotheses
+hold and otherwise reports Inconclusive; it never claims the converse.
 
 Verdict strings, tri-state values, and the report's JSON field order are wire
 format shared with the command-line front end; do not reword them.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RadialCurvature, moment_integral, nonpositive_min
+from .curvature import RadialCurvature, _scan_grid, moment_integral, nonpositive_min
 from .errors import DomainError
 from .synthetic import RotSymManifold
 from .volume import (
@@ -38,8 +38,8 @@ from .warping import DEFAULT_REL_TOL, solve_warping
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 16.0)
 # comparison grace for bracket-vs-threshold decisions
 _B2_EPS = 1e-9
-# out-tolerances the numerator's curvature read (about 1e-6 sup)
-_DOMINATION_TOL = 5e-6
+# domination slack in ulps of max(1, |bound|): one function as two cores rounds apart
+_ROUNDING_ULPS = 64
 
 VERDICT_DIFFEO = "DiffeoRn"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -126,12 +126,12 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
 
     ``bounds`` lists (curvature, label) pairs: all of them join the
     nonpositive envelope that sets delta and the threshold, a manifold
-    numerator must dominate each (checked on a grid, the label names the
-    failing one), and the first generates the comparison model. The model
-    is solved once to the last horizon; that solve serves both the
-    ball-volume class (B-1) and the growth-ratio denominators. Asserted
-    brackets pass through. Returns (delta, threshold, model ball-volume
-    class, growth bracket, notes).
+    numerator must dominate each (checked at every knot up to the last
+    horizon, the label names the failing one), and the first generates the
+    comparison model. The model is solved once to the last horizon; that
+    solve serves both the ball-volume class (B-1) and the growth-ratio
+    denominators. Asserted brackets pass through. Returns (delta, threshold,
+    model ball-volume class, growth bracket, notes).
     """
     horizons = _checked_horizons(horizons)
     max_h = horizons[-1]
@@ -157,18 +157,21 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
                                           rel_tol=rel_tol)
     notes = [f"model ball volumes {classification.kind}: {classification.note}"]
 
-    grid = np.linspace(0.0, max_h, 641)
     # every radial plane has the same curvature on this class, so the one
-    # sample stands for the radial Ricci and the radial sectional curvature
-    vals = np.asarray(numerator.radial_sectional(grid))
+    # curvature stands for the radial Ricci and the radial sectional curvature
+    own = numerator.curvature
+    grid = _scan_grid(np.concatenate(
+        [own.breakpoints, *(bound.breakpoints for bound, _label in bounds)]), max_h)
+    vals = own(grid)
     for bound, label in bounds:
-        bound_vals = np.asarray(bound(grid))
-        bad = np.nonzero(vals + _DOMINATION_TOL < bound_vals)[0]
+        bound_vals = bound(grid)
+        slack = _ROUNDING_ULPS * np.spacing(np.maximum(1.0, np.abs(bound_vals)))
+        bad = np.nonzero(vals < bound_vals - slack)[0]
         if bad.size:
             i = int(bad[0])
             raise DomainError(
                 f"declared domination fails near t = {grid[i]:.6g}: "
-                f"{label} {vals[i]:.6g} < model curvature {bound_vals[i]:.6g}")
+                f"{label} {vals[i]:.9g} < model curvature {bound_vals[i]:.9g}")
     notes.append("curvature domination verified on the synthetic numerator")
 
     # a bounded denominator leaves the ratio well defined pointwise; only its

@@ -140,7 +140,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     safeguarded bracketed root-find is globally convergent. m at both radii
     is read once here and carried by every trial side.
     """
-    m1, m2 = surface.m(np.array([r1, r2])).tolist()
+    m1, m2 = surface.warping.m(np.array([r1, r2])).tolist()
     nu_c = m1 if r1 <= r2 else m2
     part, target = ((_ANGLE, target_angle) if target_angle is not None
                     else (_LENGTH, target_length))

@@ -3,8 +3,8 @@
 These are the ground-truth instances for the volume-growth machinery: around
 a pole the metric dt^2 + g(t)^2 dtheta^2 on the (n-1)-sphere makes radii,
 curvatures and ball volumes all computable from the single scalar profile g,
-which is solved from a declared radial curvature, so every inequality the
-criteria module consumes can be checked against exact values here. Nothing
+which is solved from a declared radial curvature and keeps it, so the criteria
+module checks curvature domination on the declared function itself. Nothing
 in this module handles general manifolds.
 """
 
@@ -12,24 +12,20 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from .curvature import RadialCurvature
 from .errors import DomainError
 from .volume import _check_dim
 from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
-
-_T_FLOOR_EXACT = 1e-8
 
 
 class RotSymManifold:
     """Complete rotationally symmetric n-manifold with metric
     dt^2 + g(t)^2 dtheta^2 around a pole, g solved from a radial curvature.
 
-    The generating curvature is the warping's: radial curvature queries
-    differentiate the stored dense profile, which is exact at the solver grid
-    nodes, and serialization writes the curvature and the t_max reached so
-    far back out. t_max only sets where the first solve stops.
+    The generating curvature is the warping's and the one reader of radial
+    curvature (radial sectional and normalized radial Ricci coincide here);
+    serialization writes it and the t_max reached so far back out. t_max only
+    sets where the first solve stops.
     """
 
     def __init__(self, dimension: int, warping: WarpingSolution):
@@ -59,18 +55,6 @@ class RotSymManifold:
     def curvature(self) -> RadialCurvature:
         """Generating curvature."""
         return self._warping.k
-
-    def radial_sectional(self, t):
-        """Sectional curvature of planes containing the radial direction,
-        -g''/g, with the even-extension limit at the pole. All sectional
-        curvatures of radial planes coincide on this class, so this is also
-        the normalized radial Ricci curvature."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < -1e-12):
-            raise DomainError("radial curvature is defined for t >= 0")
-        t_eff = np.maximum(arr, _T_FLOOR_EXACT)
-        out = -self._warping.m_second(t_eff) / self._warping.m(t_eff)
-        return float(out) if np.ndim(t) == 0 else out
 
     # -- serialization ---------------------------------------------------------
 

@@ -141,8 +141,8 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     The decision is made in closed form at the tail anchor a, not by
     integrating far out (a growing mode amplifies roundoff exponentially):
     the tail's ``continuation`` carries the state (m, m') at a, read from
-    the node values of ``warping`` (or of a solve to a when none is given),
-    to the limit of m' at infinity.
+    the node values of ``warping`` (a solution of k itself, else DomainError)
+    or of a solve to a when none is given, to the limit of m' at infinity.
 
     * A zero of m past the anchor raises ConjugatePointError there.
     * An infinite limit (growing mode of a constant tail c < 0) or any
@@ -153,6 +153,8 @@ def classify_ball_volume(n: int, k: RadialCurvature,
       the closed-form tail volume.
     """
     _check_dim(n)
+    if warping is not None and warping.k is not k:
+        raise DomainError("the warping solution is of another curvature")
     t_anchor = k.t_tail
     w = solve_warping(k, rel_tol=rel_tol) if warping is None else warping
     f, s = w.anchor_state()

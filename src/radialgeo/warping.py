@@ -557,6 +557,7 @@ def total_curvature_direct(w: WarpingSolution) -> float:
 class ModelSurface:
     """Surface of revolution dt^2 + m(t)^2 dtheta^2 with nonpositive radial
     curvature (the Cartan-Hadamard setting every triangle operation needs).
+    Its curvature, horizon and warping function are read through ``warping``.
     """
 
     def __init__(self, warping: WarpingSolution):
@@ -569,20 +570,6 @@ class ModelSurface:
     def from_curvature(cls, k: RadialCurvature, t_max: float | None = None,
                        rel_tol: float = DEFAULT_REL_TOL) -> "ModelSurface":
         return cls(solve_warping(k, t_max, rel_tol))
-
-    @property
-    def k(self) -> RadialCurvature:
-        return self.warping.k
-
-    @property
-    def t_max(self) -> float:
-        return self.warping.t_max
-
-    def m(self, t):
-        return self.warping.m(t)
-
-    def m_prime(self, t):
-        return self.warping.m_prime(t)
 
     def __repr__(self):
         return f"ModelSurface({self.warping!r})"

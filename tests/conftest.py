@@ -158,15 +158,15 @@ def shoot(surface, start, angle, length):
     form, including the pass through the pole for inward shots. Leaving the
     solved disc raises DomainError.
     """
-    if start.t > surface.t_max * (1 + 1e-12):
+    w = surface.warping
+    if start.t > w.t_max * (1 + 1e-12):
         raise rg.DomainError("start point beyond solved horizon")
     s = np.linspace(0.0, length, max(65, int(math.ceil(length * 32)) + 1))
     sin_a = math.sin(angle)
     if start.t < 1e-13 or sin_a < 1e-12:
         return _meridian_path(surface, start, angle, s)
 
-    m0 = surface.m(start.t)
-    w = surface.warping
+    m0 = w.m(start.t)
 
     def rhs(_s, y):
         m = w.m(y[0])
@@ -174,7 +174,7 @@ def shoot(surface, start, angle, length):
         return (y[2], y[3], m * mp * y[3] ** 2, -2.0 * (mp / m) * y[2] * y[3])
 
     def beyond(_s, y):
-        return surface.t_max * (1.0 - 1e-9) - y[0]
+        return w.t_max * (1.0 - 1e-9) - y[0]
 
     beyond.terminal = True
     beyond.direction = -1
@@ -197,6 +197,6 @@ def _meridian_path(surface, start, angle, s):
         t = np.abs(signed)
         theta = np.where(signed >= 0.0, start.theta, start.theta + math.pi)
         v_t = np.where(signed >= 0.0, -1.0, 1.0)
-    if np.any(t > surface.t_max * (1 + 1e-12)):
+    if np.any(t > surface.warping.t_max * (1 + 1e-12)):
         raise rg.DomainError("meridian shot leaves the solved disc")
     return GeodesicPath(t, theta, v_t, np.zeros_like(s), 0.0)

@@ -192,22 +192,13 @@ def test_bad_command_field_exits_one_with_path(tmp_path, capsys, command, field,
     assert err.startswith(f"error: scenario.commands[1].{field}: ")
 
 
-def test_nan_horizon_is_rejected(tmp_path, capsys):
-    doc = base_scenario(commands=[
-        {"task": "triangle", "surface": "flat", "sides": [1.0, 1.0, 1.0]},
-    ])
-    code, report, _ = run_cli(tmp_path, doc, extra_args=("--horizon", "nan"))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert report is None
-    assert "--horizon" in err
-
-
 @pytest.mark.parametrize("args, flag", [
     ((), "--scenario"),
     (("--scenario", "s.json", "--no-such-flag"), "--no-such-flag"),
     (("--scenario", "s.json", "--tol", "abc"), "--tol"),
-], ids=["missing-scenario", "unknown-flag", "tol-not-a-number"])
+    # the flag was removed; a horizon comes from the commands' own fields
+    (("--scenario", "s.json", "--horizon", "nan"), "--horizon"),
+], ids=["missing-scenario", "unknown-flag", "tol-not-a-number", "removed-horizon-flag"])
 def test_usage_error_returns_one(capsys, args, flag):
     # argparse's own exit status 2 would read as Inconclusive
     assert cli.main(list(args)) == 1
@@ -332,6 +323,74 @@ def test_task_filter_option(tmp_path):
     code, report, _ = run_cli(tmp_path, doc, extra_args=("--tasks", "threshold"))
     assert code == 0
     assert [t["task"] for t in report["tasks"]] == ["threshold"]
+
+
+FILTERED = [
+    "threshold",
+    {"task": "growth", "denominator": "flat", "horizons": [2.0, "x"]},
+    {"task": "threshold", "curvatures": ["flat"]},
+]
+
+
+def test_task_filter_keeps_the_error_path_of_the_command(tmp_path, capsys):
+    code, report, _ = run_cli(tmp_path, base_scenario(commands=FILTERED),
+                              extra_args=("--tasks", "growth"))
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err.startswith("error: scenario.commands[1].horizons: ")
+
+
+def test_task_filter_keeps_every_listed_command_in_document_order(tmp_path):
+    code, report, _ = run_cli(tmp_path, base_scenario(commands=FILTERED),
+                              extra_args=("--tasks", "threshold"))
+    assert code == 0
+    assert [t["curvatures"] for t in report["tasks"]] == [["flat"], ["flat"]]
+    commands = ["threshold", {"task": "growth", "denominator": "flat", "horizons": [2.0]},
+                "threshold", {"task": "gauss-bonnet", "surface": "flat",
+                              "sides": [1.0, 1.0, 1.0]}]
+    code, report, out = run_cli(tmp_path, base_scenario(commands=commands),
+                                extra_args=("--tasks", "growth, threshold"))
+    assert code == 0
+    assert [t["task"] for t in report["tasks"]] == ["threshold", "growth", "threshold"]
+    # the growth command keeps its index in the document for its CSV name
+    assert report["tasks"][1]["csv"] == "growth_1.csv"
+    assert (out / "growth_1.csv").exists()
+
+
+def test_task_filter_naming_a_task_without_a_command_exits_one(tmp_path, capsys):
+    code, report, _ = run_cli(tmp_path, base_scenario(commands=FILTERED),
+                              extra_args=("--tasks", "threshold,gauss-bonnet"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: --tasks: ") and "gauss-bonnet" in err
+
+
+SPLINE_HYP = {
+    "core": {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [-1.0, -1.0]},
+    "tail": {"kind": "constant", "c": -1.0},
+    "t_tail": 1.0,
+}
+
+
+@pytest.mark.parametrize("command, message", [
+    ({"task": "growth", "denominator": "flat", "horizons": [2, 5000]},
+     "t_max must lie in (0, 4096]"),
+    ({**CHECK_FLAT, "horizons": [5000]}, "t_max must lie in (0, 4096]"),
+    ({"task": "triangle", "surface": "flat", "sides": [5000, 5000, 1]},
+     "warping functions are solved up to t = 4096"),
+    ({"task": "growth", "denominator": "hyp", "horizons": [2, 4000]},
+     "the warping function overflows before t = 4000"),
+], ids=["growth-horizon", "check-horizon", "triangle-side", "growth-overflow"])
+def test_geometry_failure_names_its_command(tmp_path, capsys, command, message):
+    doc = base_scenario(curvatures={"flat": SPLINE_FLAT, "hyp": SPLINE_HYP},
+                        commands=["threshold", command])
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: scenario.commands[1]: ") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", [300, 3000])

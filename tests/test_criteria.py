@@ -124,6 +124,45 @@ def test_main_check_domination_violation_raises():
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
 
 
+def formula_curvature(expr, breakpoints):
+    return rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": expr, "breakpoints": breakpoints},
+        "tail": {"kind": "zero"}, "t_tail": breakpoints[-1]})
+
+
+@pytest.mark.parametrize("expr, breakpoints", [
+    # -0.5 on (1.006, 1.014), which holds no point of a 641-point grid to 16
+    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 1.006, 1.01, 1.014, 2.0]),
+    # below zero only within 1e-6 of its knot
+    ("minimum(0.0, 1000.0 * abs(t - 1.01) - 1e-3)", [0.0, 1.01, 2.0]),
+], ids=["dip", "knot-only"])
+def test_domination_is_checked_at_every_knot(expr, breakpoints):
+    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(expr, breakpoints),
+                                           t_max=17.0)
+    flat = rg.RadialCurvature.zero()
+    with pytest.raises(rg.DomainError, match=r"domination fails near t = 1\.01: "):
+        rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
+
+
+def test_numerator_just_below_its_bound_fails_domination():
+    hyp = rg.RadialCurvature.constant(-1.0)
+    mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.constant(-1.0 - 1e-6),
+                                           t_max=17.0)
+    with pytest.raises(rg.DomainError, match=r"radial Ricci -1\.000001 < "):
+        rg.ricci_pinch_check(3, hyp, hyp, numerator=mfd)
+    with pytest.raises(rg.DomainError, match=r"radial sectional -1\.000001 < "):
+        rg.sectional_pinch_check(3, hyp, numerator=mfd)
+
+
+def test_numerator_equal_to_its_bound_in_another_core_dominates():
+    hyp = rg.RadialCurvature.constant(-1.0)
+    spline = rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [-1.0, -1.0, -1.0],
+                                            tail=rg.ConstantTail(-1.0))
+    mfd = rg.RotSymManifold.from_curvature(3, spline, t_max=17.0)
+    rep = rg.ricci_pinch_check(3, hyp, hyp, numerator=mfd)
+    assert rep.verdict == "DegenerateRigidity"
+
+
 def test_corollary_finite_volume_branch():
     rep = rg.sectional_pinch_check(3, cusp_fixture(), numerator=(0.0, 0.0))
     assert rep.verdict == "DiffeoRn"

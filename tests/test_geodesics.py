@@ -107,7 +107,7 @@ def test_shoot_flat_matches_planar_geometry():
 def test_shoot_conserves_clairaut_and_speed():
     for surface in (flat_surface(), hyperbolic_surface()):
         path = shoot(surface, rg.SurfacePoint(1.5, 0.0), 0.9, 5.0)
-        m = surface.m(path.t)
+        m = surface.warping.m(path.t)
         assert np.max(np.abs(m**2 * path.v_theta - path.clairaut_constant)) <= 1e-8
         assert np.max(np.abs(path.v_t**2 + (m * path.v_theta) ** 2 - 1.0)) <= 1e-9
 
@@ -283,10 +283,11 @@ _REF_PANEL = 1.0 / 20.0
 
 def referee_side(surface, nu, turning, r1, r2):
     """(swept angle, length) of the side with rotation number nu."""
-    kinks = surface.m(np.minimum(surface.k.breakpoints, surface.t_max)) / nu
+    w = surface.warping
+    kinks = w.m(np.minimum(w.k.breakpoints, w.t_max)) / nu
 
     def up_to(T):
-        ratio = surface.m(T) / nu
+        ratio = w.m(T) / nu
         if ratio <= 1.0:
             return np.zeros(2)
         edges = np.unique(np.concatenate(
@@ -294,11 +295,11 @@ def referee_side(surface, nu, turning, r1, r2):
         cuts = np.concatenate([np.linspace(a, b, int(math.ceil((b - a) / _REF_PANEL)) + 1)[1:]
                                for a, b in zip(edges[:-1], edges[1:])])
         lo, hi = np.concatenate([[0.0], cuts[:-1]]), cuts
-        w = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _REF_NODES).ravel()
+        x = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _REF_NODES).ravel()
         wt = (0.5 * (hi - lo)[:, None] * _REF_WEIGHTS).ravel()
-        ch = np.cosh(w)
-        t = newton_inverse(surface.warping, np.minimum(nu * ch, surface.m(surface.t_max)))
-        mp = surface.m_prime(t)
+        ch = np.cosh(x)
+        t = newton_inverse(w, np.minimum(nu * ch, w.m(w.t_max)))
+        mp = w.m_prime(t)
         return np.array([np.sum(wt / (ch * mp)), nu * np.sum(wt * ch / mp)])
 
     hi, lo = up_to(max(r1, r2)), up_to(min(r1, r2))
@@ -308,7 +309,7 @@ def referee_side(surface, nu, turning, r1, r2):
 def referee_rotation_number(surface, r1, r2, part, target):
     """(nu, turning) of the side between radii r1 and r2 whose angle
     (part 0) or length (part 1) equals target."""
-    nu_c = surface.m(min(r1, r2))
+    nu_c = surface.warping.m(min(r1, r2))
     turning = bool(target > referee_side(surface, nu_c, False, r1, r2)[part])
     nu = brentq(lambda nu: referee_side(surface, nu, turning, r1, r2)[part] - target,
                 1e-15 * nu_c, nu_c, xtol=1e-15 * max(1.0, nu_c), rtol=8.9e-16)
@@ -325,7 +326,7 @@ def referee_triangle_angles(surface, a, b, c):
     apex = referee_side(surface, nu, turning, a, b)[0]
     # the side leaves the inner end of a monotone side outward, so the angle
     # against the meridian to the pole is obtuse there and acute elsewhere
-    base = [math.asin(min(1.0, nu / surface.m(r))) for r in (a, b)]
+    base = [math.asin(min(1.0, nu / surface.warping.m(r))) for r in (a, b)]
     return [apex] + [math.pi - phi if not turning and r == min(a, b) else phi
                      for phi, r in zip(base, (a, b))]
 

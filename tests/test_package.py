@@ -1,5 +1,5 @@
 """Package hygiene: no unused imports or private names in the sources, no
-stale exports."""
+stale exports, a README example that runs and prints what it says."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 import radialgeo
 
 SOURCES = sorted(Path(radialgeo.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _unused_imports(tree):
@@ -79,3 +80,19 @@ def test_unused_private_name_is_detected():
 def test_every_export_resolves():
     missing = [name for name in radialgeo.__all__ if not hasattr(radialgeo, name)]
     assert missing == []
+
+
+def test_readme_quick_example_prints_what_its_comments_say(capsys):
+    block = README.read_text().split("Quick example:", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("#", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, str(README), "exec"), {})
+    printed = [float(word) for word in capsys.readouterr().out.split()]
+    # (value as its comment shows it, that value, half a unit of its last digit)
+    shown = [("1.17230", 1.17230, 5e-6), ("-1/6", -1.0 / 6.0, 1e-15),
+             ("1.32965", 1.32965, 5e-6)]
+    assert len(comments) == len(printed) == len(shown)
+    for comment, got, (text, value, tol) in zip(comments, printed, shown):
+        assert text in comment
+        assert abs(got - value) <= tol

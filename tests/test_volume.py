@@ -149,6 +149,13 @@ def test_classify_cusp_finite_matches_quadrature_oracle():
     assert out.total == pytest.approx(CUSP_TOTAL_VOLUME, rel=1e-8)
 
 
+def test_classify_rejects_a_solution_of_another_curvature():
+    # read as the cusp's, a flat solution made its finite volume "divergent"
+    flat = rg.solve_warping(rg.RadialCurvature.zero(), 4.0)
+    with pytest.raises(rg.DomainError, match="another curvature"):
+        rg.classify_ball_volume(3, cusp_fixture(), warping=flat)
+
+
 def test_classify_overshooting_cusp_at_exact_conjugate_point():
     k = cusp_fixture(CUSP_AMPLITUDE * (1.0 + 1e-8))
     with pytest.raises(rg.ConjugatePointError) as solved:

@@ -365,7 +365,7 @@ def test_model_surface_wraps_solution():
     s = rg.ModelSurface.from_curvature(env, 10.0)
     ts = np.linspace(0.0, 10.0, 201)
     w = rg.solve_warping(env, 10.0)
-    assert np.max(np.abs(s.m(ts) - w.m(ts))) <= 1e-12
+    assert np.max(np.abs(s.warping.m(ts) - w.m(ts))) <= 1e-12
 
 
 _INTERPOLANT_CASES = pytest.mark.parametrize("k, horizon", [
@@ -529,7 +529,7 @@ def test_carrying_on_keeps_the_node_data_already_computed(k):
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
     # t_tail = 2.7 lies between the nodes 172/64 and 173/64
     assert rg.solve_warping(SPL).t_max == 173 / 64
-    assert rg.ModelSurface.from_curvature(SPL).t_max == 173 / 64
+    assert rg.ModelSurface.from_curvature(SPL).warping.t_max == 173 / 64
     assert rg.RotSymManifold.from_curvature(3, SPL).t_max == 173 / 64
     doc = rg.RotSymManifold.from_curvature(3, SPL, t_max=5.0).to_json()
     del doc["t_max"]
