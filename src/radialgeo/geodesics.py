@@ -2,7 +2,8 @@
 
 All operations are restricted to nonpositive curvature, where geodesics
 between any two points are unique and the endpoint maps are monotone, so
-every two-point problem reduces to a bracketed root-find.
+every two-point problem reduces to one root of a smooth increasing function
+of a branch variable on (-1, 1), found by a safeguarded Newton method.
 
 The metric dt^2 + m(t)^2 dtheta^2 has the rotation number
 nu = m(t) sin(phi) conserved along geodesics (phi = angle to the meridian).
@@ -19,7 +20,8 @@ they are split at w_b = arccosh(m(b)/nu) for each curvature breakpoint b,
 where the integrand has a kink; that is what makes shooting on the conserved
 quantity cheap enough to use inside root-finds. t(w) comes from the inverse
 map t(mu) of the warping function, built once per surface, and one Newton
-polish.
+polish; the same read gives m'' at the nodes, and with it the derivative of
+the angle in nu that steers the root-find.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .errors import DomainError, SectorExceededError
 from .warping import ModelSurface
@@ -64,8 +65,8 @@ class SurfacePoint:
 @dataclass(frozen=True)
 class _SideGeodesic:
     """Geodesic arc between radii r1 and r2, where the warping function
-    takes the values m1 and m2, described by its rotation number and
-    whether it passes an interior turning radius."""
+    takes the values m1, m2 and the slopes mp1, mp2, described by its
+    rotation number and whether it passes an interior turning radius."""
 
     nu: float
     turning: bool
@@ -73,99 +74,129 @@ class _SideGeodesic:
     r2: float
     m1: float
     m2: float
+    mp1: float
+    mp2: float
 
     @property
     def t_lo(self):
         return min(self.r1, self.r2)
 
-    @property
-    def m_hi_lo(self):
-        """m at the outer and at the inner end."""
-        return (self.m1, self.m2) if self.r1 >= self.r2 else (self.m2, self.m1)
+    def ends(self):
+        """(m, m', sign of the integral up to it) at the outer and the inner end."""
+        ends = [(self.m1, self.mp1), (self.m2, self.mp2)]
+        outer, inner = ends if self.r1 >= self.r2 else ends[::-1]
+        return (*outer, 1.0), (*inner, 1.0 if self.turning else -1.0)
 
 
-_ANGLE, _LENGTH, _AREA_MASS = 0, 1, 2
-
-
-def _side_value(surface, side: _SideGeodesic, part: int) -> float:
-    """One part of the side: its swept angle, its length, or its area mass.
-
-    Each is the integral from the turning radius of nu up to t_hi plus
-    (turning side) or minus (monotone side) the same integral up to t_lo,
-    both in one pass; an end at or below the turning radius adds nothing.
-    The area mass integrates the cumulative curvature mass along the side
-    against dtheta; by Fubini this equals the curvature integral over the
-    region between the side and the pole (theta is monotone along the side).
-    The mass up to t is the warping's ``km_integral``, a quadrature of k*m
-    that never reads m': by m'' = -k m it equals 1 - m'(t), and the
-    Gauss-Bonnet residual is the gap between the two along the side.
-
-    m at the ends comes with the side and m at the curvature breakpoints
-    from the warping solution, which keeps it: a call inside a root-find
-    on nu reads the interpolant only through the inverse radius map.
+def _side_nodes(surface, side: _SideGeodesic):
+    """cosh(w) and the signed weights at the Gauss nodes of the side, and t,
+    m'(t) and m''(t) there. Each end above the turning radius adds panels
+    from w = 0 up to W = arccosh(m_end/nu), split at the kinks
+    w_b = arccosh(m(b)/nu) below W and none wider than ``_PANEL_WIDTH``. m
+    at the ends comes with the side and at the breakpoints from the warping
+    solution: a pass reads the interpolant only through the inverse map.
     """
     nu = side.nu
-    kinks = surface.warping.breakpoint_values() / nu
-    w_kinks = np.arccosh(kinks[kinks > 1.0]).tolist()
-    panels = []  # (mid, half-width, sign), none wider than _PANEL_WIDTH
-    for m_end, sign in zip(side.m_hi_lo, (1.0, 1.0 if side.turning else -1.0)):
-        ratio = m_end / nu
-        if ratio > 1.0:
+    w_kinks = [math.acosh(r) for b in surface.warping.breakpoint_values().tolist()
+               if (r := b / nu) > 1.0]
+    mids, halves, signs = [], [], []
+    for m_end, _, sign in side.ends():
+        if (ratio := m_end / nu) > 1.0:
             W = math.acosh(ratio)
             edges = [0.0, *(w for w in w_kinks if w < W), W]
             for a, b in zip(edges[:-1], edges[1:]):
                 n = max(1, math.ceil((b - a) / _PANEL_WIDTH))
                 half = 0.5 * (b - a) / n
-                panels += [(a + half * (2 * i + 1), half, sign) for i in range(n)]
-    if not panels:
-        return 0.0
-    mid, half, sign = np.array(panels).T
+                mids += [a + half * (2 * i + 1) for i in range(n)]
+                halves += [half] * n
+                signs += [sign] * n
+    mid, half, sign = np.array([mids, halves, signs])
     ch = np.cosh((mid[:, None] + half[:, None] * _GL_NODES).ravel())
     weights = ((sign * half)[:, None] * _GL_WEIGHTS).ravel()
-    t, mp = surface.warping.invert(nu * ch)
-    if part == _LENGTH:
-        return nu * float(np.sum(weights * ch / mp))
-    mass = surface.warping.km_integral(t) if part == _AREA_MASS else 1.0
-    return float(np.sum(weights * mass / (ch * mp)))
+    return (ch, weights, *surface.warping.invert(nu * ch))
+
+
+def _side_value(surface, side: _SideGeodesic):
+    """The side's swept angle, its length and d angle/d nu, from one pass.
+
+    Each is the integral from the turning radius of nu up to t_hi plus
+    (turning side) or minus (monotone side) the same integral up to t_lo.
+    At fixed w, dt/dnu = cosh(w)/m', so the angle integrand 1/(cosh(w) m')
+    has the nu-derivative k m/m'^3 = -m''/m'^3 (m'' from the interpolant is
+    enough to steer a root-find), and the upper limit of each end adds
+    -sign/(m'_end sqrt(m_end^2 - nu^2)). By the first variation
+    d length/d nu = nu d angle/d nu.
+    """
+    ch, weights, _, mp, mpp = _side_nodes(surface, side)
+    nu = side.nu
+    q = weights / mp
+    dangle = -float(q @ (mpp / (mp * mp)))
+    for m_end, mp_end, sign in side.ends():
+        if m_end / nu > 1.0:
+            dangle -= sign / (mp_end * math.sqrt((m_end - nu) * (m_end + nu)))
+    return float((q / ch).sum()), nu * float(q @ ch), dangle
+
+
+_MAX_PASSES = 100  # side passes per solve
 
 
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
                 target_angle: float | None = None,
-                target_length: float | None = None) -> _SideGeodesic:
-    """Find the geodesic between radii r1, r2 subtending a given angle or
-    having a given length. Exactly one target must be provided.
+                target_length: float | None = None):
+    """(side, angle, length) of the geodesic between radii r1, r2 with the
+    given angle or length; exactly one target must be provided.
 
-    Both endpoint maps are strictly monotone on each branch (monotone radius
-    vs. turning), with the branch point at nu_c = m(min radius), so a
-    safeguarded bracketed root-find is globally convergent. m at both radii
-    is read once here and carried by every trial side.
+    With nu_c = m(min radius) the solve runs in sigma = -+sqrt(1 - nu/nu_c),
+    negative on the monotone branch and positive on the turning one. Near
+    nu_c a side's value goes like crit -+ c sqrt(nu_c - nu), where Newton in
+    nu stalls; in sigma the angle (length) is smooth and increasing on
+    (-1, 1), from 0 to pi (|r1 - r2| to r1 + r2). Its value at sigma = 0,
+    crit, is the first pass, and its slope there sqrt(2)/m'(min radius),
+    times nu_c for a length and doubled for equal radii. A safeguarded
+    Newton method (rtsafe, Press et al., *Numerical Recipes* 9.4) runs in
+    the bracket [-1, 0] or [0, 1] on the target's side of crit, bisecting
+    where a step would leave it or shrinks too slowly. It stops when the
+    value is within a few ulps of the target, or the next Newton step or
+    the bracket is narrower in nu than brentq's tolerances; the last pass
+    gives the angle and the length. m and m' at both radii are read once.
     """
     m1, m2 = surface.warping.m(np.array([r1, r2])).tolist()
-    nu_c = m1 if r1 <= r2 else m2
-    part, target = ((_ANGLE, target_angle) if target_angle is not None
-                    else (_LENGTH, target_length))
-    branch_point = _SideGeodesic(nu_c, False, r1, r2, m1, m2)  # turning at the min radius
-    crit = _side_value(surface, branch_point, part)
-    scale = max(abs(target), abs(crit), 1e-30)
-    if abs(target - crit) <= 1e-13 * scale:
-        return branch_point
+    mp1, mp2 = surface.warping.m_prime(np.array([r1, r2])).tolist()
+    nu_c, mp_c = (m1, mp1) if r1 <= r2 else (m2, mp2)
+    by_length = target_angle is None
+    target = target_length if by_length else target_angle
+    nu_at = lambda sigma: nu_c * ((1.0 - sigma) * (1.0 + sigma))
 
-    turning = target > crit
-    f = lambda nu: _side_value(surface, _SideGeodesic(nu, turning, r1, r2, m1, m2),
-                               part) - target
-    # the value increases with nu from ~0 (radial limit) to crit, or, on the
-    # turning branch, decreases with nu; small nu passes near the pole
-    lo_br, hi_br = nu_c * 1e-15, nu_c
-    if turning:
-        for _ in range(6):
-            if f(lo_br) > 0.0:
-                break
-            lo_br *= 1e-6
+    def pass_at(sigma):
+        side = _SideGeodesic(nu_at(sigma), sigma > 0.0, r1, r2, m1, m2, mp1, mp2)
+        angle, length, dangle = _side_value(surface, side)
+        # d nu/d sigma = -2 nu_c sigma
+        dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0)
+        return side, angle, length, (length if by_length else angle) - target, dvalue
+
+    side, angle, length, f, _ = pass_at(0.0)
+    if abs(f) <= 1e-13 * max(abs(target), abs(f + target), 1e-30):
+        return side, angle, length
+    df = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
+    lo, hi = (0.0, 1.0) if f < 0.0 else (-1.0, 0.0)
+    sigma, newton, step, step_before = 0.0, f / df, 1.0, 1.0
+    for _ in range(_MAX_PASSES):
+        # a Newton step inside the bracket and at most half the step before last
+        if lo < sigma - newton < hi and 2.0 * abs(newton) <= step_before:
+            step_before, step = step, abs(newton)
+            sigma -= newton
         else:
-            raise DomainError("side target unreachable within the sector")
-    nu = brentq(f, lo_br, hi_br, xtol=1e-15 * max(1.0, nu_c), rtol=8.9e-16,
-                maxiter=200)
-    return _SideGeodesic(float(nu), turning, r1, r2, m1, m2)
+            step_before, step = step, 0.5 * (hi - lo)
+            sigma = lo + step
+        side, angle, length, f, df = pass_at(sigma)
+        newton = f / df if df > 0.0 else math.inf
+        lo, hi = (sigma, hi) if f < 0.0 else (lo, sigma)
+        tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
+        if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol
+                or abs(nu_at(sigma - newton) - side.nu) < tol):
+            return side, angle, length
+    raise DomainError(f"side solve between radii {r1:.6g} and {r2:.6g} did not converge "
+                      f"in {_MAX_PASSES} passes")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +220,7 @@ def distance(surface: ModelSurface, a: SurfacePoint, b: SurfacePoint) -> float:
     if dth > math.pi - 1e-12:
         # limit of the turning branch: the connecting geodesic runs through the pole
         return a.t + b.t
-    side = _solve_side(surface, a.t, b.t, target_angle=dth)
-    return _side_value(surface, side, _LENGTH)
+    return _solve_side(surface, a.t, b.t, target_angle=dth)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +284,7 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
     if not (d_xy < d_ox + d_oy and d_ox < d_oy + d_xy and d_oy < d_ox + d_xy):
         raise DomainError(
             f"side lengths {sides} violate the strict triangle inequality")
-    side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
-    theta_star = _side_value(surface, side, _ANGLE)
+    side, theta_star, _ = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
     if theta_star > math.pi + 1e-12:
         raise SectorExceededError(
             f"apex angle {theta_star:.6g} exceeds pi; the triangle does not "
@@ -285,6 +314,10 @@ def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float
     side = tri._side
     if side is None:
         d_ox, d_oy, d_xy = tri.side_lengths
-        side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
-    area_integral = _side_value(surface, side, _AREA_MASS)
+        side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)[0]
+    ch, weights, t, mp, _ = _side_nodes(surface, side)
+    # the mass up to t is the warping's km_integral, a quadrature of k*m that
+    # never reads m': by m'' = -k m it equals 1 - m'(t), and the residual is
+    # the gap between the two along the side
+    area_integral = float(np.sum(weights * surface.warping.km_integral(t) / (ch * mp)))
     return (tri.angle_sum() - math.pi) - area_integral

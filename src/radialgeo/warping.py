@@ -157,7 +157,7 @@ class WarpingSolution:
         self._m_poly = _quintic(grid, m_values, m_prime_values, self._m_second_values)
         self._m_prime_poly = self._m_poly.derivative()
         self._m_second_poly = self._m_prime_poly.derivative()
-        self._t_of_mu = None
+        self._t_of_mu = self._m_jet = None
         self._breakpoint_values = None
         self._tables = {}
 
@@ -282,23 +282,29 @@ class WarpingSolution:
         return self._integral("km", t)
 
     def invert(self, mu):
-        """t with m(t) = mu, and m'(t), elementwise for an increasing m.
+        """t with m(t) = mu, m'(t) and m''(t), elementwise for an increasing m.
 
         No range check runs: mu is clipped to [0, m(t_max)], t to [0, t_max].
         The quintic t(mu) through t_i, 1/m'_i and -m''_i/m'_i^3 at the nodes
         mu_i = m_i is built on the first call, in the same power form as m
-        and with the same end cell, so mu = m(t_max) gives t_max exactly;
-        one Newton step on m takes its error (about 1e-11 next to a
-        curvature kink) to roundoff.
+        and with the same end cell, so mu = m(t_max) gives t_max exactly, and
+        so is one interpolant of (m, m', m''): a call reads t0 = t(mu), then
+        all three at t0. One Newton step on m takes the error of t0 (about
+        1e-11 next to a curvature kink) to roundoff, and over that step
+        m'(t) = m'(t0) + m''(t0) (t - t0) is exact to rounding; m'' is m''(t0).
         """
         if self._t_of_mu is None:
             mp = self.m_prime_values
             self._t_of_mu = _quintic(self.m_values, self.grid, 1.0 / mp,
                                      -self._m_second_values / mp ** 3)
-        mu = np.clip(mu, 0.0, self.m_values[-1])
-        t = self._t_of_mu(mu)
-        t = np.clip(t - (self._m_poly(t) - mu) / self._m_prime_poly(t), 0.0, self.t_max)
-        return t, self._m_prime_poly(t)
+            polys = (self._m_poly, self._m_prime_poly, self._m_second_poly)
+            c = np.stack([np.pad(p.c, ((6 - len(p.c), 0), (0, 0))) for p in polys], axis=-1)
+            self._m_jet = PPoly.construct_fast(c, self._m_poly.x)
+        mu = np.minimum(np.maximum(mu, 0.0), self.m_values[-1])
+        t0 = self._t_of_mu(mu)
+        m, mp, mpp = np.rollaxis(self._m_jet(t0), -1)
+        t = np.minimum(np.maximum(t0 - (m - mu) / mp, 0.0), self.t_max)
+        return t, mp + mpp * (t - t0), mpp
 
     def __repr__(self):
         return (f"WarpingSolution(t_max={self.t_max!r}, rel_tol={self.rel_tol!r}, "

@@ -264,12 +264,79 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
     monkeypatch.setattr(rg.WarpingSolution, "m", counted("m", rg.WarpingSolution.m))
     monkeypatch.setattr(geodesics, "_side_value", counted("side_value", geodesics._side_value))
     rg.distance(s, rg.SurfacePoint(1.3, 0.0), rg.SurfacePoint(3.1, 1.2))
+    distance_passes = reads["side_value"]
     rg.comparison_triangle(s, 2.0, 3.0, 2.5)
     # the breakpoint radii are read once per surface and m at the two radii
-    # once per side solved, however many brentq steps evaluate the side
+    # once per side solved, however many Newton passes evaluate the side
     assert reads["breakpoints"] <= 1
     assert reads["m"] <= 2
-    assert reads["side_value"] >= 20
+    # each solve makes the branch-point pass and Newton passes after it, and
+    # its last pass gives the result: no bracket probes, no separate read
+    for passes in (distance_passes, reads["side_value"] - distance_passes):
+        assert 3 <= passes <= 8
+
+
+@pytest.mark.parametrize("sides, nu", [
+    # the geodesy workload's seed-1, round-40 bump triangle
+    ((3.344500818215339, 1.0713532821709226, 4.311735000611167), 0.3597115992687689),
+    # here the length stays 1 ulp below the target while the Newton step in
+    # nu stays above its tolerance: without the stop on the value the slow
+    # steps fall back to bisection and the solve takes 47 passes
+    ((2.2003908032264885, 3.5543796732067743, 5.688704274895482), 0.3293912655640854),
+], ids=["round-40", "ulp-bound"])
+def test_side_solve_stops_within_a_few_ulps_of_the_target(monkeypatch, sides, nu):
+    from radialgeo import geodesics
+
+    passes = []
+    side_value = geodesics._side_value
+    monkeypatch.setattr(geodesics, "_side_value",
+                        lambda *args: passes.append(1) or side_value(*args))
+    tri = rg.comparison_triangle(bump_surface(), *sides)
+    assert len(passes) <= 10
+    # nu from a bracketed brentq solve of the same side
+    assert tri.to_json()["rotation_number"] == pytest.approx(nu, rel=1e-13)
+    assert tri.to_json()["turning"] is True
+
+
+@pytest.mark.parametrize("solve", [
+    lambda s: rg.distance(s, rg.SurfacePoint(1.3, 0.0), rg.SurfacePoint(3.1, 1.2)),
+    lambda s: rg.comparison_triangle(s, 2.0, 3.0, 2.5),
+], ids=["distance", "triangle"])
+def test_side_solve_out_of_passes_raises_domain_error(monkeypatch, solve):
+    from radialgeo import geodesics
+
+    monkeypatch.setattr(geodesics, "_MAX_PASSES", 1)
+    with pytest.raises(rg.DomainError, match="did not converge"):
+        solve(bump_surface())
+
+
+@pytest.mark.parametrize("turning", [False, True], ids=["monotone", "turning"])
+@pytest.mark.parametrize("surface", [flat_surface, hyperbolic_surface, bump_surface],
+                         ids=["flat", "hyperbolic", "bump"])
+def test_side_derivative_matches_central_differences(surface, turning):
+    from radialgeo import geodesics
+
+    s = surface()
+    w = s.warping
+    for r1, r2 in [(1.3, 3.1), (2.2, 0.7), (4.0, 4.5), (0.3, 5.5)]:
+        m1, m2 = w.m(np.array([r1, r2]))
+        mp1, mp2 = w.m_prime(np.array([r1, r2]))
+        for frac in (0.05, 0.3, 0.7, 0.95):
+            nu = frac * min(m1, m2)
+            h = 1e-6 * nu
+
+            def parts(nu):
+                side = geodesics._SideGeodesic(nu, turning, r1, r2, m1, m2, mp1, mp2)
+                return geodesics._side_value(s, side)
+
+            angle, length, dangle = parts(nu)
+            (a_hi, l_hi, _), (a_lo, l_lo, _) = parts(nu + h), parts(nu - h)
+            fd_angle, fd_length = (a_hi - a_lo) / (2 * h), (l_hi - l_lo) / (2 * h)
+            # relative agreement, plus the roundoff of a difference quotient
+            assert abs(dangle - fd_angle) <= 1e-7 * abs(fd_angle) + 1e-14 * (1 + angle) / h
+            # the first variation: d length/d nu = nu * d angle/d nu
+            for want in (nu * dangle, nu * fd_angle):
+                assert abs(want - fd_length) <= 1e-7 * abs(fd_length) + 1e-14 * (1 + length) / h
 
 
 # -- fine-panel referee -------------------------------------------------------
