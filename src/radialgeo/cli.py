@@ -45,7 +45,8 @@ from .errors import GeometryError, ScenarioError
 from .geodesics import comparison_triangle, gauss_bonnet_residual
 from .synthetic import RotSymManifold
 from .volume import growth_ratio
-from .warping import _REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface, solve_warping
+from .warping import (_REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface,
+                      WarpingSolution, solve_warping)
 
 _TASKS = ("threshold", "growth", "triangle", "gauss-bonnet",
           "check-main", "check-corollary")
@@ -77,8 +78,13 @@ def _positive_finite(value) -> bool:
         return False
 
 
+def _document_key(k: RadialCurvature) -> str:
+    return json.dumps(k.to_json(), sort_keys=True)
+
+
 class _Scenario:
-    """Validated scenario with constructed geometry objects."""
+    """Validated scenario with constructed geometry objects, and one warping
+    solution per curvature object for the run."""
 
     def __init__(self, doc: dict, rel_tol: float):
         if not isinstance(doc, dict):
@@ -99,14 +105,19 @@ class _Scenario:
                           "an object mapping names to curvature documents")
         if not curv_doc:
             _fail("scenario.curvatures", "at least one curvature is required")
+        # equal documents resolve to one curvature object, so to one solution
         self.curvatures: dict[str, RadialCurvature] = {}
+        shared: dict[str, RadialCurvature] = {}
         for cname, body in curv_doc.items():
             if not isinstance(body, dict):
                 _fail(f"scenario.curvatures.{cname}", "expected an object")
             try:
-                self.curvatures[cname] = RadialCurvature.from_json(body)
+                k = RadialCurvature.from_json(body)
             except GeometryError as exc:
                 _fail(f"scenario.curvatures.{cname}", str(exc))
+            self.curvatures[cname] = shared.setdefault(_document_key(k), k)
+        # the run's one warping solution per curvature object
+        self._solutions: dict[RadialCurvature, WarpingSolution] = {}
 
         self.manifold = None
         if "manifold" in doc:
@@ -118,12 +129,16 @@ class _Scenario:
                 self.manifold = RotSymManifold.from_json(body, rel_tol=rel_tol)
             except GeometryError as exc:
                 _fail("scenario.manifold", str(exc))
+            own = self.manifold.curvature
+            twin = shared.get(_document_key(own))
+            self.curvatures = {name: own if k is twin else k
+                               for name, k in self.curvatures.items()}
+            self._solutions[own] = self.manifold.warping
 
         commands = _field(doc, "commands", list, "scenario", "a list")
         if not commands:
             _fail("scenario.commands", "at least one command is required")
         self.commands = [self._check_command(c, i) for i, c in enumerate(commands)]
-        self._surfaces: dict = {}
 
     def _check_command(self, cmd, index: int) -> dict:
         path = f"scenario.commands[{index}]"
@@ -145,11 +160,25 @@ class _Scenario:
                         f"(have: {', '.join(sorted(self.curvatures))})")
         return self.curvatures[cname]
 
+    def warping(self, k: RadialCurvature, t_max: float | None = None) -> WarpingSolution:
+        """The run's solution of k: solved on the first request (to t_max, or
+        to the grid node past the tail anchor), and carried on in one step
+        when a later request names a t_max past its own."""
+        w = self._solutions.get(k)
+        if w is None:
+            w = self._solutions[k] = solve_warping(k, t_max, self.rel_tol)
+        elif t_max is not None:
+            w.extend_to(t_max)
+        return w
+
+    def model_warping(self, k: RadialCurvature, numerator, horizons) -> WarpingSolution:
+        """The solution a check needs of its model k: to the last horizon
+        for a manifold numerator; for an asserted bracket, B-1 alone, which
+        reads it at the tail anchor."""
+        return self.warping(k, None if isinstance(numerator, tuple) else max(horizons))
+
     def surface(self, cname: str, path: str) -> ModelSurface:
-        if cname not in self._surfaces:
-            self._surfaces[cname] = ModelSurface.from_curvature(
-                self.curvature(cname, path), rel_tol=self.rel_tol)
-        return self._surfaces[cname]
+        return ModelSurface(self.warping(self.curvature(cname, path)))
 
     def numerator(self, source, path: str):
         if source is None or source == "manifold":
@@ -218,8 +247,9 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
         _fail(f"{path}.dominated",
               f"expected true or false, got {type(dominated).__name__}")
 
-    den_w = solve_warping(den_k, max(horizons), scn.rel_tol)
-    ratio = growth_ratio(scn.n, numerator.warping, den_w, horizons, dominated=dominated)
+    den_w = scn.warping(den_k, max(horizons))
+    num_w = scn.warping(numerator.curvature, max(horizons))
+    ratio = growth_ratio(scn.n, num_w, den_w, horizons, dominated=dominated)
 
     csv_name = f"growth_{idx}.csv"
     ratio.to_csv(outdir / csv_name,
@@ -278,27 +308,25 @@ def _run_gauss_bonnet(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
 def _run_check_main(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     g_name = _field(cmd, "g", str, path, "a curvature name")
     k_name = _field(cmd, "k", str, path, "a curvature name")
-    report = ricci_pinch_check(
-        scn.n,
-        scn.curvature(g_name, f"{path}.g"),
-        scn.curvature(k_name, f"{path}.k"),
-        scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator"),
-        horizons=scn.horizons(cmd, path),
-        rel_tol=scn.rel_tol,
-    )
+    g = scn.curvature(g_name, f"{path}.g")
+    k = scn.curvature(k_name, f"{path}.k")
+    numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
+    horizons = scn.horizons(cmd, path)
+    report = ricci_pinch_check(scn.n, g, k, numerator, horizons=horizons,
+                               rel_tol=scn.rel_tol,
+                               warping=scn.model_warping(g, numerator, horizons))
     return {"task": "check-main", "g": g_name, "k": k_name,
             "report": report.to_json()}
 
 
 def _run_check_corollary(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     g_name = _field(cmd, "g", str, path, "a curvature name")
-    report = sectional_pinch_check(
-        scn.n,
-        scn.curvature(g_name, f"{path}.g"),
-        scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator"),
-        horizons=scn.horizons(cmd, path),
-        rel_tol=scn.rel_tol,
-    )
+    g = scn.curvature(g_name, f"{path}.g")
+    numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
+    horizons = scn.horizons(cmd, path)
+    report = sectional_pinch_check(scn.n, g, numerator, horizons=horizons,
+                                   rel_tol=scn.rel_tol,
+                                   warping=scn.model_warping(g, numerator, horizons))
     return {"task": "check-corollary", "g": g_name, "report": report.to_json()}
 
 

@@ -3,12 +3,17 @@
 ``ricci_pinch_check`` (the main theorem) and ``sectional_pinch_check`` (the
 finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
-threshold; the model curvature is solved once to the last horizon, and that
-solve both decides hypothesis B-1 (do model ball volumes diverge?) and gives
-the denominators of the growth ratio of a synthetic numerator, whose solution
-carries itself on to the horizons and whose own curvature is first checked
+threshold; one solution of the model curvature, to the last horizon, both
+decides hypothesis B-1 (do model ball volumes diverge?) and gives the
+denominators of the growth ratio of a synthetic numerator, whose solution is
+carried on to the last horizon and whose own curvature is first checked
 against each bound at every knot up to the last horizon. An asserted growth
-bracket passes through instead. The two checks differ only in their verdict
+bracket passes through instead, and B-1 needs the model only up to its tail
+anchor. A caller holding a solution of the model curvature passes it as
+``warping=`` (as to ``classify_ball_volume``; a solution of another
+curvature object raises DomainError) and the check solves nothing for the
+model: the command-line front end keeps one solution per curvature for a
+whole scenario run. The two checks differ only in their verdict
 rules, which compare the growth bracket with the threshold (B-2). Verdicts
 are one-directional: a check certifies the conclusion when the hypotheses
 hold and otherwise reports Inconclusive; it never claims the converse.
@@ -33,7 +38,7 @@ from .volume import (
     cap_fraction,
     classify_ball_volume,
 )
-from .warping import DEFAULT_REL_TOL, solve_warping
+from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 16.0)
 # comparison grace for bracket-vs-threshold decisions
@@ -121,17 +126,21 @@ def _checked_bracket(bracket) -> tuple:
     return lo, hi
 
 
-def _pinch_check(n, bounds, numerator, horizons, rel_tol):
+def _pinch_check(n, bounds, numerator, horizons, rel_tol, warping):
     """The decision both checks share, up to the verdict.
 
     ``bounds`` lists (curvature, label) pairs: all of them join the
     nonpositive envelope that sets delta and the threshold, a manifold
     numerator must dominate each (checked at every knot up to the last
     horizon, the label names the failing one), and the first generates the
-    comparison model. The model is solved once to the last horizon; that
-    solve serves both the ball-volume class (B-1) and the growth-ratio
-    denominators. Asserted brackets pass through. Returns (delta, threshold,
-    model ball-volume class, growth bracket, notes).
+    comparison model. Its solution is ``warping`` (a solution of that
+    curvature object, else DomainError) or, when None, a solve to the last
+    horizon; it serves both the ball-volume class (B-1) and the growth-ratio
+    denominators, and before the ratios it and the numerator's solution are
+    carried on to the last horizon in one step each. Asserted brackets pass
+    through, and classify a given solution as it stands or solve to the tail
+    anchor. Returns (delta, threshold, model ball-volume class, growth
+    bracket, notes).
     """
     horizons = _checked_horizons(horizons)
     max_h = horizons[-1]
@@ -141,7 +150,7 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
 
     if isinstance(numerator, (tuple, list)):
         bracket = _checked_bracket(numerator)
-        classification = classify_ball_volume(n, model, rel_tol=rel_tol)
+        classification = classify_ball_volume(n, model, warping=warping, rel_tol=rel_tol)
         return delta, threshold, classification, bracket, [
             f"model ball volumes {classification.kind}: {classification.note}",
             "growth bracket asserted by caller; domination not verified here"]
@@ -152,7 +161,7 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
 
-    den_warping = solve_warping(model, max_h, rel_tol)
+    den_warping = solve_warping(model, max_h, rel_tol) if warping is None else warping
     classification = classify_ball_volume(n, model, warping=den_warping,
                                           rel_tol=rel_tol)
     notes = [f"model ball volumes {classification.kind}: {classification.note}"]
@@ -176,7 +185,8 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
 
     # a bounded denominator leaves the ratio well defined pointwise; only its
     # reading as a growth limit needs B-1, which the verdict rules check
-    ratio = _assemble_ratio(n, numerator.warping, den_warping, horizons, True)
+    ratio = _assemble_ratio(n, numerator.warping.extend_to(max_h),
+                            den_warping.extend_to(max_h), horizons, True)
     if not ratio.monotone_nonincreasing:
         t0, r0, t1, r1 = ratio.first_violation
         notes.append(f"ratio sequence not monotone: {r0!r} at t = {t0!r} "
@@ -189,17 +199,19 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol):
 def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
                       sectional_bound: RadialCurvature, numerator,
                       horizons=DEFAULT_HORIZONS,
-                      rel_tol: float = DEFAULT_REL_TOL) -> CriterionReport:
+                      rel_tol: float = DEFAULT_REL_TOL,
+                      warping: WarpingSolution | None = None) -> CriterionReport:
     """Full two-hypothesis check against a radial-Ricci model bound.
 
     ricci_bound generates the comparison model (volume denominators and the
     divergence hypothesis); sectional_bound joins it in the nonpositive
     envelope that sets the critical angle. The numerator manifold must
     dominate both bounds; declared brackets skip that verification.
+    ``warping``, a solution of ricci_bound, saves the model solve.
     """
     delta, threshold, classification, growth_limit, notes = _pinch_check(
         n, [(ricci_bound, "radial Ricci"), (sectional_bound, "radial sectional")],
-        numerator, horizons, rel_tol)
+        numerator, horizons, rel_tol, warping)
     b1 = classification.kind == "divergent"
     b2 = _tri_state(growth_limit, threshold)
     if b1 and b2 == B2_HOLDS:
@@ -216,16 +228,19 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
 
 def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
                           horizons=DEFAULT_HORIZONS,
-                          rel_tol: float = DEFAULT_REL_TOL) -> CriterionReport:
+                          rel_tol: float = DEFAULT_REL_TOL,
+                          warping: WarpingSolution | None = None) -> CriterionReport:
     """Variant needing only a radial-sectional model bound.
 
     The envelope is the nonpositive part of that single bound. When the
     comparison model's total volume is finite the conclusion holds without
     the growth hypothesis at all; the report then carries the
-    FiniteModelVolume flag and b1_holds stays False.
+    FiniteModelVolume flag and b1_holds stays False. ``warping``, a solution
+    of sectional_bound, saves the model solve.
     """
     delta, threshold, classification, growth_limit, notes = _pinch_check(
-        n, [(sectional_bound, "radial sectional")], numerator, horizons, rel_tol)
+        n, [(sectional_bound, "radial sectional")], numerator, horizons, rel_tol,
+        warping)
     b1 = classification.kind == "divergent"
     b2 = _tri_state(growth_limit, threshold)
     flags = []

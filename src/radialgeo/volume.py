@@ -27,7 +27,7 @@ from scipy import special
 
 from .curvature import NEG_INFINITY, RadialCurvature
 from .errors import ConditionB1ViolatedError, DomainError
-from .warping import WarpingSolution, solve_warping
+from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
 
 _MONOTONE_TOL = 1e-9
 
@@ -135,7 +135,7 @@ class BallVolumeClass:
 
 def classify_ball_volume(n: int, k: RadialCurvature,
                          warping: WarpingSolution | None = None,
-                         rel_tol: float = 1e-12) -> BallVolumeClass:
+                         rel_tol: float = DEFAULT_REL_TOL) -> BallVolumeClass:
     """Decide divergence of ball volumes in the n-model built from k.
 
     The decision is made in closed form at the tail anchor a, not by

@@ -139,7 +139,9 @@ class WarpingSolution:
     ``m``, ``m_prime`` and ``m_second`` evaluate anywhere in [0, 4096],
     vectorized, and return the node values exactly at every node; a t past
     t_max first carries the solution on to the first node at or past it,
-    which moves t_max. ``power_integral(q, t)`` and ``km_integral(t)`` are
+    which moves t_max. Each carry rebuilds the interpolant, so a caller
+    about to read at several t past t_max calls ``extend_to`` with the
+    largest first. ``power_integral(q, t)`` and ``km_integral(t)`` are
     the integrals of m^q and k*m over [0, t], read from a cumulative table
     over the cells that is built on the first call for each integrand and
     kept with the solution.
@@ -183,6 +185,14 @@ class WarpingSolution:
                           np.concatenate([self.m_values, m]),
                           np.concatenate([self.m_prime_values, mp]))
         return np.clip(arr, 0.0, self.t_max)
+
+    def extend_to(self, t_max: float) -> "WarpingSolution":
+        """This solution, carried on in one step to the first node at or past
+        t_max; one that reaches t_max already is left as it is. A t_max
+        outside (0, 4096] raises as ``solve_warping(k, t_max)`` does."""
+        _check_horizon(t_max)
+        self._reach(t_max)
+        return self
 
     def _read(self, name, t):
         """The interpolant in attribute ``name`` at t; a float for a scalar t."""
@@ -358,8 +368,7 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
     """
     if t_max is None:
         t_max = math.ceil(_NODES_PER_UNIT * k.t_tail) / _NODES_PER_UNIT
-    if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
-        raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
+    _check_horizon(t_max)
     if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
         raise DomainError(
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
@@ -367,6 +376,11 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
     m, mp = _carry(k, grid, rel_tol, 0.0, 1.0)
     return WarpingSolution(k, t_max, rel_tol, grid, np.concatenate([[0.0], m]),
                            np.concatenate([[1.0], mp]))
+
+
+def _check_horizon(t_max):
+    if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
+        raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
 
 
 def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: float):

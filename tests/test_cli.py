@@ -299,6 +299,53 @@ def test_report_is_deterministic(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+SHARED_COMMANDS = [
+    {"task": "growth", "denominator": "hyp"},
+    {"task": "growth", "denominator": "flat-again", "dominated": True},
+    {"task": "triangle", "surface": "hyp", "sides": [1.5, 2.0, 1.2]},
+    {"task": "gauss-bonnet", "surface": "ramp", "sides": [1.0, 1.4, 0.8]},
+    {"task": "check-main", "g": "hyp", "k": "hyp", "numerator": "manifold"},
+    {"task": "check-corollary", "g": "ramp", "numerator": "manifold"},
+    {"task": "check-main", "g": "flat", "k": "flat", "numerator": [0.3, 0.4]},
+]
+
+
+def test_one_solve_per_distinct_curvature_and_the_same_report(tmp_path, monkeypatch):
+    # flat, flat-again and the manifold are one document, hyp and ramp two more
+    solved = []
+    original = radialgeo.solve_warping
+
+    def counted(k, *args, **kwargs):
+        solved.append(json.dumps(k.to_json(), sort_keys=True))
+        return original(k, *args, **kwargs)
+
+    # every module binding the run's calls go through
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "radialgeo" and \
+                getattr(module, "solve_warping", None) is original:
+            monkeypatch.setattr(module, "solve_warping", counted)
+    curvatures = {"flat": SPLINE_FLAT, "hyp": SPLINE_HYP, "ramp": SPLINE_RAMP,
+                  "flat-again": copy.deepcopy(SPLINE_FLAT)}
+    code, report, out = run_cli(tmp_path, base_scenario(curvatures=curvatures,
+                                                        commands=SHARED_COMMANDS))
+    assert code == 2  # the asserted bracket is below the threshold
+    assert len(solved) == len(set(solved)) == 3
+
+    # each command as its own scenario, at its index behind threshold commands
+    tasks = []
+    for idx, command in enumerate(SHARED_COMMANDS):
+        alone = tmp_path / f"alone{idx}"
+        alone.mkdir()
+        _code, single, single_out = run_cli(alone, base_scenario(
+            curvatures=curvatures, commands=["threshold"] * idx + [command]))
+        tasks.append(single["tasks"][-1])
+        if "csv" in tasks[-1]:
+            csv_name = tasks[-1]["csv"]
+            assert (single_out / csv_name).read_bytes() == (out / csv_name).read_bytes()
+    expected = {**report, "tasks": tasks}
+    assert (out / "report.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_console_entry_point(tmp_path):
     p = write_scenario(tmp_path, base_scenario())
     out = tmp_path / "out"

@@ -216,15 +216,19 @@ def test_bracket_validation():
 @pytest.mark.parametrize("check", ["main", "corollary"])
 def test_manifold_numerator_solves_and_classifies_model_once(monkeypatch, check):
     # one solve of the model to the last horizon serves both the ball-volume
-    # class (B-1) and the growth-ratio denominators
+    # class (B-1) and the growth-ratio denominators; a solution handed in as
+    # warping= makes that solve unnecessary
     from radialgeo import criteria, volume
 
     if check == "main":
         model = rg.RadialCurvature.constant(-1.0)
+        twin = rg.RadialCurvature.constant(-1.0)
     else:
-        model = rg.RadialCurvature.from_spline(
+        model, twin = (rg.RadialCurvature.from_spline(
             [0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
-            tail=rg.PowerLawTail(-0.2, 3.0))
+            tail=rg.PowerLawTail(-0.2, 3.0)) for _ in range(2))
+    # made before the spies: one to the anchor only, carried on by the check
+    given, foreign = rg.solve_warping(model), rg.solve_warping(twin, 16.0)
     calls = {"solve_warping": 0, "classify_ball_volume": 0}
     for name, k_pos in (("solve_warping", 0), ("classify_ball_volume", 1)):
         def counted(*args, _name=name, _k_pos=k_pos, _func=getattr(volume, name),
@@ -237,9 +241,23 @@ def test_manifold_numerator_solves_and_classifies_model_once(monkeypatch, check)
             monkeypatch.setattr(module, name, counted)
 
     mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=17.0)
-    if check == "main":
-        rep = rg.ricci_pinch_check(3, model, model, numerator=mfd)
-    else:
-        rep = rg.sectional_pinch_check(3, model, numerator=mfd)
+
+    def run(numerator=mfd, **kwargs):
+        calls.update(solve_warping=0, classify_ball_volume=0)
+        if check == "main":
+            return rg.ricci_pinch_check(3, model, model, numerator=numerator, **kwargs)
+        return rg.sectional_pinch_check(3, model, numerator=numerator, **kwargs)
+
+    rep = run()
     assert rep.b1_holds
     assert calls == {"solve_warping": 1, "classify_ball_volume": 1}
+    assert run(warping=given) == rep
+    assert calls == {"solve_warping": 0, "classify_ball_volume": 1}
+    assert given.t_max == 16.0
+    # an asserted bracket reads the given solution as it stands
+    assert run([0.5, 0.6], warping=given).b1_holds
+    assert calls == {"solve_warping": 0, "classify_ball_volume": 1}
+    # equal values, another object: the identity check of classify_ball_volume
+    for numerator in (mfd, [0.5, 0.6]):
+        with pytest.raises(rg.DomainError, match="another curvature"):
+            run(numerator, warping=foreign)

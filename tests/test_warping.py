@@ -529,6 +529,20 @@ def test_carrying_on_keeps_the_node_data_already_computed(k):
     assert np.array_equal(w.m_prime_values[:grid.size], mp)
 
 
+@_CARRY_CURVATURES
+def test_extend_to_carries_on_in_one_step_to_a_longer_solve(k):
+    full = rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k)
+    assert w.extend_to(16.0) is w
+    assert np.array_equal(w.grid, full.grid)
+    assert np.array_equal(w.m_values, full.m_values)
+    assert np.array_equal(w.m_prime_values, full.m_prime_values)
+    # a horizon already reached leaves the solution and its interpolant alone
+    poly = w._m_poly
+    w.extend_to(8.0)
+    assert w.t_max == 16.0 and w._m_poly is poly
+
+
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
     # t_tail = 2.7 lies between the nodes 172/64 and 173/64
     assert rg.solve_warping(SPL).t_max == 173 / 64
@@ -545,6 +559,9 @@ def test_read_past_4096_raises_domain_error():
     for read in _READERS.values():
         with pytest.raises(rg.DomainError, match="solved up to t = 4096"):
             read(w, np.array([0.5, 4096.5]))
+    # a horizon asked for ahead of the reads is worded as a solve's
+    with pytest.raises(rg.DomainError, match=r"t_max must lie in \(0, 4096\]"):
+        w.extend_to(4096.5)
     assert w.t_max == 1.0
 
 
