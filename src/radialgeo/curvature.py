@@ -21,9 +21,9 @@ zero at its anchor (a zero constant or power-law coefficient) with ``ZeroTail``.
 
 Cores are either cubic splines over breakpoints or closed-form callables.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
-represented exactly by lazy evaluation over the merged breakpoint grid, with
-kink locations refined by root finding so downstream quadrature can split
-there.
+represented exactly by lazy evaluation over the merged breakpoint grid; their
+kinks, the changes of the minimiser on a scan grid, are refined together by
+regula falsi in array calls so downstream quadrature can split there.
 
 The core part of the curvature moment is integrated over panels between
 the breakpoints by 16-point Gauss-Legendre rules, with the gap to the
@@ -53,8 +53,8 @@ NEG_INFINITY = float("-inf")
 _JUNCTION_TOL = 1e-8
 # Dense sampling used for sign checks and kink scans.
 _SCAN_POINTS = 801
-# Arguments that RadialCurvature evaluates as one float.
-_SCALAR_TYPES = (float, int, np.floating, np.integer)
+# Rounds of regula falsi refining the envelope's kinks, at most.
+_KINK_ROUNDS = 100
 # A slope at the anchor within this fraction of the state's scale counts as zero.
 _FLAT_SLOPE_TOL = 1e-12
 # moment panels: the 8- and 16-point Gauss-Legendre rules on [-1, 1]. Both
@@ -301,7 +301,7 @@ class SplineCore:
 
 
 class FormulaCore:
-    """Closed-form core; optionally serializable through an expression string.
+    """Elementwise closed-form core, optionally serialized as an expression.
 
     ``breakpoints`` are hints for quadrature splitting (the function may have
     kinks there, e.g. for pointwise minima); they do not affect evaluation.
@@ -400,7 +400,7 @@ class RadialCurvature:
         self._check_junction()
 
     def _check_junction(self):
-        core_end = float(np.asarray(self.core(self.t_tail)))
+        core_end = float(self.core(np.array([self.t_tail]))[0])
         tail_start = self.tail.value_at_anchor(self.t_tail)
         scale = max(1.0, abs(core_end), abs(tail_start))
         if abs(core_end - tail_start) > _JUNCTION_TOL * scale:
@@ -412,28 +412,21 @@ class RadialCurvature:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
-        # scalars (the root finder refining envelope kinks asks for one at a
-        # time) skip the masks
-        if isinstance(t, _SCALAR_TYPES) or (isinstance(t, np.ndarray) and t.ndim == 0):
-            t = float(t)
-            if t < 0:
-                raise DomainError("curvature is defined for t >= 0")
-            if t <= self.t_tail:
-                return float(self.core(t))
-            return float(self.tail.value(t, self.t_tail))
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
+        if np.count_nonzero(arr < 0):
             raise DomainError("curvature is defined for t >= 0")
-        scalar = arr.ndim == 0
-        a = np.atleast_1d(arr)
-        out = np.empty_like(a)
-        in_core = a <= self.t_tail
-        if np.any(in_core):
-            out[in_core] = np.asarray(self.core(a[in_core]), dtype=float)
-        if not np.all(in_core):
-            sel = ~in_core
-            out[sel] = self.tail.value(a[sel], self.t_tail)
-        return float(out[0]) if scalar else out
+        # NaN is not <= t_tail, so it takes the tail's value
+        in_core = arr <= self.t_tail
+        n_core = np.count_nonzero(in_core)
+        if n_core == arr.size:
+            out = np.asarray(self.core(arr), dtype=float)
+        elif not n_core:
+            out = self.tail.value(arr, self.t_tail)
+        else:
+            out = np.empty_like(arr)
+            out[in_core] = self.core(arr[in_core])
+            out[~in_core] = self.tail.value(arr[~in_core], self.t_tail)
+        return float(out) if arr.ndim == 0 else out
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -593,24 +586,35 @@ def _merge_tails(a, b):
     return tail_a.reanchored(anch_a, t_from), t_from
 
 
-def _refined_crossings(funcs, grid) -> list[float]:
-    """Roots of pairwise differences among funcs (kinks of their pointwise
-    min), refined to 1e-12 in t."""
-    crossings = []
-    vals = [np.asarray(f(grid), dtype=float) for f in funcs]
-    pairs = [(i, j) for i in range(len(funcs)) for j in range(i + 1, len(funcs))]
-    for i, j in pairs:
-        d = vals[i] - vals[j]
-        sign_flip = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-        for idx in sign_flip:
-            a, b = grid[idx], grid[idx + 1]
-            froot = lambda t: float(funcs[i](t)) - float(funcs[j](t))
-            fa, fb = froot(a), froot(b)
-            if fa == 0.0 or fb == 0.0 or np.sign(fa) == np.sign(fb):
-                continue
-            # rtol floor: brentq rejects anything below 4*eps
-            crossings.append(brentq(froot, a, b, xtol=1e-13, rtol=8.9e-16))
-    return crossings
+def _kinks(funcs, grid, bp) -> np.ndarray:
+    """Points where the minimiser of funcs changes (kinks of their pointwise
+    min). Where it goes from f_i to f_j between grid points, d = f_i - f_j
+    goes from <= 0 to >= 0. These roots are refined together by the Illinois
+    variant of regula falsi (Dowell and Jarratt, *BIT* 11, 1971), one array
+    call of each function per round, until every next step is within
+    1e-13 + 4 ulps. A kink that close to a breakpoint in bp is left out.
+    """
+    vals = np.array([f(grid) for f in funcs])
+    low = np.argmin(vals, axis=0)
+    at = np.flatnonzero(low[:-1] != low[1:])
+    if not at.size:
+        return grid[at]
+    i, j, n = low[at], low[at + 1], np.arange(at.size)
+    ends = at + np.array([[0], [1]])
+    t, d = grid[ends], vals[i, ends] - vals[j, ends]  # rows: d <= 0, d >= 0
+    # an end that reads 0 is the root: NaN as the step before makes it final
+    x, last = np.where((d == 0).any(axis=0), math.nan, math.inf), np.full(at.size, -1)
+    for _ in range(_KINK_ROUNDS):
+        # the secant root; the left end where both ends read 0
+        x, x_old = t[0] + d[0] / np.where(d[0] < d[1], d[0] - d[1], -1.0) * (t[1] - t[0]), x
+        if not np.any(np.abs(x - x_old) > 1e-13 + 4.0 * np.spacing(x)):  # NaN is done
+            break
+        fx = np.array([f(x) for f in funcs])
+        dx = fx[i, n] - fx[j, n]
+        r = (dx >= 0).astype(int)  # the end x replaces
+        d[1 - r, n] *= np.where(r == last, 0.5, 1.0)  # an end kept twice is halved
+        t[r, n], d[r, n], last = x, dx, r
+    return x[np.abs(x[:, None] - bp).min(axis=1) > 1e-13 + 4.0 * np.spacing(x)]
 
 
 def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
@@ -619,9 +623,11 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     This is the envelope feeding the critical-angle moment: with one argument
     it is the nonpositive part, with two it is the combined floor for a
     manifold pinched between two radial bounds. The result evaluates the
-    minimum lazily (exact, never resampled); merged breakpoints plus refined
-    crossing locations are recorded so quadrature can split at every kink.
-    Tail anchors of the inputs may differ; the result re-anchors as needed.
+    minimum lazily (exact, never resampled). Its breakpoints are the merged
+    ones plus the kinks, where the minimiser of zero and the curvatures
+    changes (``_kinks``; two functions crossing above the minimum make
+    none), so quadrature can split at every kink. Tail anchors of the
+    inputs may differ; the result re-anchors as needed.
     """
     if not curvatures:
         raise DomainError("nonpositive_min needs at least one curvature")
@@ -630,23 +636,13 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
         merged = _merge_tails(merged, _normalized_tail(curv))
     tail, t_tail = merged
 
-    funcs = list(curvatures) + [lambda t: np.zeros_like(np.asarray(t, dtype=float))]
-    bp = [c.breakpoints for c in curvatures]
-    bp.append(np.asarray([t_tail]))
-    grid = _scan_grid(np.unique(np.concatenate(bp)), t_tail)
-    kinks = _refined_crossings(funcs, grid)
-    all_bp = np.unique(np.concatenate(
-        [np.concatenate(bp), np.asarray(kinks, dtype=float), [0.0, t_tail]]))
-    all_bp = all_bp[(all_bp >= 0.0) & (all_bp <= t_tail)]
+    bp = np.unique(np.concatenate([[0.0, t_tail], *(c.breakpoints for c in curvatures)]))
+    kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail), bp)
 
     def envelope(t):
-        arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
-        for c in curvatures:
-            out = np.minimum(out, c(arr))
-        return out
+        return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in curvatures)])
 
-    core = FormulaCore(envelope, breakpoints=all_bp)
+    core = FormulaCore(envelope, breakpoints=np.union1d(bp, kinks))
     return RadialCurvature(core, tail, t_tail, _known_nonpositive=True)
 
 

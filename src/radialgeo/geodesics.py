@@ -157,8 +157,8 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     the bracket [-1, 0] or [0, 1] on the target's side of crit, bisecting
     where a step would leave it or shrinks too slowly. It stops when the
     value is within a few ulps of the target, or the next Newton step or
-    the bracket is narrower in nu than brentq's tolerances; the last pass
-    gives the angle and the length. m and m' at both radii are read once.
+    the bracket is narrower in nu than 0.5 (1e-15 max(1, nu_c) + 8.9e-16 nu);
+    the last pass gives angle and length. m, m' at both radii are read once.
     """
     m1, m2 = surface.warping.m(np.array([r1, r2])).tolist()
     mp1, mp2 = surface.warping.m_prime(np.array([r1, r2])).tolist()

@@ -152,6 +152,59 @@ def test_envelope_crossings_property():
             assert np.min(np.abs(bp - ts[idx])) <= ts[1] + 1e-9
 
 
+def test_envelope_records_a_kink_on_a_scan_grid_point():
+    # the line crosses zero at t = 1, a point of the 801-point scan grid
+    k = rg.RadialCurvature.from_spline([0.0, 2.0], [-1.0, 1.0], tail=rg.PowerLawTail(1.0, 3.0))
+    assert rg.nonpositive_min(k).breakpoints.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_envelope_kink_next_to_a_breakpoint_is_that_breakpoint():
+    # the line reads +2.8e-17 at its last knot and 0 an ulp before it, so the
+    # minimiser changes an ulp before the knot; two nodes that close would
+    # leave a sliver cell in the warping grid
+    k = rg.RadialCurvature.from_spline([0.0, 2.9979402876626784], [-0.19526177682402457, 0.0])
+    assert rg.nonpositive_min(k).breakpoints.tolist() == [0.0, 2.9979402876626784]
+
+
+def test_envelope_records_only_kinks_of_the_minimum():
+    # k1 and k2 cross at t = 5/6, below zero but above the constant -2
+    k1 = rg.RadialCurvature.from_spline([0.0, 2.0], [-1.0, -0.4], rg.ConstantTail(-0.4))
+    k2 = rg.RadialCurvature.from_spline([0.0, 2.0], [-0.5, -1.1], rg.ConstantTail(-1.1))
+    low = rg.RadialCurvature.constant(-2.0, 2.0)
+    assert rg.nonpositive_min(k1, k2, low).breakpoints.tolist() == [0.0, 2.0]
+    bp = rg.nonpositive_min(k1, k2).breakpoints
+    assert bp.size == 3 and abs(bp[1] - 5.0 / 6.0) <= 1e-13
+
+
+def test_envelope_kinks_are_refined_in_few_array_calls(monkeypatch):
+    # min(0, -sin(20 t)) on [0, 3 pi / 10] has kinks at j pi / 20, j = 1..5
+    k = rg.RadialCurvature(rg.FormulaCore(lambda t: -np.sin(20.0 * t)), rg.ZeroTail(),
+                           0.3 * math.pi)
+    calls = []
+    call = rg.RadialCurvature.__call__
+
+    def spy(self, t):
+        if self is k:
+            calls.append(np.shape(t))
+        return call(self, t)
+
+    monkeypatch.setattr(rg.RadialCurvature, "__call__", spy)
+    bp = rg.nonpositive_min(k).breakpoints
+    assert len(calls) <= 8
+    assert np.max(np.abs(bp - np.arange(7) * math.pi / 20.0)) <= 1e-13
+    # 64 curvatures and zero are 65 stacked functions; of the lines
+    # -1 + s (1 - t), the smallest s is the minimum before t = 1 and the
+    # largest after it
+    monkeypatch.undo()
+    lines = [rg.RadialCurvature.from_spline([0.0, 2.0], [s - 1.0, -s - 1.0],
+                                            rg.ConstantTail(-s - 1.0))
+             for s in np.linspace(-0.5, 0.5, 64)]
+    env = rg.nonpositive_min(*lines)
+    assert np.max(np.abs(env.breakpoints - [0.0, 1.0, 2.0])) <= 1e-13
+    ts = np.linspace(0.0, 3.0, 301)
+    assert np.array_equal(env(ts), np.minimum(0.0, np.min([k(ts) for k in lines], axis=0)))
+
+
 def test_json_round_trip_preserves_values_and_tail():
     cases = [
         rg.RadialCurvature.zero(),
