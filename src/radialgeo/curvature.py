@@ -23,7 +23,9 @@ Cores are either cubic splines over breakpoints or closed-form callables.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
 represented exactly by lazy evaluation over the merged breakpoint grid; their
 kinks, the changes of the minimiser on a scan grid, are refined together by
-regula falsi in array calls so downstream quadrature can split there.
+regula falsi in array calls so downstream quadrature can split there. Every
+tail is c * (t / t_tail)**(-p) (c = 0 for ``ZeroTail``, p = 0 for
+``ConstantTail``), and the tail of a minimum follows from (c, p) alone.
 
 The core part of the curvature moment is integrated over panels between
 the breakpoints by 16-point Gauss-Legendre rules, with the gap to the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,13 +79,16 @@ _MAX_PIECES_PER_PANEL = 16
 class ZeroTail:
     """Curvature identically zero beyond t_tail."""
 
-    kind = "zero"
+    c = 0.0
 
     def value(self, t, t_tail):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def value_at_anchor(self, t_tail):
         return 0.0
+
+    def reanchored(self, old_t_tail: float, new_t_tail: float) -> "ZeroTail":
+        return self
 
     def moment(self, t_from, t_tail):
         return 0.0
@@ -102,9 +108,6 @@ class ZeroTail:
     def __repr__(self):
         return "ZeroTail()"
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroTail)
-
 
 class PowerLawTail:
     """Curvature c * (t / t_tail)**(-p) beyond t_tail.
@@ -112,8 +115,6 @@ class PowerLawTail:
     p > 2 keeps the first moment integral finite; the constructor rejects
     anything else so divergence never hides inside a declared-integrable tail.
     """
-
-    kind = "power_law"
 
     def __init__(self, c: float, p: float):
         if not p > 2.0:
@@ -198,9 +199,6 @@ class PowerLawTail:
     def __repr__(self):
         return f"PowerLawTail(c={self.c!r}, p={self.p!r})"
 
-    def __eq__(self, other):
-        return isinstance(other, PowerLawTail) and (self.c, self.p) == (other.c, other.p)
-
 
 class ConstantTail:
     """Curvature constant c <= 0 beyond t_tail.
@@ -209,7 +207,7 @@ class ConstantTail:
     closed forms below are those of c < 0: both integrals diverge to -inf.
     """
 
-    kind = "constant"
+    p = 0.0
 
     def __init__(self, c: float):
         if not math.isfinite(c):
@@ -226,6 +224,9 @@ class ConstantTail:
 
     def value_at_anchor(self, t_tail):
         return self.c
+
+    def reanchored(self, old_t_tail: float, new_t_tail: float) -> "ConstantTail":
+        return self
 
     def moment(self, t_from, t_tail):
         return NEG_INFINITY
@@ -251,9 +252,6 @@ class ConstantTail:
 
     def __repr__(self):
         return f"ConstantTail(c={self.c!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantTail) and self.c == other.c
 
 
 def _tail_from_json(obj) -> "ZeroTail | PowerLawTail | ConstantTail":
@@ -542,41 +540,22 @@ def _scan_grid(breakpoints: np.ndarray, t_end: float) -> np.ndarray:
     return np.unique(np.concatenate([base, breakpoints[breakpoints <= t_end]]))
 
 
-def _normalized_tail(curv: RadialCurvature):
-    """Tail of min(0, curv) as a (tail, anchor) pair."""
-    if curv.tail.value_at_anchor(curv.t_tail) > 0:  # positive power law clamps to zero
-        return ZeroTail(), curv.t_tail
-    return curv.tail, curv.t_tail
-
-
-# Order in which _merge_tails takes a pair of tails apart.
-_MERGE_ORDER = {ZeroTail: 0, ConstantTail: 1, PowerLawTail: 2}
-
-
 def _merge_tails(a, b):
-    """Combine two normalized nonpositive (tail, anchor) pairs into one.
+    """Tail of min(0, f, g) as a (tail, anchor) pair from those of f and g,
+    one of them nonpositive at infinity, by the (c, p) of c * (t/anchor)**-p.
 
-    The returned anchor is where the closed form starts agreeing with the
-    pointwise min; it can exceed both input anchors when the tails cross.
+    A zero or positive tail gives way to the other; of two with the same p
+    the lower at the later anchor wins, else the smaller p (slower decay)
+    from where the two cross. The returned anchor is where the closed form
+    starts agreeing with the pointwise min, past both inputs' at a crossing.
     """
-    (tail_a, anch_a), (tail_b, anch_b) = sorted(
-        (a, b), key=lambda pair: _MERGE_ORDER[type(pair[0])])
+    (tail_a, anch_a), (tail_b, anch_b) = sorted((a, b), key=lambda pair: -pair[0].c)
     t0 = max(anch_a, anch_b)
-    if isinstance(tail_a, ZeroTail):
-        if isinstance(tail_b, PowerLawTail):
-            return tail_b.reanchored(anch_b, t0), t0
-        return tail_b, t0
-    if isinstance(tail_b, ConstantTail):  # both constant
-        return ConstantTail(min(tail_a.c, tail_b.c)), t0
-    if isinstance(tail_a, ConstantTail):
-        # the power law rises through the constant at t_cross; constant wins beyond
-        t_cross = anch_b * (tail_b.c / tail_a.c) ** (1.0 / tail_b.p)
-        return tail_a, max(t0, t_cross)
+    if tail_a.c >= 0.0:
+        return tail_b.reanchored(anch_b, t0), t0
     if tail_a.p == tail_b.p:
-        c_a = tail_a.reanchored(anch_a, t0).c
-        c_b = tail_b.reanchored(anch_b, t0).c
-        return PowerLawTail(min(c_a, c_b), tail_a.p), t0
-    # slower decay (smaller p) is eventually more negative; find the crossing
+        return min(tail_a.reanchored(anch_a, t0), tail_b.reanchored(anch_b, t0),
+                   key=lambda tail: tail.c), t0
     if tail_a.p > tail_b.p:
         (tail_a, anch_a), (tail_b, anch_b) = (tail_b, anch_b), (tail_a, anch_a)
     (c1, p1), (c2, p2) = (tail_a.c, tail_a.p), (tail_b.c, tail_b.p)
@@ -626,15 +605,14 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     minimum lazily (exact, never resampled). Its breakpoints are the merged
     ones plus the kinks, where the minimiser of zero and the curvatures
     changes (``_kinks``; two functions crossing above the minimum make
-    none), so quadrature can split at every kink. Tail anchors of the
-    inputs may differ; the result re-anchors as needed.
+    none), so quadrature can split at every kink. Its tail folds
+    ``_merge_tails`` over the inputs' tails from the zero tail, the zero
+    function that also heads the stack ``_kinks`` scans.
     """
     if not curvatures:
         raise DomainError("nonpositive_min needs at least one curvature")
-    merged = _normalized_tail(curvatures[0])
-    for curv in curvatures[1:]:
-        merged = _merge_tails(merged, _normalized_tail(curv))
-    tail, t_tail = merged
+    tail, t_tail = reduce(_merge_tails, ((c.tail, c.t_tail) for c in curvatures),
+                          (ZeroTail(), 0.0))
 
     bp = np.unique(np.concatenate([[0.0, t_tail], *(c.breakpoints for c in curvatures)]))
     kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail), bp)

@@ -28,14 +28,16 @@ of the powers of s = t - t0 in closed form:
     a4 = (-30 Delta + (14 m1' + 16 m0') h + (3 m0'' - 2 m1'') h^2) / (2 h^4)
     a5 = (12 Delta - 6 (m0' + m1') h - (m0'' - m1'') h^2) / (2 h^5)
 
-They are computed for all cells at once and handed to scipy's ``PPoly``,
-which evaluates a cell by Horner's rule. One more cell past the last node
-holds that node's Taylor data (m, m', m''/2 and zeros), so m, m' and m'' at
-t_max, like at every other node, are the node values exactly: a read at a
-node falls in the cell the node starts, at s = 0. The coefficients are not
-converted from the Bernstein form of the same quintic
-(``PPoly.from_bernstein_basis``): that conversion cancels at the right end
-of a cell, and put m'(16) of a bump surface 2.8e-11 off its node value.
+They are computed for all cells at once into one coefficient array of shape
+(6, cells, 3), with those of m' and m'' beside them (the products
+``PPoly.derivative`` forms, so a read is bit for bit the derivative's): one
+scipy ``PPoly``, the jet of the solution, reads all three in one call. One
+more cell past the last node holds that node's Taylor data (m, m', m''/2 and
+zeros), so m, m' and m'' at t_max, like at every other node, are the node
+values exactly: a read at a node falls in the cell the node starts, at
+s = 0. The coefficients are not converted from the Bernstein form of the
+same quintic (``PPoly.from_bernstein_basis``): that conversion cancels at
+the right end of a cell, and put m'(16) of a bump surface 2.8e-11 off.
 The same builder gives the inverse t(mu) of an increasing m, on the nodes
 mu_i = m_i with dt/dmu = 1/m' and d2t/dmu2 = -m''/m'^3; the geodesic code
 inverts radii with it.
@@ -67,11 +69,12 @@ _NODES_PER_UNIT = 64
 # largest solving horizon: 2^18 nodes, about 75 MB for a solution and its tables
 _MAX_HORIZON = 4096.0
 # a uniform node closer than this fraction of the node pitch to an interior
-# curvature breakpoint gives way to it. Rounding in the quintic
-# coefficients of a cell of width h perturbs m' by about eps * |m| / h, so a
-# sliver cell returns garbage; at the end node, which stays, the breakpoint
-# is dropped instead, and the kink it leaves inside the last cell moves m by
-# about (fraction * pitch)**3
+# curvature breakpoint gives way to it, and so does a breakpoint that close
+# to the one before it. Rounding in the quintic coefficients of a cell of
+# width h perturbs m' by about eps * |m| / h, so a sliver cell returns
+# garbage; at the end node, which stays, the breakpoint is dropped instead,
+# and the kink it leaves inside the last cell moves m by about
+# (fraction * pitch)**3
 _SLIVER_FRACTION = 1e-3
 # k is sampled at these Chebyshev points of each piece of a cell (mapped to
 # [-1, 1]); _FIT takes the samples to the monomial coefficients of their
@@ -98,20 +101,24 @@ _BLOCK_CELLS = 2048
 _MAX_TERMS = 64
 
 
-def _quintic(x, y, dy, d2y) -> PPoly:
+def _quintic(x, y, dy, d2y, derivatives=0) -> PPoly:
     """Piecewise quintic through (y, y', y'') at the strictly increasing
     nodes x, with the power-form coefficients of the module docstring and
-    one more cell, as wide as the last, holding the Taylor data of x[-1]."""
+    one more cell, as wide as the last, holding the Taylor data of x[-1];
+    its first ``derivatives`` derivatives sit beside it as further columns."""
     h = np.diff(x)
     hh = h * h
     delta, d0, d1, s0, s1 = y[1:] - y[:-1], dy[:-1], dy[1:], d2y[:-1], d2y[1:]
-    c = np.zeros((6, x.size))  # rows a5 .. a0: PPoly keeps the highest power first
+    jet = np.zeros((6, x.size, derivatives + 1))
+    c = jet[..., 0]  # rows a5 .. a0: PPoly keeps the highest power first
     c[0, :-1] = (12.0 * delta - 6.0 * (d0 + d1) * h - (s0 - s1) * hh) / (2.0 * hh * hh * h)
     c[1, :-1] = ((-30.0 * delta + (14.0 * d1 + 16.0 * d0) * h + (3.0 * s0 - 2.0 * s1) * hh)
                  / (2.0 * hh * hh))
     c[2, :-1] = (20.0 * delta - (8.0 * d1 + 12.0 * d0) * h - (3.0 * s0 - s1) * hh) / (2.0 * hh * h)
     c[3], c[4], c[5] = 0.5 * d2y, dy, y
-    return PPoly.construct_fast(c, np.append(x, x[-1] + h[-1]))
+    for j in range(1, derivatives + 1):  # the products PPoly.derivative forms
+        jet[j:, :, j] = jet[j - 1:-1, :, j - 1] * np.arange(6 - j, 0, -1)[:, None]
+    return PPoly.construct_fast(jet if derivatives else c, np.append(x, x[-1] + h[-1]))
 
 
 @lru_cache(maxsize=None)
@@ -136,30 +143,29 @@ class WarpingSolution:
     m_values, m_prime_values : ndarray
         Node values; m_values[0] == 0 and m_prime_values[0] == 1 exactly.
 
-    ``m``, ``m_prime`` and ``m_second`` evaluate anywhere in [0, 4096],
-    vectorized, and return the node values exactly at every node; a t past
-    t_max first carries the solution on to the first node at or past it,
-    which moves t_max. Each carry rebuilds the interpolant, so a caller
-    about to read at several t past t_max calls ``extend_to`` with the
-    largest first. ``power_integral(q, t)`` and ``km_integral(t)`` are
-    the integrals of m^q and k*m over [0, t], read from a cumulative table
-    over the cells that is built on the first call for each integrand and
-    kept with the solution.
+    Every read goes through one interpolant, the jet of (m, m', m''):
+    ``m``, ``m_prime`` and ``m_second`` read one column each, anywhere in
+    [0, 4096], vectorized, and return the node values exactly at every node;
+    a t past t_max first carries the solution on to the first node at or
+    past it, which moves t_max (always grid[-1]). Each carry rebuilds the
+    interpolant, so a caller about to read at several t past t_max calls
+    ``extend_to`` with the largest first. ``power_integral(q, t)`` and
+    ``km_integral(t)`` are the integrals of m^q and k*m over [0, t], read
+    from a cumulative table over the cells that is built on the first call
+    for each integrand and kept with the solution.
     """
 
-    def __init__(self, k, t_max, rel_tol, grid, m_values, m_prime_values):
+    def __init__(self, k, rel_tol, grid, m_values, m_prime_values):
         self.k = k
-        self.t_max = float(t_max)
+        self.t_max = float(grid[-1])
         self.rel_tol = float(rel_tol)
         self.grid = grid
         self.m_values = m_values
         self.m_prime_values = m_prime_values
         # quintic pieces: value, slope, and curvature-exact second derivative
         self._m_second_values = -np.asarray(k(grid)) * m_values
-        self._m_poly = _quintic(grid, m_values, m_prime_values, self._m_second_values)
-        self._m_prime_poly = self._m_poly.derivative()
-        self._m_second_poly = self._m_prime_poly.derivative()
-        self._t_of_mu = self._m_jet = None
+        self._jet = _quintic(grid, m_values, m_prime_values, self._m_second_values, 2)
+        self._t_of_mu = None
         self._breakpoint_values = None
         self._tables = {}
 
@@ -181,7 +187,7 @@ class WarpingSolution:
             m, mp = _carry(self.k, nodes, self.rel_tol,
                            float(self.m_values[-1]), float(self.m_prime_values[-1]))
             # through __init__, as after a solve: a new interpolant, empty caches
-            self.__init__(self.k, stop, self.rel_tol, np.concatenate([self.grid, nodes[1:]]),
+            self.__init__(self.k, self.rel_tol, np.concatenate([self.grid, nodes[1:]]),
                           np.concatenate([self.m_values, m]),
                           np.concatenate([self.m_prime_values, mp]))
         return np.clip(arr, 0.0, self.t_max)
@@ -194,28 +200,28 @@ class WarpingSolution:
         self._reach(t_max)
         return self
 
-    def _read(self, name, t):
-        """The interpolant in attribute ``name`` at t; a float for a scalar t."""
+    def _read(self, order, t):
+        """Column ``order`` of the jet (m, m', m'') at t; a float for a scalar t."""
         if np.any(np.asarray(t) < -1e-12):
             raise DomainError("warping functions are defined for t >= 0")
         arr = self._reach(t)  # before the lookup: an extension rebuilds the interpolant
-        out = getattr(self, name)(arr)
+        out = self._jet(arr)[..., order]
         return float(out) if np.ndim(t) == 0 else out
 
     def m(self, t):
-        return self._read("_m_poly", t)
+        return self._read(0, t)
 
     def m_prime(self, t):
-        return self._read("_m_prime_poly", t)
+        return self._read(1, t)
 
     def m_second(self, t):
         """Second derivative of the interpolated profile (equals -k*m at the
         grid nodes exactly, and to interpolation accuracy in between)."""
-        return self._read("_m_second_poly", t)
+        return self._read(2, t)
 
     def anchor_state(self):
         """(m, m') at the tail anchor of k from the node values, which the
-        interpolant returns there too, at the cost of two reads. An anchor
+        interpolant returns there too, at the cost of a read. An anchor
         within the sliver distance of a node is no node; there the
         interpolant is read."""
         a = self.k.t_tail
@@ -223,21 +229,21 @@ class WarpingSolution:
         i = int(np.searchsorted(self.grid, a))
         if i < self.grid.size and self.grid[i] == a:
             return float(self.m_values[i]), float(self.m_prime_values[i])
-        return self.m(a), self.m_prime(a)
+        return tuple(self._jet(a)[:2].tolist())
 
     def breakpoint_values(self):
         """m at the curvature breakpoints, those past t_max read at t_max;
         computed on the first call and kept. The geodesic integrands have
         their kinks there."""
         if self._breakpoint_values is None:
-            self._breakpoint_values = self._m_poly(np.minimum(self.k.breakpoints, self.t_max))
+            self._breakpoint_values = self._jet(np.minimum(self.k.breakpoints, self.t_max))[:, 0]
         return self._breakpoint_values
 
     def _cell_values(self, powers):
         """m at the points u of every cell (t = grid[i] + u h_i), given the
         matrix powers[p, j] = u_p**j: its product with the power-form
         coefficients of the cells, the j-th scaled by h**j."""
-        c = self._m_poly.c[::-1, :-1].copy()
+        c = self._jet.c[::-1, :-1, 0].copy()
         h = np.diff(self.grid)
         scale = h
         for row in c[1:]:
@@ -275,7 +281,7 @@ class WarpingSolution:
         out = table[i]
         if np.any(half):
             x = (self.grid[i] + half)[..., None] + half[..., None] * nodes
-            out = out + half * (integrand(x, self._m_poly(x)) @ weights)
+            out = out + half * (integrand(x, self._jet(x)[..., 0]) @ weights)
         return float(out) if np.ndim(t) == 0 else out
 
     def power_integral(self, q: int, t: float) -> float:
@@ -298,8 +304,8 @@ class WarpingSolution:
         The quintic t(mu) through t_i, 1/m'_i and -m''_i/m'_i^3 at the nodes
         mu_i = m_i is built on the first call, in the same power form as m
         and with the same end cell, so mu = m(t_max) gives t_max exactly, and
-        so is one interpolant of (m, m', m''): a call reads t0 = t(mu), then
-        all three at t0. One Newton step on m takes the error of t0 (about
+        so is the jet of (m, m', m''): a call reads t0 = t(mu), then all
+        three at t0. One Newton step on m takes the error of t0 (about
         1e-11 next to a curvature kink) to roundoff, and over that step
         m'(t) = m'(t0) + m''(t0) (t - t0) is exact to rounding; m'' is m''(t0).
         """
@@ -307,12 +313,9 @@ class WarpingSolution:
             mp = self.m_prime_values
             self._t_of_mu = _quintic(self.m_values, self.grid, 1.0 / mp,
                                      -self._m_second_values / mp ** 3)
-            polys = (self._m_poly, self._m_prime_poly, self._m_second_poly)
-            c = np.stack([np.pad(p.c, ((6 - len(p.c), 0), (0, 0))) for p in polys], axis=-1)
-            self._m_jet = PPoly.construct_fast(c, self._m_poly.x)
         mu = np.minimum(np.maximum(mu, 0.0), self.m_values[-1])
         t0 = self._t_of_mu(mu)
-        m, mp, mpp = np.rollaxis(self._m_jet(t0), -1)
+        m, mp, mpp = np.rollaxis(self._jet(t0), -1)
         t = np.minimum(np.maximum(t0 - (m - mu) / mp, 0.0), self.t_max)
         return t, mp + mpp * (t - t0), mpp
 
@@ -374,7 +377,7 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
             f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
     grid = _node_grid(k, 0.0, t_max, max(64, math.ceil(t_max * _NODES_PER_UNIT)))
     m, mp = _carry(k, grid, rel_tol, 0.0, 1.0)
-    return WarpingSolution(k, t_max, rel_tol, grid, np.concatenate([[0.0], m]),
+    return WarpingSolution(k, rel_tol, grid, np.concatenate([[0.0], m]),
                            np.concatenate([[1.0], mp]))
 
 
@@ -442,7 +445,9 @@ def _node_grid(k: RadialCurvature, start: float, stop: float, cells: int) -> np.
     interior curvature breakpoints merged in under the sliver rule."""
     grid = np.linspace(start, stop, cells + 1)
     pitch = (stop - start) / cells
-    interior_bp = k.breakpoints[(k.breakpoints > start) & (k.breakpoints < stop)]
+    bp = k.breakpoints  # sorted, from 0: a twin of the one before it is dropped
+    bp = bp[1:][np.diff(bp) >= _SLIVER_FRACTION * pitch]
+    interior_bp = bp[(bp > start) & (bp < stop)]
     # the breakpoint takes the place of a uniform node it nearly meets; next
     # to an end node, which must stay, the breakpoint is dropped instead
     nearest = np.rint((interior_bp - start) / pitch).astype(int)

@@ -166,6 +166,29 @@ def test_envelope_kink_next_to_a_breakpoint_is_that_breakpoint():
     assert rg.nonpositive_min(k).breakpoints.tolist() == [0.0, 2.9979402876626784]
 
 
+@pytest.mark.parametrize("a, b, want, t_from", [
+    # the power law rises through the constant at 4^(1/3); the constant wins beyond
+    ((rg.ConstantTail(-0.5), 1.0), (rg.PowerLawTail(-2.0, 3.0), 1.0),
+     "ConstantTail(c=-0.5)", 4.0 ** (1.0 / 3.0)),
+    # equal p: restated at the later anchor 2 the first reads -0.25, above -1
+    ((rg.PowerLawTail(-2.0, 3.0), 1.0), (rg.PowerLawTail(-1.0, 3.0), 2.0),
+     "PowerLawTail(c=-1.0, p=3.0)", 2.0),
+    # a positive tail gives way
+    ((rg.PowerLawTail(0.5, 3.0), 2.0), (rg.ConstantTail(-1.0), 1.0),
+     "ConstantTail(c=-1.0)", 2.0),
+], ids=["constant-power", "equal-p", "positive"])
+def test_merged_tail_is_the_min_past_its_anchor(a, b, want, t_from):
+    from radialgeo.curvature import _merge_tails
+
+    ts = np.linspace(t_from, 10.0 * t_from, 400)[1:]
+    floor = np.minimum(0.0, np.minimum(a[0].value(ts, a[1]), b[0].value(ts, b[1])))
+    for pair in ((a, b), (b, a)):
+        tail, anchor = _merge_tails(*pair)
+        assert repr(tail) == want
+        assert anchor == pytest.approx(t_from, rel=1e-15)
+        assert np.array_equal(tail.value(ts, anchor), floor)
+
+
 def test_envelope_records_only_kinks_of_the_minimum():
     # k1 and k2 cross at t = 5/6, below zero but above the constant -2
     k1 = rg.RadialCurvature.from_spline([0.0, 2.0], [-1.0, -0.4], rg.ConstantTail(-0.4))

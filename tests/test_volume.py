@@ -136,6 +136,14 @@ def test_bishop_corpus_sample():
         assert rg.bishop_monotonicity_check(gr)
 
 
+def test_growth_ratio_against_a_finite_model_raises():
+    flat = rg.solve_warping(rg.RadialCurvature.zero(), 16.0)
+    cusp = rg.solve_warping(cusp_fixture())
+    with pytest.raises(rg.ConditionB1ViolatedError,
+                       match=r"denominator ball volumes stay bounded \(3\.77744\)"):
+        rg.growth_ratio(3, flat, cusp, rg.DEFAULT_HORIZONS)
+
+
 def test_classify_flat_and_hyperbolic_divergent():
     assert rg.classify_ball_volume(3, rg.RadialCurvature.zero()).kind == "divergent"
     out = rg.classify_ball_volume(3, rg.RadialCurvature.constant(-1.0))
@@ -255,14 +263,14 @@ def test_ball_volume_repeat_call_reads_one_panel():
     w = rg.solve_warping(k, t_max)
     for n in (2, 3, 6):
         rg.model_ball_volume(n, w, 2.0)
-        w._m_poly = spy = _ReadCounter(w._m_poly)
+        w._jet = spy = _ReadCounter(w._jet)
         try:
             for t in (2.0, 9.3, 0.8, t_max):
                 before = spy.points
                 rg.model_ball_volume(n, w, t)
                 assert spy.points - before <= 5 * (n - 1) // 2 + 1
         finally:
-            w._m_poly = spy.poly
+            w._jet = spy.poly
 
 
 def test_cap_volume_rejects_out_of_range_angle():

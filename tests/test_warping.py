@@ -424,6 +424,36 @@ def test_breakpoint_next_to_a_node_leaves_no_sliver_cell():
     assert abs(rg.total_curvature_direct(w) - iso) <= 1e-6
 
 
+def test_two_close_breakpoints_leave_no_sliver_cell():
+    # the kink at 1 is declared twice, 2 ulps apart; kept as two nodes they
+    # made a cell 4.4e-16 wide whose m' read 1.28086 at both ends and
+    # 1.69175 at its midpoint
+    twin = 1.0 + 2.0 * np.spacing(1.0)
+    core = rg.FormulaCore(lambda t: -np.abs(t - 1.0) - 0.2, expr="-abs(t - 1.0) - 0.2",
+                          breakpoints=[0.0, 1.0, twin, 3.0])
+    k = rg.RadialCurvature(core, rg.ConstantTail(-2.2), 3.0)
+    w = rg.solve_warping(k, 3.0)
+    assert twin not in w.grid
+    assert np.min(np.diff(w.grid)) >= 1.0 / 64.0 * (1.0 - 1e-12)
+    mp = w.m_prime(np.array([1.0, 0.5 * (1.0 + twin), twin]))
+    assert np.max(np.abs(mp - mp[0])) <= 1e-12
+    ref = solve_ivp(lambda t, y: [y[1], -k(t) * y[0]], (0.0, 2.0), [0.0, 1.0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=[1.0, 2.0])
+    assert np.allclose(w.m_prime(np.array([1.0, 2.0])), ref.y[1], rtol=1e-9, atol=0.0)
+
+
+def test_anchor_state_off_a_node_reads_the_interpolant():
+    # the anchor lies within the sliver distance of the end node 1, so it is
+    # no node; its state is the interpolant's
+    k = rg.RadialCurvature.from_spline([0.0, 1.0 - 1e-6], [-0.5, -0.2], rg.ConstantTail(-0.2))
+    w = rg.solve_warping(k)
+    a = k.t_tail
+    assert w.t_max == 1.0 and a not in w.grid
+    state = w.anchor_state()
+    assert state == (w.m(a), w.m_prime(a))
+    assert state == pytest.approx((1.0593524314116962, 1.1542137611496819), rel=1e-14)
+
+
 @pytest.mark.parametrize("knots, values", [
     # the envelope clips a narrow positive excursion on [0.596, 0.606]
     (np.linspace(0.0, 2.502113312931691, 5),
@@ -538,9 +568,9 @@ def test_extend_to_carries_on_in_one_step_to_a_longer_solve(k):
     assert np.array_equal(w.m_values, full.m_values)
     assert np.array_equal(w.m_prime_values, full.m_prime_values)
     # a horizon already reached leaves the solution and its interpolant alone
-    poly = w._m_poly
+    poly = w._jet
     w.extend_to(8.0)
-    assert w.t_max == 16.0 and w._m_poly is poly
+    assert w.t_max == 16.0 and w._jet is poly
 
 
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
