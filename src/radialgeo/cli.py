@@ -48,10 +48,6 @@ from .volume import growth_ratio
 from .warping import (_REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface,
                       WarpingSolution, solve_warping)
 
-_TASKS = ("threshold", "growth", "triangle", "gauss-bonnet",
-          "check-main", "check-corollary")
-
-
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
@@ -147,9 +143,9 @@ class _Scenario:
         if not isinstance(cmd, dict):
             _fail(path, "expected a task name or an object with a 'task' field")
         task = _field(cmd, "task", str, path, "a task name string")
-        if task not in _TASKS:
+        if task not in _RUNNERS:
             _fail(f"{path}.task",
-                  f"unknown task '{task}' (expected one of {'|'.join(_TASKS)})")
+                  f"unknown task '{task}' (expected one of {'|'.join(_RUNNERS)})")
         return cmd
 
     # -- shared resolution helpers -----------------------------------------
@@ -313,7 +309,6 @@ def _run_check_main(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
     horizons = scn.horizons(cmd, path)
     report = ricci_pinch_check(scn.n, g, k, numerator, horizons=horizons,
-                               rel_tol=scn.rel_tol,
                                warping=scn.model_warping(g, numerator, horizons))
     return {"task": "check-main", "g": g_name, "k": k_name,
             "report": report.to_json()}
@@ -325,7 +320,6 @@ def _run_check_corollary(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
     horizons = scn.horizons(cmd, path)
     report = sectional_pinch_check(scn.n, g, numerator, horizons=horizons,
-                                   rel_tol=scn.rel_tol,
                                    warping=scn.model_warping(g, numerator, horizons))
     return {"task": "check-corollary", "g": g_name, "report": report.to_json()}
 
@@ -352,9 +346,9 @@ def _select_commands(scn: _Scenario, task_filter: str | None):
         return list(enumerate(scn.commands))
     names = [raw.strip() for raw in task_filter.split(",")]
     for name in names:
-        if name not in _TASKS:
+        if name not in _RUNNERS:
             _fail("--tasks", f"unknown task '{name}' "
-                             f"(expected one of {'|'.join(_TASKS)})")
+                             f"(expected one of {'|'.join(_RUNNERS)})")
         if not any(cmd["task"] == name for cmd in scn.commands):
             _fail("--tasks", f"the scenario has no '{name}' command")
     return [(idx, cmd) for idx, cmd in enumerate(scn.commands) if cmd["task"] in names]

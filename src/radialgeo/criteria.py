@@ -38,7 +38,7 @@ from .volume import (
     cap_fraction,
     classify_ball_volume,
 )
-from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
+from .warping import WarpingSolution, solve_warping
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 16.0)
 # comparison grace for bracket-vs-threshold decisions
@@ -126,7 +126,7 @@ def _checked_bracket(bracket) -> tuple:
     return lo, hi
 
 
-def _pinch_check(n, bounds, numerator, horizons, rel_tol, warping):
+def _pinch_check(n, bounds, numerator, horizons, warping):
     """The decision both checks share, up to the verdict.
 
     ``bounds`` lists (curvature, label) pairs: all of them join the
@@ -150,7 +150,7 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol, warping):
 
     if isinstance(numerator, (tuple, list)):
         bracket = _checked_bracket(numerator)
-        classification = classify_ball_volume(n, model, warping=warping, rel_tol=rel_tol)
+        classification = classify_ball_volume(n, model, warping=warping)
         return delta, threshold, classification, bracket, [
             f"model ball volumes {classification.kind}: {classification.note}",
             "growth bracket asserted by caller; domination not verified here"]
@@ -161,9 +161,8 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol, warping):
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
 
-    den_warping = solve_warping(model, max_h, rel_tol) if warping is None else warping
-    classification = classify_ball_volume(n, model, warping=den_warping,
-                                          rel_tol=rel_tol)
+    den_warping = solve_warping(model, max_h) if warping is None else warping
+    classification = classify_ball_volume(n, model, warping=den_warping)
     notes = [f"model ball volumes {classification.kind}: {classification.note}"]
 
     # every radial plane has the same curvature on this class, so the one
@@ -199,7 +198,6 @@ def _pinch_check(n, bounds, numerator, horizons, rel_tol, warping):
 def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
                       sectional_bound: RadialCurvature, numerator,
                       horizons=DEFAULT_HORIZONS,
-                      rel_tol: float = DEFAULT_REL_TOL,
                       warping: WarpingSolution | None = None) -> CriterionReport:
     """Full two-hypothesis check against a radial-Ricci model bound.
 
@@ -211,7 +209,7 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
     """
     delta, threshold, classification, growth_limit, notes = _pinch_check(
         n, [(ricci_bound, "radial Ricci"), (sectional_bound, "radial sectional")],
-        numerator, horizons, rel_tol, warping)
+        numerator, horizons, warping)
     b1 = classification.kind == "divergent"
     b2 = _tri_state(growth_limit, threshold)
     if b1 and b2 == B2_HOLDS:
@@ -228,7 +226,6 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
 
 def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
                           horizons=DEFAULT_HORIZONS,
-                          rel_tol: float = DEFAULT_REL_TOL,
                           warping: WarpingSolution | None = None) -> CriterionReport:
     """Variant needing only a radial-sectional model bound.
 
@@ -239,8 +236,7 @@ def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
     of sectional_bound, saves the model solve.
     """
     delta, threshold, classification, growth_limit, notes = _pinch_check(
-        n, [(sectional_bound, "radial sectional")], numerator, horizons, rel_tol,
-        warping)
+        n, [(sectional_bound, "radial sectional")], numerator, horizons, warping)
     b1 = classification.kind == "divergent"
     b2 = _tri_state(growth_limit, threshold)
     flags = []

@@ -16,16 +16,19 @@ tail (linear, exponential modes, or Bessel functions of t**(1 - p/2)) to
 the limit of m' at infinity, or to the first zero of m past the anchor.
 Everything beyond t_tail that the comparison needs (the curvature moment,
 the slope limit of m', whether ball volumes diverge) is read from these.
-Zero curvature has one encoding: ``RadialCurvature`` replaces a tail that is
-zero at its anchor (a zero constant or power-law coefficient) with ``ZeroTail``.
+Every tail is one (c, p) form, c * (t / t_tail)**(-p) with c = 0 for
+``ZeroTail`` and p = 0 for ``ConstantTail``: one ``value`` evaluates all
+three, the value at the anchor is c, and the tail of a minimum follows from
+(c, p) alone. Zero curvature has one encoding: ``RadialCurvature`` replaces
+a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``.
 
-Cores are either cubic splines over breakpoints or closed-form callables.
-Pointwise minima (the nonpositive envelope used by the growth criteria) are
-represented exactly by lazy evaluation over the merged breakpoint grid; their
-kinks, the changes of the minimiser on a scan grid, are refined together by
-regula falsi in array calls so downstream quadrature can split there. Every
-tail is c * (t / t_tail)**(-p) (c = 0 for ``ZeroTail``, p = 0 for
-``ConstantTail``), and the tail of a minimum follows from (c, p) alone.
+Cores are either cubic splines over breakpoints or closed-form callables. A
+curvature's knots are fixed at construction: ``breakpoints``, sorted once,
+from 0 to t_tail. Pointwise minima (the nonpositive envelope used by the
+growth criteria) are represented exactly by lazy evaluation over the merged
+knots; their kinks, the changes of the minimiser on a scan grid, are refined
+together by regula falsi in array calls so downstream quadrature can split
+there.
 
 The core part of the curvature moment is integrated over panels between
 the breakpoints by 16-point Gauss-Legendre rules, with the gap to the
@@ -76,19 +79,21 @@ _BLIND = np.array([1.0 - _NODES_16[-1], 2.0 * _NODES_16[8], 1.0 - _NODES_16[-1]]
 _MAX_PIECES_PER_PANEL = 16
 
 
-class ZeroTail:
-    """Curvature identically zero beyond t_tail."""
+class _Tail:
+    """Curvature c * (t / t_tail)**(-p) beyond t_tail, its value at the
+    anchor being c; subclasses fix what their class leaves out of (c, p)."""
 
-    c = 0.0
+    c = p = 0.0
 
     def value(self, t, t_tail):
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return self.c * (np.asarray(t, dtype=float) / t_tail) ** (-self.p)
 
-    def value_at_anchor(self, t_tail):
-        return 0.0
-
-    def reanchored(self, old_t_tail: float, new_t_tail: float) -> "ZeroTail":
+    def reanchored(self, old_t_tail: float, new_t_tail: float) -> "_Tail":
         return self
+
+
+class ZeroTail(_Tail):
+    """Curvature identically zero beyond t_tail."""
 
     def moment(self, t_from, t_tail):
         return 0.0
@@ -109,7 +114,7 @@ class ZeroTail:
         return "ZeroTail()"
 
 
-class PowerLawTail:
+class PowerLawTail(_Tail):
     """Curvature c * (t / t_tail)**(-p) beyond t_tail.
 
     p > 2 keeps the first moment integral finite; the constructor rejects
@@ -123,12 +128,6 @@ class PowerLawTail:
             raise DomainError("power-law coefficient must be finite")
         self.c = float(c)
         self.p = float(p)
-
-    def value(self, t, t_tail):
-        return self.c * (np.asarray(t, dtype=float) / t_tail) ** (-self.p)
-
-    def value_at_anchor(self, t_tail):
-        return self.c
 
     def reanchored(self, old_t_tail: float, new_t_tail: float) -> "PowerLawTail":
         # same function, coefficient restated at a new anchor
@@ -200,14 +199,12 @@ class PowerLawTail:
         return f"PowerLawTail(c={self.c!r}, p={self.p!r})"
 
 
-class ConstantTail:
+class ConstantTail(_Tail):
     """Curvature constant c <= 0 beyond t_tail.
 
     A zero constant becomes ``ZeroTail`` inside ``RadialCurvature``, so the
     closed forms below are those of c < 0: both integrals diverge to -inf.
     """
-
-    p = 0.0
 
     def __init__(self, c: float):
         if not math.isfinite(c):
@@ -218,15 +215,6 @@ class ConstantTail:
                 "at infinity produces conjugate points and is not supported"
             )
         self.c = float(c)
-
-    def value(self, t, t_tail):
-        return np.full_like(np.asarray(t, dtype=float), self.c)
-
-    def value_at_anchor(self, t_tail):
-        return self.c
-
-    def reanchored(self, old_t_tail: float, new_t_tail: float) -> "ConstantTail":
-        return self
 
     def moment(self, t_from, t_tail):
         return NEG_INFINITY
@@ -254,7 +242,7 @@ class ConstantTail:
         return f"ConstantTail(c={self.c!r})"
 
 
-def _tail_from_json(obj) -> "ZeroTail | PowerLawTail | ConstantTail":
+def _tail_from_json(obj) -> _Tail:
     kind = obj.get("kind")
     if kind == "zero":
         return ZeroTail()
@@ -315,9 +303,11 @@ class FormulaCore:
     ):
         self._func = func
         self.expr = expr
-        self.breakpoints = (
-            np.asarray(breakpoints, dtype=float) if breakpoints is not None else None
-        )
+        self.breakpoints = None
+        if breakpoints is not None:
+            self.breakpoints = np.asarray(breakpoints, dtype=float)
+            if self.breakpoints.ndim != 1:
+                raise DomainError("formula core breakpoints must be a list of numbers")
 
     def __call__(self, t):
         return self._func(np.asarray(t, dtype=float))
@@ -383,23 +373,29 @@ class RadialCurvature:
     """Curvature as a function of distance from the pole.
 
     Evaluation is vectorized; t < 0 raises DomainError. The core covers
-    [0, t_tail]; the declared tail takes over beyond. Value continuity at the
-    junction is validated at construction. A tail that is zero at its anchor
-    is zero everywhere and is stored as ``ZeroTail``.
+    [0, t_tail]; the declared tail takes over beyond. The knots are fixed at
+    construction: ``breakpoints`` is the sorted set of 0, t_tail and the
+    core's breakpoints in [0, t_tail]. Value continuity at the junction is
+    validated there too. A tail that is zero at its anchor (c = 0) is zero
+    everywhere and is stored as ``ZeroTail``.
     """
 
     def __init__(self, core, tail, t_tail: float, *, _known_nonpositive: bool | None = None):
         if not (t_tail > 0 and math.isfinite(t_tail)):
             raise DomainError(f"t_tail must be positive and finite, got {t_tail}")
         self.core = core
-        self.tail = ZeroTail() if tail.value_at_anchor(t_tail) == 0 else tail
+        self.tail = ZeroTail() if tail.c == 0 else tail
         self.t_tail = float(t_tail)
+        core_bp = getattr(core, "breakpoints", None)
+        core_bp = np.empty(0) if core_bp is None else np.asarray(core_bp, dtype=float)
+        self.breakpoints = np.unique(np.concatenate(
+            [[0.0, self.t_tail], core_bp[(core_bp >= 0.0) & (core_bp <= self.t_tail)]]))
         self._nonpositive = _known_nonpositive
         self._check_junction()
 
     def _check_junction(self):
         core_end = float(self.core(np.array([self.t_tail]))[0])
-        tail_start = self.tail.value_at_anchor(self.t_tail)
+        tail_start = self.tail.c
         scale = max(1.0, abs(core_end), abs(tail_start))
         if abs(core_end - tail_start) > _JUNCTION_TOL * scale:
             raise DomainError(
@@ -426,22 +422,13 @@ class RadialCurvature:
             out[~in_core] = self.tail.value(arr[~in_core], self.t_tail)
         return float(out) if arr.ndim == 0 else out
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Sorted knot/kink locations in [0, t_tail], endpoints included."""
-        pts = [0.0, self.t_tail]
-        core_bp = getattr(self.core, "breakpoints", None)
-        if core_bp is not None:
-            pts.extend(float(b) for b in core_bp if 0.0 <= b <= self.t_tail)
-        return np.unique(np.asarray(pts, dtype=float))
-
     def is_nonpositive(self) -> bool:
         """True when the function stays <= 0 everywhere (dense-sample check
         on the core plus the tail's sign, cached)."""
         if self._nonpositive is None:
             grid = _scan_grid(self.breakpoints, self.t_tail)
             core_ok = bool(np.max(self.__call__(grid)) <= 1e-12)
-            tail_ok = self.tail.value_at_anchor(self.t_tail) <= 1e-12
+            tail_ok = self.tail.c <= 1e-12
             self._nonpositive = core_ok and tail_ok
         return self._nonpositive
 
@@ -516,8 +503,8 @@ class RadialCurvature:
         return cls(core, tail, t_tail, _known_nonpositive=(c <= 0))
 
     @classmethod
-    def zero(cls, t_tail: float = 1.0) -> "RadialCurvature":
-        return cls.constant(0.0, t_tail)
+    def zero(cls) -> "RadialCurvature":
+        return cls.constant(0.0)
 
     @classmethod
     def from_spline(cls, breakpoints, values, tail=None) -> "RadialCurvature":
@@ -614,13 +601,14 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     tail, t_tail = reduce(_merge_tails, ((c.tail, c.t_tail) for c in curvatures),
                           (ZeroTail(), 0.0))
 
-    bp = np.unique(np.concatenate([[0.0, t_tail], *(c.breakpoints for c in curvatures)]))
+    # every input's knots start at 0; RadialCurvature sorts the union once
+    bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
     kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail), bp)
 
     def envelope(t):
         return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in curvatures)])
 
-    core = FormulaCore(envelope, breakpoints=np.union1d(bp, kinks))
+    core = FormulaCore(envelope, breakpoints=np.concatenate([bp, kinks]))
     return RadialCurvature(core, tail, t_tail, _known_nonpositive=True)
 
 
@@ -686,7 +674,7 @@ def moment_integral(curv: RadialCurvature) -> MomentIntegral:
     if tail_part == NEG_INFINITY:
         return MomentIntegral(NEG_INFINITY, 0.0)
 
-    edges = [0.0, *(float(b) for b in curv.breakpoints if 0.0 < b < curv.t_tail), curv.t_tail]
+    edges = curv.breakpoints.tolist()  # from 0 to t_tail
     pts = []
     for a, b in zip(edges[1:-1], edges[2:]):
         if b > 2.0 * a:

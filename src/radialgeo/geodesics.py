@@ -240,7 +240,7 @@ class GeodesicTriangle:
     vertices: tuple
     side_lengths: tuple
     angles: tuple
-    _side: _SideGeodesic | None = None
+    _side: _SideGeodesic
 
     def angle_sum(self) -> float:
         return float(sum(self.angles))
@@ -250,8 +250,8 @@ class GeodesicTriangle:
             "vertices": [[v.t, v.theta] for v in self.vertices],
             "side_lengths": list(self.side_lengths),
             "angles": list(self.angles),
-            "rotation_number": None if self._side is None else self._side.nu,
-            "turning": None if self._side is None else self._side.turning,
+            "rotation_number": self._side.nu,
+            "turning": self._side.turning,
         }
 
 
@@ -311,11 +311,7 @@ def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float
     curvature mass along the side. Vanishes identically on every geodesic
     triangle up to quadrature and solver error.
     """
-    side = tri._side
-    if side is None:
-        d_ox, d_oy, d_xy = tri.side_lengths
-        side = _solve_side(surface, d_ox, d_oy, target_length=d_xy)[0]
-    ch, weights, t, mp, _ = _side_nodes(surface, side)
+    ch, weights, t, mp, _ = _side_nodes(surface, tri._side)
     # the mass up to t is the warping's km_integral, a quadrature of k*m that
     # never reads m': by m'' = -k m it equals 1 - m'(t), and the residual is
     # the gap between the two along the side

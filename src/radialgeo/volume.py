@@ -27,7 +27,7 @@ from scipy import special
 
 from .curvature import NEG_INFINITY, RadialCurvature
 from .errors import ConditionB1ViolatedError, DomainError
-from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
+from .warping import WarpingSolution, solve_warping
 
 _MONOTONE_TOL = 1e-9
 
@@ -134,8 +134,7 @@ class BallVolumeClass:
 
 
 def classify_ball_volume(n: int, k: RadialCurvature,
-                         warping: WarpingSolution | None = None,
-                         rel_tol: float = DEFAULT_REL_TOL) -> BallVolumeClass:
+                         warping: WarpingSolution | None = None) -> BallVolumeClass:
     """Decide divergence of ball volumes in the n-model built from k.
 
     The decision is made in closed form at the tail anchor a, not by
@@ -156,14 +155,14 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     if warping is not None and warping.k is not k:
         raise DomainError("the warping solution is of another curvature")
     t_anchor = k.t_tail
-    w = solve_warping(k, rel_tol=rel_tol) if warping is None else warping
+    w = solve_warping(k) if warping is None else warping
     f, s = w.anchor_state()
     limit = k.tail.continuation(t_anchor, f, s)
     if limit == math.inf:
         return BallVolumeClass("divergent", None, "growing exponential mode present")
     if limit != 0.0 or k.tail.moment(t_anchor, t_anchor) != NEG_INFINITY:
         return BallVolumeClass("divergent", None, f"warping slope tends to {limit!r}")
-    root = math.sqrt(-k.tail.value_at_anchor(t_anchor))
+    root = math.sqrt(-k.tail.c)
     solved = model_ball_volume(n, w, t_anchor)
     tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
     return BallVolumeClass(
@@ -202,7 +201,7 @@ class GrowthRatio:
         the sequence is nonincreasing; while it is still dropping, the samples
         give no lower bound on the limit, so the lower end is 0. A sequence
         that is not settling returns a wide, honest bracket rather than a
-        sharp guess.
+        sharp guess. Volumes are positive, so no lower end is below 0.
         """
         ratios = [s[3] for s in self.samples]
         if len(ratios) == 1:
@@ -217,8 +216,9 @@ class GrowthRatio:
             else:
                 spread = 3.0 * abs(d_last)
                 lo, hi = ratios[-1] - spread, ratios[-1] + spread
+        lo = max(lo, 0.0)
         if self.dominated:
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
+            hi = min(hi, 1.0)
             lo = min(lo, hi)
         return lo, hi
 

@@ -592,9 +592,8 @@ class ModelSurface:
         self.warping = warping
 
     @classmethod
-    def from_curvature(cls, k: RadialCurvature, t_max: float | None = None,
-                       rel_tol: float = DEFAULT_REL_TOL) -> "ModelSurface":
-        return cls(solve_warping(k, t_max, rel_tol))
+    def from_curvature(cls, k: RadialCurvature, t_max: float | None = None) -> "ModelSurface":
+        return cls(solve_warping(k, t_max))
 
     def __repr__(self):
         return f"ModelSurface({self.warping!r})"

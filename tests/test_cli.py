@@ -123,6 +123,8 @@ def test_formula_sandbox_rejects_nested_code(tmp_path, capsys):
 
 FLAT_CORE = {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [0.0, 0.0]}
 HALF_TAIL = {"kind": "constant", "c": -0.5}
+MINUS_ONE = {"kind": "formula", "expr": "-1.0 + 0*t"}
+CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
 
 
 @pytest.mark.parametrize("body", [
@@ -136,8 +138,12 @@ HALF_TAIL = {"kind": "constant", "c": -0.5}
     {"core": {"kind": "formula", "expr": "(t > 0.5 and -0.5) or -1"}, "tail": HALF_TAIL},
     # an integer no float can hold
     {"core": {**FLAT_CORE, "values": [0.0, 10**400]}, "tail": {"kind": "zero"}},
+    # formula knots that are no list of numbers
+    {"core": {**MINUS_ONE, "breakpoints": [[0.5, 1.0]]}, "tail": {"kind": "constant", "c": -1.0}},
+    {"core": {**MINUS_ONE, "breakpoints": 0.5}, "tail": {"kind": "constant", "c": -1.0}},
 ], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values",
-        "formula-branch", "formula-chained", "formula-boolean", "huge-int"])
+        "formula-branch", "formula-chained", "formula-boolean", "huge-int",
+        "formula-nested-knots", "formula-number-knots"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
     doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
@@ -146,6 +152,38 @@ def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     assert code == 1
     assert report is None
     assert err.startswith("error: scenario.curvatures.bad: ")
+
+
+def _without_manifold(doc):
+    return {key: value for key, value in doc.items() if key != "manifold"}
+
+
+@pytest.mark.parametrize("doc, args, path", [
+    (base_scenario(n=1), (), "scenario.n"),
+    (base_scenario(curvatures={}), (), "scenario.curvatures"),
+    (base_scenario(curvatures={"flat": SPLINE_FLAT, "bad": 1.0}), (), "scenario.curvatures.bad"),
+    (base_scenario(manifold={**SPLINE_FLAT, "n": 4}), (), "scenario.manifold.n"),
+    (base_scenario(commands=[]), (), "scenario.commands"),
+    (_without_manifold(base_scenario(commands=[CHECK_FLAT])), (),
+     "scenario.commands[0].numerator"),
+    (base_scenario(), ("--tasks", "threshold,no-such-task"), "--tasks"),
+], ids=["n-below-two", "no-curvatures", "curvature-not-object", "manifold-n",
+        "no-commands", "no-manifold", "unknown-task-filter"])
+def test_scenario_failure_exits_one_with_path(tmp_path, capsys, doc, args, path):
+    code, report, _ = run_cli(tmp_path, doc, extra_args=args)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_bracket_object_numerator_reads_as_its_list(tmp_path):
+    reports = []
+    for name, numerator in [("list", [0.3, 0.4]), ("object", {"bracket": [0.3, 0.4]})]:
+        (tmp_path / name).mkdir()
+        doc = base_scenario(commands=[{**CHECK_FLAT, "numerator": numerator}])
+        reports.append(run_cli(tmp_path / name, doc)[1])
+    assert reports[0] == reports[1]
+    assert reports[0]["tasks"][0]["report"]["growth_limit"] == [0.3, 0.4]
 
 
 @pytest.mark.parametrize("t_max", ["far", None, float("nan"), 0.0, 1e17])
@@ -157,9 +195,6 @@ def test_bad_manifold_horizon_exits_one_with_path(tmp_path, capsys, t_max):
     assert code == 1
     assert report is None
     assert err.startswith("error: scenario.manifold: ")
-
-
-CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
 
 
 @pytest.mark.parametrize("command, field, raw", [
@@ -176,10 +211,13 @@ CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
     (CHECK_FLAT, "numerator", "[-0.1, 0.5]"),
     (CHECK_FLAT, "numerator", "[1.2, 1.5]"),
     (CHECK_FLAT, "numerator", "[0.5, 1" + "0" * 400 + "]"),
+    (CHECK_FLAT, "numerator", '"other"'),
+    ({"task": "growth", "denominator": "flat"}, "numerator", "[0.1, 0.2]"),
+    ({"task": "threshold"}, "curvatures", "[]"),
 ], ids=["dominated-string", "dominated-number", "horizon-inf", "horizon-nan",
         "horizon-huge-int", "side-inf", "side-nan", "bracket-nan", "bracket-inf",
         "bracket-reversed", "bracket-negative", "bracket-above-one",
-        "bracket-huge-int"])
+        "bracket-huge-int", "numerator-name", "growth-bracket", "threshold-no-curvatures"])
 def test_bad_command_field_exits_one_with_path(tmp_path, capsys, command, field, raw):
     # the raw JSON text goes in verbatim: 1e309 parses to inf, NaN to nan
     doc = base_scenario(commands=[{"task": "threshold"}, {**command, field: "@RAW@"}])

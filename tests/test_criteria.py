@@ -187,6 +187,29 @@ def test_corollary_infinite_volume_needs_growth():
     assert rep2.verdict == "Inconclusive"
 
 
+def test_main_check_with_bounded_model_volumes_fails_b1():
+    cusp = cusp_fixture()
+    rep = rg.ricci_pinch_check(3, cusp, cusp, numerator=(0.0, 0.0))
+    assert rep.verdict == "Inconclusive"
+    assert rep.b1_holds is False
+    assert rep.diagnostics["notes"][-1] == ("hypothesis B-1 fails: "
+                                            "model ball volumes stay bounded")
+
+
+@pytest.mark.parametrize("dimension, message", [
+    (None, "numerator must be a RotSymManifold"),
+    (4, "numerator dimension 4 does not match n = 3"),
+], ids=["not-a-manifold", "dimension-4"])
+def test_numerator_must_be_a_manifold_of_the_check_dimension(dimension, message):
+    flat = rg.RadialCurvature.zero()
+    numerator = "manifold" if dimension is None else rg.RotSymManifold.from_curvature(
+        dimension, flat, t_max=16.0)
+    with pytest.raises(rg.DomainError, match=message):
+        rg.ricci_pinch_check(3, flat, flat, numerator=numerator)
+    with pytest.raises(rg.DomainError, match=message):
+        rg.sectional_pinch_check(3, flat, numerator=numerator)
+
+
 def test_report_json_shape():
     flat = rg.RadialCurvature.zero()
     rep = rg.ricci_pinch_check(3, flat, flat, numerator=(0.999, 1.0))

@@ -251,7 +251,7 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
     from radialgeo import geodesics
 
     s = bump_surface()
-    reads = {"breakpoints": 0, "m": 0, "side_value": 0}
+    reads = {"breakpoint_values": 0, "m": 0, "side_value": 0}
 
     def counted(name, func):
         def spy(*args, **kwargs):
@@ -259,8 +259,14 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
             return func(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(rg.RadialCurvature, "breakpoints",
-                        property(counted("breakpoints", rg.RadialCurvature.breakpoints.fget)))
+    knot_values = rg.WarpingSolution.breakpoint_values
+
+    def counted_knot_values(self):
+        # a computation, not a read of the values kept
+        reads["breakpoint_values"] += self._breakpoint_values is None
+        return knot_values(self)
+
+    monkeypatch.setattr(rg.WarpingSolution, "breakpoint_values", counted_knot_values)
     monkeypatch.setattr(rg.WarpingSolution, "m", counted("m", rg.WarpingSolution.m))
     monkeypatch.setattr(geodesics, "_side_value", counted("side_value", geodesics._side_value))
     rg.distance(s, rg.SurfacePoint(1.3, 0.0), rg.SurfacePoint(3.1, 1.2))
@@ -268,7 +274,7 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
     rg.comparison_triangle(s, 2.0, 3.0, 2.5)
     # the breakpoint radii are read once per surface and m at the two radii
     # once per side solved, however many Newton passes evaluate the side
-    assert reads["breakpoints"] <= 1
+    assert reads["breakpoint_values"] <= 1
     assert reads["m"] <= 2
     # each solve makes the branch-point pass and Newton passes after it, and
     # its last pass gives the result: no bracket probes, no separate read

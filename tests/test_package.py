@@ -1,7 +1,11 @@
 """Package hygiene: no unused imports or private names in the sources, no
-stale exports, a README example that runs and prints what it says."""
+stale exports or backticked names in the prose, a README example that runs
+and prints what it says."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,60 @@ def test_readme_quick_example_prints_what_its_comments_say(capsys):
     for comment, got, (text, value, tol) in zip(comments, printed, shown):
         assert text in comment
         assert abs(got - value) <= tol
+
+
+def _package_names(trees):
+    """Every name the given {module: tree} binds: defs, classes and their
+    parameters, assignment targets (attributes too), imports and the string
+    keys of dict literals (the formula namespace)."""
+    names = {"radialgeo"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Dict):
+                names.update(key.value for key in node.keys if isinstance(key, ast.Constant))
+    return names
+
+
+def _stale_backticked_names(sources):
+    """(module, name) of every double-backticked name in a docstring or
+    comment of the given {module: text} that the modules do not define. A
+    dotted name resolves part by part, unless its head comes from another
+    package."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = _package_names(trees)
+    imported = {alias.asname or alias.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                and not node.level for alias in node.names}
+    stale = []
+    for module, text in sources.items():
+        prose = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                 if tok.type == tokenize.COMMENT]
+        prose += [ast.get_docstring(node) or "" for node in ast.walk(trees[module])
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        for dotted in re.findall(r"``([A-Za-z_][\w.]*)", "\n".join(prose)):
+            parts = dotted.split(".")
+            parts = parts[:1] if parts[0] in imported else parts
+            stale += [(module, dotted)] if not set(parts) <= defined else []
+    return sorted(set(stale))
+
+
+def test_backticked_names_resolve():
+    assert _stale_backticked_names({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_stale_backticked_name_is_detected():
+    source = ('"""Tails: ``_Tail.c``, ``_Tail.reanchored``, ``value_at_anchor``,\n'
+              '``np.unique(x)``."""\n'
+              "import numpy as np\nfrom .b import _Tail\n\n"
+              "class _Tail:\n    c = 0.0\n\n"
+              "def value(t, t_tail):\n    # ``t_tail`` and ``p``\n    return t\n")
+    assert _stale_backticked_names({"a": source}) == [
+        ("a", "_Tail.reanchored"), ("a", "p"), ("a", "value_at_anchor")]

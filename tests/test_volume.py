@@ -126,6 +126,16 @@ def test_growth_ratio_violation_reported():
         rg.bishop_monotonicity_check(gr)
 
 
+def test_growth_bracket_lower_end_is_never_negative():
+    # hyperbolic over flat grows without settling and is not dominated: the
+    # spread of the last step reaches far below 0
+    num = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
+    den = rg.solve_warping(rg.RadialCurvature.zero(), 16.0)
+    gr = rg.growth_ratio(3, num, den, rg.DEFAULT_HORIZONS)
+    r_prev, r_last = (s[3] for s in gr.samples[-2:])
+    assert gr.bracket() == (0.0, r_last + 3.0 * abs(r_prev - r_last))
+
+
 def test_bishop_corpus_sample():
     for seed in (0, 1, 2, 3):
         n, w_num, w_den = bishop_pair(np.random.default_rng(seed))
