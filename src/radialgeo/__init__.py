@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     GeometryError,
     ScenarioError,
-    SectorExceededError,
     UnboundedError,
 )
 from .curvature import (
@@ -71,7 +70,7 @@ __all__ = [
     "__version__",
     # errors
     "GeometryError", "DomainError", "ConjugatePointError", "UnboundedError",
-    "SectorExceededError", "ConditionB1ViolatedError", "ScenarioError",
+    "ConditionB1ViolatedError", "ScenarioError",
     # curvature
     "RadialCurvature", "SplineCore", "FormulaCore", "ZeroTail", "PowerLawTail",
     "ConstantTail", "MomentIntegral", "moment_integral", "nonpositive_min",

@@ -14,6 +14,8 @@ a point past the anchor to infinity, and ``continuation`` carries a state
 (m, m') of m'' + k m = 0 at the anchor through the exact solution of the
 tail (linear, exponential modes, or Bessel functions of t**(1 - p/2)) to
 the limit of m' at infinity, or to the first zero of m past the anchor.
+The two with p = 0 also ``carry`` (m, m') past the anchor in closed form,
+for the warping solver, with the zero of m of their ``continuation``.
 Everything beyond t_tail that the comparison needs (the curvature moment,
 the slope limit of m', whether ball volumes diverge) is read from these.
 Every tail is one (c, p) form, c * (t / t_tail)**(-p) with c = 0 for
@@ -98,12 +100,23 @@ class ZeroTail(_Tail):
     def moment(self, t_from, t_tail):
         return 0.0
 
+    def _zero(self, m0, mp0):
+        """s > 0 where m0 + mp0 s (m0 > 0) vanishes, inf if nowhere."""
+        return m0 / -mp0 if mp0 < 0.0 else math.inf
+
+    def carry(self, t, m0, mp0):
+        """(m, m') = (m0 + mp0 s, mp0), s = t - t[0], at t[1:] from (m0, mp0)
+        at t[0] >= t_tail; a zero of m by t[-1] raises ConjugatePointError."""
+        if (s := self._zero(m0, mp0)) <= t[-1] - t[0]:
+            raise ConjugatePointError(t[0] + s)
+        return m0 + mp0 * (t[1:] - t[0]), np.full(t.size - 1, mp0)
+
     def continuation(self, t_tail, m_a, mp_a):
         """lim m' from (m, m') = (m_a, mp_a) at the anchor: m is linear past
         it, and a falling line vanishes at t_tail + m_a / -mp_a
         (ConjugatePointError)."""
         if mp_a < -_FLAT_SLOPE_TOL * (abs(m_a) + abs(mp_a)):
-            raise ConjugatePointError(t_tail + m_a / -mp_a,
+            raise ConjugatePointError(t_tail + self._zero(m_a, mp_a),
                                       "flat tail with decreasing warping crosses zero")
         return float(mp_a)
 
@@ -219,6 +232,25 @@ class ConstantTail(_Tail):
     def moment(self, t_from, t_tail):
         return NEG_INFINITY
 
+    def _zero(self, m0, mp0):
+        """s > 0 where m0 cosh(r s) + (mp0 / r) sinh(r s) (m0 > 0) vanishes,
+        tanh(r s) = -r m0 / mp0 < 1; inf if nowhere or if that rounds to 1."""
+        root = math.sqrt(-self.c)
+        ratio = -root * m0 / mp0 if mp0 + root * m0 < 0.0 else 1.0
+        return math.atanh(ratio) / root if ratio < 1.0 else math.inf
+
+    def carry(self, t, m0, mp0):
+        """(m, m') at t[1:] from (m0, mp0) at t[0] >= t_tail: m0 cosh(r s) +
+        (mp0 / r) sinh(r s) and its derivative, s = t - t[0], inf past
+        overflow; a zero of m by t[-1] raises ConjugatePointError."""
+        if (s := self._zero(m0, mp0)) <= t[-1] - t[0]:
+            raise ConjugatePointError(t[0] + s)
+        root = math.sqrt(-self.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rs = root * (t[1:] - t[0])
+            ch, sh = np.cosh(rs), np.sinh(rs)
+            return m0 * ch + (mp0 / root) * sh, mp0 * ch + (root * m0) * sh
+
     def continuation(self, t_tail, m_a, mp_a):
         """lim m' from (m, m') = (m_a, mp_a) at the anchor: with r = sqrt(-c),
         m = m_a cosh(r s) + (mp_a / r) sinh(r s) for s = t - t_tail. A growing
@@ -230,9 +262,8 @@ class ConstantTail(_Tail):
         if amp > 1e-9 * scale:
             return math.inf
         if amp < -1e-9 * scale:
-            raise ConjugatePointError(
-                t_tail + math.atanh(-root * m_a / mp_a) / root,
-                "decaying tail overshoots: warping crosses zero")
+            raise ConjugatePointError(t_tail + self._zero(m_a, mp_a),
+                                      "decaying tail overshoots: warping crosses zero")
         return 0.0
 
     def to_json(self):

@@ -26,10 +26,6 @@ class UnboundedError(GeometryError):
     """A total (curvature integral, moment, slope limit) diverges."""
 
 
-class SectorExceededError(GeometryError):
-    """A comparison triangle does not fit inside an angular sector of width pi."""
-
-
 class ConditionB1ViolatedError(GeometryError):
     """Denominator model volume stays bounded, so volume-growth ratios
     against it do not measure growth at infinity."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, SectorExceededError
+from .errors import DomainError
 from .warping import ModelSurface
 
 _POLE_TOL = 1e-13
@@ -274,9 +274,10 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
     three side lengths: x sits on the zero meridian, y at the angle theta*
     that makes the connecting geodesic exactly d_xy long.
 
-    theta* exists and is unique because side length grows strictly
-    monotonically with the opening angle in nonpositive curvature; a
-    triangle needing theta* > pi raises SectorExceededError.
+    theta* exists, is unique and lies in (0, pi): in nonpositive curvature
+    the side length grows strictly with the opening angle, from
+    |d_ox - d_oy| at 0 to d_ox + d_oy at pi, and the strict triangle
+    inequality puts d_xy between the two.
     """
     sides = (d_ox, d_oy, d_xy)
     if any(not (s > 0 and math.isfinite(s)) for s in sides):
@@ -285,10 +286,6 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
         raise DomainError(
             f"side lengths {sides} violate the strict triangle inequality")
     side, theta_star, _ = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
-    if theta_star > math.pi + 1e-12:
-        raise SectorExceededError(
-            f"apex angle {theta_star:.6g} exceeds pi; the triangle does not "
-            "fit in a half sector")
     theta_star = min(theta_star, math.pi)
 
     pole = SurfacePoint(0.0, 0.0)

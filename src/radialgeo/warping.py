@@ -5,18 +5,18 @@ It is the Jacobian of the exponential map along meridians, so everything
 downstream (volumes, geodesics, total curvature) reduces to integrals of m
 and m'. ``solve_warping`` computes (m, m') at the nodes of a fine grid (pitch
 about 1/64, every curvature breakpoint a node) with one 2x2 transfer matrix
-per cell. Each matrix comes from the Taylor series of the two basis solutions
-about the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in
-one array call per block of cells (high-order Taylor methods for linear ODEs:
+per cell, except past the anchor of a zero or constant tail (see below).
+Each matrix comes from the Taylor series of the two basis solutions about
+the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in one
+array call per block of cells (high-order Taylor methods for linear ODEs:
 Jorba and Zou, *Experimental Mathematics* 14, 2005). The requested relative
 accuracy ``rel_tol`` sets the number of Taylor terms; a cell where the
 interpolant misses k (a kink or jump of a formula core) or where |k| is
 large is bisected into pieces with their own matrices; a conjugate point is
 the root of the series of the piece where m first reaches zero. From the
-node data the solution is rebuilt as a
-piecewise quintic (values, slopes, and the exact second derivative -k*m at
-every node), which keeps interpolation error far below the solver
-tolerance.
+node data the solution is rebuilt as a piecewise quintic (values, slopes,
+and the exact second derivative -k*m at every node), which keeps
+interpolation error far below the solver tolerance.
 
 The quintic of each cell is written in power form about its left node.
 With cell width h, Delta = m1 - m0 and (m, m', m'') at its left (0) and
@@ -42,10 +42,12 @@ The same builder gives the inverse t(mu) of an increasing m, on the nodes
 mu_i = m_i with dt/dmu = 1/m' and d2t/dmu2 = -m''/m'^3; the geodesic code
 inverts radii with it.
 
-A read past the last node, up to t = 4096, carries (m, m') on from there
-in whole cells of the 1/64 pitch. Each cell's matrix depends only on the
-cell, so this gives the node data of a longer solve; the nodes already
-computed stay, and only the interpolant is rebuilt.
+Past the first node at or past the anchor of a zero or constant tail, the
+tail's ``carry`` gives the nodes from that node's state in closed form; a
+``PowerLawTail`` keeps the matrices. A read past the last node, up to
+t = 4096, carries (m, m') on in whole cells of the 1/64 pitch, from that
+node by ``carry`` or from the last node by the matrices: the node data of a
+longer solve. The nodes already computed stay; only the interpolant is rebuilt.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class WarpingSolution:
 
     def _reach(self, t):
         """t as a float array clipped to [0, t_max], after carrying (m, m')
-        on from the last node, in whole cells of the 1/64 pitch with the
+        on as a solve does, in whole cells of the 1/64 pitch with the
         breakpoints merged in, to the first node at or past its largest
         entry (NaN aside). That raises as a solve so far would: past
         t = 4096, or at a zero of m."""
@@ -184,12 +186,13 @@ class WarpingSolution:
             cells = math.ceil((hi - self.t_max) * _NODES_PER_UNIT)
             stop = self.t_max + cells / _NODES_PER_UNIT
             nodes = _node_grid(self.k, self.t_max, stop, cells)
-            m, mp = _carry(self.k, nodes, self.rel_tol,
-                           float(self.m_values[-1]), float(self.m_prime_values[-1]))
+            i = _split(self.k, self.grid)  # a longer solve carries on from there too
+            m, mp = _carry(self.k, np.concatenate([self.grid[i:], nodes[1:]]), self.rel_tol,
+                           float(self.m_values[i]), float(self.m_prime_values[i]))
             # through __init__, as after a solve: a new interpolant, empty caches
             self.__init__(self.k, self.rel_tol, np.concatenate([self.grid, nodes[1:]]),
-                          np.concatenate([self.m_values, m]),
-                          np.concatenate([self.m_prime_values, mp]))
+                          np.concatenate([self.m_values, m[1 - nodes.size:]]),
+                          np.concatenate([self.m_prime_values, mp[1 - nodes.size:]]))
         return np.clip(arr, 0.0, self.t_max)
 
     def extend_to(self, t_max: float) -> "WarpingSolution":
@@ -326,7 +329,7 @@ class WarpingSolution:
 
 def solve_warping(k: RadialCurvature, t_max: float | None = None,
                   rel_tol: float = DEFAULT_REL_TOL) -> WarpingSolution:
-    """Solve the warping ODE out to t_max by per-cell transfer matrices.
+    """Solve the warping ODE out to t_max by transfer matrices and tail closed forms.
 
     Without a t_max the solve stops at the first multiple of the 1/64 pitch
     at or past the tail anchor of k; reads further out carry it on.
@@ -345,7 +348,9 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
     cell's 2x2 transfer matrix, and (m, m') is carried cell by cell from the
     exact (0, 1) at t = 0. Cells are solved in blocks of 2048 (t = 32 at the
     usual pitch), each sampling k in one array call, so the memory of a
-    solve does not grow with its horizon.
+    solve does not grow with its horizon. For a tail with p = 0 they stop at
+    the first node at or past the tail anchor, and the tail's ``carry`` gives
+    the nodes beyond; a ``PowerLawTail`` keeps the matrices to t_max.
 
     k need not be smooth inside a cell: a formula core may have kinks or
     jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
@@ -366,8 +371,9 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing is the root of the series
-    of the piece in which m first reaches zero. Raises DomainError when the
-    solution overflows, and when t_max exceeds 4096.
+    of the piece in which m first reaches zero, or the closed-form zero of
+    the tail's solution. Raises DomainError when the solution overflows, and
+    when t_max exceeds 4096.
     """
     if t_max is None:
         t_max = math.ceil(_NODES_PER_UNIT * k.t_tail) / _NODES_PER_UNIT
@@ -386,12 +392,23 @@ def _check_horizon(t_max):
         raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
 
 
+def _split(k: RadialCurvature, grid: np.ndarray) -> int:
+    """Index of the last node of grid the transfer matrices reach: the first
+    at or past the tail anchor for a tail with p = 0, else the last."""
+    return grid.size - 1 if k.tail.p else min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
+
+
 def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: float):
-    """(m, m') at grid[1:] from (m, mp) at grid[0], in blocks of 2048 cells."""
+    """(m, m') at grid[1:] from (m, mp) at grid[0]: by transfer matrices, in
+    blocks of 2048 cells, up to node ``_split(k, grid)``, and past it by the
+    tail's ``carry``."""
+    split = _split(k, grid)
+    ends = sorted({*range(0, split, _BLOCK_CELLS), split, grid.size - 1})
     m_nodes, mp_nodes = [], []
-    for first in range(0, grid.size - 1, _BLOCK_CELLS):
-        m_block, mp_block = _carry_block(k, grid[first:first + _BLOCK_CELLS + 1],
-                                         rel_tol * 1e-3, m, mp)
+    for first, last in zip(ends, ends[1:]):
+        nodes = grid[first:last + 1]
+        m_block, mp_block = (_carry_block(k, nodes, rel_tol * 1e-3, m, mp) if first < split
+                             else k.tail.carry(nodes, m, mp))
         m, mp = float(m_block[-1]), float(mp_block[-1])
         if not (math.isfinite(m) and math.isfinite(mp)):
             raise DomainError(f"the warping function overflows before t = {grid[-1]:g}")

@@ -82,6 +82,17 @@ def test_hyperbolic_nodes_match_sinh_to_roundoff():
     assert np.max(np.abs(w.m_prime_values - np.cosh(w.grid)) / np.cosh(w.grid)) <= 1e-12
 
 
+def test_nodes_past_a_zero_or_constant_tail_anchor_are_its_closed_form():
+    # past the anchor t = 1 the nodes are cosh/sinh of the anchor state; over
+    # 960 more transfer matrices the error grew to 9.5e-14
+    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
+    ts = np.array([1.0, 2.0, 4.0, 8.0, 12.0, 16.0])
+    assert np.all(np.abs(w.m(ts) - np.sinh(ts)) <= 2e-14 * np.sinh(ts))
+    assert np.all(np.abs(w.m_prime(ts) - np.cosh(ts)) <= 2e-14 * np.cosh(ts))
+    flat = rg.solve_warping(rg.RadialCurvature.zero(), 16.0)
+    assert np.array_equal(flat.m_values, flat.grid)
+
+
 def test_loose_tolerance_keeps_its_accuracy():
     w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0, rel_tol=1e-6)
     t = w.grid[1:]
@@ -582,6 +593,34 @@ def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor()
     del doc["t_max"]
     assert rg.RotSymManifold.from_json(doc).t_max == 173 / 64
     assert rg.solve_warping(rg.RadialCurvature.constant(-1.0)).t_max == 1.0
+
+
+# the criterion-10 cusp of test_acceptance, 1e-10 steeper: its growing-mode
+# amplitude at the anchor is negative, so m reaches zero in the constant tail
+CUSP_A = 3.8205221749659675 * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("k, error", [
+    # m' = -0.603 at the anchor 2 of a zero tail: m falls through zero at 2.49
+    (rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [2.0, 2.0, 0.0]), rg.ConjugatePointError),
+    (rg.RadialCurvature.from_spline([0.0, 0.5, 1.0, 1.5, 2.0],
+                                    [CUSP_A, CUSP_A, 0.5 * CUSP_A, -0.5, -1.0],
+                                    rg.ConstantTail(-1.0)), rg.ConjugatePointError),
+    # sinh(100 t) passes the largest float before t = 7.1
+    (rg.RadialCurvature.constant(-1e4), rg.DomainError),
+], ids=["falling-zero-tail", "cusp", "overflow"])
+def test_a_tail_raises_alike_in_a_solve_and_a_carry(k, error):
+    with pytest.raises(error) as direct:
+        rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k)
+    grid, poly = w.grid, w._jet
+    with pytest.raises(error) as carried:
+        w.m(16.0)
+    assert str(carried.value) == str(direct.value)
+    if error is rg.ConjugatePointError:
+        assert carried.value.t == direct.value.t and direct.value.t > k.t_tail
+    # the failed read leaves the solution as it was
+    assert w.grid is grid and w._jet is poly
 
 
 def test_read_past_4096_raises_domain_error():
