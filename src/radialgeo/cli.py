@@ -45,8 +45,7 @@ from .errors import GeometryError, ScenarioError
 from .geodesics import comparison_triangle, gauss_bonnet_residual
 from .synthetic import RotSymManifold
 from .volume import growth_ratio
-from .warping import (_REL_TOL_MAX, _REL_TOL_MIN, DEFAULT_REL_TOL, ModelSurface,
-                      WarpingSolution, solve_warping)
+from .warping import ModelSurface, WarpingSolution, solve_warping
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
@@ -82,7 +81,7 @@ class _Scenario:
     """Validated scenario with constructed geometry objects, and one warping
     solution per curvature object for the run."""
 
-    def __init__(self, doc: dict, rel_tol: float):
+    def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario: top level must be a JSON object")
         self.name = _field(doc, "name", str, "scenario", "a string")
@@ -90,10 +89,6 @@ class _Scenario:
         if n < 2:
             _fail("scenario.n", f"dimension must be >= 2, got {n}")
         self.n = n
-        if not _REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX:  # also rejects NaN
-            _fail("--tol", f"expected a number in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], "
-                           f"got {rel_tol}")
-        self.rel_tol = rel_tol
         self.output_dir = _field(doc, "output_dir", str, "scenario",
                                  "a string path", required=False, default=".")
 
@@ -122,7 +117,7 @@ class _Scenario:
                 _fail("scenario.manifold.n",
                       f"must equal the scenario dimension {self.n}")
             try:
-                self.manifold = RotSymManifold.from_json(body, rel_tol=rel_tol)
+                self.manifold = RotSymManifold.from_json(body)
             except GeometryError as exc:
                 _fail("scenario.manifold", str(exc))
             own = self.manifold.curvature
@@ -162,7 +157,7 @@ class _Scenario:
         when a later request names a t_max past its own."""
         w = self._solutions.get(k)
         if w is None:
-            w = self._solutions[k] = solve_warping(k, t_max, self.rel_tol)
+            w = self._solutions[k] = solve_warping(k, t_max)
         elif t_max is not None:
             w.extend_to(t_max)
         return w
@@ -354,7 +349,7 @@ def _select_commands(scn: _Scenario, task_filter: str | None):
     return [(idx, cmd) for idx, cmd in enumerate(scn.commands) if cmd["task"] in names]
 
 
-def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL, tasks=None) -> int:
+def run(scenario_path, out_dir=None, tasks=None) -> int:
     """Execute a scenario file; returns the process exit status."""
     try:
         with open(scenario_path) as fh:
@@ -367,7 +362,7 @@ def run(scenario_path, out_dir=None, rel_tol=DEFAULT_REL_TOL, tasks=None) -> int
         return 1
 
     try:
-        scn = _Scenario(doc, rel_tol)
+        scn = _Scenario(doc)
         outdir = Path(out_dir) if out_dir else Path(scn.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         records = []
@@ -413,8 +408,6 @@ def main(argv=None) -> int:
                         help="path to the scenario JSON file")
     parser.add_argument("--out", default=None,
                         help="output directory (default: scenario's output_dir)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
-                        help="requested relative accuracy of the warping solves")
     parser.add_argument("--tasks", default=None,
                         help="comma-separated task names: run only the "
                              "scenario's commands of those tasks")
@@ -423,7 +416,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed its message; exit 2 would read as Inconclusive
         return 1 if exc.code else 0
-    return run(args.scenario, out_dir=args.out, rel_tol=args.tol, tasks=args.tasks)
+    return run(args.scenario, out_dir=args.out, tasks=args.tasks)
 
 
 if __name__ == "__main__":

@@ -347,7 +347,7 @@ class FormulaCore:
         if self.expr is None:
             raise DomainError(
                 "formula core without an expression string; "
-                "serialize via RadialCurvature.to_json(sampled=True)"
+                "RadialCurvature.to_json samples it as a spline"
             )
         out = {"kind": "formula", "expr": self.expr}
         if self.breakpoints is not None:
@@ -373,25 +373,30 @@ def _compile_expr(expr: str) -> Callable:
     """Compile a formula in t after checking every syntax node: numeric
     constants, t, namespace names (functions called by plain name), and
     unary, binary, comparison, boolean and conditional expressions. Nothing
-    else parses, so a scenario file cannot reach attributes or run code."""
+    else parses, so a scenario file cannot reach attributes or run code.
+    Integer constants are read as floats, so a power tower overflows at once
+    instead of running integer arithmetic; a formula nested too deeply to
+    parse or compile raises DomainError too."""
     if not isinstance(expr, str):
         raise DomainError("formula expression must be a string")
     try:
         tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                ok, node.value = True, float(node.value)
+            elif isinstance(node, ast.Name):
+                ok = node.id == "t" or node.id in _EXPR_NAMESPACE
+            elif isinstance(node, ast.Call):
+                ok = isinstance(node.func, ast.Name) and callable(_EXPR_NAMESPACE.get(node.func.id))
+            else:
+                ok = isinstance(node, _EXPR_NODES)
+            if not ok:
+                raise DomainError(f"formula expression may not use {ast.unparse(node)!r}")
+        code = compile(tree, "<curvature formula>", "eval")
     except SyntaxError as exc:
         raise DomainError(f"formula expression {expr!r} is not valid: {exc.msg}") from exc
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant):
-            ok = type(node.value) in (int, float)
-        elif isinstance(node, ast.Name):
-            ok = node.id == "t" or node.id in _EXPR_NAMESPACE
-        elif isinstance(node, ast.Call):
-            ok = isinstance(node.func, ast.Name) and callable(_EXPR_NAMESPACE.get(node.func.id))
-        else:
-            ok = isinstance(node, _EXPR_NODES)
-        if not ok:
-            raise DomainError(f"formula expression may not use {ast.unparse(node)!r}")
-    code = compile(tree, "<curvature formula>", "eval")
+    except (MemoryError, RecursionError) as exc:
+        raise DomainError("formula expression is nested too deeply") from exc
 
     def func(t):
         out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t})
@@ -465,14 +470,14 @@ class RadialCurvature:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self, sampled: bool = False) -> dict:
+    def to_json(self) -> dict:
         """JSON object {core, tail, t_tail}.
 
-        ``sampled=True`` forces a spline export of the core on a dense grid;
-        required for derived (lazy minimum) cores, which have no expression.
-        Sampling is lossy near kinks at the level of the grid resolution.
+        A formula core with no expression (a derived, lazy minimum core) is
+        exported as a spline sampled on a dense grid, which is lossy near
+        kinks at the level of the grid resolution.
         """
-        if sampled or (self.core.kind == "formula" and self.core.expr is None):
+        if self.core.kind == "formula" and self.core.expr is None:
             step = min(0.01, self.t_tail / 400.0)
             grid = np.union1d(self.breakpoints, np.arange(0.0, self.t_tail + step, step))
             grid = grid[grid <= self.t_tail]
@@ -514,7 +519,7 @@ class RadialCurvature:
             raise
         except KeyError as exc:
             raise DomainError(f"curvature object missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed curvature object: {exc}") from exc
 
     # -- convenience constructors -------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from .curvature import RadialCurvature
 from .errors import DomainError
 from .volume import _check_dim
-from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
+from .warping import WarpingSolution, solve_warping
 
 
 class RotSymManifold:
@@ -35,9 +35,8 @@ class RotSymManifold:
 
     @classmethod
     def from_curvature(cls, dimension: int, curvature: RadialCurvature,
-                       t_max: float | None = None,
-                       rel_tol: float = DEFAULT_REL_TOL) -> "RotSymManifold":
-        return cls(dimension, solve_warping(curvature, t_max, rel_tol))
+                       t_max: float | None = None) -> "RotSymManifold":
+        return cls(dimension, solve_warping(curvature, t_max))
 
     @property
     def dimension(self) -> int:
@@ -65,7 +64,7 @@ class RotSymManifold:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict, rel_tol: float = DEFAULT_REL_TOL) -> "RotSymManifold":
+    def from_json(cls, doc: dict) -> "RotSymManifold":
         if "n" not in doc:
             raise DomainError("manifold document requires an 'n' field")
         n = doc["n"]
@@ -76,7 +75,7 @@ class RotSymManifold:
         if "t_max" in doc and (isinstance(t_max, bool) or not isinstance(t_max, (int, float))
                                or not 0.0 < t_max <= sys.float_info.max):
             raise DomainError(f"manifold t_max must be a positive finite number, got {t_max!r}")
-        return cls.from_curvature(n, curvature, t_max=t_max, rel_tol=rel_tol)
+        return cls.from_curvature(n, curvature, t_max=t_max)
 
     def __repr__(self):
         return f"RotSymManifold(n={self._n}, t_max={self.t_max!r})"

@@ -222,10 +222,9 @@ class GrowthRatio:
             lo = min(lo, hi)
         return lo, hi
 
-    def to_csv(self, path, comment: str | None = None):
+    def to_csv(self, path, comment: str):
         with open(path, "w", newline="") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
+            fh.write(f"# {comment}\n")
             writer = csv.writer(fh)
             writer.writerow(["t", "vol_num", "vol_den", "ratio"])
             for t, vn, vd, r in self.samples:

@@ -9,9 +9,9 @@ per cell, except past the anchor of a zero or constant tail (see below).
 Each matrix comes from the Taylor series of the two basis solutions about
 the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in one
 array call per block of cells (high-order Taylor methods for linear ODEs:
-Jorba and Zou, *Experimental Mathematics* 14, 2005). The requested relative
-accuracy ``rel_tol`` sets the number of Taylor terms; a cell where the
-interpolant misses k (a kink or jump of a formula core) or where |k| is
+Jorba and Zou, *Experimental Mathematics* 14, 2005). The fixed relative
+accuracy ``DEFAULT_REL_TOL`` sets the number of Taylor terms; a cell where
+the interpolant misses k (a kink or jump of a formula core) or where |k| is
 large is bisected into pieces with their own matrices; a conjugate point is
 the root of the series of the piece where m first reaches zero. From the
 node data the solution is rebuilt as a piecewise quintic (values, slopes,
@@ -46,8 +46,10 @@ Past the first node at or past the anchor of a zero or constant tail, the
 tail's ``carry`` gives the nodes from that node's state in closed form; a
 ``PowerLawTail`` keeps the matrices. A read past the last node, up to
 t = 4096, carries (m, m') on in whole cells of the 1/64 pitch, from that
-node by ``carry`` or from the last node by the matrices: the node data of a
-longer solve. The nodes already computed stay; only the interpolant is rebuilt.
+node by ``carry`` or from the last node by the matrices. After a first
+horizon that is a multiple of 1/64 and at least 1, that is the grid of a
+longer solve, and its node values to a few ulps (a block's series stop when
+all its pieces meet the bound). Only the interpolant is rebuilt.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ from scipy.optimize import brentq
 from .curvature import RadialCurvature
 from .errors import ConjugatePointError, DomainError, UnboundedError
 
+# the solver's relative accuracy, the same for every solve
 DEFAULT_REL_TOL = 1e-12
-_REL_TOL_MIN = 1e-14
-_REL_TOL_MAX = 1e-3
+# the bound of the Taylor series and the fits of k (see solve_warping)
+_TAYLOR_TOL = DEFAULT_REL_TOL * 1e-3
 # dense interpolant nodes per unit length
 _NODES_PER_UNIT = 64
 # largest solving horizon: 2^18 nodes, about 75 MB for a solution and its tables
@@ -139,7 +142,7 @@ class WarpingSolution:
     Attributes
     ----------
     k : RadialCurvature
-    t_max, rel_tol : float
+    t_max : float
     grid : ndarray
         Fine node grid (strictly increasing, grid[0] = 0, grid[-1] = t_max).
     m_values, m_prime_values : ndarray
@@ -157,10 +160,9 @@ class WarpingSolution:
     for each integrand and kept with the solution.
     """
 
-    def __init__(self, k, rel_tol, grid, m_values, m_prime_values):
+    def __init__(self, k, grid, m_values, m_prime_values):
         self.k = k
         self.t_max = float(grid[-1])
-        self.rel_tol = float(rel_tol)
         self.grid = grid
         self.m_values = m_values
         self.m_prime_values = m_prime_values
@@ -187,10 +189,10 @@ class WarpingSolution:
             stop = self.t_max + cells / _NODES_PER_UNIT
             nodes = _node_grid(self.k, self.t_max, stop, cells)
             i = _split(self.k, self.grid)  # a longer solve carries on from there too
-            m, mp = _carry(self.k, np.concatenate([self.grid[i:], nodes[1:]]), self.rel_tol,
+            m, mp = _carry(self.k, np.concatenate([self.grid[i:], nodes[1:]]),
                            float(self.m_values[i]), float(self.m_prime_values[i]))
             # through __init__, as after a solve: a new interpolant, empty caches
-            self.__init__(self.k, self.rel_tol, np.concatenate([self.grid, nodes[1:]]),
+            self.__init__(self.k, np.concatenate([self.grid, nodes[1:]]),
                           np.concatenate([self.m_values, m[1 - nodes.size:]]),
                           np.concatenate([self.m_prime_values, mp[1 - nodes.size:]]))
         return np.clip(arr, 0.0, self.t_max)
@@ -323,12 +325,10 @@ class WarpingSolution:
         return t, mp + mpp * (t - t0), mpp
 
     def __repr__(self):
-        return (f"WarpingSolution(t_max={self.t_max!r}, rel_tol={self.rel_tol!r}, "
-                f"nodes={len(self.grid)})")
+        return f"WarpingSolution(t_max={self.t_max!r}, nodes={len(self.grid)})"
 
 
-def solve_warping(k: RadialCurvature, t_max: float | None = None,
-                  rel_tol: float = DEFAULT_REL_TOL) -> WarpingSolution:
+def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolution:
     """Solve the warping ODE out to t_max by transfer matrices and tail closed forms.
 
     Without a t_max the solve stops at the first multiple of the 1/64 pitch
@@ -364,10 +364,10 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
     cell on average (a constant |k| above about 4e6 on the usual pitch), or
     a piece at the ulp floor whose kappa is still large, raises DomainError.
 
-    ``rel_tol`` is the requested relative accuracy. It sets the number of
-    Taylor terms: the series stop once the newest two coefficients of every
-    piece fall below rel_tol * 1e-3 of the leading ones. The fit check uses
-    the same bound times the piece's half-width.
+    Every solve has the relative accuracy ``DEFAULT_REL_TOL``. It sets the
+    number of Taylor terms: the series stop once the newest two coefficients
+    of every piece fall below DEFAULT_REL_TOL * 1e-3 of the leading ones.
+    The fit check uses the same bound times the piece's half-width.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing is the root of the series
@@ -378,12 +378,9 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None,
     if t_max is None:
         t_max = math.ceil(_NODES_PER_UNIT * k.t_tail) / _NODES_PER_UNIT
     _check_horizon(t_max)
-    if not (_REL_TOL_MIN <= rel_tol <= _REL_TOL_MAX):
-        raise DomainError(
-            f"rel_tol must lie in [{_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}], got {rel_tol:g}")
     grid = _node_grid(k, 0.0, t_max, max(64, math.ceil(t_max * _NODES_PER_UNIT)))
-    m, mp = _carry(k, grid, rel_tol, 0.0, 1.0)
-    return WarpingSolution(k, rel_tol, grid, np.concatenate([[0.0], m]),
+    m, mp = _carry(k, grid, 0.0, 1.0)
+    return WarpingSolution(k, grid, np.concatenate([[0.0], m]),
                            np.concatenate([[1.0], mp]))
 
 
@@ -398,7 +395,7 @@ def _split(k: RadialCurvature, grid: np.ndarray) -> int:
     return grid.size - 1 if k.tail.p else min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
 
 
-def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: float):
+def _carry(k: RadialCurvature, grid: np.ndarray, m: float, mp: float):
     """(m, m') at grid[1:] from (m, mp) at grid[0]: by transfer matrices, in
     blocks of 2048 cells, up to node ``_split(k, grid)``, and past it by the
     tail's ``carry``."""
@@ -407,7 +404,7 @@ def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: f
     m_nodes, mp_nodes = [], []
     for first, last in zip(ends, ends[1:]):
         nodes = grid[first:last + 1]
-        m_block, mp_block = (_carry_block(k, nodes, rel_tol * 1e-3, m, mp) if first < split
+        m_block, mp_block = (_carry_block(k, nodes, m, mp) if first < split
                              else k.tail.carry(nodes, m, mp))
         m, mp = float(m_block[-1]), float(mp_block[-1])
         if not (math.isfinite(m) and math.isfinite(mp)):
@@ -417,11 +414,11 @@ def _carry(k: RadialCurvature, grid: np.ndarray, rel_tol: float, m: float, mp: f
     return np.concatenate(m_nodes), np.concatenate(mp_nodes)
 
 
-def _carry_block(k: RadialCurvature, nodes: np.ndarray, tol: float, m: float, mp: float):
+def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
     """(m, m') at nodes[1:] from (m, mp) at nodes[0], by the transfer
     matrices of the pieces of the cells between the nodes."""
-    mid, half, cell, kappa = _fitted_pieces(k, nodes, tol)
-    coef = _taylor_coefficients(kappa, tol)
+    mid, half, cell, kappa = _fitted_pieces(k, nodes)
+    coef = _taylor_coefficients(kappa)
     j = np.arange(coef.shape[0])
     sign = (-1.0) ** j
     # basis values and s-derivatives at s = +1 (p) and s = -1 (q)
@@ -475,7 +472,7 @@ def _node_grid(k: RadialCurvature, start: float, stop: float, cells: int) -> np.
     return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
 
 
-def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
+def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     """The cells of grid cut into pieces on which the degree-8 fit of k holds
     and is small, as (midpoint, half-width, cell index, kappa) in the order
     of t; kappa holds the monomial coefficients (9, pieces) of the fitted
@@ -484,9 +481,9 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
     Besides the Chebyshev points k is sampled one ulp inside either end of a
     piece. The fit misses by the sum of its two highest Chebyshev
     coefficients, or by its distance to those end samples if larger. A piece
-    where the miss exceeds tol * r, beyond rounding, is bisected: a miss d
-    in kappa moves m' by about d / r relative to m over the piece. So is a
-    piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
+    where the miss exceeds _TAYLOR_TOL * r, beyond rounding, is bisected: a
+    miss d in kappa moves m' by about d / r relative to m over the piece. So
+    is a piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
     quarter or less. Bisection stops at a half-width of 64 ulps, where a
     piece that is still too large for its series raises DomainError, as do
     more than _MAX_PIECES_PER_CELL pieces per cell on average.
@@ -510,7 +507,7 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
         rounding = 64 * eps * np.max(np.abs(kappa), axis=0)
         large = np.sum(np.abs(coef), axis=0) > 1.0
         floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
-        split = ((miss > tol * half + rounding) | large) & ~floor
+        split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor
         keep = ~split
         pieces.append((mid[keep], half[keep], cell[keep], coef[:, keep]))
         budget -= np.count_nonzero(keep)
@@ -528,13 +525,13 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray, tol: float):
     return mid[order], half[order], cell[order], kappa[:, order]
 
 
-def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
+def _taylor_coefficients(kappa: np.ndarray) -> np.ndarray:
     """Taylor coefficients a_j of the solutions of m'' = -kappa(s) m with
     (m, m') = (1, 0) and (0, 1) at s = 0, as an array (terms, 2, pieces).
 
     kappa holds the monomial coefficients (9, pieces). The series stop once
-    the newest two coefficients of every piece are below tol, or after
-    _MAX_TERMS terms.
+    the newest two coefficients of every piece are below _TAYLOR_TOL, or
+    after _MAX_TERMS terms.
     """
     one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])
     a = [np.stack([one, zero]), np.stack([zero, one])]
@@ -543,7 +540,7 @@ def _taylor_coefficients(kappa: np.ndarray, tol: float) -> np.ndarray:
         for i in range(1, min(j, _FIT_DEGREE) + 1):
             nxt += kappa[i] * a[j - i]
         a.append(nxt / (-(j + 2) * (j + 1)))
-        if max(np.max(np.abs(a[-2])), np.max(np.abs(a[-1]))) < tol:
+        if max(np.max(np.abs(a[-2])), np.max(np.abs(a[-1]))) < _TAYLOR_TOL:
             break
     return np.stack(a)
 
@@ -559,9 +556,9 @@ def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     The state (m, m') at the tail anchor, read from the node values, goes
     through the tail's exact ``continuation``. The limit is linear in that
     state, L = u m(a) + v m'(a); for k <= 0 both weights and both values are
-    nonnegative, so the returned bound 10 * rel_tol * (|u m(a)| + |v m'(a)|)
-    is 10 * rel_tol * L. A negative constant tail has a growing mode and
-    raises UnboundedError.
+    nonnegative, so the returned bound
+    10 * DEFAULT_REL_TOL * (|u m(a)| + |v m'(a)|) is 10 * DEFAULT_REL_TOL * L.
+    A negative constant tail has a growing mode and raises UnboundedError.
 
     With ``with_bound=True`` returns (value, error_bound).
     """
@@ -572,7 +569,7 @@ def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
     if value == math.inf:
         raise UnboundedError(
             "m' grows without bound: constant negative tail has a growing mode")
-    return (value, 10.0 * w.rel_tol * value) if with_bound else value
+    return (value, 10.0 * DEFAULT_REL_TOL * value) if with_bound else value
 
 
 def total_curvature_direct(w: WarpingSolution) -> float:

@@ -1,6 +1,6 @@
 """Package hygiene: no unused imports or private names in the sources, no
 stale exports or backticked names in the prose, a README example that runs
-and prints what it says."""
+and prints what it says, README flags that are the parser's."""
 
 import ast
 import io
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import radialgeo
+from radialgeo import cli
 
 SOURCES = sorted(Path(radialgeo.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,6 +101,15 @@ def test_readme_quick_example_prints_what_its_comments_say(capsys):
     for comment, got, (text, value, tol) in zip(comments, printed, shown):
         assert text in comment
         assert abs(got - value) <= tol
+
+
+def test_readme_command_line_flags_are_the_parsers(capsys):
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(--[a-z][\w-]*)", section))
+    assert cli.main(["--help"]) == 0
+    options = set(re.findall(r"(?<![\w-])(--[a-z][\w-]*)", capsys.readouterr().out))
+    assert documented <= options  # no flag the parser does not know
+    assert options - {"--help"} <= documented  # no option left undocumented
 
 
 def _package_names(trees):

@@ -93,12 +93,6 @@ def test_nodes_past_a_zero_or_constant_tail_anchor_are_its_closed_form():
     assert np.array_equal(flat.m_values, flat.grid)
 
 
-def test_loose_tolerance_keeps_its_accuracy():
-    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0, rel_tol=1e-6)
-    t = w.grid[1:]
-    assert np.max(np.abs(w.m_values[1:] - np.sinh(t)) / np.sinh(t)) <= 1e-6
-
-
 @pytest.mark.parametrize("c, horizon", [
     (-400.0, 4.0),
     # (h/2)^2 |k| = 3.8 on the 1/256 pitch: every cell is split in two
@@ -137,7 +131,7 @@ def formula(expr, end_value):
 
 @pytest.mark.parametrize("k, horizon, kinks", [
     # the sampled envelope of SPL: 403 knots, all of them cell boundaries
-    (rg.RadialCurvature.from_json(rg.nonpositive_min(SPL).to_json(sampled=True)), 13.5, []),
+    (rg.RadialCurvature.from_json(rg.nonpositive_min(SPL).to_json()), 13.5, []),
     (rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
                                                        [-1.0, -0.15, -0.6, 0.0])), 16.0, []),
     (SPL, 16.0, []),
@@ -582,6 +576,21 @@ def test_extend_to_carries_on_in_one_step_to_a_longer_solve(k):
     poly = w._jet
     w.extend_to(8.0)
     assert w.t_max == 16.0 and w._jet is poly
+
+
+def test_a_carry_from_inside_the_matrix_range_agrees_to_a_few_ulps():
+    # the carry from t = 1 solves the cells up to the anchor in a block of
+    # their own, and a block's series stop only when all its pieces meet the
+    # bound: the same grid, node values a few ulps apart (2.3e-16 here)
+    k = rg.RadialCurvature.from_spline(
+        [0.0, 0.7329240420869336, 1.4658480841738672, 2.198772126260801],
+        [-0.7482242750812449, -0.0866813231145428, -0.4258562402940216, -0.3617344751803877],
+        rg.ConstantTail(-0.3617344751803877))
+    full = rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k, 1.0).extend_to(16.0)
+    assert np.array_equal(w.grid, full.grid)
+    assert np.all(np.abs(w.m_values - full.m_values) <= 1e-15 * full.m_values)
+    assert np.all(np.abs(w.m_prime_values - full.m_prime_values) <= 1e-15 * full.m_prime_values)
 
 
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
