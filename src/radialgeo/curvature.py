@@ -394,7 +394,7 @@ def _compile_expr(expr: str) -> Callable:
                 raise DomainError(f"formula expression may not use {ast.unparse(node)!r}")
         code = compile(tree, "<curvature formula>", "eval")
     except SyntaxError as exc:
-        raise DomainError(f"formula expression {expr!r} is not valid: {exc.msg}") from exc
+        raise DomainError(f"formula expression invalid at offset {exc.offset}: {exc.msg}") from exc
     except (MemoryError, RecursionError) as exc:
         raise DomainError("formula expression is nested too deeply") from exc
 

@@ -24,8 +24,8 @@ class RotSymManifold:
 
     The generating curvature is the warping's and the one reader of radial
     curvature (radial sectional and normalized radial Ricci coincide here);
-    serialization writes it and the t_max reached so far back out. t_max only
-    sets where the first solve stops.
+    serialization writes it and the t_max reached so far back out. t_max sets
+    where the first solve stops and changes no number.
     """
 
     def __init__(self, dimension: int, warping: WarpingSolution):

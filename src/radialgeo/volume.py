@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -180,18 +180,25 @@ class GrowthRatio:
     """Sampled ratio of ball volumes at increasing horizons.
 
     samples : list of (t, numerator volume, denominator volume, ratio)
-    monotone_nonincreasing : whether ratios never rise beyond 1e-9
-    first_violation : (t_prev, r_prev, t_next, r_next) for the first rise,
-        or None
     dominated : caller-declared curvature domination (numerator curvature
         >= denominator curvature pointwise), which forces ratios into [0, 1]
     """
 
-    n: int
-    samples: list = field(default_factory=list)
-    monotone_nonincreasing: bool = False
-    first_violation: tuple | None = None
+    samples: list
     dominated: bool = False
+
+    @property
+    def first_violation(self) -> tuple | None:
+        """(t_prev, r_prev, t_next, r_next) of the first rise beyond 1e-9, or None."""
+        for (t0, *_, r0), (t1, *_, r1) in zip(self.samples, self.samples[1:]):
+            if r1 > r0 + _MONOTONE_TOL:
+                return t0, r0, t1, r1
+        return None
+
+    @property
+    def monotone_nonincreasing(self) -> bool:
+        """Whether the ratios never rise beyond 1e-9."""
+        return self.first_violation is None
 
     def bracket(self) -> tuple[float, float]:
         """Enclosure for the limit of the ratio.
@@ -263,17 +270,7 @@ def _assemble_ratio(n, numerator, denominator, horizons, dominated):
         vn = model_ball_volume(n, numerator, t)
         vd = model_ball_volume(n, denominator, t)
         samples.append((t, vn, vd, vn / vd))
-
-    ratios = [s[3] for s in samples]
-    monotone = True
-    violation = None
-    for i in range(len(ratios) - 1):
-        if ratios[i + 1] > ratios[i] + _MONOTONE_TOL:
-            monotone = False
-            violation = (samples[i][0], ratios[i], samples[i + 1][0], ratios[i + 1])
-            break
-    return GrowthRatio(n=n, samples=samples, monotone_nonincreasing=monotone,
-                       first_violation=violation, dominated=dominated)
+    return GrowthRatio(samples, dominated)
 
 
 def bishop_monotonicity_check(ratio: GrowthRatio) -> bool:

@@ -3,8 +3,8 @@
 The warping function m solves m'' + k(t) m = 0 with m(0) = 0, m'(0) = 1.
 It is the Jacobian of the exponential map along meridians, so everything
 downstream (volumes, geodesics, total curvature) reduces to integrals of m
-and m'. ``solve_warping`` computes (m, m') at the nodes of a fine grid (pitch
-about 1/64, every curvature breakpoint a node) with one 2x2 transfer matrix
+and m'. ``solve_warping`` computes (m, m') at the nodes of a fine grid (the
+1/64 lattice, every curvature breakpoint a node) with one 2x2 transfer matrix
 per cell, except past the anchor of a zero or constant tail (see below).
 Each matrix comes from the Taylor series of the two basis solutions about
 the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in one
@@ -44,12 +44,10 @@ inverts radii with it.
 
 Past the first node at or past the anchor of a zero or constant tail, the
 tail's ``carry`` gives the nodes from that node's state in closed form; a
-``PowerLawTail`` keeps the matrices. A read past the last node, up to
-t = 4096, carries (m, m') on in whole cells of the 1/64 pitch, from that
-node by ``carry`` or from the last node by the matrices. After a first
-horizon that is a multiple of 1/64 and at least 1, that is the grid of a
-longer solve, and its node values to a few ulps (a block's series stop when
-all its pieces meet the bound). Only the interpolant is rebuilt.
+``PowerLawTail`` keeps the matrices. A solve is a carry from the pole, and
+a read past the last node, up to t = 4096, carries on from there alike,
+rebuilding only the interpolant: either stops at the first node of the 1/64
+lattice at or past the t asked for, with the numbers of a direct solve.
 """
 
 from __future__ import annotations
@@ -151,8 +149,8 @@ class WarpingSolution:
     Every read goes through one interpolant, the jet of (m, m', m''):
     ``m``, ``m_prime`` and ``m_second`` read one column each, anywhere in
     [0, 4096], vectorized, and return the node values exactly at every node;
-    a t past t_max first carries the solution on to the first node at or
-    past it, which moves t_max (always grid[-1]). Each carry rebuilds the
+    a t past t_max first carries the solution on to the first lattice node
+    at or past it, which moves t_max (always grid[-1]). Each carry rebuilds the
     interpolant, so a caller about to read at several t past t_max calls
     ``extend_to`` with the largest first. ``power_integral(q, t)`` and
     ``km_integral(t)`` are the integrals of m^q and k*m over [0, t], read
@@ -174,35 +172,25 @@ class WarpingSolution:
         self._tables = {}
 
     def _reach(self, t):
-        """t as a float array clipped to [0, t_max], after carrying (m, m')
-        on as a solve does, in whole cells of the 1/64 pitch with the
-        breakpoints merged in, to the first node at or past its largest
-        entry (NaN aside). That raises as a solve so far would: past
-        t = 4096, or at a zero of m."""
+        """t as a float array clipped to [0, t_max], after carrying the solution
+        on, as ``solve_warping`` grows it from the pole, to the first lattice
+        node at or past its largest entry (NaN aside). That raises as a solve
+        so far would: past t = 4096, or at a zero of m."""
         arr = np.asarray(t, dtype=float)
         hi = float(np.fmax.reduce(arr, axis=None)) if arr.size else 0.0
         if hi > self.t_max * (1.0 + 1e-12) + 1e-12:
             if not hi <= _MAX_HORIZON:
                 raise DomainError(
                     f"warping functions are solved up to t = {_MAX_HORIZON:g}, got t = {hi:.6g}")
-            cells = math.ceil((hi - self.t_max) * _NODES_PER_UNIT)
-            stop = self.t_max + cells / _NODES_PER_UNIT
-            nodes = _node_grid(self.k, self.t_max, stop, cells)
-            i = _split(self.k, self.grid)  # a longer solve carries on from there too
-            m, mp = _carry(self.k, np.concatenate([self.grid[i:], nodes[1:]]),
-                           float(self.m_values[i]), float(self.m_prime_values[i]))
             # through __init__, as after a solve: a new interpolant, empty caches
-            self.__init__(self.k, np.concatenate([self.grid, nodes[1:]]),
-                          np.concatenate([self.m_values, m[1 - nodes.size:]]),
-                          np.concatenate([self.m_prime_values, mp[1 - nodes.size:]]))
+            self.__init__(self.k, *_grow(self.k, self.grid, self.m_values, self.m_prime_values, hi))
         return np.clip(arr, 0.0, self.t_max)
 
     def extend_to(self, t_max: float) -> "WarpingSolution":
-        """This solution, carried on in one step to the first node at or past
-        t_max; one that reaches t_max already is left as it is. A t_max
-        outside (0, 4096] raises as ``solve_warping(k, t_max)`` does."""
-        _check_horizon(t_max)
-        self._reach(t_max)
+        """This solution carried on in one step, with the numbers of a direct
+        solve, to the first lattice node at or past t_max (left as it is if it
+        reaches t_max). A t_max outside (0, 4096] raises as a solve does."""
+        self._reach(_check_horizon(t_max))
         return self
 
     def _read(self, order, t):
@@ -329,13 +317,17 @@ class WarpingSolution:
 
 
 def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolution:
-    """Solve the warping ODE out to t_max by transfer matrices and tail closed forms.
+    """Solve the warping ODE from the pole to the first node of the 1/64
+    lattice at or past t_max (the tail anchor of k without one), by transfer
+    matrices and tail closed forms; reads further out carry it on the same
+    way. t_max sets where the solve stops and changes no number: carried on
+    to any node, the solution has the grid and node values of a direct solve
+    to it, bit for bit, except past a curvature breakpoint within the sliver
+    distance (1/64000) of the node where it stopped, which a longer direct
+    solve puts in that node's place.
 
-    Without a t_max the solve stops at the first multiple of the 1/64 pitch
-    at or past the tail anchor of k; reads further out carry it on.
-
-    The node grid has pitch about 1/64 and contains every curvature
-    breakpoint. In the local variable s in [-1, 1] of a cell with midpoint c
+    The node grid is the 1/64 lattice with every curvature breakpoint
+    merged in. In the local variable s in [-1, 1] of a cell with midpoint c
     and half-width r the ODE reads d2m/ds2 = -kappa(s) m with
     kappa(s) = r^2 k(c + r s). kappa is replaced by its degree-8 interpolant
     at the Chebyshev points (exact for spline cores), and the Taylor
@@ -346,11 +338,11 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
 
     vectorized over cells. Summed at s = -1 and s = +1 they give each
     cell's 2x2 transfer matrix, and (m, m') is carried cell by cell from the
-    exact (0, 1) at t = 0. Cells are solved in blocks of 2048 (t = 32 at the
-    usual pitch), each sampling k in one array call, so the memory of a
-    solve does not grow with its horizon. For a tail with p = 0 they stop at
-    the first node at or past the tail anchor, and the tail's ``carry`` gives
-    the nodes beyond; a ``PowerLawTail`` keeps the matrices to t_max.
+    exact (0, 1) at t = 0. Cells are solved in blocks of 2048 (t = 32), each
+    sampling k in one array call, so the memory of a solve does not grow
+    with its horizon. For a tail with p = 0 they stop at the first node at
+    or past the tail anchor, and the tail's ``carry`` gives the nodes
+    beyond; a ``PowerLawTail`` keeps the matrices.
 
     k need not be smooth inside a cell: a formula core may have kinks or
     jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
@@ -361,13 +353,14 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     bisected into pieces, each with its own fit and matrix, until neither
     holds or the piece is a few ulps wide. Each round of bisection is one
     more array call of k. A curvature that needs more than 16 pieces per
-    cell on average (a constant |k| above about 4e6 on the usual pitch), or
-    a piece at the ulp floor whose kappa is still large, raises DomainError.
+    cell on average (a constant |k| above about 4e6), or a piece at the ulp
+    floor whose kappa is still large, raises DomainError.
 
     Every solve has the relative accuracy ``DEFAULT_REL_TOL``. It sets the
-    number of Taylor terms: the series stop once the newest two coefficients
-    of every piece fall below DEFAULT_REL_TOL * 1e-3 of the leading ones.
-    The fit check uses the same bound times the piece's half-width.
+    number of Taylor terms: the series of a piece stop once its newest two
+    coefficients fall below DEFAULT_REL_TOL * 1e-3 of the leading ones, so
+    a piece's matrix does not depend on the cells solved with it. The fit
+    check uses the same bound times the piece's half-width.
 
     Raises ConjugatePointError when m vanishes at some t > 0, which happens
     for strongly positive curvature; the crossing is the root of the series
@@ -375,24 +368,30 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     the tail's solution. Raises DomainError when the solution overflows, and
     when t_max exceeds 4096.
     """
-    if t_max is None:
-        t_max = math.ceil(_NODES_PER_UNIT * k.t_tail) / _NODES_PER_UNIT
-    _check_horizon(t_max)
-    grid = _node_grid(k, 0.0, t_max, max(64, math.ceil(t_max * _NODES_PER_UNIT)))
-    m, mp = _carry(k, grid, 0.0, 1.0)
-    return WarpingSolution(k, grid, np.concatenate([[0.0], m]),
-                           np.concatenate([[1.0], mp]))
+    t_max = _check_horizon(k.t_tail if t_max is None else t_max)
+    return WarpingSolution(k, *_grow(k, np.zeros(1), np.zeros(1), np.ones(1), t_max))
 
 
 def _check_horizon(t_max):
     if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
         raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
+    return t_max
 
 
 def _split(k: RadialCurvature, grid: np.ndarray) -> int:
     """Index of the last node of grid the transfer matrices reach: the first
     at or past the tail anchor for a tail with p = 0, else the last."""
     return grid.size - 1 if k.tail.p else min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
+
+
+def _grow(k: RadialCurvature, grid, m, mp, t: float):
+    """(grid, m, m') carried on from the last node, a lattice node, to the
+    first one at or past t > grid[-1], from node ``_split(k, grid)``."""
+    nodes = _node_grid(k, round(grid[-1] * _NODES_PER_UNIT), math.ceil(t * _NODES_PER_UNIT))
+    i = _split(k, grid)
+    m_new, mp_new = _carry(k, np.concatenate([grid[i:], nodes[1:]]), float(m[i]), float(mp[i]))
+    return (np.concatenate([grid, nodes[1:]]), np.concatenate([m, m_new[1 - nodes.size:]]),
+            np.concatenate([mp, mp_new[1 - nodes.size:]]))
 
 
 def _carry(k: RadialCurvature, grid: np.ndarray, m: float, mp: float):
@@ -454,20 +453,20 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
     return m_steps[last], mp_steps[last]
 
 
-def _node_grid(k: RadialCurvature, start: float, stop: float, cells: int) -> np.ndarray:
-    """Uniform nodes of the given number of cells on [start, stop] with the
-    interior curvature breakpoints merged in under the sliver rule."""
-    grid = np.linspace(start, stop, cells + 1)
-    pitch = (stop - start) / cells
+def _node_grid(k: RadialCurvature, first: int, last: int) -> np.ndarray:
+    """The nodes first/64 .. last/64 of the 1/64 lattice with the interior
+    curvature breakpoints merged in under the sliver rule."""
+    pitch = 1.0 / _NODES_PER_UNIT
+    grid = np.arange(first, last + 1) * pitch
     bp = k.breakpoints  # sorted, from 0: a twin of the one before it is dropped
     bp = bp[1:][np.diff(bp) >= _SLIVER_FRACTION * pitch]
-    interior_bp = bp[(bp > start) & (bp < stop)]
+    interior_bp = bp[(bp > grid[0]) & (bp < grid[-1])]
     # the breakpoint takes the place of a uniform node it nearly meets; next
     # to an end node, which must stay, the breakpoint is dropped instead
-    nearest = np.rint((interior_bp - start) / pitch).astype(int)
+    nearest = np.rint((interior_bp - grid[0]) / pitch).astype(int)
     close = np.abs(grid[nearest] - interior_bp) < _SLIVER_FRACTION * pitch
-    at_end = close & ((nearest == 0) | (nearest == cells))
-    keep = np.ones(cells + 1, dtype=bool)
+    at_end = close & ((nearest == 0) | (nearest == last - first))
+    keep = np.ones(grid.size, dtype=bool)
     keep[nearest[close & ~at_end]] = False
     return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
 
@@ -529,18 +528,22 @@ def _taylor_coefficients(kappa: np.ndarray) -> np.ndarray:
     """Taylor coefficients a_j of the solutions of m'' = -kappa(s) m with
     (m, m') = (1, 0) and (0, 1) at s = 0, as an array (terms, 2, pieces).
 
-    kappa holds the monomial coefficients (9, pieces). The series stop once
-    the newest two coefficients of every piece are below _TAYLOR_TOL, or
-    after _MAX_TERMS terms.
+    kappa holds the monomial coefficients (9, pieces). The series of a
+    piece stops, its further coefficients zero, once its newest two
+    coefficients are below _TAYLOR_TOL, or after _MAX_TERMS terms.
     """
     one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])
     a = [np.stack([one, zero]), np.stack([zero, one])]
+    live = big = True  # live: a piece's newest two terms are not both below the bound
     for j in range(_MAX_TERMS - 2):
         nxt = kappa[0] * a[j]
         for i in range(1, min(j, _FIT_DEGREE) + 1):
             nxt += kappa[i] * a[j - i]
-        a.append(nxt / (-(j + 2) * (j + 1)))
-        if max(np.max(np.abs(a[-2])), np.max(np.abs(a[-1]))) < _TAYLOR_TOL:
+        nxt /= -(j + 2) * (j + 1)
+        nxt *= live
+        a.append(nxt)
+        live = big | (big := np.abs(nxt).max(axis=0) >= _TAYLOR_TOL)
+        if not live.any():
             break
     return np.stack(a)
 

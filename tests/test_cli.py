@@ -151,11 +151,13 @@ CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
      "tail": {"kind": "constant", "c": -10.0}},
     {"core": {"kind": "formula", "expr": "0*t + 3**3**15"}, "tail": {"kind": "zero"}},
     {"core": {"kind": "formula", "expr": "1/0 + 0*t"}, "tail": {"kind": "zero"}},
+    # a syntax error at the end of a long formula
+    {"core": {"kind": "formula", "expr": "t" + " + t" * 50000 + " +"}, "tail": {"kind": "zero"}},
 ], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values",
         "formula-branch", "formula-chained", "formula-boolean", "huge-int",
         "formula-nested-knots", "formula-number-knots", "formula-deep-compile",
         "formula-deep-parse", "formula-integer-division", "formula-power-tower",
-        "formula-zero-division"])
+        "formula-zero-division", "formula-long-syntax"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
     doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
@@ -453,6 +455,31 @@ def test_task_filter_naming_a_task_without_a_command_exits_one(tmp_path, capsys)
     assert code == 1
     assert report is None
     assert err.startswith("error: --tasks: ") and "gauss-bonnet" in err
+
+
+# a seeded zero-tail spline whose solution the growth command starts at
+# t = 2.3, off the 1/64 lattice, and check-corollary carries on to t = 16
+ZERO_TAIL = {
+    "core": {"kind": "spline",
+             "breakpoints": [0.0, 0.36253500442171127, 0.7250700088434225, 1.0876050132651338,
+                             1.450140017686845, 1.8126750221085564, 2.1752100265302676],
+             "values": [-1.1635285353677902, -0.3378107849858878, -0.45024942736683815,
+                        -1.3103301680943928, -0.007897956848362087, -1.2318426275741494, 0.0]},
+    "tail": {"kind": "zero"},
+    "t_tail": 2.1752100265302676,
+}
+
+
+def test_a_record_does_not_depend_on_the_commands_run_before_it(tmp_path):
+    doc = base_scenario(curvatures={"z": ZERO_TAIL}, commands=[
+        {"task": "growth", "denominator": "z", "horizons": [1.0, 2.3]},
+        {"task": "check-corollary", "g": "z", "numerator": "manifold"},
+    ])
+    (tmp_path / "all").mkdir()
+    (tmp_path / "one").mkdir()
+    _code, everything, _ = run_cli(tmp_path / "all", doc)
+    _code, alone, _ = run_cli(tmp_path / "one", doc, extra_args=("--tasks", "check-corollary"))
+    assert everything["tasks"][1] == alone["tasks"][0]
 
 
 SPLINE_HYP = {

@@ -520,7 +520,13 @@ _CARRY_CURVATURES = pytest.mark.parametrize("k", [
     rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
                                                       [-1.0, -0.15, -0.6, 0.0])),
     SPL,
-], ids=["hyperbolic", "bump", "power-law"])
+    # a constant tail whose anchor lies past t = 1: the carry from there
+    # starts inside the transfer-matrix range
+    rg.RadialCurvature.from_spline(
+        [0.0, 0.7329240420869336, 1.4658480841738672, 2.198772126260801],
+        [-0.7482242750812449, -0.0866813231145428, -0.4258562402940216, -0.3617344751803877],
+        rg.ConstantTail(-0.3617344751803877)),
+], ids=["hyperbolic", "bump", "power-law", "matrix-range"])
 
 _READERS = {
     "m": lambda w, t: w.m(t),
@@ -554,11 +560,12 @@ def test_reads_past_the_horizon_equal_a_longer_solve(k, reader):
 
 @_CARRY_CURVATURES
 def test_carrying_on_keeps_the_node_data_already_computed(k):
-    # 2.3 is no multiple of the 1/64 pitch: the first solve has its own pitch
+    # 2.3 is no node of the 1/64 lattice: the solve stops at the next one
     w = rg.solve_warping(k, 2.3)
+    assert w.t_max == 148 / 64
     grid, m, mp = w.grid.copy(), w.m_values.copy(), w.m_prime_values.copy()
     w.m_prime(np.array([0.5, 7.9]))
-    assert w.t_max == 2.3 + 359 / 64
+    assert w.t_max == 506 / 64
     assert np.array_equal(w.grid[:grid.size], grid)
     assert np.array_equal(w.m_values[:grid.size], m)
     assert np.array_equal(w.m_prime_values[:grid.size], mp)
@@ -578,19 +585,34 @@ def test_extend_to_carries_on_in_one_step_to_a_longer_solve(k):
     assert w.t_max == 16.0 and w._jet is poly
 
 
-def test_a_carry_from_inside_the_matrix_range_agrees_to_a_few_ulps():
-    # the carry from t = 1 solves the cells up to the anchor in a block of
-    # their own, and a block's series stop only when all its pieces meet the
-    # bound: the same grid, node values a few ulps apart (2.3e-16 here)
-    k = rg.RadialCurvature.from_spline(
-        [0.0, 0.7329240420869336, 1.4658480841738672, 2.198772126260801],
-        [-0.7482242750812449, -0.0866813231145428, -0.4258562402940216, -0.3617344751803877],
-        rg.ConstantTail(-0.3617344751803877))
-    full = rg.solve_warping(k, 16.0)
-    w = rg.solve_warping(k, 1.0).extend_to(16.0)
-    assert np.array_equal(w.grid, full.grid)
-    assert np.all(np.abs(w.m_values - full.m_values) <= 1e-15 * full.m_values)
-    assert np.all(np.abs(w.m_prime_values - full.m_prime_values) <= 1e-15 * full.m_prime_values)
+def _corpus_curvature(rng, kind):
+    """A random spline curvature with evenly spaced knots and a zero,
+    power-law or constant tail, as the benchmark corpus draws them."""
+    if kind == "zero":
+        return random_compact_curvature(rng)
+    t_tail, vals = rng.uniform(0.8, 3.0), -rng.uniform(0.1, 1.2, rng.integers(4, 7))
+    tail = (rg.ConstantTail(vals[-1]) if kind == "constant"
+            else rg.PowerLawTail(vals[-1], rng.uniform(3.0, 4.5)))
+    return rg.RadialCurvature.from_spline(np.linspace(0.0, t_tail, vals.size), vals, tail)
+
+
+def test_a_solution_carried_on_is_a_direct_solve_whatever_its_first_horizon():
+    rng = np.random.default_rng(23)
+    sliver = 1e-3 / 64
+    for i in range(36):
+        raw = _corpus_curvature(rng, ("zero", "power-law", "constant")[i % 3])
+        for k in (raw, rg.nonpositive_min(raw)):
+            full = rg.solve_warping(k, 16.0)
+            for first in (1.0, 2.3, 3.0, k.t_tail):
+                stop = math.ceil(64 * first) / 64
+                if np.any(np.abs(k.breakpoints - stop) < sliver):
+                    continue  # the one exception: a breakpoint in the stop node's place
+                w = rg.solve_warping(k, first)
+                assert w.t_max == stop
+                w.extend_to(16.0)
+                assert np.array_equal(w.grid, full.grid)
+                assert np.array_equal(w.m_values, full.m_values)
+                assert np.array_equal(w.m_prime_values, full.m_prime_values)
 
 
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
