@@ -391,7 +391,8 @@ def _compile_expr(expr: str) -> Callable:
             else:
                 ok = isinstance(node, _EXPR_NODES)
             if not ok:
-                raise DomainError(f"formula expression may not use {ast.unparse(node)!r}")
+                raise DomainError(f"formula expression may not use {type(node).__name__} "
+                                  f"at offset {node.col_offset}")
         code = compile(tree, "<curvature formula>", "eval")
     except SyntaxError as exc:
         raise DomainError(f"formula expression invalid at offset {exc.offset}: {exc.msg}") from exc
@@ -459,13 +460,11 @@ class RadialCurvature:
         return float(out) if arr.ndim == 0 else out
 
     def is_nonpositive(self) -> bool:
-        """True when the function stays <= 0 everywhere (dense-sample check
-        on the core plus the tail's sign, cached)."""
+        """True when the function stays <= 0 everywhere, to 1e-12: the core's
+        largest value on [0, t_tail] (``_core_max``: exact for a spline core,
+        sampled for a formula core) and the tail's sign; cached."""
         if self._nonpositive is None:
-            grid = _scan_grid(self.breakpoints, self.t_tail)
-            core_ok = bool(np.max(self.__call__(grid)) <= 1e-12)
-            tail_ok = self.tail.c <= 1e-12
-            self._nonpositive = core_ok and tail_ok
+            self._nonpositive = _core_max(self) <= 1e-12 and self.tail.c <= 1e-12
         return self._nonpositive
 
     # -- serialization ------------------------------------------------------
@@ -475,7 +474,8 @@ class RadialCurvature:
 
         A formula core with no expression (a derived, lazy minimum core) is
         exported as a spline sampled on a dense grid, which is lossy near
-        kinks at the level of the grid resolution.
+        kinks at the level of the grid resolution. The envelope of a
+        nonpositive spline has its core and exports it exactly.
         """
         if self.core.kind == "formula" and self.core.expr is None:
             step = min(0.01, self.t_tail / 400.0)
@@ -563,6 +563,21 @@ def _scan_grid(breakpoints: np.ndarray, t_end: float) -> np.ndarray:
     return np.unique(np.concatenate([base, breakpoints[breakpoints <= t_end]]))
 
 
+def _core_max(curv: RadialCurvature) -> float:
+    """Largest value of curv's core on [0, t_tail]. A spline core is read at
+    the ends of its pieces there (its values at its knots, and t_tail) and
+    at the roots of its derivative, so the maximum of every cubic piece is
+    exact to rounding; a formula core is sampled on the scan grid."""
+    core, t_tail = curv.core, curv.t_tail
+    if core.kind != "spline":
+        return float(np.max(curv(_scan_grid(curv.breakpoints, t_tail))))
+    crit = core._spline.derivative().roots()  # NaN on a constant piece
+    t = crit[(crit > 0.0) & (crit < t_tail)]
+    if t_tail != core.breakpoints[-1]:  # the last knot is read from its value
+        t = np.append(t, t_tail)
+    return float(np.max(np.append(core.values[core.breakpoints <= t_tail], core(t))))
+
+
 def _merge_tails(a, b):
     """Tail of min(0, f, g) as a (tail, anchor) pair from those of f and g,
     one of them nonpositive at infinity, by the (c, p) of c * (t/anchor)**-p.
@@ -588,13 +603,13 @@ def _merge_tails(a, b):
     return tail_a.reanchored(anch_a, t_from), t_from
 
 
-def _kinks(funcs, grid, bp) -> np.ndarray:
+def _kinks(funcs, grid) -> np.ndarray:
     """Points where the minimiser of funcs changes (kinks of their pointwise
     min). Where it goes from f_i to f_j between grid points, d = f_i - f_j
     goes from <= 0 to >= 0. These roots are refined together by the Illinois
     variant of regula falsi (Dowell and Jarratt, *BIT* 11, 1971), one array
     call of each function per round, until every next step is within
-    1e-13 + 4 ulps. A kink that close to a breakpoint in bp is left out.
+    1e-13 + 4 ulps.
     """
     vals = np.array([f(grid) for f in funcs])
     low = np.argmin(vals, axis=0)
@@ -616,30 +631,48 @@ def _kinks(funcs, grid, bp) -> np.ndarray:
         r = (dx >= 0).astype(int)  # the end x replaces
         d[1 - r, n] *= np.where(r == last, 0.5, 1.0)  # an end kept twice is halved
         t[r, n], d[r, n], last = x, dx, r
-    return x[np.abs(x[:, None] - bp).min(axis=1) > 1e-13 + 4.0 * np.spacing(x)]
+    return x
 
 
 def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
-    """Pointwise min of zero and the given curvature functions.
+    """Pointwise min of zero and the given curvature functions, an object
+    passed more than once counting once.
 
     This is the envelope feeding the critical-angle moment: with one argument
     it is the nonpositive part, with two it is the combined floor for a
-    manifold pinched between two radial bounds. The result evaluates the
-    minimum lazily (exact, never resampled). Its breakpoints are the merged
-    ones plus the kinks, where the minimiser of zero and the curvatures
-    changes (``_kinks``; two functions crossing above the minimum make
-    none), so quadrature can split at every kink. Its tail folds
-    ``_merge_tails`` over the inputs' tails from the zero tail, the zero
-    function that also heads the stack ``_kinks`` scans.
+    manifold pinched between two radial bounds. Its tail folds
+    ``_merge_tails`` over the inputs' tails from the zero tail. A spline core
+    no piece of which rises above 0 (``_core_max``) is its own envelope: the
+    result has that core and reads and exports as it does. Any other spline
+    gives the lazy min(0, k), with kinks at the real roots of the spline
+    where its sign changes; formula cores and several inputs give the lazy
+    minimum, with kinks where the minimiser of zero and the inputs changes on
+    the scan grid (``_kinks``; two functions crossing above the minimum make
+    none). A lazy minimum is exact, never resampled. Its breakpoints are the
+    merged ones plus the kinks, so quadrature can split at every kink; a kink
+    within 1e-13 + 4 ulps of a breakpoint is that breakpoint.
     """
+    curvatures = tuple(dict.fromkeys(curvatures))
     if not curvatures:
         raise DomainError("nonpositive_min needs at least one curvature")
     tail, t_tail = reduce(_merge_tails, ((c.tail, c.t_tail) for c in curvatures),
                           (ZeroTail(), 0.0))
 
+    k = curvatures[0]
+    one_spline = len(curvatures) == 1 and k.core.kind == "spline"
+    if one_spline and _core_max(k) <= 0.0:
+        return RadialCurvature(k.core, tail, t_tail, _known_nonpositive=True)
     # every input's knots start at 0; RadialCurvature sorts the union once
     bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
-    kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail), bp)
+    if one_spline:
+        roots = k.core._spline.roots()
+        roots = np.sort(roots[(roots > 0.0) & (roots < t_tail)])
+        ends = np.concatenate([[0.0], roots, [t_tail]])
+        below = k(0.5 * (ends[:-1] + ends[1:])) < 0.0  # between roots: the minimiser
+        kinks = roots[below[:-1] != below[1:]]
+    else:
+        kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail))
+    kinks = kinks[np.abs(kinks[:, None] - bp).min(axis=1) > 1e-13 + 4.0 * np.spacing(kinks)]
 
     def envelope(t):
         return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in curvatures)])

@@ -10,9 +10,9 @@ come from the dimension recurrence omega_k = omega_{k-1} B(k/2, 1/2). A cap
 volume is omega_{n-2} times the integral of sin^(n-2) up to its angle, so
 comparing it with omega_{n-1} * F checks the recurrence. A ball volume in a
 model is omega_{n-1} times the integral of m^(n-1), which each warping
-solution reads from a cumulative table over its cells (built once per
-exponent, exact for the piecewise quintic interpolant) plus one Gauss panel
-in the cell holding the radius.
+solution reads from a cumulative table over its cells (one per exponent,
+grown to the cell of the largest radius read, exact for the piecewise
+quintic interpolant) plus one Gauss panel in the cell holding the radius.
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ def model_ball_volume(n: int, w: WarpingSolution, t: float) -> float:
     to n-1), which Gauss rules of matching order integrate exactly; accuracy
     is limited only by the ODE tolerance. A t > 0 volume that underflows to
     0 or overflows (large n) raises DomainError. The integral comes from
-    ``WarpingSolution.power_integral``: the first call for a dimension
-    builds the solution's cumulative table over all cells, and every call
-    adds one panel from the last node below t to t (carrying the solution
-    on first if t is past it), so growth-ratio horizons cost a panel each.
+    ``WarpingSolution.power_integral``: a call grows the solution's table
+    for the dimension to the cell holding t, if it ends before, and adds
+    one panel from the last node below t to t (carrying the solution on
+    first if t is past it), so growth-ratio horizons, read largest first,
+    cost a panel each.
     """
     _check_dim(n)
     if not t >= 0:  # also rejects NaN
@@ -266,11 +267,11 @@ def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolutio
 
 def _assemble_ratio(n, numerator, denominator, horizons, dominated):
     samples = []
-    for t in horizons:
+    for t in reversed(horizons):  # largest first: each volume table is built once
         vn = model_ball_volume(n, numerator, t)
         vd = model_ball_volume(n, denominator, t)
         samples.append((t, vn, vd, vn / vd))
-    return GrowthRatio(samples, dominated)
+    return GrowthRatio(samples[::-1], dominated)
 
 
 def bishop_monotonicity_check(ratio: GrowthRatio) -> bool:

@@ -154,8 +154,8 @@ class WarpingSolution:
     interpolant, so a caller about to read at several t past t_max calls
     ``extend_to`` with the largest first. ``power_integral(q, t)`` and
     ``km_integral(t)`` are the integrals of m^q and k*m over [0, t], read
-    from a cumulative table over the cells that is built on the first call
-    for each integrand and kept with the solution.
+    from a cumulative table over the cells that is kept with the solution
+    for each integrand and grows to the cell of the largest t read so far.
     """
 
     def __init__(self, k, grid, m_values, m_prime_values):
@@ -232,12 +232,12 @@ class WarpingSolution:
             self._breakpoint_values = self._jet(np.minimum(self.k.breakpoints, self.t_max))[:, 0]
         return self._breakpoint_values
 
-    def _cell_values(self, powers):
-        """m at the points u of every cell (t = grid[i] + u h_i), given the
-        matrix powers[p, j] = u_p**j: its product with the power-form
-        coefficients of the cells, the j-th scaled by h**j."""
-        c = self._jet.c[::-1, :-1, 0].copy()
-        h = np.diff(self.grid)
+    def _cell_values(self, powers, first, last):
+        """m at the points u of the cells first .. last - 1 (t = grid[i] +
+        u h_i), given the matrix powers[p, j] = u_p**j: its product with the
+        power-form coefficients of the cells, the j-th scaled by h**j."""
+        c = self._jet.c[::-1, first:last, 0].copy()
+        h = np.diff(self.grid[first:last + 1])
         scale = h
         for row in c[1:]:
             row *= scale
@@ -249,13 +249,13 @@ class WarpingSolution:
         t) of m^key for an integer key >= 1, or of k*m for key "km";
         vectorized in t.
 
-        The first call for a key sums an n-point Gauss-Legendre rule over
-        every cell, with m at its nodes from ``_cell_values``, into the table
-        of the integral up to every node: n = floor(5q/2) + 1 is exact on
-        m^q, of degree 5q on a cell, and k*m takes n = 8. A call adds to the
-        entry at the last node i with grid[i] <= t one panel of the rule over
-        [grid[i], t]; where every panel is empty (t at nodes) it returns the
-        table entries.
+        A key's table holds the integral up to nodes 0 .. j. A call whose last
+        node i with grid[i] <= t lies past j sums onto it an n-point
+        Gauss-Legendre rule over the cells j .. i - 1, with m at its nodes
+        from ``_cell_values`` (n = floor(5q/2) + 1 is exact on m^q, of degree
+        5q on a cell; k*m takes n = 8), bit for bit as a table built at once.
+        It adds to the entry at node i one panel of the rule over [grid[i],
+        t]; where every panel is empty (t at nodes) it returns table entries.
         """
         t = self._reach(t)
         if key == "km":
@@ -263,13 +263,15 @@ class WarpingSolution:
         else:
             n, integrand = 5 * key // 2 + 1, lambda x, m: m ** key
         nodes, weights, powers = _gauss_rule(n)
-        table = self._tables.get(key)
-        if table is None:
-            half = 0.5 * np.diff(self.grid)
-            x = (self.grid[:-1] + half) + half * nodes[:, None]
-            cells = half * (weights @ integrand(x, self._cell_values(powers)))
-            table = self._tables[key] = np.concatenate([[0.0], np.cumsum(cells)])
+        table = self._tables.get(key, np.zeros(1))
         i = np.searchsorted(self.grid, t, side="right") - 1
+        if table.size < self.grid.size and (last := int(i.max(initial=0))) >= table.size:
+            first = table.size - 1
+            half = 0.5 * np.diff(self.grid[first:last + 1])
+            x = (self.grid[first:last] + half) + half * nodes[:, None]
+            cells = half * (weights @ integrand(x, self._cell_values(powers, first, last)))
+            table = self._tables[key] = np.concatenate(
+                [table[:-1], np.cumsum(np.append(table[-1], cells))])
         half = 0.5 * (t - self.grid[i])
         out = table[i]
         if np.any(half):

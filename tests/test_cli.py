@@ -153,11 +153,17 @@ CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
     {"core": {"kind": "formula", "expr": "1/0 + 0*t"}, "tail": {"kind": "zero"}},
     # a syntax error at the end of a long formula
     {"core": {"kind": "formula", "expr": "t" + " + t" * 50000 + " +"}, "tail": {"kind": "zero"}},
+    # long syntax the formula may not use: an unknown call and a list display
+    {"core": {"kind": "formula", "expr": "foo(" + ", ".join(["t"] * 50000) + ")"},
+     "tail": {"kind": "zero"}},
+    {"core": {"kind": "formula", "expr": "[" + ", ".join(["t"] * 50000) + "]"},
+     "tail": {"kind": "zero"}},
 ], ids=["no-breakpoints", "string-tail", "formula-syntax", "string-values",
         "formula-branch", "formula-chained", "formula-boolean", "huge-int",
         "formula-nested-knots", "formula-number-knots", "formula-deep-compile",
         "formula-deep-parse", "formula-integer-division", "formula-power-tower",
-        "formula-zero-division", "formula-long-syntax"])
+        "formula-zero-division", "formula-long-syntax", "formula-long-call",
+        "formula-long-list"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
     doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}

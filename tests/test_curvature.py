@@ -228,6 +228,81 @@ def test_envelope_kinks_are_refined_in_few_array_calls(monkeypatch):
     assert np.array_equal(env(ts), np.minimum(0.0, np.min([k(ts) for k in lines], axis=0)))
 
 
+def _corpus_style_member(rng):
+    """A random spline curvature as the benchmark corpus draws them (compact,
+    power-law or constant tail), without its redraw of splines that cross
+    zero, so both spline paths of the envelope are taken."""
+    kind = rng.integers(3)
+    t_tail = rng.uniform(0.8, 3.0)
+    vals = -rng.uniform(0.0, 1.5, int(rng.integers(4, 9)))
+    tail = rg.ZeroTail()
+    if kind == 0:
+        vals[-1] = 0.0
+    elif kind == 1:
+        vals[-1] = -rng.uniform(0.1, 0.5)
+        tail = rg.PowerLawTail(vals[-1], rng.uniform(3.0, 4.5))
+    else:
+        vals[-1] = -rng.uniform(0.2, 1.0)
+        tail = rg.ConstantTail(vals[-1])
+    return rg.RadialCurvature.from_spline(np.linspace(0.0, t_tail, vals.size), vals, tail)
+
+
+def test_spline_envelope_matches_the_scan():
+    # the same spline behind a formula core takes the scan and Illinois path
+    own = 0
+    for seed in range(240):
+        raw = _corpus_style_member(np.random.default_rng(240_000 + seed))
+        scanned = rg.nonpositive_min(rg.RadialCurvature(
+            rg.FormulaCore(raw.core, breakpoints=raw.core.breakpoints), raw.tail, raw.t_tail))
+        env = rg.nonpositive_min(raw)
+        assert env.breakpoints.size == scanned.breakpoints.size
+        assert np.max(np.abs(env.breakpoints - scanned.breakpoints)) <= 3.7e-14
+        a, b = rg.moment_integral(env), rg.moment_integral(scanned)
+        # each is within its abs_error of the true moment
+        assert a.value == b.value or abs(a.value - b.value) <= a.abs_error + b.abs_error
+        if np.array_equal(scanned.breakpoints, raw.breakpoints):
+            assert env.core is raw.core
+            own += 1
+    assert 0 < own < 240
+
+
+def test_spline_nonpositivity_is_decided_on_its_pieces():
+    # between the knots 1 and 1.0005 the cubic rises to +6.15e-8, seen by no
+    # point of the 801-point scan
+    k = rg.RadialCurvature.from_spline([0.0, 1.0, 1.0005, 2.0], [-1.0, -1e-9, -1e-9, -1.0],
+                                       tail=rg.ConstantTail(-1.0))
+    assert not k.is_nonpositive()
+    with pytest.raises(rg.DomainError, match="nonpositive"):
+        rg.ModelSurface.from_curvature(k)
+    kinks = rg.nonpositive_min(k).breakpoints[1:-1]
+    assert kinks.size == 4 and kinks[0] == 1.0 and kinks[-1] == 1.0005
+    assert np.allclose(kinks[1:3], [1.000002, 1.000498], rtol=0.0, atol=1e-6)
+    # the first, second and last pieces peak below 0, at a knot or inside
+    assert rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [-1.0, -1e-9, -1.0],
+                                       tail=rg.ConstantTail(-1.0)).is_nonpositive()
+
+
+def test_envelope_of_a_curvature_passed_twice_is_its_envelope():
+    cases = [_corpus_style_member(np.random.default_rng(seed)) for seed in range(3)]
+    cases += [rg.RadialCurvature.from_spline(MULTIKNOT_KNOTS, MULTIKNOT_VALUES),
+              rg.RadialCurvature.constant(-0.5, 2.0)]
+    ts = np.linspace(0.0, 8.0, 1601)
+    for k in cases:
+        once, twice = rg.nonpositive_min(k), rg.nonpositive_min(k, k)
+        assert np.array_equal(once.breakpoints, twice.breakpoints)
+        assert (repr(once.tail), once.t_tail) == (repr(twice.tail), twice.t_tail)
+        assert np.array_equal(once(ts), twice(ts))
+
+
+def test_envelope_of_a_nonpositive_spline_exports_the_spline():
+    for tail in (rg.ZeroTail(), rg.ConstantTail(-0.3), rg.PowerLawTail(-0.3, 3.5)):
+        k = rg.RadialCurvature.from_spline([0.0, 0.6, 1.2, 1.8], [-1.2, -0.4, -0.9,
+                                                                  tail.c], tail)
+        env = rg.nonpositive_min(k)
+        assert env.core is k.core and env.is_nonpositive()
+        assert env.to_json() == k.to_json()
+
+
 def test_json_round_trip_preserves_values_and_tail():
     cases = [
         rg.RadialCurvature.zero(),

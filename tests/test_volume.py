@@ -253,14 +253,14 @@ def test_ball_volume_matches_per_cell_referee(ball_solutions, name, n):
 
 class _ReadCounter:
     """Stands in for a solution's interpolant and counts the points it is
-    evaluated at; reading its coefficients counts as reading every cell."""
+    evaluated at; a read of its coefficients counts six points for each
+    cell it takes, and ``last_cell`` is the last cell so read."""
 
     def __init__(self, poly):
-        self.poly, self.points = poly, 0
+        self.poly, self.points, self.last_cell = poly, 0, -1
+        self.c = _CoefficientReads(self)
 
     def __getattr__(self, name):
-        if name == "c":
-            self.points += self.poly.c.shape[1] * 6
         return getattr(self.poly, name)
 
     def __call__(self, x, *args):
@@ -268,11 +268,25 @@ class _ReadCounter:
         return self.poly(x, *args)
 
 
+class _CoefficientReads:
+    """The coefficients of a ``_ReadCounter``'s interpolant: a slice counts
+    the cells it takes."""
+
+    def __init__(self, spy):
+        self.spy = spy
+
+    def __getitem__(self, key):
+        cells = np.arange(self.spy.poly.c.shape[1])[key[1]]
+        self.spy.points += 6 * cells.size
+        self.spy.last_cell = max(self.spy.last_cell, int(cells.max(initial=-1)))
+        return self.spy.poly.c[key]
+
+
 def test_ball_volume_repeat_call_reads_one_panel():
     k, t_max = _ball_curvatures()["bump"]
     w = rg.solve_warping(k, t_max)
     for n in (2, 3, 6):
-        rg.model_ball_volume(n, w, 2.0)
+        rg.model_ball_volume(n, w, t_max)
         w._jet = spy = _ReadCounter(w._jet)
         try:
             for t in (2.0, 9.3, 0.8, t_max):
@@ -281,6 +295,30 @@ def test_ball_volume_repeat_call_reads_one_panel():
                 assert spy.points - before <= 5 * (n - 1) // 2 + 1
         finally:
             w._jet = spy.poly
+
+
+@pytest.mark.parametrize("key", [2, "km"])
+def test_first_integral_read_reads_no_cell_past_t(key):
+    k, t_max = _ball_curvatures()["power-law"]
+    w = rg.solve_warping(k, t_max)
+    w._jet = spy = _ReadCounter(w._jet)
+    t = 2.3
+    w.km_integral(t) if key == "km" else w.power_integral(key, t)
+    i = int(np.searchsorted(w.grid, t)) - 1  # the cell holding t: one panel
+    assert spy.last_cell == i - 1
+    assert spy.points == 6 * i + (8 if key == "km" else 6)
+    assert w._tables[key].size == i + 1
+
+
+def test_integral_table_grown_in_steps_is_the_table_built_at_once():
+    k, _t_max = _ball_curvatures()["power-law"]
+    steps, once = rg.solve_warping(k, 16.0), rg.solve_warping(k, 16.0)
+    for key in (1, 2, 5, "km"):
+        for w, horizons in ((steps, (2.0, 4.0, 8.0, 16.0)), (once, (16.0,))):
+            for t in horizons:
+                w.km_integral(t) if key == "km" else w.power_integral(key, t)
+        assert np.array_equal(steps._tables[key], once._tables[key])
+        assert steps._tables[key].size == steps.grid.size
 
 
 def test_cap_volume_rejects_out_of_range_angle():
