@@ -151,22 +151,12 @@ class _Scenario:
                         f"(have: {', '.join(sorted(self.curvatures))})")
         return self.curvatures[cname]
 
-    def warping(self, k: RadialCurvature, t_max: float | None = None) -> WarpingSolution:
-        """The run's solution of k: solved on the first request (to t_max, or
-        to the grid node past the tail anchor), and carried on in one step
-        when a later request names a t_max past its own."""
+    def warping(self, k: RadialCurvature) -> WarpingSolution:
+        """The run's one solution of k, solved on the first request."""
         w = self._solutions.get(k)
         if w is None:
-            w = self._solutions[k] = solve_warping(k, t_max)
-        elif t_max is not None:
-            w.extend_to(t_max)
+            w = self._solutions[k] = solve_warping(k)
         return w
-
-    def model_warping(self, k: RadialCurvature, numerator, horizons) -> WarpingSolution:
-        """The solution a check needs of its model k: to the last horizon
-        for a manifold numerator; for an asserted bracket, B-1 alone, which
-        reads it at the tail anchor."""
-        return self.warping(k, None if isinstance(numerator, tuple) else max(horizons))
 
     def surface(self, cname: str, path: str) -> ModelSurface:
         return ModelSurface(self.warping(self.curvature(cname, path)))
@@ -238,9 +228,8 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
         _fail(f"{path}.dominated",
               f"expected true or false, got {type(dominated).__name__}")
 
-    den_w = scn.warping(den_k, max(horizons))
-    num_w = scn.warping(numerator.curvature, max(horizons))
-    ratio = growth_ratio(scn.n, num_w, den_w, horizons, dominated=dominated)
+    ratio = growth_ratio(scn.n, scn.warping(numerator.curvature), scn.warping(den_k),
+                         horizons, dominated=dominated)
 
     csv_name = f"growth_{idx}.csv"
     ratio.to_csv(outdir / csv_name,
@@ -304,7 +293,7 @@ def _run_check_main(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
     horizons = scn.horizons(cmd, path)
     report = ricci_pinch_check(scn.n, g, k, numerator, horizons=horizons,
-                               warping=scn.model_warping(g, numerator, horizons))
+                               warping=scn.warping(g))
     return {"task": "check-main", "g": g_name, "k": k_name,
             "report": report.to_json()}
 
@@ -315,7 +304,7 @@ def _run_check_corollary(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
     horizons = scn.horizons(cmd, path)
     report = sectional_pinch_check(scn.n, g, numerator, horizons=horizons,
-                                   warping=scn.model_warping(g, numerator, horizons))
+                                   warping=scn.warping(g))
     return {"task": "check-corollary", "g": g_name, "report": report.to_json()}
 
 

@@ -3,17 +3,16 @@
 ``ricci_pinch_check`` (the main theorem) and ``sectional_pinch_check`` (the
 finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
-threshold; one solution of the model curvature, to the last horizon, both
-decides hypothesis B-1 (do model ball volumes diverge?) and gives the
-denominators of the growth ratio of a synthetic numerator, whose solution is
-carried on to the last horizon and whose own curvature is first checked
-against each bound at every knot up to the last horizon. An asserted growth
-bracket passes through instead, and B-1 needs the model only up to its tail
-anchor. A caller holding a solution of the model curvature passes it as
-``warping=`` (as to ``classify_ball_volume``; a solution of another
-curvature object raises DomainError) and the check solves nothing for the
-model: the command-line front end keeps one solution per curvature for a
-whole scenario run. The two checks differ only in their verdict
+threshold; one solution of the model curvature both decides hypothesis B-1
+(do model ball volumes diverge?) and gives the denominators of the growth
+ratio of a synthetic numerator, whose own curvature is first checked against
+each bound at every knot up to the last horizon. An asserted growth bracket
+passes through instead. A solution carries itself on to the horizons read,
+so none is sized here. A caller holding a solution of the model curvature
+passes it as ``warping=`` (as to ``classify_ball_volume``; a solution of
+another curvature object raises DomainError) and the check solves nothing
+for the model: the command-line front end keeps one solution per curvature
+for a whole scenario run. The two checks differ only in their verdict
 rules, which compare the growth bracket with the threshold (B-2). Verdicts
 are one-directional: a check certifies the conclusion when the hypotheses
 hold and otherwise reports Inconclusive; it never claims the converse.
@@ -134,16 +133,14 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     numerator must dominate each (checked at every knot up to the last
     horizon, the label names the failing one), and the first generates the
     comparison model. Its solution is ``warping`` (a solution of that
-    curvature object, else DomainError) or, when None, a solve to the last
-    horizon; it serves both the ball-volume class (B-1) and the growth-ratio
-    denominators, and before the ratios it and the numerator's solution are
-    carried on to the last horizon in one step each. Asserted brackets pass
-    through, and classify a given solution as it stands or solve to the tail
-    anchor. Returns (delta, threshold, model ball-volume class, growth
+    curvature object, else DomainError) or, when None, a solve to its tail
+    anchor; it serves both the ball-volume class (B-1) and the growth-ratio
+    denominators. The ratios read the largest horizon first, so the first
+    volume read carries each solution on in one step. Asserted brackets pass
+    through. Returns (delta, threshold, model ball-volume class, growth
     bracket, notes).
     """
     horizons = _checked_horizons(horizons)
-    max_h = horizons[-1]
     delta = critical_angle(nonpositive_min(*(bound for bound, _label in bounds)))
     threshold = growth_threshold(n, delta)
     model = bounds[0][0]
@@ -161,7 +158,7 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
 
-    den_warping = solve_warping(model, max_h) if warping is None else warping
+    den_warping = solve_warping(model) if warping is None else warping
     classification = classify_ball_volume(n, model, warping=den_warping)
     notes = [f"model ball volumes {classification.kind}: {classification.note}"]
 
@@ -169,7 +166,7 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     # curvature stands for the radial Ricci and the radial sectional curvature
     own = numerator.curvature
     grid = _scan_grid(np.concatenate(
-        [own.breakpoints, *(bound.breakpoints for bound, _label in bounds)]), max_h)
+        [own.breakpoints, *(bound.breakpoints for bound, _label in bounds)]), horizons[-1])
     vals = own(grid)
     for bound, label in bounds:
         bound_vals = bound(grid)
@@ -184,8 +181,7 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
 
     # a bounded denominator leaves the ratio well defined pointwise; only its
     # reading as a growth limit needs B-1, which the verdict rules check
-    ratio = _assemble_ratio(n, numerator.warping.extend_to(max_h),
-                            den_warping.extend_to(max_h), horizons, True)
+    ratio = _assemble_ratio(n, numerator.warping, den_warping, horizons, True)
     if not ratio.monotone_nonincreasing:
         t0, r0, t1, r1 = ratio.first_violation
         notes.append(f"ratio sequence not monotone: {r0!r} at t = {t0!r} "

@@ -641,9 +641,9 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     This is the envelope feeding the critical-angle moment: with one argument
     it is the nonpositive part, with two it is the combined floor for a
     manifold pinched between two radial bounds. Its tail folds
-    ``_merge_tails`` over the inputs' tails from the zero tail. A spline core
-    no piece of which rises above 0 (``_core_max``) is its own envelope: the
-    result has that core and reads and exports as it does. Any other spline
+    ``_merge_tails`` over the inputs' tails from the zero tail. A spline
+    input with a nonpositive tail and a core no piece of which rises above 0
+    (``_core_max``) is its own envelope, returned as it is. Any other spline
     gives the lazy min(0, k), with kinks at the real roots of the spline
     where its sign changes; formula cores and several inputs give the lazy
     minimum, with kinks where the minimiser of zero and the inputs changes on
@@ -660,8 +660,8 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
 
     k = curvatures[0]
     one_spline = len(curvatures) == 1 and k.core.kind == "spline"
-    if one_spline and _core_max(k) <= 0.0:
-        return RadialCurvature(k.core, tail, t_tail, _known_nonpositive=True)
+    if one_spline and k.tail.c <= 0.0 and _core_max(k) <= 0.0:
+        return k
     # every input's knots start at 0; RadialCurvature sorts the union once
     bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
     if one_spline:

@@ -46,8 +46,8 @@ Past the first node at or past the anchor of a zero or constant tail, the
 tail's ``carry`` gives the nodes from that node's state in closed form; a
 ``PowerLawTail`` keeps the matrices. A solve is a carry from the pole, and
 a read past the last node, up to t = 4096, carries on from there alike,
-rebuilding only the interpolant: either stops at the first node of the 1/64
-lattice at or past the t asked for, with the numbers of a direct solve.
+appending cells to the interpolant: either stops at the first node of the
+1/64 lattice at or past the t asked for, with the numbers of a direct solve.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ _FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
 _CHECK = np.concatenate([
     np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB, _FIT_DEGREE))[-2:],
     np.vander([-1.0, 1.0], _FIT_DEGREE + 1, increasing=True) @ _FIT])
-# pieces per cell at most on average before the curvature counts as too
-# rough or too large for the node grid; bounds the memory of a block
-_MAX_PIECES_PER_CELL = 16
+# pieces in a cell at most before the curvature counts as too rough or too
+# large for the node grid; bounds the memory of a block
+_MAX_PIECES_PER_CELL = 128
 # cells solved together; bounds the memory of a solve whatever its horizon
 _BLOCK_CELLS = 2048
 # Taylor terms per piece at most; every piece has sum |kappa_i| <= 1, so the
@@ -150,9 +150,8 @@ class WarpingSolution:
     ``m``, ``m_prime`` and ``m_second`` read one column each, anywhere in
     [0, 4096], vectorized, and return the node values exactly at every node;
     a t past t_max first carries the solution on to the first lattice node
-    at or past it, which moves t_max (always grid[-1]). Each carry rebuilds the
-    interpolant, so a caller about to read at several t past t_max calls
-    ``extend_to`` with the largest first. ``power_integral(q, t)`` and
+    at or past it, which moves t_max (always grid[-1]) and appends the new
+    cells to the interpolant. ``power_integral(q, t)`` and
     ``km_integral(t)`` are the integrals of m^q and k*m over [0, t], read
     from a cumulative table over the cells that is kept with the solution
     for each integrand and grows to the cell of the largest t read so far.
@@ -160,44 +159,46 @@ class WarpingSolution:
 
     def __init__(self, k, grid, m_values, m_prime_values):
         self.k = k
-        self.t_max = float(grid[-1])
-        self.grid = grid
-        self.m_values = m_values
-        self.m_prime_values = m_prime_values
-        # quintic pieces: value, slope, and curvature-exact second derivative
-        self._m_second_values = -np.asarray(k(grid)) * m_values
-        self._jet = _quintic(grid, m_values, m_prime_values, self._m_second_values, 2)
-        self._t_of_mu = None
-        self._breakpoint_values = None
         self._tables = {}
+        self._take_nodes(grid, m_values, m_prime_values, 0)
+
+    def _take_nodes(self, grid, m_values, m_prime_values, j):
+        """Adopt node data that is this solution's up to node j: m'' = -k m and
+        the cells from node j on are made, those before kept (a cell depends
+        on its two nodes alone), and the inverse and the breakpoint values,
+        which end at the last node, dropped."""
+        self.t_max = float(grid[-1])
+        self.grid, self.m_values, self.m_prime_values = grid, m_values, m_prime_values
+        # quintic pieces: value, slope, and curvature-exact second derivative
+        m2 = -np.asarray(self.k(grid[j:])) * m_values[j:]
+        jet = _quintic(grid[j:], m_values[j:], m_prime_values[j:], m2, 2)
+        if j:
+            m2 = np.concatenate([self._m_second_values[:j], m2])
+            jet = PPoly.construct_fast(np.concatenate([self._jet.c[:, :j], jet.c], axis=1),
+                                       np.concatenate([grid[:j], jet.x]))
+        self._m_second_values, self._jet = m2, jet
+        self._t_of_mu = self._breakpoint_values = None
 
     def _reach(self, t):
         """t as a float array clipped to [0, t_max], after carrying the solution
         on, as ``solve_warping`` grows it from the pole, to the first lattice
         node at or past its largest entry (NaN aside). That raises as a solve
-        so far would: past t = 4096, or at a zero of m."""
+        so far would, past t = 4096 or at a zero of m, and changes nothing."""
         arr = np.asarray(t, dtype=float)
         hi = float(np.fmax.reduce(arr, axis=None)) if arr.size else 0.0
         if hi > self.t_max * (1.0 + 1e-12) + 1e-12:
             if not hi <= _MAX_HORIZON:
                 raise DomainError(
                     f"warping functions are solved up to t = {_MAX_HORIZON:g}, got t = {hi:.6g}")
-            # through __init__, as after a solve: a new interpolant, empty caches
-            self.__init__(self.k, *_grow(self.k, self.grid, self.m_values, self.m_prime_values, hi))
+            self._take_nodes(*_grow(self.k, self.grid, self.m_values, self.m_prime_values, hi),
+                             self.grid.size - 1)
         return np.clip(arr, 0.0, self.t_max)
-
-    def extend_to(self, t_max: float) -> "WarpingSolution":
-        """This solution carried on in one step, with the numbers of a direct
-        solve, to the first lattice node at or past t_max (left as it is if it
-        reaches t_max). A t_max outside (0, 4096] raises as a solve does."""
-        self._reach(_check_horizon(t_max))
-        return self
 
     def _read(self, order, t):
         """Column ``order`` of the jet (m, m', m'') at t; a float for a scalar t."""
         if np.any(np.asarray(t) < -1e-12):
             raise DomainError("warping functions are defined for t >= 0")
-        arr = self._reach(t)  # before the lookup: an extension rebuilds the interpolant
+        arr = self._reach(t)  # before the lookup: a carry appends cells to the interpolant
         out = self._jet(arr)[..., order]
         return float(out) if np.ndim(t) == 0 else out
 
@@ -354,9 +355,9 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     ((h/2)^2 |k| > 1 for constant k, which keeps the series short), is
     bisected into pieces, each with its own fit and matrix, until neither
     holds or the piece is a few ulps wide. Each round of bisection is one
-    more array call of k. A curvature that needs more than 16 pieces per
-    cell on average (a constant |k| above about 4e6), or a piece at the ulp
-    floor whose kappa is still large, raises DomainError.
+    more array call of k. A cell that needs more than 128 pieces (a constant
+    |k| above about 2.7e8), or a piece at the ulp floor whose kappa is still
+    large, raises DomainError.
 
     Every solve has the relative accuracy ``DEFAULT_REL_TOL``. It sets the
     number of Taylor terms: the series of a piece stop once its newest two
@@ -370,14 +371,10 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     the tail's solution. Raises DomainError when the solution overflows, and
     when t_max exceeds 4096.
     """
-    t_max = _check_horizon(k.t_tail if t_max is None else t_max)
-    return WarpingSolution(k, *_grow(k, np.zeros(1), np.zeros(1), np.ones(1), t_max))
-
-
-def _check_horizon(t_max):
+    t_max = k.t_tail if t_max is None else t_max
     if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
         raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
-    return t_max
+    return WarpingSolution(k, *_grow(k, np.zeros(1), np.zeros(1), np.ones(1), t_max))
 
 
 def _split(k: RadialCurvature, grid: np.ndarray) -> int:
@@ -486,12 +483,12 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     miss d in kappa moves m' by about d / r relative to m over the piece. So
     is a piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
     quarter or less. Bisection stops at a half-width of 64 ulps, where a
-    piece that is still too large for its series raises DomainError, as do
-    more than _MAX_PIECES_PER_CELL pieces per cell on average.
+    piece that is still too large for its series raises DomainError, as does
+    a cell cut into more than _MAX_PIECES_PER_CELL pieces.
     """
     eps = np.finfo(float).eps
     lo, hi, cell = grid[:-1], grid[1:], np.arange(grid.size - 1)
-    budget = _MAX_PIECES_PER_CELL * cell.size
+    count = np.ones(cell.size, dtype=int)  # pieces per cell, kept or pending
     pieces = []
     while lo.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -511,14 +508,14 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
         split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor
         keep = ~split
         pieces.append((mid[keep], half[keep], cell[keep], coef[:, keep]))
-        budget -= np.count_nonzero(keep)
+        count += np.bincount(cell[split], minlength=count.size)
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         cell = np.tile(cell[split], 2)
-        stuck = mid[large & floor]
-        if stuck.size or lo.size > budget:
+        stuck = np.concatenate([mid[large & floor], lo[count[cell] > _MAX_PIECES_PER_CELL]])
+        if stuck.size:
             raise DomainError(
                 "curvature is too large to solve or varies too fast for the node grid "
-                f"near t = {float(np.min(np.concatenate([stuck, lo]))):.6g}")
+                f"near t = {float(np.min(stuck)):.6g}")
     if len(pieces) == 1:
         return pieces[0]
     mid, half, cell, kappa = (np.concatenate(part, axis=-1) for part in zip(*pieces))

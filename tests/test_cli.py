@@ -369,6 +369,10 @@ def test_one_solve_per_distinct_curvature_and_the_same_report(tmp_path, monkeypa
         solved.append(json.dumps(k.to_json(), sort_keys=True))
         return original(k, *args, **kwargs)
 
+    built = []
+    init = radialgeo.WarpingSolution.__init__
+    monkeypatch.setattr(radialgeo.WarpingSolution, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
     # every module binding the run's calls go through
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "radialgeo" and \
@@ -380,6 +384,7 @@ def test_one_solve_per_distinct_curvature_and_the_same_report(tmp_path, monkeypa
                                                         commands=SHARED_COMMANDS))
     assert code == 2  # the asserted bracket is below the threshold
     assert len(solved) == len(set(solved)) == 3
+    assert len(built) == 3  # carries append cells, never rebuild
 
     # each command as its own scenario, at its index behind threshold commands
     tasks = []
@@ -497,8 +502,8 @@ SPLINE_HYP = {
 
 @pytest.mark.parametrize("command, message", [
     ({"task": "growth", "denominator": "flat", "horizons": [2, 5000]},
-     "t_max must lie in (0, 4096]"),
-    ({**CHECK_FLAT, "horizons": [5000]}, "t_max must lie in (0, 4096]"),
+     "warping functions are solved up to t = 4096"),
+    ({**CHECK_FLAT, "horizons": [5000]}, "warping functions are solved up to t = 4096"),
     ({"task": "triangle", "surface": "flat", "sides": [5000, 5000, 1]},
      "warping functions are solved up to t = 4096"),
     ({"task": "growth", "denominator": "hyp", "horizons": [2, 4000]},

@@ -303,6 +303,22 @@ def test_envelope_of_a_nonpositive_spline_exports_the_spline():
         assert env.to_json() == k.to_json()
 
 
+def test_a_nonpositive_spline_is_its_own_envelope_unless_its_tail_is_positive():
+    own = 0
+    for seed in range(40):
+        raw = _corpus_style_member(np.random.default_rng(240_000 + seed))
+        env = rg.nonpositive_min(raw)
+        assert (env is raw) == (env.core is raw.core)
+        own += env is raw
+    assert 0 < own < 40
+    # a positive tail passes the junction check at a core end of 0; the
+    # envelope is min(0, k), with a zero tail
+    k = rg.RadialCurvature.from_spline([0.0, 1.0], [-1.0, 0.0], tail=rg.PowerLawTail(1e-9, 3.0))
+    env = rg.nonpositive_min(k)
+    assert env is not k and isinstance(env.tail, rg.ZeroTail)
+    assert k(5.0) > 0.0 and env(5.0) == 0.0
+
+
 def test_json_round_trip_preserves_values_and_tail():
     cases = [
         rg.RadialCurvature.zero(),

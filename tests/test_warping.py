@@ -222,7 +222,7 @@ def test_large_curvature_at_the_ulp_floor_raises_domain_error():
 
 @pytest.mark.parametrize("c, horizon, match", [
     # bisection cuts each cell near t = 0 into 256 pieces ((h/2)^2 |k| <= 1
-    # needs h <= 6.3e-5); 16 pieces per cell are allowed on average
+    # needs h <= 6.3e-5); 128 pieces per cell are allowed
     (1e9, 5.0, "too large to solve"),
     (-1e9, 5.0, "too large to solve"),
     # 6.4e18 nodes
@@ -573,16 +573,67 @@ def test_carrying_on_keeps_the_node_data_already_computed(k):
 
 @_CARRY_CURVATURES
 def test_extend_to_carries_on_in_one_step_to_a_longer_solve(k):
+    # reads past the last node carry the solution on, appending the cells of
+    # a direct solve to its interpolant
     full = rg.solve_warping(k, 16.0)
     w = rg.solve_warping(k)
-    assert w.extend_to(16.0) is w
+    w.m(np.array([0.3, 4.7]))
+    assert w.m(16.0) == full.m(16.0)
     assert np.array_equal(w.grid, full.grid)
     assert np.array_equal(w.m_values, full.m_values)
     assert np.array_equal(w.m_prime_values, full.m_prime_values)
+    assert np.array_equal(w._m_second_values, full._m_second_values)
+    assert np.array_equal(w._jet.c, full._jet.c)
+    assert np.array_equal(w._jet.x, full._jet.x)
     # a horizon already reached leaves the solution and its interpolant alone
     poly = w._jet
-    w.extend_to(8.0)
+    w.m(8.0)
     assert w.t_max == 16.0 and w._jet is poly
+
+
+@_CARRY_CURVATURES
+def test_an_integral_table_outlives_a_carry(k):
+    full = rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k, 2.0)
+    w.power_integral(2, 2.0)
+    table = w._tables[2]
+    w.m(16.0)
+    assert w._tables[2] is table
+    ts = np.array([1.1, 2.0, 7.3, 16.0])
+    assert np.array_equal(w.power_integral(2, ts), full.power_integral(2, ts))
+    assert np.array_equal(w._tables[2], full._tables[2][:w._tables[2].size])
+    assert np.array_equal(w.km_integral(ts), full.km_integral(ts))
+
+
+def _spike(c, at):
+    """k = c on [at - 0.015, at + 0.015], between two breakpoints, and -1 elsewhere."""
+    return rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": f"where(abs(t - {at}) < 0.015, {c}, -1.0)",
+                 "breakpoints": [0.0, at - 0.015, at + 0.015, 16.0]},
+        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 16.0})
+
+
+def test_the_piece_budget_is_per_cell_whatever_the_carries():
+    # k = -1e8 cuts each cell in [0.29, 0.32] into 128 pieces, the most a
+    # cell may have: a carry over the six cells from 0.28 to 0.34 solves
+    # them as a direct solve does
+    k = _spike(-1e8, 0.305)
+    full = rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k, 0.28)
+    assert w.m(0.34) == full.m(0.34)
+    w.m(16.0)
+    assert np.array_equal(w.m_values, full.m_values)
+    assert np.array_equal(w._jet.c, full._jet.c)
+    # k = -1e9 needs 256: carries by steps raise where a direct solve does
+    k = _spike(-1e9, 10.305)
+    with pytest.raises(rg.DomainError, match="too large to solve") as direct:
+        rg.solve_warping(k, 16.0)
+    w = rg.solve_warping(k, 4.0)
+    w.m(8.0)
+    with pytest.raises(rg.DomainError, match="too large to solve") as stepwise:
+        w.m(12.0)
+    assert str(stepwise.value) == str(direct.value)
+    assert w.t_max == 8.0
 
 
 def _corpus_curvature(rng, kind):
@@ -609,7 +660,7 @@ def test_a_solution_carried_on_is_a_direct_solve_whatever_its_first_horizon():
                     continue  # the one exception: a breakpoint in the stop node's place
                 w = rg.solve_warping(k, first)
                 assert w.t_max == stop
-                w.extend_to(16.0)
+                w.m(16.0)
                 assert np.array_equal(w.grid, full.grid)
                 assert np.array_equal(w.m_values, full.m_values)
                 assert np.array_equal(w.m_prime_values, full.m_prime_values)
@@ -659,9 +710,6 @@ def test_read_past_4096_raises_domain_error():
     for read in _READERS.values():
         with pytest.raises(rg.DomainError, match="solved up to t = 4096"):
             read(w, np.array([0.5, 4096.5]))
-    # a horizon asked for ahead of the reads is worded as a solve's
-    with pytest.raises(rg.DomainError, match=r"t_max must lie in \(0, 4096\]"):
-        w.extend_to(4096.5)
     assert w.t_max == 1.0
 
 
