@@ -41,9 +41,7 @@ from .warping import (
 from .volume import (
     BallVolumeClass,
     GrowthRatio,
-    bishop_monotonicity_check,
     cap_fraction,
-    cap_volume,
     classify_ball_volume,
     growth_ratio,
     model_ball_volume,
@@ -79,9 +77,8 @@ __all__ = [
     "WarpingSolution", "solve_warping", "ModelSurface", "slope_limit",
     "total_curvature_direct", "DEFAULT_REL_TOL",
     # volume
-    "unit_sphere_volume", "cap_fraction", "cap_volume", "model_ball_volume",
+    "unit_sphere_volume", "cap_fraction", "model_ball_volume",
     "classify_ball_volume", "BallVolumeClass", "GrowthRatio", "growth_ratio",
-    "bishop_monotonicity_check",
     # geodesics
     "SurfacePoint", "GeodesicTriangle", "distance", "comparison_triangle",
     "gauss_bonnet_residual",

@@ -5,14 +5,14 @@ finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
 threshold; one solution of the model curvature both decides hypothesis B-1
 (do model ball volumes diverge?) and gives the denominators of the growth
-ratio of a synthetic numerator, whose own curvature is first checked against
-each bound at every knot up to the last horizon. An asserted growth bracket
-passes through instead. A solution carries itself on to the horizons read,
-so none is sized here. A caller holding a solution of the model curvature
-passes it as ``warping=`` (as to ``classify_ball_volume``; a solution of
-another curvature object raises DomainError) and the check solves nothing
-for the model: the command-line front end keeps one solution per curvature
-for a whole scenario run. The two checks differ only in their verdict
+ratio of a synthetic numerator, whose own curvature is first checked to
+dominate each bound on all of [0, inf) (``_lowest_gap``). An asserted growth
+bracket passes through instead. A solution carries itself on to the
+horizons read, so none is sized here. A caller holding a solution of the
+model curvature passes it as ``warping=`` (as to ``classify_ball_volume``;
+a solution of another curvature object raises DomainError) and the check
+solves nothing for the model: the command-line front end keeps one
+solution per curvature for a whole scenario run. The two checks differ only in their verdict
 rules, which compare the growth bracket with the threshold (B-2). Verdicts
 are one-directional: a check certifies the conclusion when the hypotheses
 hold and otherwise reports Inconclusive; it never claims the converse.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RadialCurvature, _scan_grid, moment_integral, nonpositive_min
+from .curvature import RadialCurvature, _lowest_gap, moment_integral, nonpositive_min
 from .errors import DomainError
 from .synthetic import RotSymManifold
 from .volume import (
@@ -130,12 +130,12 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
 
     ``bounds`` lists (curvature, label) pairs: all of them join the
     nonpositive envelope that sets delta and the threshold, a manifold
-    numerator must dominate each (checked at every knot up to the last
-    horizon, the label names the failing one), and the first generates the
-    comparison model. Its solution is ``warping`` (a solution of that
-    curvature object, else DomainError) or, when None, a solve to its tail
-    anchor; it serves both the ball-volume class (B-1) and the growth-ratio
-    denominators. The ratios read the largest horizon first, so the first
+    numerator must dominate each on [0, inf) (``_lowest_gap``, to 64 ulps of
+    max(1, |bound|) where the gap is least; the label names the failing
+    one), and the first generates the comparison model. Its solution is
+    ``warping`` (a solution of that curvature object, else DomainError) or,
+    when None, a solve to its tail anchor; it serves both the ball-volume
+    class (B-1) and the growth-ratio denominators. The ratios read the largest horizon first, so the first
     volume read carries each solution on in one step. Asserted brackets pass
     through. Returns (delta, threshold, model ball-volume class, growth
     bracket, notes).
@@ -165,18 +165,12 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     # every radial plane has the same curvature on this class, so the one
     # curvature stands for the radial Ricci and the radial sectional curvature
     own = numerator.curvature
-    grid = _scan_grid(np.concatenate(
-        [own.breakpoints, *(bound.breakpoints for bound, _label in bounds)]), horizons[-1])
-    vals = own(grid)
     for bound, label in bounds:
-        bound_vals = bound(grid)
-        slack = _ROUNDING_ULPS * np.spacing(np.maximum(1.0, np.abs(bound_vals)))
-        bad = np.nonzero(vals < bound_vals - slack)[0]
-        if bad.size:
-            i = int(bad[0])
+        gap, t = _lowest_gap(own, bound)
+        if gap < -_ROUNDING_ULPS * np.spacing(max(1.0, abs(bound(t)))):
             raise DomainError(
-                f"declared domination fails near t = {grid[i]:.6g}: "
-                f"{label} {vals[i]:.9g} < model curvature {bound_vals[i]:.9g}")
+                f"declared domination fails near t = {t:.6g}: "
+                f"{label} {own(t):.9g} < model curvature {bound(t):.9g}")
     notes.append("curvature domination verified on the synthetic numerator")
 
     # a bounded denominator leaves the ratio well defined pointwise; only its

@@ -44,7 +44,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,8 +59,23 @@ NEG_INFINITY = float("-inf")
 
 # Junction mismatch above this (relative to curvature scale) is a construction error.
 _JUNCTION_TOL = 1e-8
-# Dense sampling used for sign checks and kink scans.
+# Dense sampling used for the kink scans of formula and several-input envelopes.
 _SCAN_POINTS = 801
+# Warping solves read k on the cells of the 1/64 lattice up to t = 4096 (2^18
+# nodes, about 75 MB for a solution and its tables); formulas are compared there.
+_NODES_PER_UNIT = 64
+_MAX_HORIZON = 4096.0
+# a uniform node closer than this fraction of the node pitch to an interior
+# curvature breakpoint gives way to it, and so does a breakpoint that close
+# to the one before it. Rounding in the quintic coefficients of a cell of
+# width h perturbs m' by about eps * |m| / h, so a sliver cell returns
+# garbage; at the end node, which stays, the breakpoint is dropped instead,
+# and the kink it leaves inside the last cell moves m by about
+# (fraction * pitch)**3
+_SLIVER_FRACTION = 1e-3
+# k is sampled at these Chebyshev points of each piece of a cell (mapped to [-1, 1])
+_FIT_DEGREE = 8
+_CHEB = np.cos((2 * np.arange(_FIT_DEGREE + 1) + 1) * np.pi / (2 * _FIT_DEGREE + 2))
 # Rounds of regula falsi refining the envelope's kinks, at most.
 _KINK_ROUNDS = 100
 # A slope at the anchor within this fraction of the state's scale counts as zero.
@@ -322,6 +337,8 @@ class FormulaCore:
 
     ``breakpoints`` are hints for quadrature splitting (the function may have
     kinks there, e.g. for pointwise minima); they do not affect evaluation.
+    A solve and ``_lowest_gap`` read a formula at the same samples, so a
+    feature narrower than every sample is invisible to both.
     """
 
     kind = "formula"
@@ -459,13 +476,14 @@ class RadialCurvature:
             out[~in_core] = self.tail.value(arr[~in_core], self.t_tail)
         return float(out) if arr.ndim == 0 else out
 
+    @cached_property
+    def _headroom(self) -> float:
+        return _lowest_gap(None, self)[0]  # smallest -k on [0, inf)
+
     def is_nonpositive(self) -> bool:
-        """True when the function stays <= 0 everywhere, to 1e-12: the core's
-        largest value on [0, t_tail] (``_core_max``: exact for a spline core,
-        sampled for a formula core) and the tail's sign; cached."""
-        if self._nonpositive is None:
-            self._nonpositive = _core_max(self) <= 1e-12 and self.tail.c <= 1e-12
-        return self._nonpositive
+        """True when the function stays <= 0 everywhere, to 1e-12: exact for
+        a spline core, where a solve reads k for a formula (``_lowest_gap``)."""
+        return self._headroom >= -1e-12 if self._nonpositive is None else self._nonpositive
 
     # -- serialization ------------------------------------------------------
 
@@ -563,19 +581,104 @@ def _scan_grid(breakpoints: np.ndarray, t_end: float) -> np.ndarray:
     return np.unique(np.concatenate([base, breakpoints[breakpoints <= t_end]]))
 
 
-def _core_max(curv: RadialCurvature) -> float:
-    """Largest value of curv's core on [0, t_tail]. A spline core is read at
-    the ends of its pieces there (its values at its knots, and t_tail) and
-    at the roots of its derivative, so the maximum of every cubic piece is
-    exact to rounding; a formula core is sampled on the scan grid."""
-    core, t_tail = curv.core, curv.t_tail
-    if core.kind != "spline":
-        return float(np.max(curv(_scan_grid(curv.breakpoints, t_tail))))
-    crit = core._spline.derivative().roots()  # NaN on a constant piece
-    t = crit[(crit > 0.0) & (crit < t_tail)]
-    if t_tail != core.breakpoints[-1]:  # the last knot is read from its value
-        t = np.append(t, t_tail)
-    return float(np.max(np.append(core.values[core.breakpoints <= t_tail], core(t))))
+def _node_grid(breakpoints: np.ndarray, first: int, last: int) -> np.ndarray:
+    """The nodes first/64 .. last/64 of the 1/64 lattice with the interior
+    curvature breakpoints merged in under the sliver rule."""
+    pitch = 1.0 / _NODES_PER_UNIT
+    grid = np.arange(first, last + 1) * pitch
+    # sorted, from 0: a twin of the breakpoint before it is dropped
+    bp = breakpoints[1:][np.diff(breakpoints) >= _SLIVER_FRACTION * pitch]
+    interior_bp = bp[(bp > grid[0]) & (bp < grid[-1])]
+    # the breakpoint takes the place of a uniform node it nearly meets; next
+    # to an end node, which must stay, the breakpoint is dropped instead
+    nearest = np.rint((interior_bp - grid[0]) / pitch).astype(int)
+    close = np.abs(grid[nearest] - interior_bp) < _SLIVER_FRACTION * pitch
+    at_end = close & ((nearest == 0) | (nearest == last - first))
+    keep = np.ones(grid.size, dtype=bool)
+    keep[nearest[close & ~at_end]] = False
+    return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
+
+
+def _cell_samples(lo, hi):
+    """(midpoint, half-width, t) of the pieces [lo, hi], t where a solve reads
+    k in one round: the Chebyshev points, then an ulp inside either end."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid, half, np.concatenate([mid + half * _CHEB[:, None],
+                                      [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+
+
+def _cubics(k: RadialCurvature, x: np.ndarray) -> np.ndarray:
+    """k on the pieces [x[i], x[i+1]] (its knots among x) as the rows,
+    highest power first, of cubics in t - x[i]: its spline re-expanded, or
+    its zero or constant tail past its anchor."""
+    xs, cs = k.core._spline.x, k.core._spline.c  # each read converts the array
+    left = x[:-1][x[:-1] < k.t_tail]
+    j = np.searchsorted(xs[1:-1], left, side="right")  # past either end: the end piece
+    d, (a3, a2, a1, a0) = left - xs[j], cs[:, j]
+    out = np.zeros((4, x.size - 1))
+    out[3] = k.tail.c
+    out[:, :left.size] = [a3, a2 + 3.0 * a3 * d, a1 + (2.0 * a2 + 3.0 * a3 * d) * d,
+                          a0 + (a1 + (a2 + a3 * d) * d) * d]
+    return out
+
+
+def _lowest_gap(f: RadialCurvature | None, g: RadialCurvature | None):
+    """(smallest f - g on [0, inf), first t where it is taken, inf for a
+    limit), None being zero. Up to the later anchor T it is exact where both
+    sides are cubic on every piece (a spline core, past its anchor a zero or
+    constant tail): one side is read at its knot values and the roots of
+    its derivative, two are re-expanded at the merged knots and each piece
+    of the difference at its ends and the roots of its derivative. Else each
+    side is read where its solve reads k, at the ``_cell_samples`` of the
+    cells of ``_node_grid`` up to the first lattice node at or past T, or
+    its anchor for a zero or constant tail; solves end at t = 4096. Past T
+    the tails' difference is read at T, in the limit and at its one
+    stationary point, where p c (t/a)**-p agree (``_log_cross``)."""
+    sides = [(k, sign) for k, sign in ((f, 1.0), (g, -1.0)) if k is not None]
+    t_end = max(k.t_tail for k, _sign in sides)
+    if any(k.core.kind != "spline" or k.tail.p and k.t_tail < t_end for k, _sign in sides):
+        if not t_end <= _MAX_HORIZON:
+            raise DomainError(f"formula and power-law curvatures are compared up to t = "
+                              f"{_MAX_HORIZON:g}, where solves end, not to t = {t_end:.6g}")
+        grids = (_node_grid(k.breakpoints, 0, math.ceil(
+            (t_end if k.tail.p else k.t_tail) * _NODES_PER_UNIT)) for k, _sign in sides)
+        t = np.concatenate([_cell_samples(x[:-1], x[1:])[2].ravel() for x in grids])
+        gap = sum(sign * k(t) for k, sign in sides)
+        if not np.all(np.isfinite(gap)):
+            raise DomainError(f"curvature is not finite on [0, {t_end:g}]")
+    elif len(sides) == 1:
+        (k, sign), = sides
+        crit = k.core._spline.derivative().roots()  # NaN on a constant piece
+        crit, bp = crit[(crit > 0.0) & (crit < t_end)], k.core.breakpoints
+        if t_end != bp[-1]:  # the last knot is read from its value
+            crit = np.append(crit, t_end)
+        t = np.append(bp[bp <= t_end], crit)
+        gap = sign * np.append(k.core.values[bp <= t_end], k.core(crit))
+    else:
+        x = np.union1d(f.breakpoints, g.breakpoints)
+        c, h = _cubics(f, x) - _cubics(g, x), np.diff(x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # roots of 3 c0 u^2 + 2 c1 u + c2
+            q = -(c[1] + np.copysign(np.sqrt(c[1] * c[1] - 3.0 * c[0] * c[2]), c[1]))
+            u = np.array([0.0 * h, h, q / (3.0 * c[0]), c[2] / q])
+        u = np.where((u > 0.0) & (u <= h), u, 0.0)  # the ends and the roots inside
+        t, gap = x[:-1] + u, ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
+    low = float(np.min(gap))
+    (c1, p1, a1), (c2, p2, a2) = ((0.0, 0.0, 1.0) if k is None else (k.tail.c, k.tail.p, k.t_tail)
+                                  for k in (f, g))
+    tails = lambda t: c1 * (t / a1) ** -p1 - c2 * (t / a2) ** -p2
+    # a power law vanishes at infinity, a constant stays
+    lows = [(low, float(np.min(t[gap == low]))), (tails(t_end), t_end),
+            ((0.0 if p1 else c1) - (0.0 if p2 else c2), math.inf)]
+    if p1 != p2 and p1 * c1 * p2 * c2 > 0.0:
+        t = math.exp(min(_log_cross(p1 * c1, p1, a1, p2 * c2, p2, a2), 709.0))
+        lows += [(tails(t), t)] if t > t_end else []
+    return min(lows)
+
+
+def _log_cross(c1, p1, a1, c2, p2, a2) -> float:
+    """log t where |c1| (t/a1)**-p1 = |c2| (t/a2)**-p2, for p1 != p2."""
+    return (math.log(abs(c2)) + p2 * math.log(a2)
+            - math.log(abs(c1)) - p1 * math.log(a1)) / (p2 - p1)
 
 
 def _merge_tails(a, b):
@@ -596,9 +699,7 @@ def _merge_tails(a, b):
                    key=lambda tail: tail.c), t0
     if tail_a.p > tail_b.p:
         (tail_a, anch_a), (tail_b, anch_b) = (tail_b, anch_b), (tail_a, anch_a)
-    (c1, p1), (c2, p2) = (tail_a.c, tail_a.p), (tail_b.c, tail_b.p)
-    log_cross = (math.log(abs(c2)) + p2 * math.log(anch_b)
-                 - math.log(abs(c1)) - p1 * math.log(anch_a)) / (p2 - p1)
+    log_cross = _log_cross(tail_a.c, tail_a.p, anch_a, tail_b.c, tail_b.p, anch_b)
     t_from = max(t0, math.exp(log_cross))
     return tail_a.reanchored(anch_a, t_from), t_from
 
@@ -642,9 +743,9 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     it is the nonpositive part, with two it is the combined floor for a
     manifold pinched between two radial bounds. Its tail folds
     ``_merge_tails`` over the inputs' tails from the zero tail. A spline
-    input with a nonpositive tail and a core no piece of which rises above 0
-    (``_core_max``) is its own envelope, returned as it is. Any other spline
-    gives the lazy min(0, k), with kinks at the real roots of the spline
+    input no piece or tail of which rises above 0 (``_lowest_gap``, kept
+    for ``is_nonpositive``) is its own envelope, returned as it is. Any
+    other spline gives the lazy min(0, k), with kinks at the real roots of the spline
     where its sign changes; formula cores and several inputs give the lazy
     minimum, with kinks where the minimiser of zero and the inputs changes on
     the scan grid (``_kinks``; two functions crossing above the minimum make
@@ -660,7 +761,7 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
 
     k = curvatures[0]
     one_spline = len(curvatures) == 1 and k.core.kind == "spline"
-    if one_spline and k.tail.c <= 0.0 and _core_max(k) <= 0.0:
+    if one_spline and k._headroom >= 0.0:
         return k
     # every input's knots start at 0; RadialCurvature sorts the union once
     bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])

@@ -70,16 +70,6 @@ def cap_fraction(n: int, r: float) -> float:
     return 0.5 * float(special.betainc(0.5 * (n - 1), 0.5, math.sin(r) ** 2))
 
 
-def cap_volume(n: int, delta: float) -> float:
-    """Volume of the set of unit directions within angle delta of a fixed
-    axis: omega_{n-2} times the integral of sin^(n-2) up to delta."""
-    _check_dim(n)
-    if not 0.0 <= delta <= math.pi + 1e-15:
-        raise DomainError(f"cap angle must lie in [0, pi], got {delta}")
-    sin_integral = 2.0 * _sin_power_half_integral(n - 2) * cap_fraction(n, delta)
-    return unit_sphere_volume(n - 2) * sin_integral
-
-
 def _check_dim(n: int):
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
@@ -272,14 +262,3 @@ def _assemble_ratio(n, numerator, denominator, horizons, dominated):
         vd = model_ball_volume(n, denominator, t)
         samples.append((t, vn, vd, vn / vd))
     return GrowthRatio(samples[::-1], dominated)
-
-
-def bishop_monotonicity_check(ratio: GrowthRatio) -> bool:
-    """Volume-comparison sanity check: under declared curvature domination
-    the ratio sequence must be nonincreasing (within 1e-9) and every sample
-    must lie in [0, 1 + 1e-9]."""
-    if not ratio.dominated:
-        raise DomainError(
-            "monotonicity is only guaranteed under declared curvature domination")
-    in_range = all(-1e-12 <= s[3] <= 1.0 + _MONOTONE_TOL for s in ratio.samples)
-    return bool(ratio.monotone_nonincreasing and in_range)

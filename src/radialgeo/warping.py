@@ -60,31 +60,17 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
-from .curvature import RadialCurvature
+from .curvature import (_CHEB, _FIT_DEGREE, _MAX_HORIZON, _NODES_PER_UNIT, RadialCurvature,
+                        _cell_samples, _node_grid)
 from .errors import ConjugatePointError, DomainError, UnboundedError
 
 # the solver's relative accuracy, the same for every solve
 DEFAULT_REL_TOL = 1e-12
 # the bound of the Taylor series and the fits of k (see solve_warping)
 _TAYLOR_TOL = DEFAULT_REL_TOL * 1e-3
-# dense interpolant nodes per unit length
-_NODES_PER_UNIT = 64
-# largest solving horizon: 2^18 nodes, about 75 MB for a solution and its tables
-_MAX_HORIZON = 4096.0
-# a uniform node closer than this fraction of the node pitch to an interior
-# curvature breakpoint gives way to it, and so does a breakpoint that close
-# to the one before it. Rounding in the quintic coefficients of a cell of
-# width h perturbs m' by about eps * |m| / h, so a sliver cell returns
-# garbage; at the end node, which stays, the breakpoint is dropped instead,
-# and the kink it leaves inside the last cell moves m by about
-# (fraction * pitch)**3
-_SLIVER_FRACTION = 1e-3
-# k is sampled at these Chebyshev points of each piece of a cell (mapped to
-# [-1, 1]); _FIT takes the samples to the monomial coefficients of their
+# _FIT takes the samples at _CHEB to the monomial coefficients of their
 # degree-8 interpolant. On [-1, 1] its Vandermonde condition number is about
 # 6e2; on [0, 1] it is about 7e5.
-_FIT_DEGREE = 8
-_CHEB = np.cos((2 * np.arange(_FIT_DEGREE + 1) + 1) * np.pi / (2 * _FIT_DEGREE + 2))
 _FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
 # _CHECK takes the same samples to the two highest Chebyshev coefficients of
 # the interpolant and to its values at s = -1 and s = +1. A jump or kink of
@@ -386,7 +372,8 @@ def _split(k: RadialCurvature, grid: np.ndarray) -> int:
 def _grow(k: RadialCurvature, grid, m, mp, t: float):
     """(grid, m, m') carried on from the last node, a lattice node, to the
     first one at or past t > grid[-1], from node ``_split(k, grid)``."""
-    nodes = _node_grid(k, round(grid[-1] * _NODES_PER_UNIT), math.ceil(t * _NODES_PER_UNIT))
+    nodes = _node_grid(k.breakpoints, round(grid[-1] * _NODES_PER_UNIT),
+                       math.ceil(t * _NODES_PER_UNIT))
     i = _split(k, grid)
     m_new, mp_new = _carry(k, np.concatenate([grid[i:], nodes[1:]]), float(m[i]), float(mp[i]))
     return (np.concatenate([grid, nodes[1:]]), np.concatenate([m, m_new[1 - nodes.size:]]),
@@ -452,24 +439,6 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
     return m_steps[last], mp_steps[last]
 
 
-def _node_grid(k: RadialCurvature, first: int, last: int) -> np.ndarray:
-    """The nodes first/64 .. last/64 of the 1/64 lattice with the interior
-    curvature breakpoints merged in under the sliver rule."""
-    pitch = 1.0 / _NODES_PER_UNIT
-    grid = np.arange(first, last + 1) * pitch
-    bp = k.breakpoints  # sorted, from 0: a twin of the one before it is dropped
-    bp = bp[1:][np.diff(bp) >= _SLIVER_FRACTION * pitch]
-    interior_bp = bp[(bp > grid[0]) & (bp < grid[-1])]
-    # the breakpoint takes the place of a uniform node it nearly meets; next
-    # to an end node, which must stay, the breakpoint is dropped instead
-    nearest = np.rint((interior_bp - grid[0]) / pitch).astype(int)
-    close = np.abs(grid[nearest] - interior_bp) < _SLIVER_FRACTION * pitch
-    at_end = close & ((nearest == 0) | (nearest == last - first))
-    keep = np.ones(grid.size, dtype=bool)
-    keep[nearest[close & ~at_end]] = False
-    return np.unique(np.concatenate([grid[keep], interior_bp[~at_end]]))
-
-
 def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     """The cells of grid cut into pieces on which the degree-8 fit of k holds
     and is small, as (midpoint, half-width, cell index, kappa) in the order
@@ -491,9 +460,7 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     count = np.ones(cell.size, dtype=int)  # pieces per cell, kept or pending
     pieces = []
     while lo.size:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = np.concatenate([mid + half * _CHEB[:, None],
-                            [np.nextafter(lo, hi), np.nextafter(hi, lo)]])
+        mid, half, t = _cell_samples(lo, hi)
         samples = np.asarray(k(t.ravel()), dtype=float).reshape(t.shape)
         if not np.all(np.isfinite(samples)):
             raise DomainError(f"curvature is not finite on [0, {grid[-1]:g}]")

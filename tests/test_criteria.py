@@ -1,11 +1,15 @@
 """Pinching criteria: critical angle, growth threshold, verdicts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import radialgeo as rg
+from radialgeo.curvature import _lowest_gap
 
 RAMP_DELTA = (math.pi / 2.0) * math.exp(-1.0 / 6.0)
 
@@ -124,24 +128,120 @@ def test_main_check_domination_violation_raises():
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
 
 
-def formula_curvature(expr, breakpoints):
+def formula_curvature(expr, breakpoints, tail=None):
     return rg.RadialCurvature.from_json({
         "core": {"kind": "formula", "expr": expr, "breakpoints": breakpoints},
-        "tail": {"kind": "zero"}, "t_tail": breakpoints[-1]})
+        "tail": tail or {"kind": "zero"}, "t_tail": breakpoints[-1]})
 
 
-@pytest.mark.parametrize("expr, breakpoints", [
-    # -0.5 on (1.006, 1.014), which holds no point of a 641-point grid to 16
-    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 1.006, 1.01, 1.014, 2.0]),
+@pytest.mark.parametrize("expr, breakpoints, where", [
+    # -0.5 on (1.006, 1.014), which holds no point of a 641-point grid to 16;
+    # the first sample of the least gap is one ulp past the knot 1.006
+    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 1.006, 1.01, 1.014, 2.0], "1.006"),
     # below zero only within 1e-6 of its knot
-    ("minimum(0.0, 1000.0 * abs(t - 1.01) - 1e-3)", [0.0, 1.01, 2.0]),
+    ("minimum(0.0, 1000.0 * abs(t - 1.01) - 1e-3)", [0.0, 1.01, 2.0], "1.01"),
 ], ids=["dip", "knot-only"])
-def test_domination_is_checked_at_every_knot(expr, breakpoints):
+def test_domination_is_checked_at_every_knot(expr, breakpoints, where):
     mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(expr, breakpoints),
                                            t_max=17.0)
     flat = rg.RadialCurvature.zero()
-    with pytest.raises(rg.DomainError, match=r"domination fails near t = 1\.01: "):
+    with pytest.raises(rg.DomainError, match=rf"domination fails near t = {re.escape(where)}: "):
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
+
+
+@pytest.mark.parametrize("expr, breakpoints, tail", [
+    # below the flat bound only past the last horizon, t = 16
+    ("where(t < 17, 0.0, 17.0 - t)", [0.0, 17.0, 18.0], {"kind": "constant", "c": -1.0}),
+    # -0.5 on (1.006, 1.014), with no breakpoint over it
+    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 2.0], None),
+], ids=["step", "dip"])
+def test_domination_is_decided_on_the_whole_half_line(expr, breakpoints, tail):
+    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(expr, breakpoints, tail))
+    flat = rg.RadialCurvature.zero()
+    with pytest.raises(rg.DomainError, match="declared domination fails near t = "):
+        rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
+
+
+def test_power_law_tails_are_compared_past_the_last_horizon():
+    # equal at the anchor 17; past it the p = 3 tail lies below the p = 4 one,
+    # farthest at t = 17 * 4/3, where their slopes agree
+    p3, p4 = (rg.RadialCurvature.from_spline([0.0, 17.0], [-0.3, -0.3],
+                                             tail=rg.PowerLawTail(-0.3, p)) for p in (3.0, 4.0))
+    with pytest.raises(rg.DomainError, match=r"fails near t = 22\.6667: radial sectional "):
+        rg.sectional_pinch_check(3, p4, numerator=rg.RotSymManifold.from_curvature(3, p3))
+    rep = rg.sectional_pinch_check(3, p3, numerator=rg.RotSymManifold.from_curvature(3, p4))
+    assert "curvature domination verified on the synthetic numerator" in rep.diagnostics["notes"]
+
+
+def _constant_tail_spline(rng):
+    """A spline of 2 to 8 even knots on [0, 0.8 .. 3], with a constant tail."""
+    vals = rng.uniform(-1.5, 0.5, int(rng.integers(2, 9)))
+    vals[-1] = min(vals[-1], 0.0)
+    return rg.RadialCurvature.from_spline(np.linspace(0.0, rng.uniform(0.8, 3.0), vals.size),
+                                          vals, rg.ConstantTail(vals[-1]))
+
+
+def test_lowest_gap_of_two_splines_is_exact():
+    # constant tails: past the later anchor the gap is its value there
+    for seed in range(200):
+        rng = np.random.default_rng(260_000 + seed)
+        f, g = _constant_tail_spline(rng), _constant_tail_spline(rng)
+        gap, t = _lowest_gap(f, g)
+        dense = np.linspace(0.0, max(f.t_tail, g.t_tail), 20_001)
+        assert gap <= np.min(f(dense) - g(dense)) + 1e-14
+        assert abs(gap - (f(t) - g(t))) <= 1e-14
+
+
+def test_a_spline_behind_a_formula_core_gets_the_same_domination_decision():
+    decisions = set()
+    for seed in range(40):
+        rng = np.random.default_rng(270_000 + seed)
+        f, g = _constant_tail_spline(rng), _constant_tail_spline(rng)
+        sampled = rg.RadialCurvature(rg.FormulaCore(f.core, breakpoints=f.core.breakpoints),
+                                     f.tail, f.t_tail)
+        (exact, _t), (seen, _s) = _lowest_gap(f, g), _lowest_gap(sampled, g)
+        assert exact <= seen + 1e-14
+        assert (exact < -1e-12) == (seen < -1e-12)
+        decisions.add(exact < -1e-12)
+    assert decisions == {False, True}
+
+
+@st.composite
+def domination_cases(draw):
+    """(numerator, bound, whether it dominates), the truth by construction: a
+    formula dip or bump over a flat bound, with or without breakpoints over
+    it, or two power-law tails whose difference changes sign past the last
+    horizon, or never."""
+    if draw(st.booleans()):
+        # a sample of a solve lies within 2.7e-3 of every point, so a
+        # feature 3e-3 wide or more is seen
+        centre, half = draw(st.floats(0.2, 3.0)), draw(st.floats(0.0015, 0.05))
+        height = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 1.0))
+        bp = [0.0, centre - half, centre, centre + half, 4.0] if draw(st.booleans()) else [0.0, 4.0]
+        num = formula_curvature(f"where(abs(t - {centre!r}) < {half!r}, {height!r}, 0.0)", bp)
+        return num, rg.RadialCurvature.zero(), height > 0.0
+    # c_n s^-p_n and c_b s^-p_b, s = t / a, with |c_n| < |c_b|: for p_n < p_b
+    # they cross at s_x, t = a s_x past the last horizon, for p_n > p_b never
+    a, s_x = draw(st.floats(1.0, 3.0)), draw(st.floats(20.0, 40.0))
+    p_num, p_bound, c_bound = draw(st.floats(2.5, 4.5)), draw(st.floats(2.5, 4.5)), -draw(
+        st.floats(0.1, 1.0))
+    assume(abs(p_num - p_bound) >= 0.1)
+    c_num = c_bound / s_x ** abs(p_bound - p_num)
+    num, bound = (rg.RadialCurvature.from_spline([0.0, a], [c, c], tail=rg.PowerLawTail(c, p))
+                  for c, p in ((c_num, p_num), (c_bound, p_bound)))
+    return num, bound, p_num > p_bound
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=24)
+@given(case=domination_cases())
+def test_domination_family(case):
+    num, bound, dominated = case
+    mfd = rg.RotSymManifold.from_curvature(3, num)
+    if dominated:
+        rg.sectional_pinch_check(3, bound, numerator=mfd)
+    else:
+        with pytest.raises(rg.DomainError, match="declared domination fails"):
+            rg.sectional_pinch_check(3, bound, numerator=mfd)
 
 
 def test_numerator_just_below_its_bound_fails_domination():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import radialgeo as rg
+from radialgeo import curvature
 
 from conftest import random_compact_curvature, tail_referee
 
@@ -280,6 +281,37 @@ def test_spline_nonpositivity_is_decided_on_its_pieces():
     # the first, second and last pieces peak below 0, at a knot or inside
     assert rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [-1.0, -1e-9, -1.0],
                                        tail=rg.ConstantTail(-1.0)).is_nonpositive()
+
+
+def test_formula_nonpositivity_is_read_where_a_solve_reads_k():
+    # +0.5 on (1.0008, 1.0018), between two points of an 801-point scan of [0, 2]
+    bump = rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": "where(abs(t - 1.0013) < 0.0005, 0.5, -0.1)",
+                 "breakpoints": [0.0, 2.0]},
+        "tail": {"kind": "constant", "c": -0.1}, "t_tail": 2.0})
+    assert not bump.is_nonpositive()
+    with pytest.raises(rg.DomainError, match="nonpositive"):
+        rg.moment_integral(bump)
+    # no solve reads k past t = 4096
+    far = rg.RadialCurvature(rg.FormulaCore(lambda t: np.full_like(t, -1.0)),
+                             rg.ConstantTail(-1.0), 5000.0)
+    with pytest.raises(rg.DomainError, match="up to t = 4096"):
+        far.is_nonpositive()
+    hole = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t > 1.0, np.nan, -1.0)),
+                              rg.ConstantTail(-1.0), 2.0)
+    with pytest.raises(rg.DomainError, match="not finite"):
+        hole.is_nonpositive()
+
+
+def test_nonpositivity_is_computed_once_per_curvature(monkeypatch):
+    calls = []
+    lowest_gap = curvature._lowest_gap
+    monkeypatch.setattr(curvature, "_lowest_gap",
+                        lambda f, g: calls.append((f, g)) or lowest_gap(f, g))
+    k = rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [-1.0, -0.5, 0.0])
+    assert rg.nonpositive_min(k) is k
+    rg.moment_integral(k)
+    assert k.is_nonpositive() and calls == [(None, k)]
 
 
 def test_envelope_of_a_curvature_passed_twice_is_its_envelope():

