@@ -131,14 +131,14 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     ``bounds`` lists (curvature, label) pairs: all of them join the
     nonpositive envelope that sets delta and the threshold, a manifold
     numerator must dominate each on [0, inf) (``_lowest_gap``, to 64 ulps of
-    max(1, |bound|) where the gap is least; the label names the failing
-    one), and the first generates the comparison model. Its solution is
-    ``warping`` (a solution of that curvature object, else DomainError) or,
-    when None, a solve to its tail anchor; it serves both the ball-volume
-    class (B-1) and the growth-ratio denominators. The ratios read the largest horizon first, so the first
-    volume read carries each solution on in one step. Asserted brackets pass
-    through. Returns (delta, threshold, model ball-volume class, growth
-    bracket, notes).
+    max(1, |bound|) where the gap is least, once per distinct object; the
+    label names the failing one), and the first generates the comparison
+    model. Its solution is ``warping`` (a solution of that curvature object,
+    else DomainError) or, when None, a solve to its tail anchor; it serves
+    both the ball-volume class (B-1) and the growth-ratio denominators. The
+    ratios read the largest horizon first, so the first volume read carries
+    each solution on in one step. Asserted brackets pass through. Returns
+    (delta, threshold, model ball-volume class, growth bracket, notes).
     """
     horizons = _checked_horizons(horizons)
     delta = critical_angle(nonpositive_min(*(bound for bound, _label in bounds)))
@@ -165,7 +165,9 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     # every radial plane has the same curvature on this class, so the one
     # curvature stands for the radial Ricci and the radial sectional curvature
     own = numerator.curvature
-    for bound, label in bounds:
+    for i, (bound, label) in enumerate(bounds):
+        if any(bound is earlier for earlier, _ in bounds[:i]):
+            continue
         gap, t = _lowest_gap(own, bound)
         if gap < -_ROUNDING_ULPS * np.spacing(max(1.0, abs(bound(t)))):
             raise DomainError(

@@ -700,7 +700,11 @@ def _merge_tails(a, b):
     if tail_a.p > tail_b.p:
         (tail_a, anch_a), (tail_b, anch_b) = (tail_b, anch_b), (tail_a, anch_a)
     log_cross = _log_cross(tail_a.c, tail_a.p, anch_a, tail_b.c, tail_b.p, anch_b)
-    t_from = max(t0, math.exp(log_cross))
+    try:
+        t_from = max(t0, math.exp(log_cross))
+    except OverflowError:
+        raise DomainError(f"the envelope's tails cross at t = e^{log_cross:.6g}, "
+                          "past the largest float") from None
     return tail_a.reanchored(anch_a, t_from), t_from
 
 

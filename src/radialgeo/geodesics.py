@@ -3,7 +3,8 @@
 All operations are restricted to nonpositive curvature, where geodesics
 between any two points are unique and the endpoint maps are monotone, so
 every two-point problem reduces to one root of a smooth increasing function
-of a branch variable on (-1, 1), found by a safeguarded Newton method.
+of a branch variable on [-1, 1], found by Newton steps safeguarded by false
+position on the ends, where its values are known in closed form.
 
 The metric dt^2 + m(t)^2 dtheta^2 has the rotation number
 nu = m(t) sin(phi) conserved along geodesics (phi = angle to the meridian).
@@ -150,15 +151,19 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     negative on the monotone branch and positive on the turning one. Near
     nu_c a side's value goes like crit -+ c sqrt(nu_c - nu), where Newton in
     nu stalls; in sigma the angle (length) is smooth and increasing on
-    (-1, 1), from 0 to pi (|r1 - r2| to r1 + r2). Its value at sigma = 0,
+    [-1, 1], from 0 to pi (|r1 - r2| to r1 + r2). Its value at sigma = 0,
     crit, is the first pass, and its slope there sqrt(2)/m'(min radius),
     times nu_c for a length and doubled for equal radii. A safeguarded
     Newton method (rtsafe, Press et al., *Numerical Recipes* 9.4) runs in
-    the bracket [-1, 0] or [0, 1] on the target's side of crit, bisecting
-    where a step would leave it or shrinks too slowly. It stops when the
-    value is within a few ulps of the target, or the next Newton step or
-    the bracket is narrower in nu than 0.5 (1e-15 max(1, nu_c) + 8.9e-16 nu);
-    the last pass gives angle and length. m, m' at both radii are read once.
+    the bracket [-1, 0] or [0, 1] on the target's side of crit, taking an
+    Illinois false-position step (Dowell and Jarratt, *BIT* 11, 1971) on the
+    bracket ends where a step would leave it or shrinks too slowly. A pass
+    whose value is within a few ulps of the target, or whose next Newton
+    step or bracket is narrower in nu than tol = 0.5 (1e-15 max(1, nu_c) +
+    8.9e-16 nu), gives angle and length. Once Newton's estimate C newton^2
+    (C = |newton|/step^2) of the next step's error is below tol/100 in nu,
+    that step is taken without a pass: the target is met and the other part
+    moves by d length = nu d angle. m, m' at both radii are read once.
     """
     m1, m2 = surface.warping.m(np.array([r1, r2])).tolist()
     mp1, mp2 = surface.warping.m_prime(np.array([r1, r2])).tolist()
@@ -178,23 +183,42 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     if abs(f) <= 1e-13 * max(abs(target), abs(f + target), 1e-30):
         return side, angle, length
     df = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
-    lo, hi = (0.0, 1.0) if f < 0.0 else (-1.0, 0.0)
-    sigma, newton, step, step_before = 0.0, f / df, 1.0, 1.0
+    if f < 0.0:
+        lo, hi, f_lo, f_hi = 0.0, 1.0, f, (r1 + r2 if by_length else math.pi) - target
+    else:
+        lo, hi, f_lo, f_hi = -1.0, 0.0, (abs(r1 - r2) if by_length else 0.0) - target, f
+    sigma, newton, step, step_before, moved_lo = 0.0, f / df, 1.0, 1.0, f < 0.0
     for _ in range(_MAX_PASSES):
         # a Newton step inside the bracket and at most half the step before last
-        if lo < sigma - newton < hi and 2.0 * abs(newton) <= step_before:
+        by_newton = lo < sigma - newton < hi and 2.0 * abs(newton) <= step_before
+        if by_newton:
             step_before, step = step, abs(newton)
             sigma -= newton
         else:
             step_before, step = step, 0.5 * (hi - lo)
-            sigma = lo + step
+            sigma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < sigma < hi:  # rounded onto an end, where nu may be 0
+                sigma = lo + step
         side, angle, length, f, df = pass_at(sigma)
         newton = f / df if df > 0.0 else math.inf
-        lo, hi = (sigma, hi) if f < 0.0 else (lo, sigma)
+        ahead = sigma - newton
+        # Illinois: the value at an end kept twice running is halved
+        if f < 0.0:
+            lo, f_lo, f_hi = sigma, f, 0.5 * f_hi if moved_lo else f_hi
+        else:
+            hi, f_hi, f_lo = sigma, f, f_lo if moved_lo else 0.5 * f_lo
+        moved_lo = f < 0.0
         tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
         if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol
-                or abs(nu_at(sigma - newton) - side.nu) < tol):
+                or abs(nu_at(ahead) - side.nu) < tol):
             return side, angle, length
+        if by_newton and lo < ahead < hi and abs(
+                nu_at(ahead + newton ** 3 / step ** 2) - nu_at(ahead)) < 0.01 * tol:
+            nu_mid = 0.5 * (side.nu + nu_at(ahead))
+            side = _SideGeodesic(nu_at(ahead), ahead > 0.0, r1, r2, m1, m2, mp1, mp2)
+            if by_length:
+                return side, angle - f / nu_mid, target
+            return side, target, length - f * nu_mid
     raise DomainError(f"side solve between radii {r1:.6g} and {r2:.6g} did not converge "
                       f"in {_MAX_PASSES} passes")
 

@@ -263,6 +263,21 @@ def test_numerator_equal_to_its_bound_in_another_core_dominates():
     assert rep.verdict == "DegenerateRigidity"
 
 
+def test_domination_is_checked_once_per_distinct_bound(monkeypatch):
+    from radialgeo import criteria
+
+    calls = []
+    monkeypatch.setattr(criteria, "_lowest_gap",
+                        lambda *args: calls.append(args) or _lowest_gap(*args))
+    hyp, twin = rg.RadialCurvature.constant(-1.0), rg.RadialCurvature.constant(-1.0)
+    mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=17.0)
+    shared = rg.ricci_pinch_check(3, hyp, hyp, numerator=mfd)
+    assert len(calls) == 1
+    calls.clear()
+    assert rg.ricci_pinch_check(3, hyp, twin, numerator=mfd) == shared
+    assert len(calls) == 2 and calls[0][1] is hyp and calls[1][1] is twin
+
+
 def test_corollary_finite_volume_branch():
     rep = rg.sectional_pinch_check(3, cusp_fixture(), numerator=(0.0, 0.0))
     assert rep.verdict == "DiffeoRn"

@@ -190,6 +190,14 @@ def test_merged_tail_is_the_min_past_its_anchor(a, b, want, t_from):
         assert np.array_equal(tail.value(ts, anchor), floor)
 
 
+def test_tails_crossing_past_the_largest_float_raise_domain_error():
+    # p = 3.001 and p = 3 decay, anchored together at 1, cross at t = e^2302.59
+    k1 = rg.RadialCurvature.from_spline([0, 1], [-1, -1], tail=rg.PowerLawTail(-1.0, 3.001))
+    k2 = rg.RadialCurvature.from_spline([0, 1], [-0.1, -0.1], tail=rg.PowerLawTail(-0.1, 3.0))
+    with pytest.raises(rg.DomainError, match=r"tails cross at t = e\^2302\.59, past the largest"):
+        rg.nonpositive_min(k1, k2)
+
+
 def test_envelope_records_only_kinks_of_the_minimum():
     # k1 and k2 cross at t = 5/6, below zero but above the constant -2
     k1 = rg.RadialCurvature.from_spline([0.0, 2.0], [-1.0, -0.4], rg.ConstantTail(-0.4))

@@ -277,7 +277,8 @@ def test_side_root_find_reads_m_once_per_side(monkeypatch):
     assert reads["breakpoint_values"] <= 1
     assert reads["m"] <= 2
     # each solve makes the branch-point pass and Newton passes after it, and
-    # its last pass gives the result: no bracket probes, no separate read
+    # returns from its last pass or one Newton step past it: no bracket
+    # probes, no separate read
     for passes in (distance_passes, reads["side_value"] - distance_passes):
         assert 3 <= passes <= 8
 
@@ -302,6 +303,73 @@ def test_side_solve_stops_within_a_few_ulps_of_the_target(monkeypatch, sides, nu
     # nu from a bracketed brentq solve of the same side
     assert tri.to_json()["rotation_number"] == pytest.approx(nu, rel=1e-13)
     assert tri.to_json()["turning"] is True
+
+
+def side_problems(seed, count):
+    """(surface, r1, r2, target keyword) for count distances and count
+    triangles on each test surface: radii in [0.05, 6], angles in
+    [0.05, pi - 0.05] and side triples at least 0.05 from degenerate."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for surface in (flat_surface(), hyperbolic_surface(), bump_surface()):
+        for _ in range(count):
+            ra, rb = rng.uniform(0.05, 6.0, 2)
+            problems.append((surface, ra, rb, {"target_angle": rng.uniform(0.05, math.pi - 0.05)}))
+            a, b = rng.uniform(0.4, 4.5, 2)
+            c = rng.uniform(abs(a - b) + 0.05, min(a + b - 0.05, 9.5))
+            problems.append((surface, a, b, {"target_length": c}))
+    return problems
+
+
+def counted_side_values(monkeypatch):
+    """The rotation numbers of the side passes made from now on."""
+    from radialgeo import geodesics
+
+    nus = []
+    side_value = geodesics._side_value
+    monkeypatch.setattr(geodesics, "_side_value",
+                        lambda surface, side: nus.append(side.nu) or side_value(surface, side))
+    return nus
+
+
+def test_side_solves_take_few_passes(monkeypatch):
+    from radialgeo import geodesics
+
+    nus = counted_side_values(monkeypatch)
+    problems = side_problems(27, 40)
+    for surface, r1, r2, target in problems:
+        geodesics._solve_side(surface, r1, r2, **target)
+    # 5.33 here; 6.65 with bisection and a pass to confirm the last Newton step
+    assert len(nus) / len(problems) <= 5.4
+    # the bracket end at sigma = 1 reads pi: false position gets there in
+    # fewer passes than halving the bracket (12 passes)
+    nus.clear()
+    rg.distance(hyperbolic_surface(), rg.SurfacePoint(5.0, 0.0), rg.SurfacePoint(5.9, 0.7))
+    assert len(nus) <= 11
+
+
+def test_side_solve_without_a_confirming_pass_matches_a_pass(monkeypatch):
+    from radialgeo import geodesics
+
+    nus = counted_side_values(monkeypatch)
+    stepped = 0
+    for surface, r1, r2, target in side_problems(28, 20):
+        nus.clear()
+        side, angle, length = geodesics._solve_side(surface, r1, r2, **target)
+        if side.nu in nus:
+            continue
+        stepped += 1
+        # the target exactly, and the other part by the first variation
+        assert target.get("target_angle", angle) == angle
+        assert target.get("target_length", length) == length
+        pass_angle, pass_length, dangle = geodesics._side_value(surface, side)
+        # the solve leaves nu within tol of the root
+        nu_c = min(side.m1, side.m2)
+        tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
+        assert abs(pass_angle - angle) <= 8.0 * (math.ulp(angle) + abs(dangle) * tol)
+        assert abs(pass_length - length) <= 8.0 * (math.ulp(length)
+                                                   + side.nu * abs(dangle) * tol)
+    assert stepped >= 100
 
 
 @pytest.mark.parametrize("solve", [
