@@ -26,11 +26,13 @@ a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``.
 
 Cores are either cubic splines over breakpoints or closed-form callables. A
 curvature's knots are fixed at construction: ``breakpoints``, sorted once,
-from 0 to t_tail. Pointwise minima (the nonpositive envelope used by the
-growth criteria) are represented exactly by lazy evaluation over the merged
-knots; their kinks, the changes of the minimiser on a scan grid, are refined
-together by regula falsi in array calls so downstream quadrature can split
-there.
+from 0 to t_tail. Only ``_cubics`` reads a spline's coefficients, as cubics
+on given knots: the exact comparison of two curvatures (``_lowest_gap``) and
+the scan grid of an envelope read them. Pointwise minima (the nonpositive
+envelope used by the growth criteria) are represented exactly by lazy
+evaluation over the merged knots, and have no JSON form; their kinks, the
+changes of the minimiser on a scan grid, are refined together by regula
+falsi in array calls so downstream quadrature can split there.
 
 The core part of the curvature moment is integrated over panels between
 the breakpoints by 16-point Gauss-Legendre rules, with the gap to the
@@ -59,7 +61,7 @@ NEG_INFINITY = float("-inf")
 
 # Junction mismatch above this (relative to curvature scale) is a construction error.
 _JUNCTION_TOL = 1e-8
-# Dense sampling used for the kink scans of formula and several-input envelopes.
+# Uniform points of the kink scan of a lazy envelope.
 _SCAN_POINTS = 801
 # Warping solves read k on the cells of the 1/64 lattice up to t = 4096 (2^18
 # nodes, about 75 MB for a solution and its tables); formulas are compared there.
@@ -362,10 +364,7 @@ class FormulaCore:
 
     def to_json(self):
         if self.expr is None:
-            raise DomainError(
-                "formula core without an expression string; "
-                "RadialCurvature.to_json samples it as a spline"
-            )
+            raise DomainError("formula core with no expression (a lazy minimum) has no JSON form")
         out = {"kind": "formula", "expr": self.expr}
         if self.breakpoints is not None:
             out["breakpoints"] = self.breakpoints.tolist()
@@ -451,7 +450,7 @@ class RadialCurvature:
         core_end = float(self.core(np.array([self.t_tail]))[0])
         tail_start = self.tail.c
         scale = max(1.0, abs(core_end), abs(tail_start))
-        if abs(core_end - tail_start) > _JUNCTION_TOL * scale:
+        if not abs(core_end - tail_start) <= _JUNCTION_TOL * scale:  # NaN fails too
             raise DomainError(
                 f"core/tail junction is discontinuous at t = {self.t_tail:.6g}: "
                 f"core -> {core_end:.9g}, tail -> {tail_start:.9g}"
@@ -488,27 +487,9 @@ class RadialCurvature:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON object {core, tail, t_tail}.
-
-        A formula core with no expression (a derived, lazy minimum core) is
-        exported as a spline sampled on a dense grid, which is lossy near
-        kinks at the level of the grid resolution. The envelope of a
-        nonpositive spline has its core and exports it exactly.
-        """
-        if self.core.kind == "formula" and self.core.expr is None:
-            step = min(0.01, self.t_tail / 400.0)
-            grid = np.union1d(self.breakpoints, np.arange(0.0, self.t_tail + step, step))
-            grid = grid[grid <= self.t_tail]
-            if grid[-1] < self.t_tail:
-                grid = np.append(grid, self.t_tail)
-            core = {
-                "kind": "spline",
-                "breakpoints": grid.tolist(),
-                "values": np.asarray(self.__call__(grid)).tolist(),
-            }
-        else:
-            core = self.core.to_json()
-        return {"core": core, "tail": self.tail.to_json(), "t_tail": self.t_tail}
+        """JSON object {core, tail, t_tail}; a formula core with no
+        expression (a lazy minimum) has none and raises DomainError."""
+        return {"core": self.core.to_json(), "tail": self.tail.to_json(), "t_tail": self.t_tail}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RadialCurvature":
@@ -576,11 +557,6 @@ class RadialCurvature:
 # ---------------------------------------------------------------------------
 
 
-def _scan_grid(breakpoints: np.ndarray, t_end: float) -> np.ndarray:
-    base = np.linspace(0.0, t_end, _SCAN_POINTS)
-    return np.unique(np.concatenate([base, breakpoints[breakpoints <= t_end]]))
-
-
 def _node_grid(breakpoints: np.ndarray, first: int, last: int) -> np.ndarray:
     """The nodes first/64 .. last/64 of the 1/64 lattice with the interior
     curvature breakpoints merged in under the sliver rule."""
@@ -608,9 +584,10 @@ def _cell_samples(lo, hi):
 
 
 def _cubics(k: RadialCurvature, x: np.ndarray) -> np.ndarray:
-    """k on the pieces [x[i], x[i+1]] (its knots among x) as the rows,
-    highest power first, of cubics in t - x[i]: its spline re-expanded, or
-    its zero or constant tail past its anchor."""
+    """k on the pieces [x[i], x[i+1]] (its knots among x) as rows, highest
+    power first, of cubics in t - x[i]: its spline re-expanded, from the
+    knot value at any knot but its last, or past its anchor its zero or
+    constant tail."""
     xs, cs = k.core._spline.x, k.core._spline.c  # each read converts the array
     left = x[:-1][x[:-1] < k.t_tail]
     j = np.searchsorted(xs[1:-1], left, side="right")  # past either end: the end piece
@@ -622,18 +599,30 @@ def _cubics(k: RadialCurvature, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extremum_offsets(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Offsets from x[i] where each cubic c of ``_cubics(k, x)`` can take its
+    extremes on [x[i], x[i+1]): 0, and each root of its derivative inside
+    the piece (0 for one outside)."""
+    h = x[1:] - x[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # roots of 3 c0 u^2 + 2 c1 u + c2
+        q = -(c[1] + np.copysign(np.sqrt(c[1] * c[1] - 3.0 * c[0] * c[2]), c[1]))
+        u = np.array([0.0 * h, q / (3.0 * c[0]), c[2] / q])
+    return np.where((u > 0.0) & (u < h), u, 0.0)
+
+
 def _lowest_gap(f: RadialCurvature | None, g: RadialCurvature | None):
     """(smallest f - g on [0, inf), first t where it is taken, inf for a
-    limit), None being zero. Up to the later anchor T it is exact where both
-    sides are cubic on every piece (a spline core, past its anchor a zero or
-    constant tail): one side is read at its knot values and the roots of
-    its derivative, two are re-expanded at the merged knots and each piece
-    of the difference at its ends and the roots of its derivative. Else each
-    side is read where its solve reads k, at the ``_cell_samples`` of the
-    cells of ``_node_grid`` up to the first lattice node at or past T, or
-    its anchor for a zero or constant tail; solves end at t = 4096. Past T
-    the tails' difference is read at T, in the limit and at its one
-    stationary point, where p c (t/a)**-p agree (``_log_cross``)."""
+    limit), None being zero. Up to the later anchor T it is exact where each
+    side is zero or cubic on every piece (a spline core, past its anchor a
+    zero or constant tail): the sides are re-expanded at the merged knots
+    (``_cubics``), and each piece of their difference is read at its left
+    end and at the roots of its derivative inside it. T is read as a side's
+    last knot value or k(T), never from a cubic at its right end, where it
+    rounds. Else each side is read where its solve reads k, at the
+    ``_cell_samples`` of the cells of ``_node_grid`` up to the first lattice
+    node at or past T, or its anchor for a zero or constant tail; solves end
+    at t = 4096. Past T the tails' difference is read at T, in the limit and
+    at its one stationary point, where p c (t/a)**-p agree (``_log_cross``)."""
     sides = [(k, sign) for k, sign in ((f, 1.0), (g, -1.0)) if k is not None]
     t_end = max(k.t_tail for k, _sign in sides)
     if any(k.core.kind != "spline" or k.tail.p and k.t_tail < t_end for k, _sign in sides):
@@ -646,22 +635,14 @@ def _lowest_gap(f: RadialCurvature | None, g: RadialCurvature | None):
         gap = sum(sign * k(t) for k, sign in sides)
         if not np.all(np.isfinite(gap)):
             raise DomainError(f"curvature is not finite on [0, {t_end:g}]")
-    elif len(sides) == 1:
-        (k, sign), = sides
-        crit = k.core._spline.derivative().roots()  # NaN on a constant piece
-        crit, bp = crit[(crit > 0.0) & (crit < t_end)], k.core.breakpoints
-        if t_end != bp[-1]:  # the last knot is read from its value
-            crit = np.append(crit, t_end)
-        t = np.append(bp[bp <= t_end], crit)
-        gap = sign * np.append(k.core.values[bp <= t_end], k.core(crit))
     else:
-        x = np.union1d(f.breakpoints, g.breakpoints)
-        c, h = _cubics(f, x) - _cubics(g, x), np.diff(x)
-        with np.errstate(divide="ignore", invalid="ignore"):  # roots of 3 c0 u^2 + 2 c1 u + c2
-            q = -(c[1] + np.copysign(np.sqrt(c[1] * c[1] - 3.0 * c[0] * c[2]), c[1]))
-            u = np.array([0.0 * h, h, q / (3.0 * c[0]), c[2] / q])
-        u = np.where((u > 0.0) & (u <= h), u, 0.0)  # the ends and the roots inside
-        t, gap = x[:-1] + u, ((c[0] * u + c[1]) * u + c[2]) * u + c[3]
+        x = reduce(np.union1d, (k.breakpoints for k, _sign in sides))
+        c = sum(sign * _cubics(k, x) for k, sign in sides)
+        u = _extremum_offsets(c, x)
+        at_end = sum(sign * (k.core.values[-1] if k.core.breakpoints[-1] == t_end == k.t_tail
+                             else k(t_end)) for k, sign in sides)
+        t = np.append(x[:-1] + u, t_end)
+        gap = np.append(((c[0] * u + c[1]) * u + c[2]) * u + c[3], at_end)
     low = float(np.min(gap))
     (c1, p1, a1), (c2, p2, a2) = ((0.0, 0.0, 1.0) if k is None else (k.tail.c, k.tail.p, k.t_tail)
                                   for k in (f, g))
@@ -748,14 +729,16 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     manifold pinched between two radial bounds. Its tail folds
     ``_merge_tails`` over the inputs' tails from the zero tail. A spline
     input no piece or tail of which rises above 0 (``_lowest_gap``, kept
-    for ``is_nonpositive``) is its own envelope, returned as it is. Any
-    other spline gives the lazy min(0, k), with kinks at the real roots of the spline
-    where its sign changes; formula cores and several inputs give the lazy
-    minimum, with kinks where the minimiser of zero and the inputs changes on
-    the scan grid (``_kinks``; two functions crossing above the minimum make
-    none). A lazy minimum is exact, never resampled. Its breakpoints are the
-    merged ones plus the kinks, so quadrature can split at every kink; a kink
-    within 1e-13 + 4 ulps of a breakpoint is that breakpoint.
+    for ``is_nonpositive``) is its own envelope, returned as it is. Every
+    other envelope is the lazy minimum, with kinks where the minimiser of
+    zero and the inputs changes on the scan grid (``_kinks``; two functions
+    crossing above the minimum make none). The grid holds the knots of every
+    input and, for a spline input, the roots of its derivative
+    (``_extremum_offsets``): a lone spline is monotone between them, so each
+    of its sign changes is bracketed. A lazy minimum is exact, never
+    resampled. Its breakpoints are the merged ones plus the kinks, so
+    quadrature can split at every kink; a kink within 1e-13 + 4 ulps of a
+    breakpoint is that breakpoint.
     """
     curvatures = tuple(dict.fromkeys(curvatures))
     if not curvatures:
@@ -764,19 +747,16 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
                           (ZeroTail(), 0.0))
 
     k = curvatures[0]
-    one_spline = len(curvatures) == 1 and k.core.kind == "spline"
-    if one_spline and k._headroom >= 0.0:
+    if len(curvatures) == 1 and k.core.kind == "spline" and k._headroom >= 0.0:
         return k
     # every input's knots start at 0; RadialCurvature sorts the union once
     bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
-    if one_spline:
-        roots = k.core._spline.roots()
-        roots = np.sort(roots[(roots > 0.0) & (roots < t_tail)])
-        ends = np.concatenate([[0.0], roots, [t_tail]])
-        below = k(0.5 * (ends[:-1] + ends[1:])) < 0.0  # between roots: the minimiser
-        kinks = roots[below[:-1] != below[1:]]
-    else:
-        kinks = _kinks([np.zeros_like, *curvatures], _scan_grid(bp, t_tail))
+    # a spline is monotone between its knots and the roots of its derivative
+    grid = [np.linspace(0.0, t_tail, _SCAN_POINTS), bp] + [
+        (c.breakpoints[:-1] + _extremum_offsets(_cubics(c, c.breakpoints),
+                                                 c.breakpoints)).ravel()
+        for c in curvatures if c.core.kind == "spline"]
+    kinks = _kinks([np.zeros_like, *curvatures], np.unique(np.concatenate(grid)))
     kinks = kinks[np.abs(kinks[:, None] - bp).min(axis=1) > 1e-13 + 4.0 * np.spacing(kinks)]
 
     def envelope(t):

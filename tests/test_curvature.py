@@ -240,7 +240,7 @@ def test_envelope_kinks_are_refined_in_few_array_calls(monkeypatch):
 def _corpus_style_member(rng):
     """A random spline curvature as the benchmark corpus draws them (compact,
     power-law or constant tail), without its redraw of splines that cross
-    zero, so both spline paths of the envelope are taken."""
+    zero, so both the own envelope and the lazy minimum are taken."""
     kind = rng.integers(3)
     t_tail = rng.uniform(0.8, 3.0)
     vals = -rng.uniform(0.0, 1.5, int(rng.integers(4, 9)))
@@ -266,6 +266,17 @@ def test_spline_envelope_matches_the_scan():
         env = rg.nonpositive_min(raw)
         assert env.breakpoints.size == scanned.breakpoints.size
         assert np.max(np.abs(env.breakpoints - scanned.breakpoints)) <= 3.7e-14
+        # the referee: the real roots of the spline where its sign changes
+        roots = raw.core._spline.roots()
+        roots = np.sort(roots[(roots > 0.0) & (roots < raw.t_tail)])
+        ends = np.concatenate([[0.0], roots, [raw.t_tail]])
+        below = raw(0.5 * (ends[:-1] + ends[1:])) < 0.0
+        kinks = roots[below[:-1] != below[1:]]
+        kinks = kinks[np.abs(kinks[:, None] - raw.breakpoints).min(axis=1)
+                      > 1e-13 + 4.0 * np.spacing(kinks)]
+        want = np.sort(np.concatenate([raw.breakpoints, kinks]))
+        assert env.breakpoints.size == want.size
+        assert np.max(np.abs(env.breakpoints - want)) <= 3.7e-14
         a, b = rg.moment_integral(env), rg.moment_integral(scanned)
         # each is within its abs_error of the true moment
         assert a.value == b.value or abs(a.value - b.value) <= a.abs_error + b.abs_error
@@ -305,10 +316,53 @@ def test_formula_nonpositivity_is_read_where_a_solve_reads_k():
                              rg.ConstantTail(-1.0), 5000.0)
     with pytest.raises(rg.DomainError, match="up to t = 4096"):
         far.is_nonpositive()
-    hole = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t > 1.0, np.nan, -1.0)),
-                              rg.ConstantTail(-1.0), 2.0)
+    hole = rg.RadialCurvature(
+        rg.FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -1.0)),
+        rg.ConstantTail(-1.0), 2.0)
     with pytest.raises(rg.DomainError, match="not finite"):
         hole.is_nonpositive()
+
+
+@pytest.mark.parametrize("t_tail", [1.7, 2.0, 2.3], ids=["before", "at", "past"])
+def test_spline_decisions_with_the_anchor_before_at_and_past_the_last_knot(t_tail):
+    # the core is a spline on even knots of [0, 2], extrapolated past 2
+    own = set()
+    for seed in range(60):
+        rng = np.random.default_rng(280_000 + seed)
+        vals = rng.uniform(-1.5, 0.3, int(rng.integers(3, 7)))
+        core = rg.SplineCore(np.linspace(0.0, 2.0, vals.size), vals)
+        c = float(core(t_tail))
+        k = rg.RadialCurvature(core, rg.ConstantTail(c) if c <= 0.0 else rg.PowerLawTail(c, 3.0),
+                               t_tail)
+        dense = np.linspace(0.0, t_tail, 20_001)
+        top = np.max(k(dense))  # no tail rises above its anchor value
+        assert top - 1e-14 <= -k._headroom <= top + 1e-7
+        if abs(top) > 1e-7:
+            assert k.is_nonpositive() == (rg.nonpositive_min(k) is k) == (top < 0.0)
+            own.add(top < 0.0)
+        if c <= 0.0:  # domination over a spline with a constant tail
+            g_vals = rng.uniform(-1.5, 0.0, 4)
+            g = rg.RadialCurvature.from_spline(np.linspace(0.0, rng.uniform(0.8, 3.0), 4),
+                                               g_vals, rg.ConstantTail(g_vals[-1]))
+            gap, t = curvature._lowest_gap(k, g)
+            # with the anchors, where the gap has kinks; constant past both
+            dense = np.concatenate([np.linspace(0.0, max(t_tail, g.t_tail), 20_001),
+                                    k.breakpoints, g.breakpoints])
+            low = np.min(k(dense) - g(dense))
+            assert low - 1e-7 <= gap <= low + 1e-14
+            assert abs(gap - (k(t) - g(t))) <= 1e-14
+    assert own == {False, True}
+
+
+def test_an_envelope_with_a_nan_hole_is_not_finite_to_moment_and_solve():
+    # the envelope is known nonpositive, so no comparison reads k first
+    k = rg.RadialCurvature(
+        rg.FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, t - 2.0)),
+        rg.ZeroTail(), 2.0)
+    env = rg.nonpositive_min(k)
+    for run in (rg.moment_integral, lambda env: rg.solve_warping(env, 4.0)):
+        with pytest.raises(rg.DomainError, match="not finite"):
+            run(env)
 
 
 def test_nonpositivity_is_computed_once_per_curvature(monkeypatch):
@@ -341,6 +395,12 @@ def test_envelope_of_a_nonpositive_spline_exports_the_spline():
         env = rg.nonpositive_min(k)
         assert env.core is k.core and env.is_nonpositive()
         assert env.to_json() == k.to_json()
+
+
+def test_a_lazy_minimum_has_no_json_form():
+    env = rg.nonpositive_min(rg.RadialCurvature.from_spline(MULTIKNOT_KNOTS, MULTIKNOT_VALUES))
+    with pytest.raises(rg.DomainError, match="no JSON form"):
+        env.to_json()
 
 
 def test_a_nonpositive_spline_is_its_own_envelope_unless_its_tail_is_positive():
@@ -389,6 +449,10 @@ def test_constructor_validation():
         rg.RadialCurvature.from_spline(
             [0.0, 1.0], [-0.5, 0.0], tail=rg.ConstantTail(-1.0)
         )
+    # a NaN core end is no value the tail can continue
+    with pytest.raises(rg.DomainError, match="junction"):
+        rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t > 1.0, np.nan, -1.0)),
+                           rg.ConstantTail(-1.0), 2.0)
 
 
 def test_moment_error_estimate_is_honest():

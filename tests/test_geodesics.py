@@ -168,6 +168,13 @@ def test_triangle_on_a_surface_without_a_horizon_equals_a_longer_solve(sides):
     assert rg.gauss_bonnet_residual(carried, tri) == rg.gauss_bonnet_residual(longer, want)
 
 
+def test_false_position_step_rounded_onto_a_bracket_end_stays_inside():
+    # twice a false-position step of this needle triangle rounds onto an end
+    # of its bracket and is moved half the bracket inside
+    tri = rg.comparison_triangle(flat_surface(), 5.0, 4.999, 0.0010000000000007783)
+    assert tri.angles == (0.0, 0.0, math.pi)
+
+
 def test_comparison_angle_monotone_in_opposite_side():
     s = hyperbolic_surface()
     prev = 0.0

@@ -120,6 +120,9 @@ def test_conjugate_point_located_at_pi():
 
 SPL = rg.RadialCurvature.from_spline([0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
                                      tail=rg.PowerLawTail(-0.2, 3.0))
+# SPL sampled at step 2.7/400 and at its knots: 403 knots, with SPL's tail
+DENSE_KNOTS = np.union1d(SPL.breakpoints, np.linspace(0.0, 2.7, 401))
+DENSE_SPL = rg.RadialCurvature.from_spline(DENSE_KNOTS, SPL(DENSE_KNOTS), tail=SPL.tail)
 
 
 def formula(expr, end_value):
@@ -130,8 +133,8 @@ def formula(expr, end_value):
 
 
 @pytest.mark.parametrize("k, horizon, kinks", [
-    # the sampled envelope of SPL: 403 knots, all of them cell boundaries
-    (rg.RadialCurvature.from_json(rg.nonpositive_min(SPL).to_json()), 13.5, []),
+    # 403 knots, all of them cell boundaries
+    (DENSE_SPL, 13.5, []),
     (rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 0.8, 1.6, 2.4],
                                                        [-1.0, -0.15, -0.6, 0.0])), 16.0, []),
     (SPL, 16.0, []),
