@@ -230,11 +230,14 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
 
     ratio = growth_ratio(scn.n, scn.warping(numerator.curvature), scn.warping(den_k),
                          horizons, dominated=dominated)
+    try:
+        lo, hi = ratio.bracket()
+    except GeometryError as exc:
+        _fail(f"{path}.numerator", str(exc))
 
     csv_name = f"growth_{idx}.csv"
     ratio.to_csv(outdir / csv_name,
                  comment=f"scenario: {scn.name}, toolkit: radialgeo {__version__}")
-    lo, hi = ratio.bracket()
     return {
         "task": "growth",
         "denominator": den_name,

@@ -3,19 +3,14 @@
 ``ricci_pinch_check`` (the main theorem) and ``sectional_pinch_check`` (the
 finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
-threshold; one solution of the model curvature both decides hypothesis B-1
-(do model ball volumes diverge?) and gives the denominators of the growth
-ratio of a synthetic numerator, whose own curvature is first checked to
-dominate each bound on all of [0, inf) (``_lowest_gap``). An asserted growth
-bracket passes through instead. A solution carries itself on to the
-horizons read, so none is sized here. A caller holding a solution of the
-model curvature passes it as ``warping=`` (as to ``classify_ball_volume``;
-a solution of another curvature object raises DomainError) and the check
-solves nothing for the model: the command-line front end keeps one
-solution per curvature for a whole scenario run. The two checks differ only in their verdict
-rules, which compare the growth bracket with the threshold (B-2). Verdicts
-are one-directional: a check certifies the conclusion when the hypotheses
-hold and otherwise reports Inconclusive; it never claims the converse.
+threshold; one solution of the model curvature (``warping=``, as for
+``classify_ball_volume``, or a solve) decides hypothesis B-1 (do model ball
+volumes diverge?) and gives the growth-ratio denominators of a synthetic
+numerator, which must dominate each bound on [0, inf) (``_lowest_gap``).
+B-2 compares the growth bracket, asserted or from the tails' closed-form
+limit, with the threshold, each charged with its own error. Verdicts are
+one-directional: a check certifies the conclusion when the hypotheses hold
+and otherwise reports Inconclusive; it never claims the converse.
 
 Verdict strings, tri-state values, and the report's JSON field order are wire
 format shared with the command-line front end; do not reword them.
@@ -24,7 +19,7 @@ format shared with the command-line front end; do not reword them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,14 +29,13 @@ from .synthetic import RotSymManifold
 from .volume import (
     _assemble_ratio,
     _checked_horizons,
+    _sin_power_half_integral,
     cap_fraction,
     classify_ball_volume,
 )
 from .warping import WarpingSolution, solve_warping
 
 DEFAULT_HORIZONS = (2.0, 4.0, 8.0, 16.0)
-# comparison grace for bracket-vs-threshold decisions
-_B2_EPS = 1e-9
 # domination slack in ulps of max(1, |bound|): one function as two cores rounds apart
 _ROUNDING_ULPS = 64
 
@@ -57,10 +51,11 @@ def critical_angle(envelope: RadialCurvature) -> float:
     """(pi/2) * exp of the first curvature moment: directions within this
     angle of a ray cannot be critical for the distance function. Returns 0
     when the moment diverges (the bound degenerates)."""
-    mom = moment_integral(envelope)
-    if mom.divergent:
-        return 0.0
-    return (math.pi / 2.0) * math.exp(mom.value)
+    return _angle(moment_integral(envelope))
+
+
+def _angle(mom) -> float:
+    return 0.0 if mom.divergent else (math.pi / 2.0) * math.exp(mom.value)
 
 
 def growth_threshold(n: int, delta: float) -> float:
@@ -102,11 +97,12 @@ class CriterionReport:
         }
 
 
-def _tri_state(growth_limit, threshold: float) -> str:
+def _tri_state(growth_limit, threshold: float, threshold_error: float) -> str:
+    """B-2 from the bracket, charged with the threshold's own error."""
     lo, hi = growth_limit
-    if lo >= threshold - _B2_EPS:
+    if lo >= threshold + threshold_error:
         return B2_HOLDS
-    if hi < threshold - _B2_EPS:
+    if hi < threshold - threshold_error:
         return B2_FAILS
     return B2_INCONCLUSIVE
 
@@ -125,32 +121,18 @@ def _checked_bracket(bracket) -> tuple:
     return lo, hi
 
 
-def _pinch_check(n, bounds, numerator, horizons, warping):
-    """The decision both checks share, up to the verdict.
+def _dominates(f, g):
+    """(f >= g on [0, inf) to 64 ulps of max(1, |g|) where the gap is least, that place)"""
+    gap, t = _lowest_gap(f, g)
+    return gap >= -_ROUNDING_ULPS * np.spacing(max(1.0, abs(g(t)))), t
 
-    ``bounds`` lists (curvature, label) pairs: all of them join the
-    nonpositive envelope that sets delta and the threshold, a manifold
-    numerator must dominate each on [0, inf) (``_lowest_gap``, to 64 ulps of
-    max(1, |bound|) where the gap is least, once per distinct object; the
-    label names the failing one), and the first generates the comparison
-    model. Its solution is ``warping`` (a solution of that curvature object,
-    else DomainError) or, when None, a solve to its tail anchor; it serves
-    both the ball-volume class (B-1) and the growth-ratio denominators. The
-    ratios read the largest horizon first, so the first volume read carries
-    each solution on in one step. Asserted brackets pass through. Returns
-    (delta, threshold, model ball-volume class, growth bracket, notes).
-    """
-    horizons = _checked_horizons(horizons)
-    delta = critical_angle(nonpositive_min(*(bound for bound, _label in bounds)))
-    threshold = growth_threshold(n, delta)
-    model = bounds[0][0]
 
-    if isinstance(numerator, (tuple, list)):
-        bracket = _checked_bracket(numerator)
-        classification = classify_ball_volume(n, model, warping=warping)
-        return delta, threshold, classification, bracket, [
-            f"model ball volumes {classification.kind}: {classification.note}",
-            "growth bracket asserted by caller; domination not verified here"]
+def _manifold_bracket(n, bounds, numerator, horizons, warping, delta, threshold_error):
+    """(model ball-volume class, bracket, notes) for a manifold numerator, which
+    must dominate each bound. One model solution, ``warping`` or a solve, gives
+    the class (B-1) and the ratio denominators. The bracket is
+    ``GrowthRatio.bracket``, or [1, 1] at threshold 1 (delta = 0, met by the
+    limit 1 only) where the model dominates the numerator too."""
     if not isinstance(numerator, RotSymManifold):
         raise DomainError(
             "numerator must be a RotSymManifold or a declared [lo, hi] bracket")
@@ -158,6 +140,7 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
         raise DomainError(
             f"numerator dimension {numerator.dimension} does not match n = {n}")
 
+    model = bounds[0][0]
     den_warping = solve_warping(model) if warping is None else warping
     classification = classify_ball_volume(n, model, warping=den_warping)
     notes = [f"model ball volumes {classification.kind}: {classification.note}"]
@@ -168,23 +151,49 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
     for i, (bound, label) in enumerate(bounds):
         if any(bound is earlier for earlier, _ in bounds[:i]):
             continue
-        gap, t = _lowest_gap(own, bound)
-        if gap < -_ROUNDING_ULPS * np.spacing(max(1.0, abs(bound(t)))):
+        dominated, t = _dominates(own, bound)
+        if not dominated:
             raise DomainError(
                 f"declared domination fails near t = {t:.6g}: "
                 f"{label} {own(t):.9g} < model curvature {bound(t):.9g}")
     notes.append("curvature domination verified on the synthetic numerator")
 
-    # a bounded denominator leaves the ratio well defined pointwise; only its
-    # reading as a growth limit needs B-1, which the verdict rules check
     ratio = _assemble_ratio(n, numerator.warping, den_warping, horizons, True)
-    if not ratio.monotone_nonincreasing:
-        t0, r0, t1, r1 = ratio.first_violation
-        notes.append(f"ratio sequence not monotone: {r0!r} at t = {t0!r} "
-                     f"then {r1!r} at t = {t1!r}")
-    for t, _vn, _vd, r in ratio.samples:
-        notes.append(f"growth ratio at t = {t!r}: {r!r}")
-    return delta, threshold, classification, ratio.bracket(), notes
+    limit = ratio.limit()
+    read = "growth limit {!r} +/- {!r}".format(*limit) if limit else "no growth limit"
+    notes.append(f"{read} from the tails at their anchors; threshold error {threshold_error!r}")
+    notes += [f"growth ratio at t = {t!r}: {r!r}" for t, _vn, _vd, r in ratio.samples]
+    bracket = (1.0, 1.0) if delta == 0.0 and _dominates(model, own)[0] else ratio.bracket()
+    return classification, bracket, notes
+
+
+def _pinch_check(n, bounds, numerator, horizons, warping):
+    """The report both checks share, with the main theorem's verdict, and the
+    model's total volume. ``bounds`` lists (curvature, label) pairs: all join
+    the envelope that sets delta and the threshold, the first is the model.
+    The threshold's error is F'(delta) delta times the moment's abs_error."""
+    horizons = _checked_horizons(horizons)
+    mom = moment_integral(nonpositive_min(*(bound for bound, _label in bounds)))
+    delta = _angle(mom)
+    threshold = growth_threshold(n, delta)
+    # delta = (pi/2) e^moment, F' = sin^(n-2) / (integral of sin^(n-2) over [0, pi])
+    threshold_error = (math.sin(delta) ** (n - 2) * delta * mom.abs_error
+                       / (2.0 * _sin_power_half_integral(n - 2)))
+    if isinstance(numerator, (tuple, list)):
+        bracket = _checked_bracket(numerator)
+        classification = classify_ball_volume(n, bounds[0][0], warping=warping)
+        notes = [f"model ball volumes {classification.kind}: {classification.note}",
+                 "growth bracket asserted by caller; domination not verified here"]
+    else:
+        classification, bracket, notes = _manifold_bracket(
+            n, bounds, numerator, horizons, warping, delta, threshold_error)
+    b1 = classification.kind == "divergent"
+    b2 = _tri_state(bracket, threshold, threshold_error)
+    verdict = VERDICT_INCONCLUSIVE
+    if b1 and b2 == B2_HOLDS:
+        verdict = VERDICT_RIGIDITY if delta == 0.0 else VERDICT_DIFFEO
+    return CriterionReport(n, delta, threshold, bracket, b1, b2, verdict,
+                           {"flags": [], "notes": notes}), classification.total
 
 
 def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
@@ -199,21 +208,12 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
     dominate both bounds; declared brackets skip that verification.
     ``warping``, a solution of ricci_bound, saves the model solve.
     """
-    delta, threshold, classification, growth_limit, notes = _pinch_check(
+    report, _total = _pinch_check(
         n, [(ricci_bound, "radial Ricci"), (sectional_bound, "radial sectional")],
         numerator, horizons, warping)
-    b1 = classification.kind == "divergent"
-    b2 = _tri_state(growth_limit, threshold)
-    if b1 and b2 == B2_HOLDS:
-        verdict = VERDICT_RIGIDITY if delta == 0.0 else VERDICT_DIFFEO
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-        if not b1:
-            notes.append("hypothesis B-1 fails: model ball volumes stay bounded")
-    return CriterionReport(n=n, delta=delta, threshold=threshold,
-                           growth_limit=growth_limit, b1_holds=b1, b2_holds=b2,
-                           verdict=verdict,
-                           diagnostics={"flags": [], "notes": notes})
+    if not report.b1_holds:
+        report.diagnostics["notes"].append("hypothesis B-1 fails: model ball volumes stay bounded")
+    return report
 
 
 def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
@@ -227,21 +227,11 @@ def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
     FiniteModelVolume flag and b1_holds stays False. ``warping``, a solution
     of sectional_bound, saves the model solve.
     """
-    delta, threshold, classification, growth_limit, notes = _pinch_check(
+    report, total = _pinch_check(
         n, [(sectional_bound, "radial sectional")], numerator, horizons, warping)
-    b1 = classification.kind == "divergent"
-    b2 = _tri_state(growth_limit, threshold)
-    flags = []
-    if not b1:
-        flags.append("FiniteModelVolume")
-        notes.append(f"total model volume {classification.total!r}; the "
-                     "finite-volume branch certifies the conclusion directly")
-        verdict = VERDICT_DIFFEO
-    elif b2 == B2_HOLDS:
-        verdict = VERDICT_RIGIDITY if delta == 0.0 else VERDICT_DIFFEO
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return CriterionReport(n=n, delta=delta, threshold=threshold,
-                           growth_limit=growth_limit, b1_holds=b1, b2_holds=b2,
-                           verdict=verdict,
-                           diagnostics={"flags": flags, "notes": notes})
+    if report.b1_holds:
+        return report
+    report.diagnostics["flags"].append("FiniteModelVolume")
+    report.diagnostics["notes"].append(f"total model volume {total!r}; the finite-volume "
+                                       "branch certifies the conclusion directly")
+    return replace(report, verdict=VERDICT_DIFFEO)

@@ -27,7 +27,7 @@ from scipy import special
 
 from .curvature import NEG_INFINITY, RadialCurvature
 from .errors import ConditionB1ViolatedError, DomainError
-from .warping import WarpingSolution, solve_warping
+from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
 
 _MONOTONE_TOL = 1e-9
 
@@ -168,57 +168,48 @@ def classify_ball_volume(n: int, k: RadialCurvature,
 
 @dataclass(frozen=True)
 class GrowthRatio:
-    """Sampled ratio of ball volumes at increasing horizons.
+    """Ratio of ball volumes at increasing horizons, with the leading terms
+    of both warping functions at infinity (``_leading_term``).
 
     samples : list of (t, numerator volume, denominator volume, ratio)
     dominated : caller-declared curvature domination (numerator curvature
-        >= denominator curvature pointwise), which forces ratios into [0, 1]
+        >= denominator curvature pointwise): ratios nonincreasing, in [0, 1]
     """
 
     samples: list
-    dominated: bool = False
-
-    @property
-    def first_violation(self) -> tuple | None:
-        """(t_prev, r_prev, t_next, r_next) of the first rise beyond 1e-9, or None."""
-        for (t0, *_, r0), (t1, *_, r1) in zip(self.samples, self.samples[1:]):
-            if r1 > r0 + _MONOTONE_TOL:
-                return t0, r0, t1, r1
-        return None
+    dominated: bool
+    n: int
+    terms: tuple
 
     @property
     def monotone_nonincreasing(self) -> bool:
         """Whether the ratios never rise beyond 1e-9."""
-        return self.first_violation is None
+        return all(b[3] <= a[3] + _MONOTONE_TOL for a, b in zip(self.samples, self.samples[1:]))
+
+    def limit(self) -> tuple[float, float] | None:
+        """(L, e_L): 0 for a numerator of lower or no order, exp((n - 1) (log
+        coefficient difference)) for equal orders, each of its 2(n - 1) slopes
+        within 10 * DEFAULT_REL_TOL (``slope_limit``); else None."""
+        num, den = self.terms
+        if den is not None and (num is None or num[0] < den[0]):
+            return 0.0, 0.0
+        if den is None or num[0] > den[0] or (x := (self.n - 1) * (num[1] - den[1])) > 709.0:
+            return None  # exp overflows past 709.78
+        return math.exp(x), 20.0 * (self.n - 1) * DEFAULT_REL_TOL * math.exp(x)
 
     def bracket(self) -> tuple[float, float]:
-        """Enclosure for the limit of the ratio.
-
-        A sequence that has settled (last drop at most 1e-12) is its own
-        limit within 1e-12. The last sample bounds the limit from above when
-        the sequence is nonincreasing; while it is still dropping, the samples
-        give no lower bound on the limit, so the lower end is 0. A sequence
-        that is not settling returns a wide, honest bracket rather than a
-        sharp guess. Volumes are positive, so no lower end is below 0.
-        """
-        ratios = [s[3] for s in self.samples]
-        if len(ratios) == 1:
-            lo = hi = ratios[0]
-        else:
-            d_last = ratios[-2] - ratios[-1]
-            if abs(d_last) <= 1e-12:
-                lo = ratios[-1] - 1e-12
-                hi = ratios[-1] + 1e-12
-            elif self.monotone_nonincreasing:
-                lo, hi = 0.0, ratios[-1]
-            else:
-                spread = 3.0 * abs(d_last)
-                lo, hi = ratios[-1] - spread, ratios[-1] + spread
-        lo = max(lo, 0.0)
-        if self.dominated:
-            hi = min(hi, 1.0)
-            lo = min(lo, hi)
-        return lo, hi
+        """[max(0, L - e_L), L + e_L], DomainError without a limit; under declared
+        domination the top is the last ratio, widened by 20 * DEFAULT_REL_TOL
+        (two volumes' error) and capped at 1, and no limit leaves lo at 0."""
+        limit = self.limit()
+        if limit is None and not self.dominated:
+            why = ("the denominator's warping slope tends to 0" if self.terms[1] is None
+                   else "the numerator's ball volumes outgrow the denominator's")
+            raise DomainError(f"{why}: the growth ratio has no finite decided limit")
+        value, err = limit or (0.0, 0.0)
+        last = self.samples[-1][3]
+        hi = min(1.0, last * (1.0 + 20.0 * DEFAULT_REL_TOL)) if self.dominated else value + err
+        return min(max(0.0, value - err), hi), hi
 
     def to_csv(self, path, comment: str):
         with open(path, "w", newline="") as fh:
@@ -255,10 +246,26 @@ def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolutio
     return _assemble_ratio(n, numerator, denominator, horizons, dominated)
 
 
+def _leading_term(w: WarpingSolution):
+    """(order, log coefficient) of m at infinity by the tail's ``continuation``
+    at the anchor a: order r = sqrt(-c) and log(m' + r m)(a) - r a (less log
+    2r, cancelled by equal orders) for a growing mode, order 0 and log s for a
+    slope limit s > 10 * DEFAULT_REL_TOL * (|m| + |m'|)(a), else None."""
+    k = w.k
+    m_a, mp_a = w.anchor_state()
+    slope = k.tail.continuation(k.t_tail, m_a, mp_a)
+    if slope == math.inf:
+        root = math.sqrt(-k.tail.c)
+        return root, math.log(mp_a + root * m_a) - root * k.t_tail
+    flat = slope <= 10.0 * DEFAULT_REL_TOL * (abs(m_a) + abs(mp_a))
+    return None if flat else (0.0, math.log(slope))
+
+
 def _assemble_ratio(n, numerator, denominator, horizons, dominated):
     samples = []
     for t in reversed(horizons):  # largest first: each volume table is built once
         vn = model_ball_volume(n, numerator, t)
         vd = model_ball_volume(n, denominator, t)
         samples.append((t, vn, vd, vn / vd))
-    return GrowthRatio(samples[::-1], dominated)
+    return GrowthRatio(samples[::-1], dominated, n,
+                       (_leading_term(numerator), _leading_term(denominator)))

@@ -520,6 +520,33 @@ def test_geometry_failure_names_its_command(tmp_path, capsys, command, message):
     assert "Traceback" not in err
 
 
+# m = sin t up to a = pi/2 - 1e-14, then linear with slope cos(a) = 1e-14,
+# which the solve reads as 7.4e-15: a slope within the solve's error of 0,
+# so ball volumes may grow only linearly
+SLOPE_ZERO = {
+    "core": {"kind": "formula", "expr": "where(t < 1.5707963267948866, 1.0, 0.0)",
+             "breakpoints": [0.0, 1.5707963267948866]},
+    "tail": {"kind": "zero"},
+    "t_tail": 1.5707963267948866,
+}
+
+
+@pytest.mark.parametrize("manifold, denominator, message", [
+    (SPLINE_HYP, "flat", "the numerator's ball volumes outgrow the denominator's"),
+    (SPLINE_FLAT, "slope-zero", "the denominator's warping slope tends to 0"),
+], ids=["hyperbolic-over-flat", "slope-zero-denominator"])
+def test_growth_without_a_limit_exits_one_naming_the_numerator(tmp_path, capsys, manifold,
+                                                               denominator, message):
+    doc = base_scenario(curvatures={"flat": SPLINE_FLAT, "slope-zero": SLOPE_ZERO},
+                        manifold={**manifold, "n": 3, "t_max": 17.0},
+                        commands=[{"task": "growth", "denominator": denominator}])
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert (code, report) == (1, None)
+    assert err.startswith("error: scenario.commands[0].numerator: ") and message in err
+    assert err.rstrip().endswith("the growth ratio has no finite decided limit")
+
+
 @pytest.mark.parametrize("n", [300, 3000])
 def test_large_dimension_growth_exits_one(tmp_path, capsys, n):
     # m^(n-1) overflows at t = 16 for n = 300; the unit-sphere volume

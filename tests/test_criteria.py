@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import radialgeo as rg
 from radialgeo.curvature import _lowest_gap
 
+from conftest import dop853_nodes
+
 RAMP_DELTA = (math.pi / 2.0) * math.exp(-1.0 / 6.0)
 
 CUSP_AMPLITUDE = 3.8205221749659675
@@ -96,16 +98,17 @@ def test_main_check_manifold_numerator():
     mfd = rg.RotSymManifold.from_curvature(3, hyp, t_max=20.0)
     rep = rg.ricci_pinch_check(3, hyp, hyp, numerator=mfd)
     assert rep.verdict == "DegenerateRigidity"
-    lo, hi = rep.growth_limit
-    assert lo <= 1.0 <= hi + 1e-9
-    assert hi - lo <= 1e-6
+    # threshold 1 is met only by the limit 1: the model dominates the
+    # numerator too, so the two are one function
+    assert rep.growth_limit == (1.0, 1.0)
 
 
 def test_still_falling_growth_ratio_certifies_nothing():
     # the ratio still falls at the last horizon; its limit m'(inf)^-3 =
     # 0.673585 (m' is constant past t = 3) lies below the threshold
     # 0.674117, and a lower end guessed from the trend of the samples was
-    # 0.674649
+    # 0.674649. The lower end is the limit from the tails; the top is still
+    # the last ratio, above the threshold
     flat = rg.RotSymManifold.from_curvature(4, rg.RadialCurvature.zero(), t_max=16.0)
     ricci = rg.RadialCurvature.from_spline([0, 1, 2, 3], [-0.125, -0.075, -0.025, 0])
     c = -0.04701929890603108
@@ -115,7 +118,38 @@ def test_still_falling_growth_ratio_certifies_nothing():
     assert rep.b2_holds == "Inconclusive"
     lo, hi = rep.growth_limit
     limit = rg.solve_warping(ricci, 4.0).m_prime(3.5) ** -3
-    assert lo <= limit < rep.threshold <= hi
+    assert limit - 2 * 3 * 10 * rg.DEFAULT_REL_TOL * limit <= lo <= limit < rep.threshold <= hi
+    assert abs(limit - 0.6735853) <= 1e-7
+
+
+@pytest.mark.parametrize("height, limit", [(0.01, 0.6405), (0.02, 0.3616), (0.03, 0.1624)])
+def test_a_late_bump_is_read_from_the_tails(height, limit):
+    # flat but for a bump on (19.5, 20.5), past the last horizon: every
+    # sampled ratio is 1, the limit is m'(22)^2, against the threshold 1/2
+    k = formula_curvature(f"where(abs(t - 20.0) < 0.5, {height!r}, 0.0)",
+                          [0.0, 19.5, 20.5, 21.0])
+    flat = rg.RadialCurvature.zero()
+    rep = rg.ricci_pinch_check(3, flat, flat, numerator=rg.RotSymManifold.from_curvature(3, k))
+    truth = dop853_nodes(k, np.array([0.0, 22.0]), max_step=math.inf)[1, -1] ** 2
+    lo, hi = rep.growth_limit
+    assert lo <= truth <= hi and abs(truth - limit) <= 1e-4
+    if truth > rep.threshold:
+        assert (rep.verdict, rep.b2_holds) == ("DiffeoRn", "Holds")
+    else:
+        assert rep.verdict == "Inconclusive" and rep.b2_holds != "Holds"
+
+
+@pytest.mark.parametrize("s, limit", [(0.002, 0.98705), (0.01, 0.93724), (0.03, 0.82535)])
+def test_a_limit_above_the_threshold_certifies_while_the_ratios_still_fall(s, limit):
+    # thresholds 0.50434, 0.52151, 0.56296; the limit is m'(3)^-3 of the
+    # model, the last ratio 1.6e-3 to 2e-2 above it
+    bound = rg.RadialCurvature.from_spline([0, 1, 2, 3], [-s, -s, -s / 2, 0])
+    flat = rg.RotSymManifold.from_curvature(4, rg.RadialCurvature.zero())
+    rep = rg.ricci_pinch_check(4, bound, bound, numerator=flat)
+    assert rep.verdict == "DiffeoRn"
+    truth = dop853_nodes(bound, np.array([0.0, 3.0]), max_step=math.inf)[1, -1] ** -3
+    assert abs(truth - limit) <= 1e-5
+    assert truth - 2 * 3 * 10 * rg.DEFAULT_REL_TOL * truth - 1e-13 <= rep.growth_limit[0] <= truth
 
 
 def test_main_check_domination_violation_raises():
@@ -244,6 +278,57 @@ def test_domination_family(case):
             rg.sectional_pinch_check(3, bound, numerator=mfd)
 
 
+# the referee's error, 100 times the relative tolerance of its DOP853 solves
+REFEREE_REL_ERROR = 1e-11
+
+
+@st.composite
+def growth_cases(draw):
+    """(n, numerator, bound): a bump where(|t - c| < h, height, 0), with
+    breakpoints at its edges, over a flat bound or the nonpositive part of a
+    spline with a zero tail; a late bump, past the last horizon, over a flat
+    bound. height * 2h * c, about the drop of m' across the bump, is at most
+    0.9, so the limits (m'_N / m'_D)^(n - 1) fall on both sides of the
+    threshold."""
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    late = draw(st.booleans())
+    centre, half = draw(st.floats(17.0, 30.0) if late else st.floats(0.6, 3.0)), draw(
+        st.floats(0.05, 0.5))
+    height = draw(st.floats(0.0, 0.9)) / (2.0 * half * centre)
+    num = formula_curvature(f"where(abs(t - {centre!r}) < {half!r}, {height!r}, 0.0)",
+                            [0.0, centre - half, centre + half, centre + 2.0 * half])
+    bound = rg.RadialCurvature.zero()
+    if not late and draw(st.booleans()):
+        vals = [-draw(st.floats(0.0, 0.15)) for _ in range(draw(st.integers(1, 4)))] + [0.0]
+        bound = rg.nonpositive_min(rg.RadialCurvature.from_spline(
+            np.linspace(0.0, draw(st.floats(1.0, 3.0)), len(vals)), vals))
+    return n, num, bound
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
+@given(case=growth_cases())
+def test_growth_limit_family(case):
+    # B-2 against the DOP853 referee: never certified where the limit lies
+    # below the threshold beyond the referee's error, always where it lies
+    # above it by 10 times the limit's and the threshold's error bounds
+    n, num, bound = case
+    rep = rg.sectional_pinch_check(n, bound, numerator=rg.RotSymManifold.from_curvature(n, num))
+    ends = np.array([0.0, max(num.t_tail, bound.t_tail)])
+    slope_num, slope_bound = (dop853_nodes(k, ends, max_step=math.inf)[1, -1] for k in (num, bound))
+    truth = (slope_num / slope_bound) ** (n - 1)
+    referee_error = REFEREE_REL_ERROR * truth
+    limit, limit_error, threshold_error = (float(x) for x in re.fullmatch(
+        r"growth limit (\S+) \+/- (\S+) from the tails at their anchors; threshold error (\S+)",
+        rep.diagnostics["notes"][2]).groups())
+    assert abs(limit - truth) <= limit_error + referee_error
+    lo, hi = rep.growth_limit
+    assert lo <= truth + referee_error and truth - referee_error <= hi
+    if rep.b2_holds == "Holds":
+        assert truth >= rep.threshold - referee_error
+    if truth > rep.threshold + 10.0 * (limit_error + threshold_error):
+        assert rep.verdict == "DiffeoRn"
+
+
 def test_numerator_just_below_its_bound_fails_domination():
     hyp = rg.RadialCurvature.constant(-1.0)
     mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.constant(-1.0 - 1e-6),
@@ -266,11 +351,13 @@ def test_numerator_equal_to_its_bound_in_another_core_dominates():
 def test_domination_is_checked_once_per_distinct_bound(monkeypatch):
     from radialgeo import criteria
 
+    # delta = 0 here, so the check also reads whether the model dominates the
+    # numerator; only the numerator-over-bound reads are domination checks
     calls = []
-    monkeypatch.setattr(criteria, "_lowest_gap",
-                        lambda *args: calls.append(args) or _lowest_gap(*args))
     hyp, twin = rg.RadialCurvature.constant(-1.0), rg.RadialCurvature.constant(-1.0)
     mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=17.0)
+    monkeypatch.setattr(criteria, "_lowest_gap", lambda *args: (
+        args[0] is mfd.curvature and calls.append(args)) or _lowest_gap(*args))
     shared = rg.ricci_pinch_check(3, hyp, hyp, numerator=mfd)
     assert len(calls) == 1
     calls.clear()

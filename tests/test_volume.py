@@ -120,20 +120,38 @@ def test_growth_ratio_violation_reported():
     den = rg.solve_warping(rg.RadialCurvature.zero(), 18.0)
     gr = rg.growth_ratio(3, num, den, rg.DEFAULT_HORIZONS)
     assert not gr.monotone_nonincreasing
-    assert gr.first_violation is not None
     # the comparison lemma only speaks under declared domination
     with pytest.raises(rg.DomainError):
         bishop_monotonicity_check(gr)
 
 
-def test_growth_bracket_lower_end_is_never_negative():
-    # hyperbolic over flat grows without settling and is not dominated: the
-    # spread of the last step reaches far below 0
-    num = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
-    den = rg.solve_warping(rg.RadialCurvature.zero(), 16.0)
-    gr = rg.growth_ratio(3, num, den, rg.DEFAULT_HORIZONS)
-    r_prev, r_last = (s[3] for s in gr.samples[-2:])
-    assert gr.bracket() == (0.0, r_last + 3.0 * abs(r_prev - r_last))
+def formula_curvature(expr, breakpoints, tail):
+    return rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": expr, "breakpoints": breakpoints},
+        "tail": tail, "t_tail": breakpoints[-1]})
+
+
+def test_growth_limit_of_equal_growing_modes_is_their_amplitude_ratio():
+    # flat to t = 1, then k = -1: m = e^(t - 1) against sinh t ~ e^t / 2
+    num = rg.solve_warping(formula_curvature("where(t < 1.0, 0.0, -1.0)", [0.0, 1.0],
+                                             {"kind": "constant", "c": -1.0}))
+    den = rg.solve_warping(rg.RadialCurvature.constant(-1.0))
+    for n in (2, 3, 5):
+        limit, err = rg.growth_ratio(n, num, den, rg.DEFAULT_HORIZONS, dominated=True).limit()
+        assert err == 20 * (n - 1) * rg.DEFAULT_REL_TOL * limit
+        assert abs(limit - (2.0 / math.e) ** (n - 1)) <= err
+
+
+def test_a_growth_limit_beyond_the_largest_float_is_no_limit():
+    # m = sin t to t = 1.57, then m' = cos(1.57), about 8e-4, so for n = 300
+    # the limit 1250^299 of flat over it is no float
+    num = rg.solve_warping(rg.RadialCurvature.zero())
+    den = rg.solve_warping(formula_curvature("where(t < 1.57, 1.0, 0.0)", [0.0, 1.57],
+                                             {"kind": "zero"}))
+    gr = rg.growth_ratio(300, num, den, (1.0,))
+    assert gr.limit() is None
+    with pytest.raises(rg.DomainError, match="the numerator's ball volumes outgrow"):
+        gr.bracket()
 
 
 def test_bishop_corpus_sample():

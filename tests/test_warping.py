@@ -11,7 +11,7 @@ from scipy.interpolate import BPoly
 
 import radialgeo as rg
 
-from conftest import newton_inverse, random_compact_curvature, tail_referee
+from conftest import dop853_nodes, newton_inverse, random_compact_curvature, tail_referee
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
 # below, evaluated at t = 3. Independent of the solver in the package; the
@@ -54,25 +54,6 @@ def test_solver_matches_fixed_step_rk4_oracle():
     w = rg.solve_warping(k, 5.0)
     assert abs(w.m(3.0) - RK4_M_AT_3) <= 1e-9
     assert abs(w.m_prime(3.0) - RK4_MP_AT_3) <= 1e-9
-
-
-def dop853_nodes(k, grid, kinks=()):
-    """Referee for the node values (m, m'): scipy's DOP853 at rtol 1e-13 from
-    (0, 1) at t = 0, restarted at every curvature breakpoint and at the given
-    kinks and jumps, and stepping at most one node pitch: with longer steps
-    its dense output alone was off by 2.5e-11 on a smooth formula core."""
-    bp = np.concatenate([k.breakpoints, kinks])
-    edges = np.unique(np.concatenate([[0.0], bp[bp < grid[-1]], [grid[-1]]]))
-    out = np.empty((2, grid.size))
-    y = np.array([0.0, 1.0])
-    for a, b in zip(edges[:-1], edges[1:]):
-        piece = (grid >= a) & (grid <= b)
-        sol = solve_ivp(lambda t, y: (y[1], -float(k(t)) * y[0]), (a, b), y,
-                        method="DOP853", t_eval=np.union1d(grid[piece], [b]),
-                        rtol=1e-13, atol=1e-20, max_step=1.0 / 64.0)
-        out[:, piece] = sol.y[:, :np.count_nonzero(piece)]
-        y = sol.y[:, -1]
-    return out
 
 
 def test_hyperbolic_nodes_match_sinh_to_roundoff():
