@@ -11,9 +11,10 @@ declared divergence. Three tail classes are supported:
 
 Tails own their closed forms: ``moment`` is the integral of t * tail(t) from
 a point past the anchor to infinity, and ``continuation`` carries a state
-(m, m') of m'' + k m = 0 at the anchor through the exact solution of the
-tail (linear, exponential modes, or Bessel functions of t**(1 - p/2)) to
-the limit of m' at infinity, or to the first zero of m past the anchor.
+(m, m') of m'' + k m = 0 at the anchor, within its error, through the exact
+solution of the tail (linear, exponential modes, or Bessel functions of
+t**(1 - p/2)) to the limit of (m' + r m) e^(-r t), r the tail's ``order``,
+with its error, or to the first zero of m past the anchor.
 The two with p = 0 also ``carry`` (m, m') past the anchor in closed form,
 for the warping solver, with the zero of m of their ``continuation``.
 Everything beyond t_tail that the comparison needs (the curvature moment,
@@ -80,8 +81,6 @@ _FIT_DEGREE = 8
 _CHEB = np.cos((2 * np.arange(_FIT_DEGREE + 1) + 1) * np.pi / (2 * _FIT_DEGREE + 2))
 # Rounds of regula falsi refining the envelope's kinks, at most.
 _KINK_ROUNDS = 100
-# A slope at the anchor within this fraction of the state's scale counts as zero.
-_FLAT_SLOPE_TOL = 1e-12
 # moment panels: the 8- and 16-point Gauss-Legendre rules on [-1, 1]. Both
 # are symmetric, and no node of either lies within 0.0106 of an end or
 # 0.095 of the centre, so a jump there changes neither result. Three probes
@@ -103,6 +102,7 @@ class _Tail:
     anchor being c; subclasses fix what their class leaves out of (c, p)."""
 
     c = p = 0.0
+    order = 0.0  # r of the leading term e^(r t) of m: sqrt(-c) for a constant tail
 
     def value(self, t, t_tail):
         return self.c * (np.asarray(t, dtype=float) / t_tail) ** (-self.p)
@@ -128,14 +128,14 @@ class ZeroTail(_Tail):
             raise ConjugatePointError(t[0] + s)
         return m0 + mp0 * (t[1:] - t[0]), np.full(t.size - 1, mp0)
 
-    def continuation(self, t_tail, m_a, mp_a):
-        """lim m' from (m, m') = (m_a, mp_a) at the anchor: m is linear past
-        it, and a falling line vanishes at t_tail + m_a / -mp_a
-        (ConjugatePointError)."""
-        if mp_a < -_FLAT_SLOPE_TOL * (abs(m_a) + abs(mp_a)):
+    def continuation(self, t_tail, m_a, mp_a, e_m, e_mp):
+        """(lim m', its error) = (mp_a, e_mp) from (m, m') = (m_a, mp_a) at the
+        anchor, within (e_m, e_mp): m is linear past it, and a line falling
+        beyond e_mp vanishes at t_tail + m_a / -mp_a (ConjugatePointError)."""
+        if mp_a < -e_mp:
             raise ConjugatePointError(t_tail + self._zero(m_a, mp_a),
                                       "flat tail with decreasing warping crosses zero")
-        return float(mp_a)
+        return float(mp_a), e_mp
 
     def to_json(self):
         return {"kind": "zero"}
@@ -167,15 +167,16 @@ class PowerLawTail(_Tail):
         c, p = self.c, self.p
         return c * t_tail ** p * t_from ** (2.0 - p) / (p - 2.0)
 
-    def continuation(self, t_tail, m_a, mp_a):
-        """lim m' from (m, m') = (m_a, mp_a) at the anchor a.
+    def continuation(self, t_tail, m_a, mp_a, e_m, e_mp):
+        """(lim m', its error) from (m, m') = (m_a, mp_a) at the anchor a within (e_m, e_mp).
 
         Past a, m = sqrt(t) [A Z(z) + B W(z)], z = beta t^(1 - p/2), of
         order nu = 1/(p - 2), with J, Y for c > 0 and I, K for c < 0 (DLMF
         10.13.1). The J or I solution over its leading power of z is
         phi = 0F1(; nu + 1; x), x = -k(t) t^2 / (p - 2)^2: phi -> 1 and
         t phi' -> 0, so its Wronskian with the solution asymptotic to t is 1
-        and the limit is L = phi(a) m'(a) - phi'(a) m(a).
+        and the limit is L = phi(a) m'(a) - phi'(a) m(a), within
+        |phi(a)| e_mp + |phi'(a)| e_m.
 
         The first zero of m past a raises ConjugatePointError. Where
         z >= z_s = max(nu, 1/2) (c > 0 only), zeros are more than 2 apart
@@ -183,7 +184,7 @@ class PowerLawTail(_Tail):
         closed form at z-steps of at most 1 and a sign change refined.
         Beyond t_s (z < z_s, or a for c <= 0) phi > 0 and
         m / phi = m(t_s) / phi(t_s) + L * integral of phi^-2 from t_s,
-        which vanishes exactly when L < 0.
+        which vanishes exactly when L < 0, sought below its error.
         """
         nu, q = 1.0 / (self.p - 2.0), 1.0 - 0.5 * self.p
         x_a = -self.c * (t_tail * nu) ** 2
@@ -191,6 +192,7 @@ class PowerLawTail(_Tail):
         phi_a = phi(t_tail)
         dphi_a = 2.0 * q * x_a * special.hyp0f1(nu + 2.0, x_a) / ((nu + 1.0) * t_tail)
         limit = float(phi_a * mp_a - dphi_a * m_a)
+        err = float(abs(phi_a) * e_mp + abs(dphi_a) * e_m)
         t_s, m_s = t_tail, m_a
         z_a = 2.0 * math.sqrt(max(-x_a, 0.0))
         z_s = min(z_a, max(nu, 0.5))
@@ -213,14 +215,14 @@ class PowerLawTail(_Tail):
             m_s = math.sqrt(t_s) * vals[-1]
         if not math.isfinite(limit):  # 0F1 of order above ~170 at x < 0, or overflow
             raise DomainError(f"no closed-form continuation of {self!r} from t = {t_tail:g}")
-        if limit < -_FLAT_SLOPE_TOL * (abs(phi_a * mp_a) + abs(dphi_a * m_a)):
+        if limit < -err:
             level = m_s / (phi(t_s) * -limit)
             psi = lambda t: integrate.quad(lambda u: phi(u) ** -2.0, t_s, t, epsabs=0.0,
                                            epsrel=1e-13, limit=200)[0] - level
             # phi^-2 >= min(1, phi(t_s)^-2) beyond t_s: psi changes sign before t_hi
             t_hi = t_s + level * max(1.0, phi(t_s) ** 2)
             raise ConjugatePointError(brentq(psi, t_s, t_hi, xtol=1e-14, rtol=1e-14))
-        return limit
+        return limit, err
 
     def to_json(self):
         return {"kind": "power_law", "c": self.c, "p": self.p}
@@ -245,6 +247,7 @@ class ConstantTail(_Tail):
                 "at infinity produces conjugate points and is not supported"
             )
         self.c = float(c)
+        self.order = math.sqrt(-self.c)
 
     def moment(self, t_from, t_tail):
         return NEG_INFINITY
@@ -252,9 +255,8 @@ class ConstantTail(_Tail):
     def _zero(self, m0, mp0):
         """s > 0 where m0 cosh(r s) + (mp0 / r) sinh(r s) (m0 > 0) vanishes,
         tanh(r s) = -r m0 / mp0 < 1; inf if nowhere or if that rounds to 1."""
-        root = math.sqrt(-self.c)
-        ratio = -root * m0 / mp0 if mp0 + root * m0 < 0.0 else 1.0
-        return math.atanh(ratio) / root if ratio < 1.0 else math.inf
+        ratio = -self.order * m0 / mp0 if mp0 + self.order * m0 < 0.0 else 1.0
+        return math.atanh(ratio) / self.order if ratio < 1.0 else math.inf
 
     def carry(self, t, m0, mp0):
         """(m, m') at t[1:] from (m0, mp0) at t[0] >= t_tail: m0 cosh(r s) +
@@ -262,26 +264,22 @@ class ConstantTail(_Tail):
         overflow; a zero of m by t[-1] raises ConjugatePointError."""
         if (s := self._zero(m0, mp0)) <= t[-1] - t[0]:
             raise ConjugatePointError(t[0] + s)
-        root = math.sqrt(-self.c)
         with np.errstate(over="ignore", invalid="ignore"):
-            rs = root * (t[1:] - t[0])
+            rs = self.order * (t[1:] - t[0])
             ch, sh = np.cosh(rs), np.sinh(rs)
-            return m0 * ch + (mp0 / root) * sh, mp0 * ch + (root * m0) * sh
+            return m0 * ch + (mp0 / self.order) * sh, mp0 * ch + (self.order * m0) * sh
 
-    def continuation(self, t_tail, m_a, mp_a):
-        """lim m' from (m, m') = (m_a, mp_a) at the anchor: with r = sqrt(-c),
-        m = m_a cosh(r s) + (mp_a / r) sinh(r s) for s = t - t_tail. A growing
-        mode (amplitude mp_a + r m_a above 1e-9 of the state's scale) gives
-        inf, a pure decaying one 0.0; a negative amplitude crosses zero where
-        tanh(r s) = -r m_a / mp_a (ConjugatePointError)."""
-        root = math.sqrt(-self.c)
-        amp, scale = mp_a + root * m_a, abs(m_a) + abs(mp_a)
-        if amp > 1e-9 * scale:
-            return math.inf
-        if amp < -1e-9 * scale:
+    def continuation(self, t_tail, m_a, mp_a, e_m, e_mp):
+        """(amplitude, its error) from (m, m') = (m_a, mp_a) at the anchor within
+        (e_m, e_mp): with r = sqrt(-c), (m' + r m) e^(-r (t - t_tail)) is the
+        growing mode's amplitude mp_a + r m_a past it, within e_mp + r e_m.
+        Within its error m is a pure decaying mode; below it m crosses zero
+        where tanh(r (t - t_tail)) = -r m_a / mp_a (ConjugatePointError)."""
+        amp, err = mp_a + self.order * m_a, e_mp + self.order * e_m
+        if amp < -err:
             raise ConjugatePointError(t_tail + self._zero(m_a, mp_a),
                                       "decaying tail overshoots: warping crosses zero")
-        return 0.0
+        return amp, err
 
     def to_json(self):
         return {"kind": "constant", "c": self.c}

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .curvature import NEG_INFINITY, RadialCurvature
+from .curvature import RadialCurvature
 from .errors import ConditionB1ViolatedError, DomainError
 from .warping import DEFAULT_REL_TOL, WarpingSolution, solve_warping
 
@@ -129,36 +129,34 @@ def classify_ball_volume(n: int, k: RadialCurvature,
     """Decide divergence of ball volumes in the n-model built from k.
 
     The decision is made in closed form at the tail anchor a, not by
-    integrating far out (a growing mode amplifies roundoff exponentially):
-    the tail's ``continuation`` carries the state (m, m') at a, read from
-    the node values of ``warping`` (a solution of k itself, else DomainError)
-    or of a solve to a when none is given, to the limit of m' at infinity.
+    integrating far out (a growing mode amplifies roundoff exponentially),
+    from the tail's limit L within e (``WarpingSolution.tail_limit``) of
+    ``warping`` (a solution of k itself, else DomainError) or of a solve.
 
     * A zero of m past the anchor raises ConjugatePointError there.
-    * An infinite limit (growing mode of a constant tail c < 0) or any
-      other limit of a zero or power-law tail diverges: a limit > 0 makes m
-      grow linearly, and a zero limit leaves m at a positive constant.
-    * A zero limit of a constant tail is its pure decaying mode,
-      m = m(a) exp(-sqrt(-c) (t - a)): the total is the solved part plus
-      the closed-form tail volume.
+    * A zero or power-law tail diverges (m grows linearly or tends to a
+      positive constant); a slope within e of 0 is noted with its error.
+    * A constant tail c < 0 diverges when its growing-mode amplitude L
+      exceeds e. Within e, m is its pure decaying mode to within the
+      solve's error: the total is the solved part plus the closed-form tail
+      volume, and the note gives the amplitude with its error.
     """
     _check_dim(n)
     if warping is not None and warping.k is not k:
         raise DomainError("the warping solution is of another curvature")
-    t_anchor = k.t_tail
     w = solve_warping(k) if warping is None else warping
-    f, s = w.anchor_state()
-    limit = k.tail.continuation(t_anchor, f, s)
-    if limit == math.inf:
+    limit, err = w.tail_limit
+    if not k.tail.order:
+        note = f"warping slope tends to {limit!r}"
+        return BallVolumeClass("divergent", None, note if limit > err else f"{note} +/- {err!r}")
+    if limit > err:
         return BallVolumeClass("divergent", None, "growing exponential mode present")
-    if limit != 0.0 or k.tail.moment(t_anchor, t_anchor) != NEG_INFINITY:
-        return BallVolumeClass("divergent", None, f"warping slope tends to {limit!r}")
-    root = math.sqrt(-k.tail.c)
-    solved = model_ball_volume(n, w, t_anchor)
-    tail_vol = unit_sphere_volume(n - 1) * f ** (n - 1) / ((n - 1) * root)
+    solved, omega = model_ball_volume(n, w, k.t_tail), unit_sphere_volume(n - 1)
+    tail_vol = omega * w.anchor_state()[0] ** (n - 1) / ((n - 1) * k.tail.order)
     return BallVolumeClass(
         "finite", solved + tail_vol,
-        "pure decaying mode at the tail anchor; closed-form tail volume")
+        f"pure decaying mode at the tail anchor (growing-mode amplitude {limit!r} +/- "
+        f"{err!r}); closed-form tail volume")
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +186,15 @@ class GrowthRatio:
 
     def limit(self) -> tuple[float, float] | None:
         """(L, e_L): 0 for a numerator of lower or no order, exp((n - 1) (log
-        coefficient difference)) for equal orders, each of its 2(n - 1) slopes
-        within 10 * DEFAULT_REL_TOL (``slope_limit``); else None."""
+        coefficient difference)) for equal orders, with e_L = (n - 1) (d_N +
+        d_D) L from the relative errors d of the two tails' limits, each read
+        n - 1 times; else None."""
         num, den = self.terms
         if den is not None and (num is None or num[0] < den[0]):
             return 0.0, 0.0
         if den is None or num[0] > den[0] or (x := (self.n - 1) * (num[1] - den[1])) > 709.0:
             return None  # exp overflows past 709.78
-        return math.exp(x), 20.0 * (self.n - 1) * DEFAULT_REL_TOL * math.exp(x)
+        return math.exp(x), (self.n - 1) * (num[2] + den[2]) * math.exp(x)
 
     def bracket(self) -> tuple[float, float]:
         """[max(0, L - e_L), L + e_L], DomainError without a limit; under declared
@@ -247,18 +246,15 @@ def growth_ratio(n: int, numerator: WarpingSolution, denominator: WarpingSolutio
 
 
 def _leading_term(w: WarpingSolution):
-    """(order, log coefficient) of m at infinity by the tail's ``continuation``
-    at the anchor a: order r = sqrt(-c) and log(m' + r m)(a) - r a (less log
-    2r, cancelled by equal orders) for a growing mode, order 0 and log s for a
-    slope limit s > 10 * DEFAULT_REL_TOL * (|m| + |m'|)(a), else None."""
-    k = w.k
-    m_a, mp_a = w.anchor_state()
-    slope = k.tail.continuation(k.t_tail, m_a, mp_a)
-    if slope == math.inf:
-        root = math.sqrt(-k.tail.c)
-        return root, math.log(mp_a + root * m_a) - root * k.t_tail
-    flat = slope <= 10.0 * DEFAULT_REL_TOL * (abs(m_a) + abs(mp_a))
-    return None if flat else (0.0, math.log(slope))
+    """(order, log coefficient, relative error) of m at infinity from the
+    tail's limit L within e at the anchor a (``WarpingSolution.tail_limit``):
+    the tail's order r, log L - r a (less log 2r for r > 0, cancelled by
+    equal orders) and e / L; None for an L within e of 0."""
+    limit, err = w.tail_limit
+    if limit <= err:
+        return None
+    root = w.k.tail.order
+    return root, math.log(limit) - root * w.k.t_tail, err / limit
 
 
 def _assemble_ratio(n, numerator, denominator, horizons, dominated):

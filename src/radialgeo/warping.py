@@ -53,15 +53,16 @@ appending cells to the interpolant: either stops at the first node of the
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import weakref
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
-from .curvature import (_CHEB, _FIT_DEGREE, _MAX_HORIZON, _NODES_PER_UNIT, RadialCurvature,
-                        _cell_samples, _node_grid)
+from .curvature import (_CHEB, _FIT_DEGREE, _MAX_HORIZON, _NODES_PER_UNIT, ConstantTail,
+                        FormulaCore, RadialCurvature, _cell_samples, _cubics, _node_grid)
 from .errors import ConjugatePointError, DomainError, UnboundedError
 
 # the solver's relative accuracy, the same for every solve
@@ -88,6 +89,7 @@ _BLOCK_CELLS = 2048
 # Taylor terms per piece at most; every piece has sum |kappa_i| <= 1, so the
 # series meet the tightest tolerance well before this
 _MAX_TERMS = 64
+_MAJORANT_STATES = weakref.WeakKeyDictionary()  # tail_limit's (M, M')(a) per curvature
 
 
 def _quintic(x, y, dy, d2y, derivatives=0) -> PPoly:
@@ -210,6 +212,31 @@ class WarpingSolution:
         if i < self.grid.size and self.grid[i] == a:
             return float(self.m_values[i]), float(self.m_prime_values[i])
         return tuple(self._jet(a)[:2].tolist())
+
+    @cached_property
+    def tail_limit(self) -> tuple[float, float]:
+        """(L, e) from the tail's ``continuation`` (read only here) of the
+        anchor state (m, m'): L = lim (m' + r m) e^(-r (t - a)), r the tail's
+        ``order`` (lim m' but for a constant tail's growing-mode amplitude),
+        at least 0 within its error e. (m, m') is taken within 10
+        DEFAULT_REL_TOL (M, M')(a), M'' = |k| M like m, which majorises a
+        solve's propagated error (comparison theorem: Hairer, Norsett and
+        Wanner, Solving ODEs I, I.10): M = m for k <= 0, else one solve of
+        -|k| kept per curvature. L below -e raises ConjugatePointError."""
+        k = self.k
+        m_a, mp_a = self.anchor_state()
+        big_m = (m_a, mp_a) if k.is_nonpositive() else _MAJORANT_STATES.get(k)
+        if big_m is None:  # -|k| is smooth between the knots and a spline core's roots
+            x = k.breakpoints
+            if k.core.kind == "spline":
+                x = np.union1d(x, PPoly.construct_fast(_cubics(k, x), x).roots(extrapolate=False))
+            core = FormulaCore(lambda t: -np.abs(k.core(t)), breakpoints=x)
+            majorant = RadialCurvature(core, ConstantTail(-abs(k.tail.c)), k.t_tail,
+                                       _known_nonpositive=True)
+            big_m = _MAJORANT_STATES[k] = solve_warping(majorant).anchor_state()
+        limit, err = k.tail.continuation(k.t_tail, m_a, mp_a,
+                                         *(10.0 * DEFAULT_REL_TOL * v for v in big_m))
+        return max(limit, 0.0), err
 
     def breakpoint_values(self):
         """m at the curvature breakpoints, those past t_max read at t_max;
@@ -520,41 +547,35 @@ def _taylor_coefficients(kappa: np.ndarray) -> np.ndarray:
 
 
 def slope_limit(w: WarpingSolution, *, with_bound: bool = False):
-    """Limit of m'(t) as t -> infinity for nonpositive curvature.
-
-    The state (m, m') at the tail anchor, read from the node values, goes
-    through the tail's exact ``continuation``. The limit is linear in that
-    state, L = u m(a) + v m'(a); for k <= 0 both weights and both values are
-    nonnegative, so the returned bound
-    10 * DEFAULT_REL_TOL * (|u m(a)| + |v m'(a)|) is 10 * DEFAULT_REL_TOL * L.
-    A negative constant tail has a growing mode and raises UnboundedError.
+    """Limit of m'(t) as t -> infinity for nonpositive curvature, from
+    ``tail_limit``: its bound is 10 * DEFAULT_REL_TOL * L up to rounding. A
+    negative constant tail has a growing mode and raises UnboundedError.
 
     With ``with_bound=True`` returns (value, error_bound).
     """
     k = w.k
     if not k.is_nonpositive():
         raise DomainError("slope_limit requires nonpositive curvature")
-    value = k.tail.continuation(k.t_tail, *w.anchor_state())
-    if value == math.inf:
-        raise UnboundedError(
-            "m' grows without bound: constant negative tail has a growing mode")
-    return (value, 10.0 * DEFAULT_REL_TOL * value) if with_bound else value
+    if k.tail.order:
+        raise UnboundedError("m' grows without bound: constant negative tail has a growing mode")
+    return w.tail_limit if with_bound else w.tail_limit[0]
 
 
 def total_curvature_direct(w: WarpingSolution) -> float:
     """Total curvature of the surface of revolution: 2*pi * integral of k*m.
 
     Quadrature runs to the tail anchor a. Past it m'' = -k m integrates once
-    in closed form, so the tail contributes m'(a) - lim m', with the node
-    value of m'(a) and the limit from the tail's ``continuation``. A growing
-    mode (negative constant tail) raises UnboundedError.
+    in closed form, so the tail contributes m'(a) - lim m', the limit from
+    ``tail_limit`` (0 for a pure decaying mode). A growing mode raises
+    UnboundedError.
     """
     k = w.k
-    m_a, mp_a = w.anchor_state()
-    limit = k.tail.continuation(k.t_tail, m_a, mp_a)
-    if limit == math.inf:
-        raise UnboundedError("total curvature diverges: constant negative tail")
-    return 2.0 * math.pi * (w.km_integral(k.t_tail) + mp_a - limit)
+    limit, err = w.tail_limit
+    if k.tail.order:
+        if limit > err:
+            raise UnboundedError("total curvature diverges: constant negative tail")
+        limit = 0.0
+    return 2.0 * math.pi * (w.km_integral(k.t_tail) + w.anchor_state()[1] - limit)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ def test_tail_closed_forms_match_quadrature(tail):
     """moment against quad of its integrand beyond T > anchor (a divergent
     closed form must match partial integrals that fall without bound,
     quadratically in the upper limit), and continuation against a DOP853
-    referee from a rising and a falling anchor state."""
+    referee from a rising and a falling anchor state, each within the error
+    bar a solve of k <= 0 gives it."""
     anchor, T = 1.5, 2.5
     closed, integrand = tail.moment(T, anchor), lambda t: t * float(tail.value(t, anchor))
     if closed == rg.NEG_INFINITY:
@@ -69,14 +70,17 @@ def test_tail_closed_forms_match_quadrature(tail):
         assert abs(closed - ref) <= 1e-10 * max(1.0, abs(ref))
     for m_a, mp_a in ((3.0, 1.4), (3.0, -3.0)):
         kind, want = tail_referee(tail, anchor, m_a, mp_a)
+        bars = 10.0 * rg.DEFAULT_REL_TOL * m_a, 10.0 * rg.DEFAULT_REL_TOL * abs(mp_a)
         if kind == "zero":
             with pytest.raises(rg.ConjugatePointError) as err:
-                tail.continuation(anchor, m_a, mp_a)
+                tail.continuation(anchor, m_a, mp_a, *bars)
             assert abs(err.value.t - want) <= 1e-9 * want
-        elif kind == "grows":
-            assert tail.continuation(anchor, m_a, mp_a) == math.inf
+            continue
+        limit, bound = tail.continuation(anchor, m_a, mp_a, *bars)
+        if kind == "grows":  # the growing mode's amplitude, decided above its error
+            assert tail.order > 0.0 and limit > bound
         else:
-            assert abs(tail.continuation(anchor, m_a, mp_a) - want) <= 1e-9 * abs(want)
+            assert abs(limit - want) <= 1e-9 * abs(want)
 
 
 def test_zero_curvature_has_one_encoding():

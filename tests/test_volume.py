@@ -201,6 +201,67 @@ def test_classify_overshooting_cusp_at_exact_conjugate_point():
     assert abs(classified.value.t - solved.value.t) <= 1e-6
 
 
+def mpmath_cusp_amplitude(k):
+    """Referee: the growing-mode amplitude (m' + m)(a) of a spline core with
+    a constant -1 tail, from 30-digit mpmath ``odefun`` (Taylor series) run
+    piece by piece on the spline's float64 cubics."""
+    mp = pytest.importorskip("mpmath")
+    spline = k.core._spline
+    with mp.workdps(30):
+        y = [mp.mpf(0), mp.mpf(1)]
+        for i in range(spline.c.shape[1]):
+            x0 = mp.mpf(float(spline.x[i]))
+            cubic = [mp.mpf(float(v)) for v in spline.c[:, i]]
+            rhs = lambda t, y: [y[1], -mp.polyval(cubic, t - x0) * y[0]]
+            y = mp.odefun(rhs, x0, y)(mp.mpf(float(spline.x[i + 1])))
+        return float(y[1] + y[0])
+
+
+def step_core(a):
+    """k = 1 up to a, then a zero tail: m = sin t there, so m'(a) = cos a."""
+    return rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < a, 1.0, 0.0),
+                                             breakpoints=[0.0, a]), rg.ZeroTail(), a)
+
+
+ANCHOR_CASES = {
+    **{f"cusp{j:+d}": (lambda j=j: cusp_fixture(CUSP_AMPLITUDE * (1.0 + j * 1e-10)))
+       for j in range(-3, 4)},
+    # pi/2 itself is the zero-slope reproducer: the solve reads -2.5e-15
+    **{f"step-{a!r}": (lambda a=a: step_core(a))
+       for a in (math.pi / 2 - 1e-9, math.pi / 2 - 1e-14, 1.57079632679, math.pi / 2)},
+}
+
+
+@pytest.mark.parametrize("case", list(ANCHOR_CASES))
+def test_the_anchor_error_bar_holds_the_truth(case):
+    """The tail's limit at the anchor, within its reported error, against the
+    truth: 30-digit mpmath for the cusp family a* (1 + j 1e-10), the closed
+    form cos a for the step cores. Outside the bar the class agrees with
+    the truth; a slope within it is given with its error, never negative."""
+    k = ANCHOR_CASES[case]()
+    cusp = case.startswith("cusp")
+    truth = mpmath_cusp_amplitude(k) if cusp else math.cos(k.t_tail)
+    w = rg.solve_warping(k)
+    try:
+        out = rg.classify_ball_volume(3, k, warping=w)
+    except rg.ConjugatePointError as err:
+        assert truth < 0.0
+        with pytest.raises(rg.ConjugatePointError) as solved:
+            rg.solve_warping(k, 16.0)
+        assert err.t == solved.value.t
+        return
+    limit, bound = w.tail_limit
+    assert abs(truth - limit) <= bound
+    if abs(truth) > bound:
+        assert truth > 0.0 and out.kind == "divergent"
+    elif cusp:
+        assert out.kind == "finite" and f"{limit!r} +/- {bound!r}" in out.note
+    else:
+        assert limit >= 0.0 and out.note == f"warping slope tends to {limit!r} +/- {bound!r}"
+    if case == "cusp-1":  # a grace of 1e-9 of the state's scale made it finite
+        assert out.kind == "divergent"
+
+
 def positive_tail(c, p):
     return rg.RadialCurvature.from_spline([0.0, 1.0], [-0.2, c], tail=rg.PowerLawTail(c, p))
 

@@ -26,6 +26,10 @@ RK4_MP_AT_3 = 2.483018436036797
 POWER_TAIL_SLOPE = 1.3867242867657819
 
 
+# the finite cusp of criterion 10 (test_acceptance)
+CUSP_A_STAR = 3.8205221749659675
+
+
 def power_tail_fixture():
     return rg.RadialCurvature.from_spline(
         [0.0, 1.0], [-0.5, -0.2], tail=rg.PowerLawTail(-0.2, 3.0)
@@ -295,17 +299,41 @@ def test_slope_reads_the_anchor_state_from_the_nodes():
 
 
 def test_anchor_state_consumers_make_no_solve(monkeypatch):
-    from radialgeo import volume, warping
+    """slope_limit, total_curvature_direct, classify_ball_volume and a pinch
+    check read the tail's continuation once per solution, and solve nothing
+    but, for a curvature positive somewhere, one majorant of -|k| per
+    curvature."""
+    from radialgeo import criteria, volume, warping
 
-    k = power_tail_fixture()
-    w = rg.solve_warping(k, k.t_tail)
-    calls = []
-    for module in (volume, warping):
-        monkeypatch.setattr(module, "solve_warping", lambda *a, **kw: calls.append(a))
+    k_le0, cusp = power_tail_fixture(), rg.RadialCurvature.from_spline(
+        [0.0, 0.5, 1.0, 1.5, 2.0], [CUSP_A_STAR, CUSP_A_STAR, 0.5 * CUSP_A_STAR, -0.5, -1.0],
+        rg.ConstantTail(-1.0))
+    w, w_cusp = rg.solve_warping(k_le0, k_le0.t_tail), rg.solve_warping(cusp)
+    flat, cusp_numerator = (rg.RotSymManifold.from_curvature(3, k, 17.0)
+                            for k in (rg.RadialCurvature.zero(), cusp))
+    solves, reads = [], []
+    solve = warping.solve_warping
+    for module in (criteria, volume, warping):
+        monkeypatch.setattr(module, "solve_warping",
+                            lambda k, *a: solves.append(k) or solve(k, *a))
+    for tail in (rg.ZeroTail, rg.PowerLawTail, rg.ConstantTail):
+        monkeypatch.setattr(tail, "continuation", lambda self, *a, read=tail.continuation:
+                            reads.append(type(self)) or read(self, *a))
+
     rg.slope_limit(w)
-    rg.classify_ball_volume(3, k, warping=w)
+    rg.classify_ball_volume(3, k_le0, warping=w)
     rg.total_curvature_direct(w)
-    assert calls == []
+    rg.sectional_pinch_check(3, k_le0, flat, warping=w)
+    assert solves == []
+    assert sorted(reads, key=repr) == [rg.PowerLawTail, rg.ZeroTail]  # w and the numerator's
+
+    reads.clear()
+    rg.classify_ball_volume(3, cusp, warping=w_cusp)
+    rg.total_curvature_direct(w_cusp)
+    rg.sectional_pinch_check(3, cusp, cusp_numerator, warping=w_cusp)
+    assert reads == [rg.ConstantTail, rg.ConstantTail]  # w_cusp and the numerator's
+    [majorant] = solves
+    assert majorant.is_nonpositive() and majorant.t_tail == cusp.t_tail
 
 
 def test_total_curvature_diverges_for_constant_tail():
