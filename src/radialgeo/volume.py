@@ -185,16 +185,22 @@ class GrowthRatio:
         return all(b[3] <= a[3] + _MONOTONE_TOL for a, b in zip(self.samples, self.samples[1:]))
 
     def limit(self) -> tuple[float, float] | None:
-        """(L, e_L): 0 for a numerator of lower or no order, exp((n - 1) (log
+        """(L, e_L): 0 for a numerator of lower order, exp((n - 1) (log
         coefficient difference)) for equal orders, with e_L = (n - 1) (d_N +
         d_D) L from the relative errors d of the two tails' limits, each read
-        n - 1 times; else None."""
-        num, den = self.terms
-        if den is not None and (num is None or num[0] < den[0]):
+        n - 1 times, or (0, U) if the numerator's limit is within its error,
+        U the largest limit (L_N + e_N) / (L_D - e_D) allows; else None."""
+        (r_num, c_num, d_num), (r_den, c_den, d_den) = self.terms
+        if d_den is None or r_num > r_den:
+            return None
+        if r_num < r_den:
             return 0.0, 0.0
-        if den is None or num[0] > den[0] or (x := (self.n - 1) * (num[1] - den[1])) > 709.0:
+        if d_num is None:  # c_num is log (L_N + e_N) - r a, taken over L_D - e_D
+            x = (self.n - 1) * (c_num - c_den - math.log1p(-d_den))
+            return (0.0, math.exp(x)) if x <= 709.0 else None
+        if (x := (self.n - 1) * (c_num - c_den)) > 709.0:
             return None  # exp overflows past 709.78
-        return math.exp(x), (self.n - 1) * (num[2] + den[2]) * math.exp(x)
+        return math.exp(x), (self.n - 1) * (d_num + d_den) * math.exp(x)
 
     def bracket(self) -> tuple[float, float]:
         """[max(0, L - e_L), L + e_L], DomainError without a limit; under declared
@@ -202,7 +208,7 @@ class GrowthRatio:
         (two volumes' error) and capped at 1, and no limit leaves lo at 0."""
         limit = self.limit()
         if limit is None and not self.dominated:
-            why = ("the denominator's warping slope tends to 0" if self.terms[1] is None
+            why = ("the denominator's warping slope tends to 0" if self.terms[1][2] is None
                    else "the numerator's ball volumes outgrow the denominator's")
             raise DomainError(f"{why}: the growth ratio has no finite decided limit")
         value, err = limit or (0.0, 0.0)
@@ -249,12 +255,13 @@ def _leading_term(w: WarpingSolution):
     """(order, log coefficient, relative error) of m at infinity from the
     tail's limit L within e at the anchor a (``WarpingSolution.tail_limit``):
     the tail's order r, log L - r a (less log 2r for r > 0, cancelled by
-    equal orders) and e / L; None for an L within e of 0."""
+    equal orders) and e / L; for an L within e of 0, log (L + e) - r a and
+    None."""
     limit, err = w.tail_limit
+    root, a = w.k.tail.order, w.k.t_tail
     if limit <= err:
-        return None
-    root = w.k.tail.order
-    return root, math.log(limit) - root * w.k.t_tail, err / limit
+        return root, math.log(limit + err) - root * a, None
+    return root, math.log(limit) - root * a, err / limit
 
 
 def _assemble_ratio(n, numerator, denominator, horizons, dominated):

@@ -53,7 +53,6 @@ appending cells to the interpolant: either stops at the first node of the
 from __future__ import annotations
 
 import math
-import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -61,8 +60,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
-from .curvature import (_CHEB, _FIT_DEGREE, _MAX_HORIZON, _NODES_PER_UNIT, ConstantTail,
-                        FormulaCore, RadialCurvature, _cell_samples, _cubics, _node_grid)
+from .curvature import (_CHEB, _FIT_DEGREE, _MAX_HORIZON, _NODES_PER_UNIT, RadialCurvature,
+                        _cell_samples, _node_grid)
 from .errors import ConjugatePointError, DomainError, UnboundedError
 
 # the solver's relative accuracy, the same for every solve
@@ -89,7 +88,6 @@ _BLOCK_CELLS = 2048
 # Taylor terms per piece at most; every piece has sum |kappa_i| <= 1, so the
 # series meet the tightest tolerance well before this
 _MAX_TERMS = 64
-_MAJORANT_STATES = weakref.WeakKeyDictionary()  # tail_limit's (M, M')(a) per curvature
 
 
 def _quintic(x, y, dy, d2y, derivatives=0) -> PPoly:
@@ -145,21 +143,21 @@ class WarpingSolution:
     for each integrand and grows to the cell of the largest t read so far.
     """
 
-    def __init__(self, k, grid, m_values, m_prime_values):
+    def __init__(self, k, grid, state):
         self.k = k
         self._tables = {}
-        self._take_nodes(grid, m_values, m_prime_values, 0)
+        self._take_nodes(grid, state, 0)
 
-    def _take_nodes(self, grid, m_values, m_prime_values, j):
-        """Adopt node data that is this solution's up to node j: m'' = -k m and
-        the cells from node j on are made, those before kept (a cell depends
-        on its two nodes alone), and the inverse and the breakpoint values,
-        which end at the last node, dropped."""
+    def _take_nodes(self, grid, state, j):
+        """Adopt node data (m, m', M, M') that is this solution's up to node j:
+        m'' = -k m and the cells from node j on are made, those before kept (a
+        cell depends on its two nodes alone), and the inverse and the
+        breakpoint values, which end at the last node, dropped."""
         self.t_max = float(grid[-1])
-        self.grid, self.m_values, self.m_prime_values = grid, m_values, m_prime_values
+        self.grid, self._state, (self.m_values, self.m_prime_values) = grid, state, state[:2]
         # quintic pieces: value, slope, and curvature-exact second derivative
-        m2 = -np.asarray(self.k(grid[j:])) * m_values[j:]
-        jet = _quintic(grid[j:], m_values[j:], m_prime_values[j:], m2, 2)
+        m2 = -np.asarray(self.k(grid[j:])) * state[0][j:]
+        jet = _quintic(grid[j:], state[0][j:], state[1][j:], m2, 2)
         if j:
             m2 = np.concatenate([self._m_second_values[:j], m2])
             jet = PPoly.construct_fast(np.concatenate([self._jet.c[:, :j], jet.c], axis=1),
@@ -178,8 +176,7 @@ class WarpingSolution:
             if not hi <= _MAX_HORIZON:
                 raise DomainError(
                     f"warping functions are solved up to t = {_MAX_HORIZON:g}, got t = {hi:.6g}")
-            self._take_nodes(*_grow(self.k, self.grid, self.m_values, self.m_prime_values, hi),
-                             self.grid.size - 1)
+            self._take_nodes(*_grow(self.k, self.grid, self._state, hi), self.grid.size - 1)
         return np.clip(arr, 0.0, self.t_max)
 
     def _read(self, order, t):
@@ -219,23 +216,15 @@ class WarpingSolution:
         anchor state (m, m'): L = lim (m' + r m) e^(-r (t - a)), r the tail's
         ``order`` (lim m' but for a constant tail's growing-mode amplitude),
         at least 0 within its error e. (m, m') is taken within 10
-        DEFAULT_REL_TOL (M, M')(a), M'' = |k| M like m, which majorises a
-        solve's propagated error (comparison theorem: Hairer, Norsett and
-        Wanner, Solving ODEs I, I.10): M = m for k <= 0, else one solve of
-        -|k| kept per curvature. L below -e raises ConjugatePointError."""
+        DEFAULT_REL_TOL (M, M') at the anchor's node, the first at or past a:
+        the majorant of a solve's propagated error that ``_carry_block``
+        carries beside m, m itself for k <= 0. L below -e raises
+        ConjugatePointError."""
         k = self.k
         m_a, mp_a = self.anchor_state()
-        big_m = (m_a, mp_a) if k.is_nonpositive() else _MAJORANT_STATES.get(k)
-        if big_m is None:  # -|k| is smooth between the knots and a spline core's roots
-            x = k.breakpoints
-            if k.core.kind == "spline":
-                x = np.union1d(x, PPoly.construct_fast(_cubics(k, x), x).roots(extrapolate=False))
-            core = FormulaCore(lambda t: -np.abs(k.core(t)), breakpoints=x)
-            majorant = RadialCurvature(core, ConstantTail(-abs(k.tail.c)), k.t_tail,
-                                       _known_nonpositive=True)
-            big_m = _MAJORANT_STATES[k] = solve_warping(majorant).anchor_state()
-        limit, err = k.tail.continuation(k.t_tail, m_a, mp_a,
-                                         *(10.0 * DEFAULT_REL_TOL * v for v in big_m))
+        i = min(int(np.searchsorted(self.grid, k.t_tail)), self.grid.size - 1)
+        limit, err = k.tail.continuation(k.t_tail, m_a, mp_a, *(
+            10.0 * DEFAULT_REL_TOL * float(v[i]) for v in self._state[2:]))
         return max(limit, 0.0), err
 
     def breakpoint_values(self):
@@ -387,7 +376,7 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     t_max = k.t_tail if t_max is None else t_max
     if not 0 < t_max <= _MAX_HORIZON:  # also rejects NaN
         raise DomainError(f"t_max must lie in (0, {_MAX_HORIZON:g}], got {t_max}")
-    return WarpingSolution(k, *_grow(k, np.zeros(1), np.zeros(1), np.ones(1), t_max))
+    return WarpingSolution(k, *_grow(k, np.zeros(1), [np.zeros(1), np.ones(1)] * 2, t_max))
 
 
 def _split(k: RadialCurvature, grid: np.ndarray) -> int:
@@ -396,39 +385,52 @@ def _split(k: RadialCurvature, grid: np.ndarray) -> int:
     return grid.size - 1 if k.tail.p else min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
 
 
-def _grow(k: RadialCurvature, grid, m, mp, t: float):
-    """(grid, m, m') carried on from the last node, a lattice node, to the
-    first one at or past t > grid[-1], from node ``_split(k, grid)``."""
+def _grow(k: RadialCurvature, grid, state, t: float):
+    """(grid, node state (m, m', M, M')) carried on from the last node, a
+    lattice node, to the first one at or past t > grid[-1], from node
+    ``_split(k, grid)``."""
     nodes = _node_grid(k.breakpoints, round(grid[-1] * _NODES_PER_UNIT),
                        math.ceil(t * _NODES_PER_UNIT))
     i = _split(k, grid)
-    m_new, mp_new = _carry(k, np.concatenate([grid[i:], nodes[1:]]), float(m[i]), float(mp[i]))
-    return (np.concatenate([grid, nodes[1:]]), np.concatenate([m, m_new[1 - nodes.size:]]),
-            np.concatenate([mp, mp_new[1 - nodes.size:]]))
+    new = _carry(k, np.concatenate([grid[i:], nodes[1:]]), [float(v[i]) for v in state])
+    return (np.concatenate([grid, nodes[1:]]),
+            [np.concatenate([old, v[1 - nodes.size:]]) for old, v in zip(state, new)])
 
 
-def _carry(k: RadialCurvature, grid: np.ndarray, m: float, mp: float):
-    """(m, m') at grid[1:] from (m, mp) at grid[0]: by transfer matrices, in
-    blocks of 2048 cells, up to node ``_split(k, grid)``, and past it by the
-    tail's ``carry``."""
+def _carry(k: RadialCurvature, grid: np.ndarray, state: list):
+    """(m, m', M, M') at grid[1:] from ``state`` at grid[0]: by transfer
+    matrices, in blocks of 2048 cells, up to node ``_split(k, grid)``, and
+    past it by the tail's ``carry``, with M = m (M is read at the anchor)."""
     split = _split(k, grid)
     ends = sorted({*range(0, split, _BLOCK_CELLS), split, grid.size - 1})
-    m_nodes, mp_nodes = [], []
+    blocks = []
     for first, last in zip(ends, ends[1:]):
         nodes = grid[first:last + 1]
-        m_block, mp_block = (_carry_block(k, nodes, m, mp) if first < split
-                             else k.tail.carry(nodes, m, mp))
-        m, mp = float(m_block[-1]), float(mp_block[-1])
-        if not (math.isfinite(m) and math.isfinite(mp)):
+        block = (_carry_block(k, nodes, state) if first < split
+                 else k.tail.carry(nodes, *state[:2]) * 2)
+        state = [float(v[-1]) for v in block]
+        if not all(map(math.isfinite, state)):
             raise DomainError(f"the warping function overflows before t = {grid[-1]:g}")
-        m_nodes.append(m_block)
-        mp_nodes.append(mp_block)
-    return np.concatenate(m_nodes), np.concatenate(mp_nodes)
+        blocks.append(block)
+    return [np.concatenate(v) for v in zip(*blocks)]
 
 
-def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
-    """(m, m') at nodes[1:] from (m, mp) at nodes[0], by the transfer
-    matrices of the pieces of the cells between the nodes."""
+def _product(rows, m: float, mp: float):
+    """(m, m') at the start and after each matrix [[a, b], [c, d]] of rows (a, b, c, d)."""
+    m_steps, mp_steps = [m], [mp]
+    for a, b, c, d in zip(*(row.tolist() for row in rows)):
+        m, mp = a * m + b * mp, c * m + d * mp
+        m_steps.append(m)
+        mp_steps.append(mp)
+    return np.asarray(m_steps), np.asarray(mp_steps)
+
+
+def _carry_block(k: RadialCurvature, nodes: np.ndarray, state: list):
+    """(m, m', M, M') at nodes[1:] from ``state`` at nodes[0], by the transfer
+    matrices T of the pieces of the cells between the nodes; (M, M') by |T|,
+    entry by entry, which bounds how an error in (m, m') grows (comparison
+    theorem: Hairer, Norsett and Wanner, Solving ODEs I, I.10). From M = m,
+    a block with no entry below 0 (k <= 0) gives M = m with no product."""
     mid, half, cell, kappa = _fitted_pieces(k, nodes)
     coef = _taylor_coefficients(kappa)
     j = np.arange(coef.shape[0])
@@ -440,14 +442,8 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
     t01 = p0[1] * q0[0] - p0[0] * q0[1]
     t10 = p1[0] * q1[1] - p1[1] * q1[0]
     t11 = p1[1] * q0[0] - p1[0] * q0[1]
-
-    m_steps, mp_steps = [m], [mp]
-    for a, b, c, d in zip(t00.tolist(), (t01 * half).tolist(),
-                          (t10 / half).tolist(), t11.tolist()):
-        m, mp = a * m + b * mp, c * m + d * mp
-        m_steps.append(m)
-        mp_steps.append(mp)
-    m_steps, mp_steps = np.asarray(m_steps), np.asarray(mp_steps)
+    rows = t00, t01 * half, t10 / half, t11
+    m_steps, mp_steps = _product(rows, *state[:2])
 
     vanished = np.flatnonzero(m_steps[1:] <= 0.0)
     if vanished.size:
@@ -463,7 +459,10 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, m: float, mp: float):
         raise ConjugatePointError(float(mid[i] + half[i] * s_root))
 
     last = np.cumsum(np.bincount(cell, minlength=nodes.size - 1))
-    return m_steps[last], mp_steps[last]
+    out = [m_steps[last], mp_steps[last]]
+    if state[2:] == state[:2] and min(row.min() for row in rows) >= 0.0:
+        return out * 2
+    return out + [v[last] for v in _product([np.abs(row) for row in rows], *state[2:])]
 
 
 def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
@@ -476,7 +475,10 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     piece. The fit misses by the sum of its two highest Chebyshev
     coefficients, or by its distance to those end samples if larger. A piece
     where the miss exceeds _TAYLOR_TOL * r, beyond rounding, is bisected: a
-    miss d in kappa moves m' by about d / r relative to m over the piece. So
+    miss d in kappa moves m' by about d / r relative to m over the piece.
+    Rounding is 64 ulps of r^2 |k| at its largest over the piece or over the
+    first samples of its cell, whose noise a piece next to a root of k
+    keeps. So
     is a piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
     quarter or less. Bisection stops at a half-width of 64 ulps, where a
     piece that is still too large for its series raises DomainError, as does
@@ -485,18 +487,19 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     eps = np.finfo(float).eps
     lo, hi, cell = grid[:-1], grid[1:], np.arange(grid.size - 1)
     count = np.ones(cell.size, dtype=int)  # pieces per cell, kept or pending
-    pieces = []
+    pieces, scale = [], None  # scale: per cell, max |k| of its first samples
     while lo.size:
         mid, half, t = _cell_samples(lo, hi)
         samples = np.asarray(k(t.ravel()), dtype=float).reshape(t.shape)
         if not np.all(np.isfinite(samples)):
             raise DomainError(f"curvature is not finite on [0, {grid[-1]:g}]")
-        kappa = half ** 2 * samples
+        kappa, size = half ** 2 * samples, np.max(np.abs(samples), axis=0)
+        scale = size if scale is None else scale
         fit = kappa[:_CHEB.size]
         coef, check = _FIT @ fit, _CHECK @ fit
         miss = np.maximum(np.abs(check[0]) + np.abs(check[1]),
                           np.max(np.abs(check[2:] - kappa[_CHEB.size:]), axis=0))
-        rounding = 64 * eps * np.max(np.abs(kappa), axis=0)
+        rounding = 64 * eps * (half ** 2 * np.maximum(scale[cell], size))
         large = np.sum(np.abs(coef), axis=0) > 1.0
         floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
         split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor

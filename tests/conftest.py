@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import PPoly
 
 import radialgeo as rg
+from radialgeo.curvature import _cubics
 from radialgeo.volume import _MONOTONE_TOL, _check_dim, _sin_power_half_integral
 
 
@@ -136,6 +138,21 @@ def dop853_nodes(k, grid, kinks=(), max_step=1.0 / 64.0):
         out[:, piece] = sol.y[:, :np.count_nonzero(piece)]
         y = sol.y[:, -1]
     return out
+
+
+def majorant_referee(k):
+    """Referee for the majorant (M, M') a solve carries beside (m, m'): the
+    anchor state of a solve of -|k|, M'' = |k| M from (0, 1), which bounds
+    it by comparison. -|k| is a formula core, smooth between the knots of k
+    and, for a spline core, its roots, inserted as knots; its tail is the
+    constant -|c|."""
+    x = k.breakpoints
+    if k.core.kind == "spline":
+        x = np.union1d(x, PPoly.construct_fast(_cubics(k, x), x).roots(extrapolate=False))
+    core = rg.FormulaCore(lambda t: -np.abs(k.core(t)), breakpoints=x)
+    majorant = rg.RadialCurvature(core, rg.ConstantTail(-abs(k.tail.c)), k.t_tail,
+                                  _known_nonpositive=True)
+    return rg.solve_warping(majorant).anchor_state()
 
 
 def tail_referee(tail, anchor, m_a, mp_a, t_end=1e12):

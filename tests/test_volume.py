@@ -7,7 +7,8 @@ import pytest
 
 import radialgeo as rg
 
-from conftest import bishop_monotonicity_check, bishop_pair, cap_volume, gauss_ball_volume
+from conftest import (bishop_monotonicity_check, bishop_pair, cap_volume, gauss_ball_volume,
+                      majorant_referee)
 
 # Total volume of the finite fixture below: classical RK4 (h = 1e-5) to the
 # tail anchor plus the closed-form integral of the decaying tail mode.
@@ -269,6 +270,63 @@ def positive_tail(c, p):
 @pytest.mark.parametrize("c, p", [(0.05, 3.0), (0.3, 2.5), (1.0, 4.0)])
 def test_classify_positive_power_tail_divergent(c, p):
     assert rg.classify_ball_volume(3, positive_tail(c, p)).kind == "divergent"
+
+
+def test_a_numerator_limit_within_its_error_bounds_the_growth_limit():
+    """m = sin t up to a = pi/2 - 1e-14, then a zero tail: the slope cos a =
+    1e-14 lies within its error bar, so over flat at n = 3 the limit, truly
+    cos(a)^2 = 1e-28, is (0, U) with U = ((L_N + e_N) / (L_D - e_D))^2, once
+    (0, 0). A numerator of lower order gives (0, 0); of higher order (the
+    cusp's decaying mode, within its bar) no limit."""
+    a = math.pi / 2 - 1e-14
+    num, flat = rg.solve_warping(step_core(a)), rg.solve_warping(rg.RadialCurvature.zero())
+    (l_num, e_num), (l_den, e_den) = num.tail_limit, flat.tail_limit
+    assert l_num <= e_num
+    limit, bound = rg.growth_ratio(3, num, flat, (2.0,)).limit()
+    assert limit == 0.0 and math.cos(a) ** 2 <= bound
+    assert bound == pytest.approx(((l_num + e_num) / (l_den - e_den)) ** 2, rel=1e-13)
+    hyp = rg.solve_warping(rg.RadialCurvature.constant(-1.0))
+    assert rg.growth_ratio(3, num, hyp, (2.0,)).limit() == (0.0, 0.0)
+    assert rg.growth_ratio(3, rg.solve_warping(cusp_fixture()), flat, (2.0,)).limit() is None
+
+
+def nonpositive_spline(seed, tail):
+    """A k <= 0 spline curvature drawn as the benchmark's curvature corpus
+    draws one: 4 to 6 evenly spaced knots, values in [-1.2, -0.2], the last
+    the tail's value, through ``nonpositive_min``."""
+    rng = np.random.default_rng(seed)
+    vals = -rng.uniform(0.2, 1.2, int(rng.integers(4, 7)))
+    knots = np.linspace(0.0, rng.uniform(1.0, 3.0), vals.size)
+    if tail == "zero":
+        vals[-1] = 0.0
+    tails = {"zero": lambda c: rg.ZeroTail(), "constant": rg.ConstantTail,
+             "power_law": lambda c: rg.PowerLawTail(c, 3.5)}
+    return rg.nonpositive_min(rg.RadialCurvature.from_spline(knots, vals, tails[tail](vals[-1])))
+
+
+MAJORANT_CASES = {
+    **ANCHOR_CASES,
+    **{f"nonpositive-{tail}-{seed}": (lambda tail=tail, seed=seed: nonpositive_spline(seed, tail))
+       for tail in ("zero", "constant", "power_law") for seed in (0, 1)},
+    "positive-power-tail": lambda: positive_tail(0.3, 2.5),
+    "steep": lambda: rg.RadialCurvature.from_spline([0.0, 0.05], [-1e8, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(MAJORANT_CASES))
+def test_the_carried_majorant_lies_between_m_and_the_referee(case):
+    """The majorant (M, M') a solve carries beside (m, m'), at the tail
+    anchor's node, against the referee solve of -|k|: |m| <= M <= M_ref
+    within 1e-12 relative, and M = m bit for bit at every node for k <= 0."""
+    k = MAJORANT_CASES[case]()
+    w = rg.solve_warping(k)
+    i = int(np.searchsorted(w.grid, k.t_tail))
+    assert w.grid[i] == k.t_tail
+    state = w._state
+    for v, big, ref in zip(state[:2], state[2:], majorant_referee(k)):
+        assert abs(v[i]) <= big[i] * (1.0 + 1e-12)
+        assert big[i] <= ref * (1.0 + 1e-12)
+    assert k.is_nonpositive() == all(np.array_equal(v, big) for v, big in zip(state[:2], state[2:]))
 
 
 @pytest.mark.parametrize("c, p, t_zero", [

@@ -28,6 +28,9 @@ POWER_TAIL_SLOPE = 1.3867242867657819
 
 # the finite cusp of criterion 10 (test_acceptance)
 CUSP_A_STAR = 3.8205221749659675
+CUSP = rg.RadialCurvature.from_spline(
+    [0.0, 0.5, 1.0, 1.5, 2.0], [CUSP_A_STAR, CUSP_A_STAR, 0.5 * CUSP_A_STAR, -0.5, -1.0],
+    rg.ConstantTail(-1.0))
 
 
 def power_tail_fixture():
@@ -221,6 +224,40 @@ def test_out_of_budget_solve_raises_domain_error(c, horizon, match):
         rg.solve_warping(rg.RadialCurvature.from_spline([0.0, 1.0], [c, 0.0]), horizon)
 
 
+def test_a_steep_spline_inside_the_budget_solves():
+    """k = -1e8 + 2e9 t on [0, 0.05] solves: |k| <= 1e8 is below the 2.7e8
+    that a cell's 128 pieces allow, yet it raised, as next to the root at
+    0.05 the fit check chased k's rounding noise, the size of the cell's
+    larger values. The nodes up to the anchor against the Airy solution
+    (40-digit mpmath): with c = 2e9^(1/3) and z = c (0.05 - t),
+    m = pi (Bi(z0) Ai(z) - Ai(z0) Bi(z)) / c."""
+    mp = pytest.importorskip("mpmath")
+    w = rg.solve_warping(rg.RadialCurvature.from_spline([0.0, 0.05], [-1e8, 0.0]))
+    with mp.workdps(40):
+        c = mp.cbrt(mp.mpf(2e9))
+        z0 = c * mp.mpf(0.05)
+        for t, m, mp_ in zip(w.grid[1:], w.m_values[1:], w.m_prime_values[1:]):
+            if t > 0.05:
+                break
+            z = c * (mp.mpf(0.05) - mp.mpf(float(t)))
+            want = mp.pi * (mp.airybi(z0) * mp.airyai(z) - mp.airyai(z0) * mp.airybi(z)) / c
+            slope = -mp.pi * (mp.airybi(z0) * mp.airyai(z, 1) - mp.airyai(z0) * mp.airybi(z, 1))
+            assert abs(m / float(want) - 1.0) <= 1e-12
+            assert abs(mp_ / float(slope) - 1.0) <= 1e-12
+
+
+def test_an_overflowing_majorant_raises_domain_error():
+    """The majorant M is checked for overflow like m: from M' = 1e308 at the
+    pole it passes the largest float over the cusp's core, where m does
+    not, so no error bar reads inf."""
+    from radialgeo.warping import _carry
+
+    k, grid = CUSP, np.linspace(0.0, 2.0, 129)
+    assert all(np.isfinite(v[-1]) for v in _carry(k, grid, [0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(rg.DomainError, match="overflows"):
+        _carry(k, grid, [0.0, 1.0, 0.0, 1e308])
+
+
 def test_conjugate_point_detected():
     # k >= 1 on most of [0, 3.5] forces the profile to vanish near pi < 4
     k = rg.RadialCurvature.from_spline([0.0, 3.5, 4.0], [1.0, 1.0, 0.0])
@@ -300,14 +337,12 @@ def test_slope_reads_the_anchor_state_from_the_nodes():
 
 def test_anchor_state_consumers_make_no_solve(monkeypatch):
     """slope_limit, total_curvature_direct, classify_ball_volume and a pinch
-    check read the tail's continuation once per solution, and solve nothing
-    but, for a curvature positive somewhere, one majorant of -|k| per
-    curvature."""
+    check read the tail's continuation once per solution, and solve nothing,
+    for a curvature positive somewhere too: the anchor's error bar reads the
+    majorant the solve carried."""
     from radialgeo import criteria, volume, warping
 
-    k_le0, cusp = power_tail_fixture(), rg.RadialCurvature.from_spline(
-        [0.0, 0.5, 1.0, 1.5, 2.0], [CUSP_A_STAR, CUSP_A_STAR, 0.5 * CUSP_A_STAR, -0.5, -1.0],
-        rg.ConstantTail(-1.0))
+    k_le0, cusp = power_tail_fixture(), CUSP
     w, w_cusp = rg.solve_warping(k_le0, k_le0.t_tail), rg.solve_warping(cusp)
     flat, cusp_numerator = (rg.RotSymManifold.from_curvature(3, k, 17.0)
                             for k in (rg.RadialCurvature.zero(), cusp))
@@ -332,8 +367,7 @@ def test_anchor_state_consumers_make_no_solve(monkeypatch):
     rg.total_curvature_direct(w_cusp)
     rg.sectional_pinch_check(3, cusp, cusp_numerator, warping=w_cusp)
     assert reads == [rg.ConstantTail, rg.ConstantTail]  # w_cusp and the numerator's
-    [majorant] = solves
-    assert majorant.is_nonpositive() and majorant.t_tail == cusp.t_tail
+    assert solves == []
 
 
 def test_total_curvature_diverges_for_constant_tail():
