@@ -26,14 +26,16 @@ three, the value at the anchor is c, and the tail of a minimum follows from
 a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``.
 
 Cores are either cubic splines over breakpoints or closed-form callables. A
-curvature's knots are fixed at construction: ``breakpoints``, sorted once,
-from 0 to t_tail. Only ``_cubics`` reads a spline's coefficients, as cubics
-on given knots: the exact comparison of two curvatures (``_lowest_gap``) and
-the scan grid of an envelope read them. Pointwise minima (the nonpositive
-envelope used by the growth criteria) are represented exactly by lazy
-evaluation over the merged knots, and have no JSON form; their kinks, the
-changes of the minimiser on a scan grid, are refined together by regula
-falsi in array calls so downstream quadrature can split there.
+curvature's knots are fixed at construction and computed on first read:
+``breakpoints``, sorted once, from 0 to t_tail. Only ``_cubics`` reads a
+spline's coefficients, as cubics on given knots: the exact comparison of two
+curvatures (``_lowest_gap``) and the scan grid of an envelope read them.
+Pointwise minima (the nonpositive envelope used by the growth criteria) are
+represented exactly by lazy evaluation over the merged knots, and have no
+JSON form; their kinks, the changes of the minimiser on a scan grid, are
+refined together by regula falsi in array calls so downstream quadrature can
+split there. The kinks are found on the first read of the knots: a moment
+that diverges from the tail never reads them.
 
 The core part of the curvature moment is integrated over panels between
 the breakpoints by 16-point Gauss-Legendre rules, with the gap to the
@@ -52,8 +54,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
-from scipy.interpolate import CubicSpline
+from scipy import integrate, linalg, special
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .errors import ConjugatePointError, DomainError
@@ -300,24 +302,33 @@ def _tail_from_json(obj) -> _Tail:
 
 
 class SplineCore:
-    """Cubic spline interpolant over explicit breakpoints."""
+    """Cubic spline interpolant over explicit breakpoints, held as a ``PPoly``
+    that only ``_cubics`` and ``__call__`` read. Its slopes at the knots
+    solve scipy's CubicSpline system (de Boor, *A Practical Guide to
+    Splines*, ch. IV) with the same arrays and LAPACK calls, so the cubics
+    are its own bit for bit (``_knot_slopes``)."""
 
     kind = "spline"
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        bp = np.array(breakpoints, dtype=float)
+        vals = np.array(values, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise DomainError("spline core needs at least two breakpoints")
-        if bp.size != vals.size:
+        if bp.shape != vals.shape:
             raise DomainError("breakpoints and values must have equal length")
-        if np.any(np.diff(bp) <= 0):
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise DomainError("spline breakpoints and values must be finite")
+        dx = np.diff(bp)
+        if np.any(dx <= 0):
             raise DomainError("breakpoints must be strictly increasing")
         if bp[0] != 0.0:
             raise DomainError("core must start at t = 0")
-        # two collinear points define a line; natural end conditions keep it one
-        bc = "natural" if bp.size == 2 else "not-a-knot"
-        self._spline = CubicSpline(bp, vals, bc_type=bc)
+        slope = np.diff(vals) / dx
+        s = _knot_slopes(bp, dx, vals, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._spline = PPoly.construct_fast(
+            np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], vals[:-1]]), bp)
         self.breakpoints = bp
         self.values = vals
 
@@ -332,13 +343,40 @@ class SplineCore:
         }
 
 
+def _knot_slopes(x, dx, y, slope):
+    """Slopes at the knots x of the cubic spline through y: the parabola
+    through 3 knots, else the tridiagonal system in banded form, with natural
+    ends for 2 knots (a line) and not-a-knot ends from 4."""
+    n = x.size
+    if n == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+        return linalg.solve(a, b, overwrite_a=True, overwrite_b=True, check_finite=False)
+    a, b = np.zeros((3, n)), np.empty(n)  # rows: upper, main and lower diagonal
+    a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    a[0, 2:], a[2, :-2] = dx[:-1], dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    if n == 2:  # zero second derivative at both ends
+        a[1], a[0, 1], a[2, 0] = 2 * dx[0], dx[0], dx[0]
+        b[:] = 3 * (y[1] - y[0])
+    else:  # the third derivative continuous at the second and last-but-one knots
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        a[1, 0], a[0, 1], a[1, -1], a[2, -2] = dx[1], d0, dx[-2], d1
+        b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    return linalg.solve_banded((1, 1), a, b, overwrite_ab=True, overwrite_b=True,
+                               check_finite=False)
+
+
 class FormulaCore:
     """Elementwise closed-form core, optionally serialized as an expression.
 
     ``breakpoints`` are hints for quadrature splitting (the function may have
     kinks there, e.g. for pointwise minima); they do not affect evaluation.
-    A solve and ``_lowest_gap`` read a formula at the same samples, so a
-    feature narrower than every sample is invisible to both.
+    Given as a function of no arguments they are found on first read, once:
+    a lazy minimum's kinks. A solve and ``_lowest_gap`` read a formula at
+    the same samples, so a feature narrower than every sample is invisible
+    to both.
     """
 
     kind = "formula"
@@ -347,15 +385,22 @@ class FormulaCore:
         self,
         func: Callable,
         expr: str | None = None,
-        breakpoints: Sequence[float] | None = None,
+        breakpoints: Sequence[float] | Callable[[], Sequence[float]] | None = None,
     ):
         self._func = func
         self.expr = expr
-        self.breakpoints = None
-        if breakpoints is not None:
+        if callable(breakpoints):
+            self._find_breakpoints = breakpoints
+        elif breakpoints is None:
+            self.breakpoints = None
+        else:
             self.breakpoints = np.asarray(breakpoints, dtype=float)
             if self.breakpoints.ndim != 1:
                 raise DomainError("formula core breakpoints must be a list of numbers")
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        return np.asarray(self._find_breakpoints(), dtype=float)
 
     def __call__(self, t):
         return self._func(np.asarray(t, dtype=float))
@@ -425,10 +470,11 @@ class RadialCurvature:
 
     Evaluation is vectorized; t < 0 raises DomainError. The core covers
     [0, t_tail]; the declared tail takes over beyond. The knots are fixed at
-    construction: ``breakpoints`` is the sorted set of 0, t_tail and the
-    core's breakpoints in [0, t_tail]. Value continuity at the junction is
-    validated there too. A tail that is zero at its anchor (c = 0) is zero
-    everywhere and is stored as ``ZeroTail``.
+    construction and computed on first read: ``breakpoints`` is the sorted
+    set of 0, t_tail and the core's breakpoints in [0, t_tail]. Value
+    continuity at the junction is validated at construction. A tail that is
+    zero at its anchor (c = 0) is zero everywhere and is stored as
+    ``ZeroTail``.
     """
 
     def __init__(self, core, tail, t_tail: float, *, _known_nonpositive: bool | None = None):
@@ -437,10 +483,6 @@ class RadialCurvature:
         self.core = core
         self.tail = ZeroTail() if tail.c == 0 else tail
         self.t_tail = float(t_tail)
-        core_bp = getattr(core, "breakpoints", None)
-        core_bp = np.empty(0) if core_bp is None else np.asarray(core_bp, dtype=float)
-        self.breakpoints = np.unique(np.concatenate(
-            [[0.0, self.t_tail], core_bp[(core_bp >= 0.0) & (core_bp <= self.t_tail)]]))
         self._nonpositive = _known_nonpositive
         self._check_junction()
 
@@ -453,6 +495,15 @@ class RadialCurvature:
                 f"core/tail junction is discontinuous at t = {self.t_tail:.6g}: "
                 f"core -> {core_end:.9g}, tail -> {tail_start:.9g}"
             )
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        core_bp = getattr(self.core, "breakpoints", None)
+        core_bp = np.empty(0) if core_bp is None else np.asarray(core_bp, dtype=float)
+        if self.core.kind == "spline" and core_bp[-1] == self.t_tail:
+            return core_bp  # strictly increasing from 0: already the set
+        return np.unique(np.concatenate(
+            [[0.0, self.t_tail], core_bp[(core_bp >= 0.0) & (core_bp <= self.t_tail)]]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -736,7 +787,10 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     of its sign changes is bracketed. A lazy minimum is exact, never
     resampled. Its breakpoints are the merged ones plus the kinks, so
     quadrature can split at every kink; a kink within 1e-13 + 4 ulps of a
-    breakpoint is that breakpoint.
+    breakpoint is that breakpoint. The tail merge (which can raise) and the
+    own-envelope test run here; the scan and the kinks run on the first read
+    of ``breakpoints``, once, so a moment that diverges from its tail (a
+    negative constant) never pays for them.
     """
     curvatures = tuple(dict.fromkeys(curvatures))
     if not curvatures:
@@ -747,20 +801,23 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     k = curvatures[0]
     if len(curvatures) == 1 and k.core.kind == "spline" and k._headroom >= 0.0:
         return k
-    # every input's knots start at 0; RadialCurvature sorts the union once
-    bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
-    # a spline is monotone between its knots and the roots of its derivative
-    grid = [np.linspace(0.0, t_tail, _SCAN_POINTS), bp] + [
-        (c.breakpoints[:-1] + _extremum_offsets(_cubics(c, c.breakpoints),
-                                                 c.breakpoints)).ravel()
-        for c in curvatures if c.core.kind == "spline"]
-    kinks = _kinks([np.zeros_like, *curvatures], np.unique(np.concatenate(grid)))
-    kinks = kinks[np.abs(kinks[:, None] - bp).min(axis=1) > 1e-13 + 4.0 * np.spacing(kinks)]
 
     def envelope(t):
         return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in curvatures)])
 
-    core = FormulaCore(envelope, breakpoints=np.concatenate([bp, kinks]))
+    def breakpoints():
+        # every input's knots start at 0; RadialCurvature sorts the union once
+        bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
+        # a spline is monotone between its knots and the roots of its derivative
+        grid = [np.linspace(0.0, t_tail, _SCAN_POINTS), bp] + [
+            (c.breakpoints[:-1] + _extremum_offsets(_cubics(c, c.breakpoints),
+                                                     c.breakpoints)).ravel()
+            for c in curvatures if c.core.kind == "spline"]
+        kinks = _kinks([np.zeros_like, *curvatures], np.unique(np.concatenate(grid)))
+        return np.concatenate([bp, kinks[np.abs(kinks[:, None] - bp).min(axis=1)
+                                         > 1e-13 + 4.0 * np.spacing(kinks)]])
+
+    core = FormulaCore(envelope, breakpoints=breakpoints)
     return RadialCurvature(core, tail, t_tail, _known_nonpositive=True)
 
 

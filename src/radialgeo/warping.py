@@ -80,6 +80,8 @@ _FIT = np.linalg.inv(np.vander(_CHEB, increasing=True))
 _CHECK = np.concatenate([
     np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB, _FIT_DEGREE))[-2:],
     np.vander([-1.0, 1.0], _FIT_DEGREE + 1, increasing=True) @ _FIT])
+# i of the monomials s**i of a fit: sum i |kappa_i| bounds |d kappa / ds| on [-1, 1]
+_DEGREES = np.arange(_FIT_DEGREE + 1.0)
 # pieces in a cell at most before the curvature counts as too rough or too
 # large for the node grid; bounds the memory of a block
 _MAX_PIECES_PER_CELL = 128
@@ -429,8 +431,10 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, state: list):
     """(m, m', M, M') at nodes[1:] from ``state`` at nodes[0], by the transfer
     matrices T of the pieces of the cells between the nodes; (M, M') by |T|,
     entry by entry, which bounds how an error in (m, m') grows (comparison
-    theorem: Hairer, Norsett and Wanner, Solving ODEs I, I.10). From M = m,
-    a block with no entry below 0 (k <= 0) gives M = m with no product."""
+    theorem: Hairer, Norsett and Wanner, Solving ODEs I, I.10). M is read at
+    the anchor's node, the first at or past the tail anchor, so |T| runs only
+    up to it and M = m past it. From M = m, a block with no entry below 0
+    (k <= 0) up to there gives M = m with no product."""
     mid, half, cell, kappa = _fitted_pieces(k, nodes)
     coef = _taylor_coefficients(kappa)
     j = np.arange(coef.shape[0])
@@ -460,9 +464,12 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, state: list):
 
     last = np.cumsum(np.bincount(cell, minlength=nodes.size - 1))
     out = [m_steps[last], mp_steps[last]]
-    if state[2:] == state[:2] and min(row.min() for row in rows) >= 0.0:
+    reach = min(int(np.searchsorted(nodes, k.t_tail)), nodes.size - 1)
+    rows = [row[:last[reach - 1] if reach else 0] for row in rows]
+    if not reach or state[2:] == state[:2] and min(row.min() for row in rows) >= 0.0:
         return out * 2
-    return out + [v[last] for v in _product([np.abs(row) for row in rows], *state[2:])]
+    majorant = _product([np.abs(row) for row in rows], *state[2:])
+    return out + [np.concatenate([v[last[:reach]], w[reach:]]) for v, w in zip(majorant, out)]
 
 
 def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
@@ -478,11 +485,13 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
     miss d in kappa moves m' by about d / r relative to m over the piece.
     Rounding is 64 ulps of r^2 |k| at its largest over the piece or over the
     first samples of its cell, whose noise a piece next to a root of k
-    keeps. So
-    is a piece with sum |kappa_i| > 1; a bisection cuts that sum to about a
-    quarter or less. Bisection stops at a half-width of 64 ulps, where a
-    piece that is still too large for its series raises DomainError, as does
-    a cell cut into more than _MAX_PIECES_PER_CELL pieces.
+    keeps, plus 64 eps |c| / r times sum i |kappa_i|: the argument c + r s
+    of k rounds by about |c| eps, which moves s by |c| eps / r, and the
+    fit's |d kappa / ds| is at most that sum. A piece with sum |kappa_i| > 1
+    is bisected too; a bisection cuts that sum to about a quarter or less.
+    Bisection stops at a half-width of 64 ulps, where a piece that is still
+    too large for its series raises DomainError, as does a cell cut into
+    more than _MAX_PIECES_PER_CELL pieces.
     """
     eps = np.finfo(float).eps
     lo, hi, cell = grid[:-1], grid[1:], np.arange(grid.size - 1)
@@ -499,8 +508,10 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
         coef, check = _FIT @ fit, _CHECK @ fit
         miss = np.maximum(np.abs(check[0]) + np.abs(check[1]),
                           np.max(np.abs(check[2:] - kappa[_CHEB.size:]), axis=0))
-        rounding = 64 * eps * (half ** 2 * np.maximum(scale[cell], size))
-        large = np.sum(np.abs(coef), axis=0) > 1.0
+        magnitude = np.abs(coef)
+        rounding = 64 * eps * (half ** 2 * np.maximum(scale[cell], size)
+                               + np.abs(mid) / half * (_DEGREES @ magnitude))
+        large = np.sum(magnitude, axis=0) > 1.0
         floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
         split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor
         keep = ~split

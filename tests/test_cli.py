@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,43 @@ def test_threshold_task_flat(tmp_path):
     rec = report["tasks"][0]
     assert rec["task"] == "threshold"
     assert abs(rec["threshold"] - 0.5) <= 1e-13
+
+
+def test_a_moment_divergent_from_its_tail_reads_no_envelope_kinks(tmp_path, monkeypatch):
+    """delta = 0 when the envelope's tail is a negative constant, whatever
+    its core: the corollary check on the cusp of criterion 10 and the
+    threshold over the flat, hyperbolic and spline curvatures make no kink
+    search. A finite moment reads the kinks, once."""
+    from radialgeo import curvature
+
+    searches = []
+    kinks = curvature._kinks
+    monkeypatch.setattr(curvature, "_kinks", lambda *args: searches.append(1) or kinks(*args))
+    a = 3.8205221749659675
+    spline = lambda knots, values, tail: {
+        "core": {"kind": "spline", "breakpoints": knots, "values": values},
+        "tail": tail, "t_tail": knots[-1]}
+    curvatures = {
+        "cusp": spline([0.0, 0.5, 1.0, 1.5, 2.0], [a, a, 0.5 * a, -0.5, -1.0],
+                       {"kind": "constant", "c": -1.0}),
+        "flat": SPLINE_FLAT,
+        "hyp": spline([0.0, 1.0], [-1.0, -1.0], {"kind": "constant", "c": -1.0}),
+        "spl": spline([0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+                      {"kind": "power_law", "c": -0.2, "p": 3.0}),
+    }
+    code, report, _ = run_cli(tmp_path, base_scenario(curvatures=curvatures, commands=[
+        {"task": "check-corollary", "g": "cusp", "numerator": [0.0, 0.0]},
+        {"task": "threshold", "curvatures": ["flat", "hyp", "spl"]},
+    ]))
+    assert code == 0
+    assert report["tasks"][0]["report"]["verdict"] == "DiffeoRn"
+    assert report["tasks"][1]["delta"] == 0.0
+    assert searches == []
+    env = radialgeo.nonpositive_min(radialgeo.RadialCurvature.from_json(SPLINE_RAMP),
+                                    radialgeo.RadialCurvature.from_json(curvatures["spl"]))
+    assert radialgeo.moment_integral(env).value > -math.inf and len(searches) == 1
+    env.breakpoints  # kept from the first read
+    assert len(searches) == 1
 
 
 def test_check_main_flat_verdict_and_exit(tmp_path):

@@ -317,9 +317,10 @@ MAJORANT_CASES = {
 def test_the_carried_majorant_lies_between_m_and_the_referee(case):
     """The majorant (M, M') a solve carries beside (m, m'), at the tail
     anchor's node, against the referee solve of -|k|: |m| <= M <= M_ref
-    within 1e-12 relative, and M = m bit for bit at every node for k <= 0."""
+    within 1e-12 relative, M = m bit for bit at every node for k <= 0, and
+    past the anchor's node, where a power-law tail is solved to t = 4."""
     k = MAJORANT_CASES[case]()
-    w = rg.solve_warping(k)
+    w = rg.solve_warping(k, 4.0 if k.tail.p else None)
     i = int(np.searchsorted(w.grid, k.t_tail))
     assert w.grid[i] == k.t_tail
     state = w._state
@@ -327,6 +328,8 @@ def test_the_carried_majorant_lies_between_m_and_the_referee(case):
         assert abs(v[i]) <= big[i] * (1.0 + 1e-12)
         assert big[i] <= ref * (1.0 + 1e-12)
     assert k.is_nonpositive() == all(np.array_equal(v, big) for v, big in zip(state[:2], state[2:]))
+    assert all(np.array_equal(v[i:][1:], big[i:][1:]) for v, big in zip(state[:2], state[2:]))
+    assert not k.tail.p or w.grid[-1] == 4.0
 
 
 @pytest.mark.parametrize("c, p, t_zero", [

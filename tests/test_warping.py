@@ -246,6 +246,48 @@ def test_a_steep_spline_inside_the_budget_solves():
             assert abs(mp_ / float(slope) - 1.0) <= 1e-12
 
 
+def test_a_smooth_formula_core_solves_at_large_t():
+    """k = -1 + 25 sin(16 pi t) up to t = 100, then the constant -1, solves:
+    the argument 16 pi t rounds by about 16 pi t eps, and the fit check took
+    that noise for a miss and refused it near t = 64. The nodes at t = 64
+    and 100 against Floquet in 20-digit mpmath: the map over one period 1/8
+    from mpmath's Taylor integrator, to the powers 512 and 800."""
+    mp = pytest.importorskip("mpmath")
+    k = rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": "-1 + 25 * sin(16 * pi * t)"},
+        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 100.0})
+    w = rg.solve_warping(k)
+    with mp.workdps(20):
+        rhs = lambda t, y: [y[1], (1 - 25 * mp.sin(16 * mp.pi * t)) * y[0]]
+        period = mp.matrix([mp.odefun(rhs, 0, y0)(mp.mpf(1) / 8) for y0 in ([1, 0], [0, 1])]).T
+        for t in (64.0, 100.0):
+            want = period ** int(8 * t) * mp.matrix([0, 1])
+            i = int(np.searchsorted(w.grid, t))
+            assert abs(w.m_values[i] / float(want[0]) - 1.0) <= 1e-11
+            assert abs(w.m_prime_values[i] / float(want[1]) - 1.0) <= 1e-11
+
+
+def test_a_kink_of_a_formula_core_at_large_t_is_bisected():
+    """The tent -1 - max(0, 0.5 - |t - 300.3|) kinks at 299.8, 300.3 and
+    300.8, inside cells. The argument's rounding, 64 eps |c| / r times the
+    fit's sum i |kappa_i|, stays far below the miss of a kink: the cell of
+    300.3 is still cut to pieces below 1e-6 wide, and the nodes match the
+    DOP853 referee restarted at the kinks."""
+    from radialgeo.warping import _fitted_pieces
+
+    k = rg.RadialCurvature.from_json({
+        "core": {"kind": "formula", "expr": "-1 - maximum(0, 0.5 - abs(t - 300.3))"},
+        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 301.0})
+    _mid, half, _cell, _kappa = _fitted_pieces(k, np.array([19219.0, 19220.0]) / 64.0)
+    assert np.min(half) <= 0.5e-6
+    w = rg.solve_warping(k)
+    grid = np.array([0.0, 299.0, 301.0])
+    i = np.searchsorted(w.grid, grid)
+    m_ref, mp_ref = dop853_nodes(k, grid, [299.8, 300.3, 300.8], max_step=math.inf)
+    assert np.max(np.abs(w.m_values[i[1:]] / m_ref[1:] - 1.0)) <= 1e-10
+    assert np.max(np.abs(w.m_prime_values[i] / mp_ref - 1.0)) <= 1e-10
+
+
 def test_an_overflowing_majorant_raises_domain_error():
     """The majorant M is checked for overflow like m: from M' = 1e308 at the
     pole it passes the largest float over the cusp's core, where m does
