@@ -23,7 +23,9 @@ Every tail is one (c, p) form, c * (t / t_tail)**(-p) with c = 0 for
 ``ZeroTail`` and p = 0 for ``ConstantTail``: one ``value`` evaluates all
 three, the value at the anchor is c, and the tail of a minimum follows from
 (c, p) alone. Zero curvature has one encoding: ``RadialCurvature`` replaces
-a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``.
+a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``,
+and ``RadialCurvature.constant`` builds every constant model, zero included,
+as the spline through (c, c) on [0, t_tail].
 
 Cores are either cubic splines over breakpoints or closed-form callables. A
 curvature's knots are fixed at construction and computed on first read:
@@ -175,7 +177,7 @@ class PowerLawTail(_Tail):
         Past a, m = sqrt(t) [A Z(z) + B W(z)], z = beta t^(1 - p/2), of
         order nu = 1/(p - 2), with J, Y for c > 0 and I, K for c < 0 (DLMF
         10.13.1). The J or I solution over its leading power of z is
-        phi = 0F1(; nu + 1; x), x = -k(t) t^2 / (p - 2)^2: phi -> 1 and
+        phi = 0F1(; nu + 1; x) (``_hyp0f1``), x = -k(t) t^2 / (p - 2)^2: phi -> 1 and
         t phi' -> 0, so its Wronskian with the solution asymptotic to t is 1
         and the limit is L = phi(a) m'(a) - phi'(a) m(a), within
         |phi(a)| e_mp + |phi'(a)| e_m.
@@ -190,9 +192,9 @@ class PowerLawTail(_Tail):
         """
         nu, q = 1.0 / (self.p - 2.0), 1.0 - 0.5 * self.p
         x_a = -self.c * (t_tail * nu) ** 2
-        phi = lambda t: special.hyp0f1(nu + 1.0, x_a * (t / t_tail) ** (2.0 * q))
+        phi = lambda t: _hyp0f1(nu + 1.0, x_a * (t / t_tail) ** (2.0 * q))
         phi_a = phi(t_tail)
-        dphi_a = 2.0 * q * x_a * special.hyp0f1(nu + 2.0, x_a) / ((nu + 1.0) * t_tail)
+        dphi_a = 2.0 * q * x_a * _hyp0f1(nu + 2.0, x_a) / ((nu + 1.0) * t_tail)
         limit = float(phi_a * mp_a - dphi_a * m_a)
         err = float(abs(phi_a) * e_mp + abs(dphi_a) * e_m)
         t_s, m_s = t_tail, m_a
@@ -215,7 +217,7 @@ class PowerLawTail(_Tail):
                 raise ConjugatePointError(t_tail * (z_root / z_a) ** (1.0 / q))
             t_s = t_tail * (z_s / z_a) ** (1.0 / q)
             m_s = math.sqrt(t_s) * vals[-1]
-        if not math.isfinite(limit):  # 0F1 of order above ~170 at x < 0, or overflow
+        if not math.isfinite(limit):  # 0F1 of order above ~170 at x < -3 b, or overflow
             raise DomainError(f"no closed-form continuation of {self!r} from t = {t_tail:g}")
         if limit < -err:
             level = m_s / (phi(t_s) * -limit)
@@ -231,6 +233,23 @@ class PowerLawTail(_Tail):
 
     def __repr__(self):
         return f"PowerLawTail(c={self.c!r}, p={self.p!r})"
+
+
+def _hyp0f1(b: float, x: float) -> float:
+    """0F1(; b; x) by scipy, which is not finite for b above about 171 at
+    x < 0 (``special.hyp0f1(172, -10)`` is inf); there, for |x| <= 3 b, its
+    series summed term by term: each term is at most 3 / (j + 1) times the one
+    before, so none exceeds 4.5. Beyond that the value stays not finite."""
+    value = float(special.hyp0f1(b, x))
+    if math.isfinite(value) or not abs(x) <= 3.0 * b:
+        return value
+    term = total = 1.0
+    j = 0
+    while abs(term) > 1e-17 * abs(total):
+        term *= x / ((b + j) * (j + 1))
+        total += term
+        j += 1
+    return total
 
 
 class ConstantTail(_Tail):
@@ -574,15 +593,15 @@ class RadialCurvature:
 
     @classmethod
     def constant(cls, c: float, t_tail: float = 1.0) -> "RadialCurvature":
-        """Constant curvature c on the core.
+        """Constant curvature c on the core, the spline [0, t_tail] through
+        (c, c): every constant model, zero included, is this one spline.
 
         For c <= 0 the constant extends to infinity. A positive constant has
         no admissible tail class (it would force conjugate points and a
         divergent moment of the wrong sign), so the tail decays as a p = 3
         power law beyond t_tail; the nonpositive envelope is unaffected.
         """
-        core = FormulaCore(lambda t: np.full_like(np.asarray(t, float), float(c)),
-                           expr=repr(float(c)))
+        core = SplineCore([0.0, t_tail], [c, c])
         tail = ConstantTail(c) if c <= 0 else PowerLawTail(c, 3.0)
         return cls(core, tail, t_tail, _known_nonpositive=(c <= 0))
 
@@ -614,6 +633,8 @@ def _node_grid(breakpoints: np.ndarray, first: int, last: int) -> np.ndarray:
     # sorted, from 0: a twin of the breakpoint before it is dropped
     bp = breakpoints[1:][np.diff(breakpoints) >= _SLIVER_FRACTION * pitch]
     interior_bp = bp[(bp > grid[0]) & (bp < grid[-1])]
+    if not interior_bp.size:
+        return grid
     # the breakpoint takes the place of a uniform node it nearly meets; next
     # to an end node, which must stay, the breakpoint is dropped instead
     nearest = np.rint((interior_bp - grid[0]) / pitch).astype(int)

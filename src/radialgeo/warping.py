@@ -5,12 +5,13 @@ It is the Jacobian of the exponential map along meridians, so everything
 downstream (volumes, geodesics, total curvature) reduces to integrals of m
 and m'. ``solve_warping`` computes (m, m') at the nodes of a fine grid (the
 1/64 lattice, every curvature breakpoint a node) with one 2x2 transfer matrix
-per cell, except past the anchor of a zero or constant tail (see below).
-Each matrix comes from the Taylor series of the two basis solutions about
-the cell midpoint, for a degree-8 Chebyshev interpolant of k sampled in one
-array call per block of cells (high-order Taylor methods for linear ODEs:
-Jorba and Zou, *Experimental Mathematics* 14, 2005). The fixed relative
-accuracy ``DEFAULT_REL_TOL`` sets the number of Taylor terms; a cell where
+per cell, except past the anchor of a zero or constant tail and for a
+constant model (see below). Each matrix comes from the Taylor series of the
+two basis solutions about the cell midpoint, for a degree-8 Chebyshev
+interpolant of k sampled in one array call per block of cells (high-order
+Taylor methods for linear ODEs: Jorba and Zou, *Experimental Mathematics*
+14, 2005). The fixed relative accuracy ``DEFAULT_REL_TOL`` sets the number
+of Taylor terms, each one array product and one sum; a cell where
 the interpolant misses k (a kink or jump of a formula core) or where |k| is
 large is bisected into pieces with their own matrices; a conjugate point is
 the root of the series of the piece where m first reaches zero. From the
@@ -44,10 +45,14 @@ inverts radii with it.
 
 Past the first node at or past the anchor of a zero or constant tail, the
 tail's ``carry`` gives the nodes from that node's state in closed form; a
-``PowerLawTail`` keeps the matrices. A solve is a carry from the pole, and
-a read past the last node, up to t = 4096, carries on from there alike,
-appending cells to the interpolant: either stops at the first node of the
-1/64 lattice at or past the t asked for, with the numbers of a direct solve.
+``PowerLawTail`` keeps the matrices. A constant model, a spline core whose
+every value is its zero or constant tail's c (``RadialCurvature.constant``
+and ``zero`` build no other), needs no matrix: the carry starts at the pole,
+from (0, 1), so m = t or sinh(r t) / r exactly. A solve is a carry from the
+pole, and a read past the last node, up to t = 4096, carries on from there
+alike, appending cells to the interpolant: either stops at the first node
+of the 1/64 lattice at or past the t asked for, with the numbers of a direct
+solve.
 """
 
 from __future__ import annotations
@@ -349,7 +354,9 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     sampling k in one array call, so the memory of a solve does not grow
     with its horizon. For a tail with p = 0 they stop at the first node at
     or past the tail anchor, and the tail's ``carry`` gives the nodes
-    beyond; a ``PowerLawTail`` keeps the matrices.
+    beyond; for a constant model (``_split``) they never start, and the
+    carry gives every node from the pole; a ``PowerLawTail`` keeps the
+    matrices.
 
     k need not be smooth inside a cell: a formula core may have kinks or
     jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
@@ -382,9 +389,16 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
 
 
 def _split(k: RadialCurvature, grid: np.ndarray) -> int:
-    """Index of the last node of grid the transfer matrices reach: the first
-    at or past the tail anchor for a tail with p = 0, else the last."""
-    return grid.size - 1 if k.tail.p else min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
+    """Index of the last node of grid the transfer matrices reach: the last
+    for a power-law tail; for a tail with p = 0 the first at or past the
+    tail anchor, or node 0 for a constant model, a spline core whose every
+    value is the tail's c (its knot slopes solve to 0, so its cubics are
+    exactly c)."""
+    if k.tail.p:
+        return grid.size - 1
+    if k.core.kind == "spline" and np.all(k.core.values == k.tail.c):
+        return 0
+    return min(int(np.searchsorted(grid, k.t_tail)), grid.size - 1)
 
 
 def _grow(k: RadialCurvature, grid, state, t: float):
@@ -414,7 +428,7 @@ def _carry(k: RadialCurvature, grid: np.ndarray, state: list):
         if not all(map(math.isfinite, state)):
             raise DomainError(f"the warping function overflows before t = {grid[-1]:g}")
         blocks.append(block)
-    return [np.concatenate(v) for v in zip(*blocks)]
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(v) for v in zip(*blocks)]
 
 
 def _product(rows, m: float, mp: float):
@@ -437,15 +451,12 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, state: list):
     (k <= 0) up to there gives M = m with no product."""
     mid, half, cell, kappa = _fitted_pieces(k, nodes)
     coef = _taylor_coefficients(kappa)
-    j = np.arange(coef.shape[0])
-    sign = (-1.0) ** j
     # basis values and s-derivatives at s = +1 (p) and s = -1 (q)
-    p0, p1, q0, q1 = np.tensordot(np.stack([np.ones_like(sign), j, sign, -j * sign]), coef, 1)
+    ends = (_ends(coef.shape[0]) @ coef.reshape(coef.shape[0], -1)).reshape(4, 2, -1)
+    p, (q0, q1) = ends[:2], ends[2:]
     # transfer matrix P Q^-1 in s; the Wronskian makes det Q = 1
-    t00 = p0[0] * q1[1] - p0[1] * q1[0]
-    t01 = p0[1] * q0[0] - p0[0] * q0[1]
-    t10 = p1[0] * q1[1] - p1[1] * q1[0]
-    t11 = p1[1] * q0[0] - p1[0] * q0[1]
+    t00, t10 = p[:, 0] * q1[1] - p[:, 1] * q1[0]
+    t01, t11 = p[:, 1] * q0[0] - p[:, 0] * q0[1]
     rows = t00, t01 * half, t10 / half, t11
     m_steps, mp_steps = _product(rows, *state[:2])
 
@@ -470,6 +481,17 @@ def _carry_block(k: RadialCurvature, nodes: np.ndarray, state: list):
         return out * 2
     majorant = _product([np.abs(row) for row in rows], *state[2:])
     return out + [np.concatenate([v[last[:reach]], w[reach:]]) for v, w in zip(majorant, out)]
+
+
+@lru_cache(maxsize=None)
+def _ends(terms: int) -> np.ndarray:
+    """The (4, terms) matrix taking Taylor coefficients a_j to the value and
+    the s-derivative at s = +1, then at s = -1; read-only, as it is shared."""
+    j = np.arange(terms)
+    sign = (-1.0) ** j
+    ends = np.stack([np.ones_like(sign), j, sign, -j * sign])
+    ends.flags.writeable = False
+    return ends
 
 
 def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
@@ -514,6 +536,8 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
         large = np.sum(magnitude, axis=0) > 1.0
         floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
         split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor
+        if not pieces and not np.any(split | large):  # the cells, none split or stuck
+            return mid, half, cell, coef
         keep = ~split
         pieces.append((mid[keep], half[keep], cell[keep], coef[:, keep]))
         count += np.bincount(cell[split], minlength=count.size)
@@ -524,8 +548,6 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
             raise DomainError(
                 "curvature is too large to solve or varies too fast for the node grid "
                 f"near t = {float(np.min(stuck)):.6g}")
-    if len(pieces) == 1:
-        return pieces[0]
     mid, half, cell, kappa = (np.concatenate(part, axis=-1) for part in zip(*pieces))
     order = np.argsort(mid, kind="stable")
     return mid[order], half[order], cell[order], kappa[:, order]
@@ -537,22 +559,24 @@ def _taylor_coefficients(kappa: np.ndarray) -> np.ndarray:
 
     kappa holds the monomial coefficients (9, pieces). The series of a
     piece stops, its further coefficients zero, once its newest two
-    coefficients are below _TAYLOR_TOL, or after _MAX_TERMS terms.
+    coefficients are below _TAYLOR_TOL, or after _MAX_TERMS terms. Each
+    term is one product kappa_i a_{j-i} over i and one sum over i: a
+    reduce over the first axis of a C-contiguous array adds its rows in
+    order of i, so the terms are those of adding the products one by one.
     """
-    one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])
-    a = [np.stack([one, zero]), np.stack([zero, one])]
+    a = np.empty((_MAX_TERMS, 2, kappa.shape[1]))
+    a[:2] = np.eye(2)[:, :, None]
     live = big = True  # live: a piece's newest two terms are not both below the bound
     for j in range(_MAX_TERMS - 2):
-        nxt = kappa[0] * a[j]
-        for i in range(1, min(j, _FIT_DEGREE) + 1):
-            nxt += kappa[i] * a[j - i]
+        nxt = a[j + 2]
+        n = min(j, _FIT_DEGREE) + 1
+        np.add.reduce(kappa[:n, None] * a[j::-1][:n], axis=0, out=nxt)
         nxt /= -(j + 2) * (j + 1)
         nxt *= live
-        a.append(nxt)
         live = big | (big := np.abs(nxt).max(axis=0) >= _TAYLOR_TOL)
         if not live.any():
-            break
-    return np.stack(a)
+            return a[:j + 3]
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared corpus generators. Every random corpus is seeded so failures replay."""
 
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,23 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PPoly
 
 import radialgeo as rg
-from radialgeo.curvature import _cubics
+from radialgeo.curvature import _FIT_DEGREE, _cubics
 from radialgeo.volume import _MONOTONE_TOL, _check_dim, _sin_power_half_integral
+from radialgeo.warping import _MAX_TERMS, _TAYLOR_TOL
+
+BENCH = Path(__file__).resolve().parents[1] / "radialbench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``radialbench/workloads.py``, loaded by path and only read."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))  # workloads.py imports reference.py
+        spec = importlib.util.spec_from_file_location("radialbench_workloads",
+                                                      BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def cap_volume(n, delta):
@@ -138,6 +155,40 @@ def dop853_nodes(k, grid, kinks=(), max_step=1.0 / 64.0):
         out[:, piece] = sol.y[:, :np.count_nonzero(piece)]
         y = sol.y[:, -1]
     return out
+
+
+def loop_taylor_coefficients(kappa):
+    """Referee for ``_taylor_coefficients``: the recurrence with each term
+    summed one product kappa_i a_{j-i} at a time, the terms kept in a list
+    and stacked at the end."""
+    one, zero = np.ones(kappa.shape[1]), np.zeros(kappa.shape[1])
+    a = [np.stack([one, zero]), np.stack([zero, one])]
+    live = big = True
+    for j in range(_MAX_TERMS - 2):
+        nxt = kappa[0] * a[j]
+        for i in range(1, min(j, _FIT_DEGREE) + 1):
+            nxt += kappa[i] * a[j - i]
+        nxt /= -(j + 2) * (j + 1)
+        nxt *= live
+        a.append(nxt)
+        live = big | (big := np.abs(nxt).max(axis=0) >= _TAYLOR_TOL)
+        if not live.any():
+            break
+    return np.stack(a)
+
+
+def tensordot_transfer_rows(coef, half):
+    """Referee for the transfer rows (a, b, c, d) of ``_carry_block``: the
+    end values of the series by ``np.tensordot`` and each entry of
+    P Q^-1 written out, b scaled by the half-width and c divided by it."""
+    j = np.arange(coef.shape[0])
+    sign = (-1.0) ** j
+    p0, p1, q0, q1 = np.tensordot(np.stack([np.ones_like(sign), j, sign, -j * sign]), coef, 1)
+    t00 = p0[0] * q1[1] - p0[1] * q1[0]
+    t01 = p0[1] * q0[0] - p0[0] * q0[1]
+    t10 = p1[0] * q1[1] - p1[1] * q1[0]
+    t11 = p1[1] * q0[0] - p1[0] * q0[1]
+    return t00, t01 * half, t10 / half, t11
 
 
 def majorant_referee(k):

@@ -6,28 +6,12 @@ report fields, among them the growth brackets: ``flat-met`` and the
 flat-over-flat growth bracket must contain 1, and the tops of the mixed
 checks' brackets must lie within 1e-7 of the t = 16 ratios. Running one
 round here shows such a change in the tests first. The file is loaded by
-path and only read.
+path (the ``workloads`` fixture of ``conftest.py``) and only read.
 """
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import radialgeo as rg
-
-BENCH = Path(__file__).resolve().parents[1] / "radialbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(BENCH))  # workloads.py imports reference.py
-        spec = importlib.util.spec_from_file_location("radialbench_workloads",
-                                                      BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

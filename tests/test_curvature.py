@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy import special
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 import radialgeo as rg
@@ -84,6 +85,54 @@ def test_tail_closed_forms_match_quadrature(tail):
             assert abs(limit - want) <= 1e-9 * abs(want)
 
 
+def _slow_power_tail_limit(tail, anchor, m_a, mp_a, s_end=16000.0):
+    """Referee for lim m' past a power-law tail of p near 2, where m' takes
+    t = e^(1 / (p - 2)) and more to settle: DOP853 (rtol 1e-13) in
+    s = log(t / anchor) on the bounded state (m / t, m'), whose equations
+    y1' = y2 - y1, y2' = -c anchor^2 e^((2 - p) s) y1 reach s_end, with the
+    rest of the tail added to first order (second order: 1e-14 here)."""
+    c, p = tail.c, tail.p
+    rhs = lambda s, y: [y[1] - y[0], -c * anchor ** 2 * math.exp((2.0 - p) * s) * y[0]]
+    sol = solve_ivp(rhs, (0.0, s_end), [m_a / anchor, mp_a], method="DOP853",
+                    rtol=1e-13, atol=1e-16)
+    y1, y2 = sol.y[:, -1]
+    return y2 - c * anchor ** 2 * math.exp((2.0 - p) * s_end) / (p - 2.0) * y1
+
+
+def test_a_power_law_tail_near_p_2_continues_by_the_0f1_series():
+    """scipy's 0F1 is not finite at b above about 171 for x < 0; there the
+    continuation sums its series for |x| <= 3 b, and beyond keeps its
+    DomainError. The series against 40-digit mpmath, and the limit of a
+    p = 2.001 tail against mpmath's 0F1 and a DOP853 referee."""
+    mp = pytest.importorskip("mpmath")
+    assert special.hyp0f1(172.0, -10.0) == math.inf
+    assert math.isnan(special.hyp0f1(1001.0, -1000.0))
+    with mp.workdps(40):
+        for b in (172.0, 500.5, 1001.0, 1002.0):
+            for x in (-10.0, -b, -3.0 * b):
+                want = mp.hyp0f1(b, x)
+                assert abs(curvature._hyp0f1(b, x) - want) <= 1e-14 * abs(want)
+    assert math.isnan(curvature._hyp0f1(1001.0, -3004.0))
+
+    k = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.2, 0.001],
+                                       tail=rg.PowerLawTail(0.001, 2.001))
+    klass = rg.classify_ball_volume(3, k)
+    assert klass.kind == "divergent"
+    w = rg.solve_warping(k)
+    (m_a, mp_a), (limit, err) = w.anchor_state(), w.tail_limit
+    assert err <= 1e-11 and abs(limit - 0.3799158326339853) <= 1e-13
+    with mp.workdps(40):
+        nu = 1 / (mp.mpf(k.tail.p) - 2)
+        x = -mp.mpf(k.tail.c) * nu ** 2
+        dphi = (2 - mp.mpf(k.tail.p)) * x * mp.hyp0f1(nu + 2, x) / (nu + 1)
+        assert abs(limit - float(mp.hyp0f1(nu + 1, x) * mp_a - dphi * m_a)) <= 1e-14
+    assert abs(limit - _slow_power_tail_limit(k.tail, 1.0, m_a, mp_a)) <= err
+    beyond = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.2, 0.01],
+                                            tail=rg.PowerLawTail(0.01, 2.001))
+    with pytest.raises(rg.DomainError, match="no closed-form continuation"):
+        rg.classify_ball_volume(3, beyond)
+
+
 def test_zero_curvature_has_one_encoding():
     for tail in (rg.ConstantTail(0.0), rg.PowerLawTail(0.0, 3.0), rg.ZeroTail()):
         k = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.5, 0.0], tail=tail)
@@ -91,6 +140,11 @@ def test_zero_curvature_has_one_encoding():
     doc = rg.RadialCurvature.zero().to_json()
     assert doc["tail"] == {"kind": "zero"}
     assert type(rg.RadialCurvature.from_json(doc).tail) is rg.ZeroTail
+    # every constant model, zero included, is the one spline through (c, c)
+    for c, t_tail in ((0.0, 1.0), (-1.0, 1.0), (0.5, 2.0)):
+        assert rg.RadialCurvature.constant(c, t_tail).to_json()["core"] == {
+            "kind": "spline", "breakpoints": [0.0, t_tail], "values": [c, c]}
+    assert doc == rg.RadialCurvature.constant(0.0).to_json()
 
 
 def test_multiknot_envelope_moment_matches_simpson_oracle():

@@ -11,7 +11,9 @@ from scipy.interpolate import BPoly
 
 import radialgeo as rg
 
-from conftest import dop853_nodes, newton_inverse, random_compact_curvature, tail_referee
+import radialgeo.warping as warping
+from conftest import (dop853_nodes, loop_taylor_coefficients, newton_inverse,
+                      random_compact_curvature, tail_referee, tensordot_transfer_rows)
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
 # below, evaluated at t = 3. Independent of the solver in the package; the
@@ -37,6 +39,14 @@ def power_tail_fixture():
     return rg.RadialCurvature.from_spline(
         [0.0, 1.0], [-0.5, -0.2], tail=rg.PowerLawTail(-0.2, 3.0)
     )
+
+
+def formula_constant(c, t_tail=1.0):
+    """Constant curvature c as a formula core, which the transfer matrices
+    solve up to the anchor; ``RadialCurvature.constant`` builds the spline
+    that the solver takes in closed form from the pole."""
+    return rg.RadialCurvature(rg.FormulaCore(lambda t: np.full_like(t, c)),
+                              rg.ConstantTail(c), t_tail)
 
 
 def test_flat_profile_is_identity():
@@ -73,12 +83,122 @@ def test_hyperbolic_nodes_match_sinh_to_roundoff():
 def test_nodes_past_a_zero_or_constant_tail_anchor_are_its_closed_form():
     # past the anchor t = 1 the nodes are cosh/sinh of the anchor state; over
     # 960 more transfer matrices the error grew to 9.5e-14
-    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
+    w = rg.solve_warping(formula_constant(-1.0), 16.0)
     ts = np.array([1.0, 2.0, 4.0, 8.0, 12.0, 16.0])
     assert np.all(np.abs(w.m(ts) - np.sinh(ts)) <= 2e-14 * np.sinh(ts))
     assert np.all(np.abs(w.m_prime(ts) - np.cosh(ts)) <= 2e-14 * np.cosh(ts))
-    flat = rg.solve_warping(rg.RadialCurvature.zero(), 16.0)
+    flat = rg.solve_warping(formula_constant(0.0), 16.0)
     assert np.array_equal(flat.m_values, flat.grid)
+
+
+FLAT_DOC = {"core": {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [0.0, 0.0]},
+            "tail": {"kind": "zero"}, "t_tail": 1.0}
+HYP_DOC = {"core": {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [-1.0, -1.0]},
+           "tail": {"kind": "constant", "c": -1.0}, "t_tail": 1.0}
+
+
+@pytest.mark.parametrize("k, m, mp", [
+    (rg.RadialCurvature.from_json(FLAT_DOC), lambda t: t, np.ones_like),
+    (rg.RadialCurvature.zero(), lambda t: t, np.ones_like),
+    (rg.RadialCurvature.from_json(HYP_DOC), np.sinh, np.cosh),
+    (rg.RadialCurvature.constant(-1.0), np.sinh, np.cosh),
+], ids=["flat-doc", "zero", "hyperbolic-doc", "constant"])
+def test_constant_models_are_their_closed_form_from_the_pole(k, m, mp, monkeypatch):
+    calls = []
+    monkeypatch.setattr(warping, "_carry_block", lambda *args: calls.append(args))
+    full = rg.solve_warping(k, 16.0)
+    assert np.array_equal(full.m_values, m(full.grid))
+    assert np.array_equal(full.m_prime_values, mp(full.grid))
+    w = rg.solve_warping(k, 1.0)
+    w.m(np.array([0.5, 4.3]))
+    w.m_prime(16.0)
+    assert calls == []
+    for name in ("grid", "m_values", "m_prime_values", "_m_second_values"):
+        assert np.array_equal(getattr(w, name), getattr(full, name))
+    assert np.array_equal(w._jet.c, full._jet.c)
+    assert all(np.array_equal(a, b) for a, b in zip(w._state, full._state))
+
+
+@pytest.mark.parametrize("k", [
+    CUSP,  # equal to its tail at its last knot only
+    rg.RadialCurvature.from_spline([0.0, 1.0], [-1.0, -1.0], rg.PowerLawTail(-1.0, 3.0)),
+    rg.RadialCurvature.constant(0.05, 4.0),  # a p = 3 tail
+    formula_constant(-1.0),
+], ids=["cusp", "power-law-tail", "positive", "formula"])
+def test_other_curvatures_keep_the_transfer_matrices(k, monkeypatch):
+    calls = []
+    carry_block = warping._carry_block
+    monkeypatch.setattr(warping, "_carry_block",
+                        lambda *args: calls.append(args) or carry_block(*args))
+    rg.solve_warping(k, 2.0)
+    assert calls
+
+
+# the parent's (matrix) 3-ball volumes of the hyperbolic model at t = 2, 4, 8, 16
+MATRIX_HYPERBOLIC_VOLUMES = [73.16743276921196, 4657.344588202929,
+                             13958219.499624787, 124034727807707.5]
+
+
+def test_hyperbolic_ball_volumes_from_the_closed_form_are_no_worse():
+    mp = pytest.importorskip("mpmath")
+    w = rg.solve_warping(rg.RadialCurvature.constant(-1.0), 16.0)
+    with mp.workdps(40):
+        for t, before in zip((2.0, 4.0, 8.0, 16.0), MATRIX_HYPERBOLIC_VOLUMES):
+            exact = mp.pi * (mp.sinh(2 * t) - 2 * t)
+            got = rg.model_ball_volume(3, w, t)
+            assert abs(got - exact) <= abs(before - exact)
+            assert abs(got - exact) <= 1e-15 * exact
+
+
+def test_taylor_terms_and_transfer_rows_are_the_loops_bit_for_bit(workloads, monkeypatch):
+    """Each block's Taylor coefficients and transfer rows against the loop
+    and ``tensordot`` referees, over the benchmark's scenario and corpus
+    curvatures, a kink and a jump that split cells, the steep spline, the
+    cusp and a formula k = 0."""
+    family = [rg.RadialCurvature.from_json(doc) for doc in (workloads.SPL_DOC, workloads.CUSP_DOC)]
+    rng = np.random.default_rng(3)
+    for kind in workloads.CORPUS_ROUND:
+        knots, values, tail = workloads.corpus_member(rng, kind)
+        raw = rg.RadialCurvature.from_spline(knots, values, {
+            "zero": rg.ZeroTail, "constant": rg.ConstantTail,
+            "power_law": rg.PowerLawTail}[tail[0]](*tail[1:]))
+        family += [raw, rg.nonpositive_min(raw)]
+    family += [rg.RadialCurvature.from_json(doc) for doc in (
+        {"core": {"kind": "formula", "expr": "-1 - maximum(0, 0.5 - abs(t - 1.3))"},
+         "tail": {"kind": "constant", "c": -1.0}, "t_tail": 4.0},
+        {"core": {"kind": "formula", "expr": "where(t < 1.4177, -1.0, -0.5)",
+                  "breakpoints": [0.0, 0.5, 1.0, 1.5, 2.0]},
+         "tail": {"kind": "constant", "c": -0.5}, "t_tail": 2.0})]
+    family += [rg.RadialCurvature.from_spline([0.0, 0.05], [-1e8, 0.0]), CUSP,
+               formula_constant(0.0)]
+    blocks = []
+    fitted, taylor, product = warping._fitted_pieces, warping._taylor_coefficients, warping._product
+
+    def record_fit(k, nodes):
+        blocks.append({"pieces": fitted(k, nodes)})
+        return blocks[-1]["pieces"]
+
+    def record_taylor(kappa):
+        blocks[-1]["coef"] = taylor(kappa)
+        return blocks[-1]["coef"]
+
+    def record_product(rows, m, mp):
+        blocks[-1].setdefault("rows", rows)
+        return product(rows, m, mp)
+
+    monkeypatch.setattr(warping, "_fitted_pieces", record_fit)
+    monkeypatch.setattr(warping, "_taylor_coefficients", record_taylor)
+    monkeypatch.setattr(warping, "_product", record_product)
+    for k in family:
+        rg.solve_warping(k, 8.0)
+    assert len(blocks) == len(family)
+    assert any(np.any(np.diff(block["pieces"][2]) == 0) for block in blocks)  # a cell split
+    for block in blocks:
+        _mid, half, _cell, kappa = block["pieces"]
+        coef = loop_taylor_coefficients(kappa)
+        assert np.array_equal(block["coef"], coef)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(block["rows"], tensordot_transfer_rows(coef, half)))
 
 
 @pytest.mark.parametrize("c, horizon", [
@@ -87,11 +207,12 @@ def test_nodes_past_a_zero_or_constant_tail_anchor_are_its_closed_form():
     (-1e6, 0.25),
 ], ids=["k=-400", "split-cells"])
 def test_large_curvature_matches_scaled_sinh(c, horizon):
-    w = rg.solve_warping(rg.RadialCurvature.constant(c), horizon)
-    r = np.sqrt(-c)
-    scale = np.cosh(r * w.grid)
-    assert np.max(np.abs(w.m_values - np.sinh(r * w.grid) / r) * r / scale) <= 1e-10
-    assert np.max(np.abs(w.m_prime_values - scale) / scale) <= 1e-10
+    for k in (rg.RadialCurvature.constant(c), formula_constant(c)):
+        w = rg.solve_warping(k, horizon)
+        r = np.sqrt(-c)
+        scale = np.cosh(r * w.grid)
+        assert np.max(np.abs(w.m_values - np.sinh(r * w.grid) / r) * r / scale) <= 1e-10
+        assert np.max(np.abs(w.m_prime_values - scale) / scale) <= 1e-10
 
 
 def test_overflowing_solution_raises_domain_error():
