@@ -198,6 +198,16 @@ class _Scenario:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(scn: _Scenario, path: Path, header: list, rows) -> str:
+    """Write a task's CSV, headed by the run's provenance line; returns its name."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# scenario: {scn.name}, toolkit: radialgeo {__version__}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.name
+
+
 def _run_threshold(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     names = cmd.get("curvatures", list(scn.curvatures))
     if not isinstance(names, list) or not names:
@@ -235,9 +245,8 @@ def _run_growth(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
     except GeometryError as exc:
         _fail(f"{path}.numerator", str(exc))
 
-    csv_name = f"growth_{idx}.csv"
-    ratio.to_csv(outdir / csv_name,
-                 comment=f"scenario: {scn.name}, toolkit: radialgeo {__version__}")
+    csv_name = _write_csv(scn, outdir / f"growth_{idx}.csv", ["t", "vol_num", "vol_den", "ratio"],
+                          [map(repr, sample) for sample in ratio.samples])
     return {
         "task": "growth",
         "denominator": den_name,
@@ -259,15 +268,10 @@ def _triangle_pieces(scn: _Scenario, cmd: dict, path: str):
 
 def _run_triangle(scn: _Scenario, cmd: dict, path: str, outdir: Path, idx: int):
     surf_name, _sides, _surface, tri, residual = _triangle_pieces(scn, cmd, path)
-    csv_name = f"triangle_{idx}.csv"
-    with open(outdir / csv_name, "w", newline="") as fh:
-        fh.write(f"# scenario: {scn.name}, toolkit: radialgeo {__version__}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "t", "theta", "angle"])
-        for label, vertex, angle in zip(("pole", "x", "y"), tri.vertices,
-                                        tri.angles):
-            writer.writerow([label, repr(vertex.t), repr(vertex.theta),
-                             repr(angle)])
+    csv_name = _write_csv(scn, outdir / f"triangle_{idx}.csv", ["vertex", "t", "theta", "angle"],
+                          [[label, repr(vertex.t), repr(vertex.theta), repr(angle)]
+                           for label, vertex, angle in zip(("pole", "x", "y"), tri.vertices,
+                                                           tri.angles)])
     record = {"task": "triangle", "surface": surf_name}
     record.update(tri.to_json())
     record["gauss_bonnet_residual"] = residual
@@ -288,27 +292,21 @@ def _run_gauss_bonnet(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
     }
 
 
-def _run_check_main(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
-    g_name = _field(cmd, "g", str, path, "a curvature name")
-    k_name = _field(cmd, "k", str, path, "a curvature name")
-    g = scn.curvature(g_name, f"{path}.g")
-    k = scn.curvature(k_name, f"{path}.k")
-    numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
-    horizons = scn.horizons(cmd, path)
-    report = ricci_pinch_check(scn.n, g, k, numerator, horizons=horizons,
-                               warping=scn.warping(g))
-    return {"task": "check-main", "g": g_name, "k": k_name,
-            "report": report.to_json()}
+# each check task's function and the fields naming its curvatures, model first
+_CHECKS = {"check-main": (ricci_pinch_check, ("g", "k")),
+           "check-corollary": (sectional_pinch_check, ("g",))}
 
 
-def _run_check_corollary(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
-    g_name = _field(cmd, "g", str, path, "a curvature name")
-    g = scn.curvature(g_name, f"{path}.g")
+def _run_check(scn: _Scenario, cmd: dict, path: str, _outdir, _idx):
+    if "horizons" in cmd:
+        _fail(f"{path}.horizons", "check commands take no horizons; "
+                                  "the growth task samples ratios")
+    check, keys = _CHECKS[cmd["task"]]
+    names = {key: _field(cmd, key, str, path, "a curvature name") for key in keys}
+    curvs = [scn.curvature(name, f"{path}.{key}") for key, name in names.items()]
     numerator = scn.numerator(cmd.get("numerator", "manifold"), f"{path}.numerator")
-    horizons = scn.horizons(cmd, path)
-    report = sectional_pinch_check(scn.n, g, numerator, horizons=horizons,
-                                   warping=scn.warping(g))
-    return {"task": "check-corollary", "g": g_name, "report": report.to_json()}
+    report = check(scn.n, *curvs, numerator, warping=scn.warping(curvs[0]))
+    return {"task": cmd["task"], **names, "report": report.to_json()}
 
 
 _RUNNERS = {
@@ -316,8 +314,8 @@ _RUNNERS = {
     "growth": _run_growth,
     "triangle": _run_triangle,
     "gauss-bonnet": _run_gauss_bonnet,
-    "check-main": _run_check_main,
-    "check-corollary": _run_check_corollary,
+    "check-main": _run_check,
+    "check-corollary": _run_check,
 }
 
 

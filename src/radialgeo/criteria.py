@@ -5,7 +5,7 @@ finite-volume corollary) share one body, ``_pinch_check``: the nonpositive
 envelope of the model bounds gives the critical angle and the growth
 threshold; one solution of the model curvature (``warping=``, as for
 ``classify_ball_volume``, or a solve) decides hypothesis B-1 (do model ball
-volumes diverge?) and gives the growth-ratio denominators of a synthetic
+volumes diverge?) and gives the t = 16 growth-ratio denominator of a synthetic
 numerator, which must dominate each bound on [0, inf) (``_lowest_gap``).
 B-2 compares the growth bracket, asserted or from the tails' closed-form
 limit, with the threshold, each charged with its own error. Verdicts are
@@ -28,7 +28,6 @@ from .errors import DomainError
 from .synthetic import RotSymManifold
 from .volume import (
     _assemble_ratio,
-    _checked_horizons,
     _sin_power_half_integral,
     cap_fraction,
     classify_ball_volume,
@@ -127,10 +126,10 @@ def _dominates(f, g):
     return gap >= -_ROUNDING_ULPS * np.spacing(max(1.0, abs(g(t)))), t
 
 
-def _manifold_bracket(n, bounds, numerator, horizons, warping, delta, threshold_error):
+def _manifold_bracket(n, bounds, numerator, warping, delta, threshold_error):
     """(model ball-volume class, bracket, notes) for a manifold numerator, which
     must dominate each bound. One model solution, ``warping`` or a solve, gives
-    the class (B-1) and the ratio denominators. The bracket is
+    the class (B-1) and the denominator of the t = 16 ratio. The bracket is
     ``GrowthRatio.bracket``, or [1, 1] at threshold 1 (delta = 0, met by the
     limit 1 only) where the model dominates the numerator too."""
     if not isinstance(numerator, RotSymManifold):
@@ -158,21 +157,21 @@ def _manifold_bracket(n, bounds, numerator, horizons, warping, delta, threshold_
                 f"{label} {own(t):.9g} < model curvature {bound(t):.9g}")
     notes.append("curvature domination verified on the synthetic numerator")
 
-    ratio = _assemble_ratio(n, numerator.warping, den_warping, horizons, True)
+    ratio = _assemble_ratio(n, numerator.warping, den_warping, DEFAULT_HORIZONS[-1:], True)
     limit = ratio.limit()
     read = "growth limit {!r} +/- {!r}".format(*limit) if limit else "no growth limit"
     notes.append(f"{read} from the tails at their anchors; threshold error {threshold_error!r}")
-    notes += [f"growth ratio at t = {t!r}: {r!r}" for t, _vn, _vd, r in ratio.samples]
+    (t, _vn, _vd, r), = ratio.samples
+    notes.append(f"growth ratio at t = {t!r}: {r!r}")
     bracket = (1.0, 1.0) if delta == 0.0 and _dominates(model, own)[0] else ratio.bracket()
     return classification, bracket, notes
 
 
-def _pinch_check(n, bounds, numerator, horizons, warping):
+def _pinch_check(n, bounds, numerator, warping):
     """The report both checks share, with the main theorem's verdict, and the
     model's total volume. ``bounds`` lists (curvature, label) pairs: all join
     the envelope that sets delta and the threshold, the first is the model.
     The threshold's error is F'(delta) delta times the moment's abs_error."""
-    horizons = _checked_horizons(horizons)
     mom = moment_integral(nonpositive_min(*(bound for bound, _label in bounds)))
     delta = _angle(mom)
     threshold = growth_threshold(n, delta)
@@ -186,7 +185,7 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
                  "growth bracket asserted by caller; domination not verified here"]
     else:
         classification, bracket, notes = _manifold_bracket(
-            n, bounds, numerator, horizons, warping, delta, threshold_error)
+            n, bounds, numerator, warping, delta, threshold_error)
     b1 = classification.kind == "divergent"
     b2 = _tri_state(bracket, threshold, threshold_error)
     verdict = VERDICT_INCONCLUSIVE
@@ -198,7 +197,6 @@ def _pinch_check(n, bounds, numerator, horizons, warping):
 
 def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
                       sectional_bound: RadialCurvature, numerator,
-                      horizons=DEFAULT_HORIZONS,
                       warping: WarpingSolution | None = None) -> CriterionReport:
     """Full two-hypothesis check against a radial-Ricci model bound.
 
@@ -210,14 +208,13 @@ def ricci_pinch_check(n: int, ricci_bound: RadialCurvature,
     """
     report, _total = _pinch_check(
         n, [(ricci_bound, "radial Ricci"), (sectional_bound, "radial sectional")],
-        numerator, horizons, warping)
+        numerator, warping)
     if not report.b1_holds:
         report.diagnostics["notes"].append("hypothesis B-1 fails: model ball volumes stay bounded")
     return report
 
 
 def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
-                          horizons=DEFAULT_HORIZONS,
                           warping: WarpingSolution | None = None) -> CriterionReport:
     """Variant needing only a radial-sectional model bound.
 
@@ -228,7 +225,7 @@ def sectional_pinch_check(n: int, sectional_bound: RadialCurvature, numerator,
     of sectional_bound, saves the model solve.
     """
     report, total = _pinch_check(
-        n, [(sectional_bound, "radial sectional")], numerator, horizons, warping)
+        n, [(sectional_bound, "radial sectional")], numerator, warping)
     if report.b1_holds:
         return report
     report.diagnostics["flags"].append("FiniteModelVolume")

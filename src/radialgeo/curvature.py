@@ -236,13 +236,16 @@ class PowerLawTail(_Tail):
 
 
 def _hyp0f1(b: float, x: float) -> float:
-    """0F1(; b; x) by scipy, which is not finite for b above about 171 at
-    x < 0 (``special.hyp0f1(172, -10)`` is inf); there, for |x| <= 3 b, its
-    series summed term by term: each term is at most 3 / (j + 1) times the one
-    before, so none exceeds 4.5. Beyond that the value stays not finite."""
-    value = float(special.hyp0f1(b, x))
-    if math.isfinite(value) or not abs(x) <= 3.0 * b:
-        return value
+    """0F1(; b; x) for b > 0 by its series, summed term by term at x >= 0,
+    where every term is positive and ``special.hyp0f1`` loses accuracy as b
+    grows (3e-10 at b = 1e5), and at x < 0 where scipy's is not finite (b
+    above about 171: ``special.hyp0f1(172, -10)`` is inf) if |x| <= 3 b: each
+    term is then at most 3 / (j + 1) times the one before, so none exceeds
+    4.5. Otherwise scipy's value; a sum past the float range is inf."""
+    if x < 0.0:
+        value = float(special.hyp0f1(b, x))
+        if math.isfinite(value) or not -x <= 3.0 * b:
+            return value
     term = total = 1.0
     j = 0
     while abs(term) > 1e-17 * abs(total):

@@ -17,7 +17,6 @@ quintic interpolant) plus one Gauss panel in the cell holding the radius.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,14 +214,6 @@ class GrowthRatio:
         last = self.samples[-1][3]
         hi = min(1.0, last * (1.0 + 20.0 * DEFAULT_REL_TOL)) if self.dominated else value + err
         return min(max(0.0, value - err), hi), hi
-
-    def to_csv(self, path, comment: str):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "vol_num", "vol_den", "ratio"])
-            for t, vn, vd, r in self.samples:
-                writer.writerow([repr(t), repr(vn), repr(vd), repr(r)])
 
 
 def _checked_horizons(horizons) -> tuple:

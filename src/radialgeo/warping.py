@@ -404,13 +404,14 @@ def _split(k: RadialCurvature, grid: np.ndarray) -> int:
 def _grow(k: RadialCurvature, grid, state, t: float):
     """(grid, node state (m, m', M, M')) carried on from the last node, a
     lattice node, to the first one at or past t > grid[-1], from node
-    ``_split(k, grid)``."""
+    ``_split(k, grid)``: past it the tail's closed form reaches each new
+    node from that one, so no old node is carried again."""
     nodes = _node_grid(k.breakpoints, round(grid[-1] * _NODES_PER_UNIT),
                        math.ceil(t * _NODES_PER_UNIT))
     i = _split(k, grid)
-    new = _carry(k, np.concatenate([grid[i:], nodes[1:]]), [float(v[i]) for v in state])
+    new = _carry(k, np.concatenate([grid[i:i + 1], nodes[1:]]), [float(v[i]) for v in state])
     return (np.concatenate([grid, nodes[1:]]),
-            [np.concatenate([old, v[1 - nodes.size:]]) for old, v in zip(state, new)])
+            [np.concatenate([old, v]) for old, v in zip(state, new)])
 
 
 def _carry(k: RadialCurvature, grid: np.ndarray, state: list):

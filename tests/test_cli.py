@@ -541,12 +541,11 @@ SPLINE_HYP = {
 @pytest.mark.parametrize("command, message", [
     ({"task": "growth", "denominator": "flat", "horizons": [2, 5000]},
      "warping functions are solved up to t = 4096"),
-    ({**CHECK_FLAT, "horizons": [5000]}, "warping functions are solved up to t = 4096"),
     ({"task": "triangle", "surface": "flat", "sides": [5000, 5000, 1]},
      "warping functions are solved up to t = 4096"),
     ({"task": "growth", "denominator": "hyp", "horizons": [2, 4000]},
      "the warping function overflows before t = 4000"),
-], ids=["growth-horizon", "check-horizon", "triangle-side", "growth-overflow"])
+], ids=["growth-horizon", "triangle-side", "growth-overflow"])
 def test_geometry_failure_names_its_command(tmp_path, capsys, command, message):
     doc = base_scenario(curvatures={"flat": SPLINE_FLAT, "hyp": SPLINE_HYP},
                         commands=["threshold", command])
@@ -556,6 +555,20 @@ def test_geometry_failure_names_its_command(tmp_path, capsys, command, message):
     assert report is None
     assert err.startswith("error: scenario.commands[1]: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [CHECK_FLAT, {"task": "check-corollary", "g": "flat"}],
+                         ids=["check-main", "check-corollary"])
+@pytest.mark.parametrize("horizons", [[2.0, 16.0], [5000], "x"],
+                         ids=["defaults", "beyond-4096", "string"])
+def test_a_check_command_with_horizons_exits_one(tmp_path, capsys, command, horizons):
+    # B-2 comes from the tails; the growth task is the one that samples ratios
+    doc = base_scenario(curvatures={"flat": SPLINE_FLAT},
+                        commands=["threshold", {**command, "horizons": horizons}])
+    code, report, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert (code, report) == (1, None)
+    assert err.startswith("error: scenario.commands[1].horizons: check commands take no horizons")
 
 
 # m = sin t up to a = pi/2 - 1e-14, then linear with slope cos(a) = 1e-14,
@@ -637,8 +650,7 @@ FUZZ_SKELETON = {
         "threshold",
         {"task": "growth", "denominator": "ramp", "horizons": [1.0, 4.0],
          "dominated": True},
-        {"task": "check-corollary", "g": "ramp", "numerator": "manifold",
-         "horizons": [1.0, 4.0]},
+        {"task": "check-corollary", "g": "ramp", "numerator": "manifold"},
         {"task": "triangle", "surface": "ramp", "sides": [1.0, 1.5, 2.0]},
     ],
     "output_dir": "out",

@@ -486,3 +486,23 @@ def test_manifold_numerator_solves_and_classifies_model_once(monkeypatch, check)
     for numerator in (mfd, [0.5, 0.6]):
         with pytest.raises(rg.DomainError, match="another curvature"):
             run(numerator, warping=foreign)
+
+
+@pytest.mark.parametrize("check", ["main", "corollary"])
+def test_a_manifold_check_reads_one_volume_pair(monkeypatch, check):
+    # B-2 is decided from the tails; the bracket top under domination is the
+    # one ratio at the last default horizon, so two ball volumes are read
+    from radialgeo import volume
+
+    reads = []
+    read = volume.model_ball_volume
+    monkeypatch.setattr(volume, "model_ball_volume",
+                        lambda n, w, t: reads.append(t) or read(n, w, t))
+    model = rg.RadialCurvature.from_spline([0.0, 0.9, 1.8, 2.7], [-1.1, -0.25, -0.7, -0.2],
+                                           tail=rg.PowerLawTail(-0.2, 3.0))
+    mfd = rg.RotSymManifold.from_curvature(3, rg.RadialCurvature.zero(), t_max=17.0)
+    rep = (rg.ricci_pinch_check(3, model, model, numerator=mfd) if check == "main"
+           else rg.sectional_pinch_check(3, model, numerator=mfd))
+    assert reads == [16.0, 16.0]
+    notes = [note for note in rep.diagnostics["notes"] if note.startswith("growth ratio at")]
+    assert len(notes) == 1 and notes[0].startswith("growth ratio at t = 16.0: ")

@@ -102,14 +102,15 @@ def _slow_power_tail_limit(tail, anchor, m_a, mp_a, s_end=16000.0):
 def test_a_power_law_tail_near_p_2_continues_by_the_0f1_series():
     """scipy's 0F1 is not finite at b above about 171 for x < 0; there the
     continuation sums its series for |x| <= 3 b, and beyond keeps its
-    DomainError. The series against 40-digit mpmath, and the limit of a
-    p = 2.001 tail against mpmath's 0F1 and a DOP853 referee."""
+    DomainError. At x > 0 it sums the series too. The series against
+    40-digit mpmath, and the limit of a p = 2.001 tail against mpmath's 0F1
+    and a DOP853 referee."""
     mp = pytest.importorskip("mpmath")
     assert special.hyp0f1(172.0, -10.0) == math.inf
     assert math.isnan(special.hyp0f1(1001.0, -1000.0))
     with mp.workdps(40):
         for b in (172.0, 500.5, 1001.0, 1002.0):
-            for x in (-10.0, -b, -3.0 * b):
+            for x in (-10.0, -b, -3.0 * b, 1.5, b - 1.0, 3.0 * b):
                 want = mp.hyp0f1(b, x)
                 assert abs(curvature._hyp0f1(b, x) - want) <= 1e-14 * abs(want)
     assert math.isnan(curvature._hyp0f1(1001.0, -3004.0))
@@ -131,6 +132,24 @@ def test_a_power_law_tail_near_p_2_continues_by_the_0f1_series():
                                             tail=rg.PowerLawTail(0.01, 2.001))
     with pytest.raises(rg.DomainError, match="no closed-form continuation"):
         rg.classify_ball_volume(3, beyond)
+
+
+@pytest.mark.parametrize("p", [2.0001, 2.001])
+def test_a_negative_power_law_tail_near_p_2_holds_its_limit_in_its_bar(p):
+    """At x > 0 every 0F1 term is positive and the series is summed there,
+    where scipy's 0F1 loses accuracy as b grows (3e-10 at b = 1e5): the bar
+    of the tail's limit holds mpmath's limit on the same anchor state (at
+    p = 2.0001 scipy's 0F1 put it 1.10 bars away)."""
+    mp = pytest.importorskip("mpmath")
+    k = rg.RadialCurvature.from_spline([0.0, 1.0], [-0.2, -0.001],
+                                       tail=rg.PowerLawTail(-0.001, p))
+    w = rg.solve_warping(k)
+    (m_a, mp_a), (limit, err) = w.anchor_state(), w.tail_limit
+    with mp.workdps(40):
+        nu = 1 / (mp.mpf(k.tail.p) - 2)
+        x = -mp.mpf(k.tail.c) * nu ** 2
+        dphi = (2 - mp.mpf(k.tail.p)) * x * mp.hyp0f1(nu + 2, x) / (nu + 1)
+        assert abs(limit - (mp.hyp0f1(nu + 1, x) * mp_a - dphi * m_a)) <= err
 
 
 def test_zero_curvature_has_one_encoding():
