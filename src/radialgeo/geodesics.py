@@ -4,7 +4,9 @@ All operations are restricted to nonpositive curvature, where geodesics
 between any two points are unique and the endpoint maps are monotone, so
 every two-point problem reduces to one root of a smooth increasing function
 of a branch variable on [-1, 1], found by Newton steps safeguarded by false
-position on the ends, where its values are known in closed form.
+position on the ends, where its values are known in closed form. The first
+step is the comparison model's answer: the same problem in closed form on
+the plane of constant curvature K <= 0 fitted to m at the inner radius.
 
 The metric dt^2 + m(t)^2 dtheta^2 has the rotation number
 nu = m(t) sin(phi) conserved along geodesics (phi = angle to the meridian).
@@ -141,6 +143,40 @@ def _side_value(surface, side: _SideGeodesic):
 _MAX_PASSES = 100  # side passes per solve
 
 
+def _model_sigma(r1: float, r2: float, nu_c: float, target: float, by_length: bool) -> float:
+    """sigma of the same side problem in the plane of curvature -a^2 whose
+    m_K(t) = sinh(a t)/a (t for a = 0) is nu_c at the inner radius (NaN where
+    cosh(a (r1 + r2)) overflows or r_in < 1e-150 underflows m_K(r1) m_K(r2)):
+    the K-law of cosines m_K(c/2)^2 = m_K((r1 - r2)/2)^2 + m_K(r1) m_K(r2)
+    sin^2(theta/2) gives the side c or the angle theta, and Clairaut with the
+    K-law of sines nu_K = m_K(r1) m_K(r2) sin(theta)/m_K(c). The side turns
+    iff the angle at the inner vertex is acute, cosh(a r_in) cosh(a c) >
+    cosh(a r_out) in half-angle form; sigma = +-sqrt(1 - nu_K/nu_c)."""
+    r_in, r_out = min(r1, r2), max(r1, r2)
+    rho, x = nu_c / r_in, 0.0
+    if rho > 1.0:  # asinh(rho x) = x, concave in x: Newton steps from bounds above the root
+        x = min(math.sqrt(6.0 * (rho - 1.0)), 2.0 * math.log(2.0 * rho) + 2.0)
+        for _ in range(16):
+            step = (math.asinh(rho * x) - x) / (rho / math.hypot(1.0, rho * x) - 1.0)
+            x -= step
+            if step <= 1e-15 * x:
+                break
+    a = x / r_in
+    if not (a * (r1 + r2) < 700.0 and r_in > 1e-150):
+        return math.nan
+    m_k = (lambda t: math.sinh(a * t) / a) if a > 0.0 else (lambda t: t)
+    p, q = m_k(r1) * m_k(r2), m_k(0.5 * (r1 - r2)) ** 2
+    if by_length:
+        c = target
+        theta = 2.0 * math.asin(math.sqrt(min(max((m_k(0.5 * c) ** 2 - q) / p, 0.0), 1.0)))
+    else:
+        theta, half = target, math.sqrt(q + p * math.sin(0.5 * target) ** 2)
+        c = 2.0 * (math.asinh(a * half) / a if a > 0.0 else half)
+    h_in, h_c = m_k(0.5 * r_in) ** 2, m_k(0.5 * c) ** 2
+    sigma = min(math.sqrt(max(1.0 - p * math.sin(theta) / m_k(c) / nu_c, 0.0)), 1.0 - 2.0 ** -53)
+    return sigma if h_in + h_c + 2.0 * a * a * h_in * h_c > m_k(0.5 * r_out) ** 2 else -sigma
+
+
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
                 target_angle: float | None = None,
                 target_length: float | None = None):
@@ -151,66 +187,55 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     negative on the monotone branch and positive on the turning one. Near
     nu_c a side's value goes like crit -+ c sqrt(nu_c - nu), where Newton in
     nu stalls; in sigma the angle (length) is smooth and increasing on
-    [-1, 1], from 0 to pi (|r1 - r2| to r1 + r2). Its value at sigma = 0,
-    crit, is the first pass, and its slope there sqrt(2)/m'(min radius),
-    times nu_c for a length and doubled for equal radii. A safeguarded
-    Newton method (rtsafe, Press et al., *Numerical Recipes* 9.4) runs in
-    the bracket [-1, 0] or [0, 1] on the target's side of crit, taking an
-    Illinois false-position step (Dowell and Jarratt, *BIT* 11, 1971) on the
-    bracket ends where a step would leave it or shrinks too slowly. A pass
-    whose value is within a few ulps of the target, or whose next Newton
-    step or bracket is narrower in nu than tol = 0.5 (1e-15 max(1, nu_c) +
-    8.9e-16 nu), gives angle and length. Once Newton's estimate C newton^2
-    (C = |newton|/step^2) of the next step's error is below tol/100 in nu,
-    that step is taken without a pass: the target is met and the other part
-    moves by d length = nu d angle. m, m' at both radii are read once.
+    [-1, 1], from 0 to pi (|r1 - r2| to r1 + r2). The first pass is at
+    ``_model_sigma``, the answer up to rounding on a constant-curvature
+    surface, or at sigma = 0 where that is not finite; the slope of a pass
+    is its own, and at sigma = 0 sqrt(2)/m'(min radius), times nu_c for a
+    length and doubled for equal radii. A safeguarded Newton method
+    (rtsafe, Press et al., *Numerical Recipes* 9.4) runs in the bracket
+    [sigma, 1] or [-1, sigma] that the first pass's sign picks, whose far
+    end has its value in closed form, taking an Illinois false-position step
+    (Dowell and Jarratt, *BIT* 11, 1971) on the bracket ends where a step
+    would leave it or shrinks too slowly. A pass whose value is within a few
+    ulps of the target, or whose next Newton step or one-signed bracket is
+    narrower in nu than tol = 0.5 (1e-15 max(1, nu_c) + 8.9e-16 nu), gives
+    angle and length. Once Newton's estimate C newton^2 (C = |newton|/step^2)
+    of the next step's error is below tol/100 in nu, that step is taken
+    without a pass: the target is met and the other part moves by
+    d length = nu d angle. m, m' at both radii come from one read.
     """
-    m1, m2 = surface.warping.m(np.array([r1, r2])).tolist()
-    mp1, mp2 = surface.warping.m_prime(np.array([r1, r2])).tolist()
+    (m1, mp1), (m2, mp2) = surface.warping.m_and_prime(np.array([r1, r2])).tolist()
     nu_c, mp_c = (m1, mp1) if r1 <= r2 else (m2, mp2)
     by_length = target_angle is None
     target = target_length if by_length else target_angle
     nu_at = lambda sigma: nu_c * ((1.0 - sigma) * (1.0 + sigma))
+    df_0 = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
 
     def pass_at(sigma):
         side = _SideGeodesic(nu_at(sigma), sigma > 0.0, r1, r2, m1, m2, mp1, mp2)
         angle, length, dangle = _side_value(surface, side)
         # d nu/d sigma = -2 nu_c sigma
-        dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0)
+        dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0) if sigma else df_0
         return side, angle, length, (length if by_length else angle) - target, dvalue
 
-    side, angle, length, f, _ = pass_at(0.0)
-    if abs(f) <= 1e-13 * max(abs(target), abs(f + target), 1e-30):
-        return side, angle, length
-    df = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
-    if f < 0.0:
-        lo, hi, f_lo, f_hi = 0.0, 1.0, f, (r1 + r2 if by_length else math.pi) - target
-    else:
-        lo, hi, f_lo, f_hi = -1.0, 0.0, (abs(r1 - r2) if by_length else 0.0) - target, f
-    sigma, newton, step, step_before, moved_lo = 0.0, f / df, 1.0, 1.0, f < 0.0
+    sigma = _model_sigma(r1, r2, nu_c, target, by_length)
+    sigma = sigma if math.isfinite(sigma) else 0.0
+    lo, f_lo = -1.0, (abs(r1 - r2) if by_length else 0.0) - target
+    hi, f_hi = 1.0, (r1 + r2 if by_length else math.pi) - target
+    step, step_before, by_newton, moved_lo = 1.0, 1.0, False, None
     for _ in range(_MAX_PASSES):
-        # a Newton step inside the bracket and at most half the step before last
-        by_newton = lo < sigma - newton < hi and 2.0 * abs(newton) <= step_before
-        if by_newton:
-            step_before, step = step, abs(newton)
-            sigma -= newton
-        else:
-            step_before, step = step, 0.5 * (hi - lo)
-            sigma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not lo < sigma < hi:  # rounded onto an end, where nu may be 0
-                sigma = lo + step
         side, angle, length, f, df = pass_at(sigma)
         newton = f / df if df > 0.0 else math.inf
         ahead = sigma - newton
         # Illinois: the value at an end kept twice running is halved
-        if f < 0.0:
-            lo, f_lo, f_hi = sigma, f, 0.5 * f_hi if moved_lo else f_hi
+        moved_lo, kept_twice = f < 0.0, moved_lo == (f < 0.0)
+        if moved_lo:
+            lo, f_lo, f_hi = sigma, f, 0.5 * f_hi if kept_twice else f_hi
         else:
-            hi, f_hi, f_lo = sigma, f, f_lo if moved_lo else 0.5 * f_lo
-        moved_lo = f < 0.0
+            hi, f_hi, f_lo = sigma, f, 0.5 * f_lo if kept_twice else f_lo
         tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
-        if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol
-                or abs(nu_at(ahead) - side.nu) < tol):
+        if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(ahead) - side.nu) < tol
+                or lo * hi >= 0.0 and abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol):
             return side, angle, length
         if by_newton and lo < ahead < hi and abs(
                 nu_at(ahead + newton ** 3 / step ** 2) - nu_at(ahead)) < 0.01 * tol:
@@ -219,6 +244,15 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
             if by_length:
                 return side, angle - f / nu_mid, target
             return side, target, length - f * nu_mid
+        # a Newton step inside the bracket and at most half the step before last
+        by_newton = lo < ahead < hi and 2.0 * abs(newton) <= step_before
+        if by_newton:
+            step_before, step, sigma = step, abs(newton), ahead
+        else:
+            step_before, step = step, 0.5 * (hi - lo)
+            sigma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < sigma < hi:  # rounded onto an end, where nu may be 0
+                sigma = lo + step
     raise DomainError(f"side solve between radii {r1:.6g} and {r2:.6g} did not converge "
                       f"in {_MAX_PASSES} passes")
 

@@ -97,23 +97,40 @@ _BLOCK_CELLS = 2048
 _MAX_TERMS = 64
 
 
+def _top_powers(h, delta, d0, d1, s0, s1):
+    """Rows a5, a4, a3 of the module docstring for cells of width h."""
+    hh = h * h
+    return ((12.0 * delta - 6.0 * (d0 + d1) * h - (s0 - s1) * hh) / (2.0 * hh * hh * h),
+            ((-30.0 * delta + (14.0 * d1 + 16.0 * d0) * h + (3.0 * s0 - 2.0 * s1) * hh)
+             / (2.0 * hh * hh)),
+            (20.0 * delta - (8.0 * d1 + 12.0 * d0) * h - (3.0 * s0 - s1) * hh) / (2.0 * hh * h))
+
+
 def _quintic(x, y, dy, d2y, derivatives=0) -> PPoly:
     """Piecewise quintic through (y, y', y'') at the strictly increasing
     nodes x, with the power-form coefficients of the module docstring and
     one more cell, as wide as the last, holding the Taylor data of x[-1];
-    its first ``derivatives`` derivatives sit beside it as further columns."""
+    its first ``derivatives`` derivatives sit beside it as further columns.
+    Cells that overflow are formed again from their data over 2^e, e the
+    largest's exponent; one that still does, raises DomainError."""
     h = np.diff(x)
-    hh = h * h
-    delta, d0, d1, s0, s1 = y[1:] - y[:-1], dy[:-1], dy[1:], d2y[:-1], d2y[1:]
+    data = (y[1:] - y[:-1], dy[:-1], dy[1:], d2y[:-1], d2y[1:])
     jet = np.zeros((6, x.size, derivatives + 1))
     c = jet[..., 0]  # rows a5 .. a0: PPoly keeps the highest power first
-    c[0, :-1] = (12.0 * delta - 6.0 * (d0 + d1) * h - (s0 - s1) * hh) / (2.0 * hh * hh * h)
-    c[1, :-1] = ((-30.0 * delta + (14.0 * d1 + 16.0 * d0) * h + (3.0 * s0 - 2.0 * s1) * hh)
-                 / (2.0 * hh * hh))
-    c[2, :-1] = (20.0 * delta - (8.0 * d1 + 12.0 * d0) * h - (3.0 * s0 - s1) * hh) / (2.0 * hh * h)
     c[3], c[4], c[5] = 0.5 * d2y, dy, y
-    for j in range(1, derivatives + 1):  # the products PPoly.derivative forms
-        jet[j:, :, j] = jet[j - 1:-1, :, j - 1] * np.arange(6 - j, 0, -1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[0, :-1], c[1, :-1], c[2, :-1] = _top_powers(h, *data)
+        for rescaled in (False, True):
+            for j in range(1, derivatives + 1):  # the products PPoly.derivative forms
+                jet[j:, :, j] = jet[j - 1:-1, :, j - 1] * np.arange(6 - j, 0, -1)[:, None]
+            if np.isfinite(jet[:5]).all():  # rows a0 are the finite node data
+                break
+            bad = ~np.isfinite(jet[:5, :-1]).all(axis=(0, 2))
+            if rescaled:
+                raise DomainError(f"the warping interpolant overflows at t = {x[bad.argmax()]:.6g}")
+            e = np.frexp(np.max(np.abs([v[bad] for v in data]), axis=0))[1]
+            c[:3, :-1][:, bad] = np.ldexp(
+                _top_powers(h[bad], *(np.ldexp(v[bad], -e) for v in data)), e)
     return PPoly.construct_fast(jet if derivatives else c, np.append(x, x[-1] + h[-1]))
 
 
@@ -187,18 +204,23 @@ class WarpingSolution:
         return np.clip(arr, 0.0, self.t_max)
 
     def _read(self, order, t):
-        """Column ``order`` of the jet (m, m', m'') at t; a float for a scalar t."""
+        """Column ``order`` (an index or a slice) of the jet (m, m', m'') at
+        t; a float for one column at a scalar t."""
         if np.any(np.asarray(t) < -1e-12):
             raise DomainError("warping functions are defined for t >= 0")
         arr = self._reach(t)  # before the lookup: a carry appends cells to the interpolant
         out = self._jet(arr)[..., order]
-        return float(out) if np.ndim(t) == 0 else out
+        return out if np.ndim(out) else float(out)
 
     def m(self, t):
         return self._read(0, t)
 
     def m_prime(self, t):
         return self._read(1, t)
+
+    def m_and_prime(self, t):
+        """(m, m') at t from one read, along a last axis of length 2."""
+        return self._read(slice(0, 2), t)
 
     def m_second(self, t):
         """Second derivative of the interpolated profile (equals -k*m at the

@@ -221,6 +221,23 @@ def test_overflowing_solution_raises_domain_error():
         rg.solve_warping(rg.RadialCurvature.constant(-1e4), 10.0)
 
 
+def test_a_solution_near_the_float_limit_reads_its_closed_form():
+    # the quintic's products overflow at the last cells before m does: those
+    # cells are formed from scaled data, so m and m' near 1e307 stay finite
+    w = rg.solve_warping(rg.RadialCurvature.constant(-0.5), 1003.0)
+    r = math.sqrt(0.5)
+    assert abs(w.m(1000.0) - math.sinh(1000.0 * r) / r) <= 1e-10 * (math.sinh(1000.0 * r) / r)
+    assert abs(w.m_prime(1000.0) - math.cosh(1000.0 * r)) <= 1e-10 * math.cosh(1000.0 * r)
+    assert np.all(np.isfinite(w.m_and_prime(np.linspace(990.0, 1003.0, 1001))))
+
+
+def test_an_overflowing_interpolant_cell_raises_domain_error():
+    # m stays finite to t = 35.3, but its fifth Taylor coefficient, m 20^5 / 120,
+    # passes the largest float after t = 35
+    with pytest.raises(rg.DomainError, match="interpolant overflows at t = 35"):
+        rg.solve_warping(rg.RadialCurvature.constant(-400.0), 35.3)
+
+
 def test_conjugate_point_located_at_pi():
     with pytest.raises(rg.ConjugatePointError) as info:
         rg.solve_warping(rg.RadialCurvature.constant(1.0, t_tail=4.0), 4.0)
