@@ -27,11 +27,12 @@ a tail with c = 0 (a zero constant or power-law coefficient) with ``ZeroTail``,
 and ``RadialCurvature.constant`` builds every constant model, zero included,
 as the spline through (c, c) on [0, t_tail].
 
-Cores are either cubic splines over breakpoints or closed-form callables. A
-curvature's knots are fixed at construction and computed on first read:
-``breakpoints``, sorted once, from 0 to t_tail. Only ``_cubics`` reads a
-spline's coefficients, as cubics on given knots: the exact comparison of two
-curvatures (``_lowest_gap``) and the scan grid of an envelope read them.
+Cores are cubic splines over breakpoints, the one core a JSON document
+holds, or closed-form callables built in Python. A curvature's knots are
+fixed at construction and computed on first read: ``breakpoints``, sorted
+once, from 0 to t_tail. Only ``_cubics`` reads a spline's coefficients, as
+cubics on given knots: the exact comparison of two curvatures
+(``_lowest_gap``) and the scan grid of an envelope read them.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
 represented exactly by lazy evaluation over the merged knots, and have no
 JSON form; their kinks, the changes of the minimiser on a scan grid, are
@@ -48,7 +49,6 @@ the summed estimate.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -320,7 +320,7 @@ def _tail_from_json(obj) -> _Tail:
         return PowerLawTail(float(obj["c"]), float(obj["p"]))
     if kind == "constant":
         return ConstantTail(float(obj["c"]))
-    raise DomainError(f"unknown tail kind {kind!r}")
+    raise DomainError(f"unknown tail kind {kind!r:.40}")
 
 
 class SplineCore:
@@ -391,7 +391,8 @@ def _knot_slopes(x, dx, y, slope):
 
 
 class FormulaCore:
-    """Elementwise closed-form core, optionally serialized as an expression.
+    """Elementwise closed-form core, built in Python only: scenario files
+    hold spline cores, so a formula has no JSON form.
 
     ``breakpoints`` are hints for quadrature splitting (the function may have
     kinks there, e.g. for pointwise minima); they do not affect evaluation.
@@ -406,19 +407,13 @@ class FormulaCore:
     def __init__(
         self,
         func: Callable,
-        expr: str | None = None,
         breakpoints: Sequence[float] | Callable[[], Sequence[float]] | None = None,
     ):
         self._func = func
-        self.expr = expr
         if callable(breakpoints):
             self._find_breakpoints = breakpoints
-        elif breakpoints is None:
-            self.breakpoints = None
         else:
-            self.breakpoints = np.asarray(breakpoints, dtype=float)
-            if self.breakpoints.ndim != 1:
-                raise DomainError("formula core breakpoints must be a list of numbers")
+            self.breakpoints = None if breakpoints is None else np.asarray(breakpoints, dtype=float)
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
@@ -428,63 +423,7 @@ class FormulaCore:
         return self._func(np.asarray(t, dtype=float))
 
     def to_json(self):
-        if self.expr is None:
-            raise DomainError("formula core with no expression (a lazy minimum) has no JSON form")
-        out = {"kind": "formula", "expr": self.expr}
-        if self.breakpoints is not None:
-            out["breakpoints"] = self.breakpoints.tolist()
-        return out
-
-
-# Names allowed inside serialized formula expressions.
-_EXPR_NAMESPACE = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
-    "sqrt": np.sqrt, "abs": np.abs, "minimum": np.minimum, "maximum": np.maximum,
-    "where": np.where, "tanh": np.tanh, "cosh": np.cosh, "sinh": np.sinh,
-    "pi": np.pi, "e": np.e,
-}
-
-
-# Syntax allowed around the constants, names and calls of a formula.
-_EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.BinOp, ast.Compare,
-               ast.BoolOp, ast.IfExp, ast.unaryop, ast.operator, ast.cmpop, ast.boolop)
-
-
-def _compile_expr(expr: str) -> Callable:
-    """Compile a formula in t after checking every syntax node: numeric
-    constants, t, namespace names (functions called by plain name), and
-    unary, binary, comparison, boolean and conditional expressions. Nothing
-    else parses, so a scenario file cannot reach attributes or run code.
-    Integer constants are read as floats, so a power tower overflows at once
-    instead of running integer arithmetic; a formula nested too deeply to
-    parse or compile raises DomainError too."""
-    if not isinstance(expr, str):
-        raise DomainError("formula expression must be a string")
-    try:
-        tree = ast.parse(expr, mode="eval")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-                ok, node.value = True, float(node.value)
-            elif isinstance(node, ast.Name):
-                ok = node.id == "t" or node.id in _EXPR_NAMESPACE
-            elif isinstance(node, ast.Call):
-                ok = isinstance(node.func, ast.Name) and callable(_EXPR_NAMESPACE.get(node.func.id))
-            else:
-                ok = isinstance(node, _EXPR_NODES)
-            if not ok:
-                raise DomainError(f"formula expression may not use {type(node).__name__} "
-                                  f"at offset {node.col_offset}")
-        code = compile(tree, "<curvature formula>", "eval")
-    except SyntaxError as exc:
-        raise DomainError(f"formula expression invalid at offset {exc.offset}: {exc.msg}") from exc
-    except (MemoryError, RecursionError) as exc:
-        raise DomainError("formula expression is nested too deeply") from exc
-
-    def func(t):
-        out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, "t": t})
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(t)).copy()
-
-    return func
+        raise DomainError("a formula core (a lazy minimum, say) has no JSON form")
 
 
 class RadialCurvature:
@@ -558,38 +497,28 @@ class RadialCurvature:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON object {core, tail, t_tail}; a formula core with no
-        expression (a lazy minimum) has none and raises DomainError."""
+        """JSON object {core, tail, t_tail}; a formula core (a lazy minimum,
+        say) has none and raises DomainError."""
         return {"core": self.core.to_json(), "tail": self.tail.to_json(), "t_tail": self.t_tail}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RadialCurvature":
-        """Inverse of ``to_json``; a malformed document raises DomainError."""
+        """Inverse of ``to_json``; a malformed document, or a core whose kind
+        is not "spline", raises DomainError."""
         try:
             core_obj, tail_obj = obj["core"], obj["tail"]
             if not (isinstance(core_obj, dict) and isinstance(tail_obj, dict)):
                 raise DomainError("curvature core and tail must be objects")
             tail = _tail_from_json(tail_obj)
             t_tail = float(obj["t_tail"])
-            kind = core_obj.get("kind")
-            if kind == "spline":
-                core = SplineCore(core_obj["breakpoints"], core_obj["values"])
-            elif kind == "formula":
-                core = FormulaCore(
-                    _compile_expr(core_obj["expr"]),
-                    expr=core_obj["expr"],
-                    breakpoints=core_obj.get("breakpoints"),
-                )
-                # a branch or chained comparison on t fails only on arrays
-                core(np.array([0.0, t_tail]))
-            else:
-                raise DomainError(f"unknown core kind {kind!r}")
-            return cls(core, tail, t_tail)
+            if (kind := core_obj.get("kind")) != "spline":
+                raise DomainError(f"core.kind must be 'spline', got {kind!r:.40}")
+            return cls(SplineCore(core_obj["breakpoints"], core_obj["values"]), tail, t_tail)
         except DomainError:  # a ValueError too; its message already says what is wrong
             raise
         except KeyError as exc:
             raise DomainError(f"curvature object missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed curvature object: {exc}") from exc
 
     # -- convenience constructors -------------------------------------------

@@ -198,7 +198,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     (Dowell and Jarratt, *BIT* 11, 1971) on the bracket ends where a step
     would leave it or shrinks too slowly. A pass whose value is within a few
     ulps of the target, or whose next Newton step or one-signed bracket is
-    narrower in nu than tol = 0.5 (1e-15 max(1, nu_c) + 8.9e-16 nu), gives
+    narrower in nu than tol = 0.5 (1e-15 nu_c + 8.9e-16 nu), gives
     angle and length. Once Newton's estimate C newton^2 (C = |newton|/step^2)
     of the next step's error is below tol/100 in nu, that step is taken
     without a pass: the target is met and the other part moves by
@@ -233,7 +233,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
             lo, f_lo, f_hi = sigma, f, 0.5 * f_hi if kept_twice else f_hi
         else:
             hi, f_hi, f_lo = sigma, f, 0.5 * f_lo if kept_twice else f_lo
-        tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
+        tol = 0.5 * (1e-15 * nu_c + 8.9e-16 * side.nu)
         if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(ahead) - side.nu) < tol
                 or lo * hi >= 0.0 and abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol):
             return side, angle, length

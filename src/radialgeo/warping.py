@@ -381,16 +381,15 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     matrices.
 
     k need not be smooth inside a cell: a formula core may have kinks or
-    jumps (``abs``, ``minimum``, ``where``) that are not breakpoints. Each
-    fit is checked through its two highest Chebyshev coefficients and
-    against k next to both ends of the cell. A cell where it misses, or
-    whose kappa coefficients sum to more than 1 in absolute value
-    ((h/2)^2 |k| > 1 for constant k, which keeps the series short), is
-    bisected into pieces, each with its own fit and matrix, until neither
-    holds or the piece is a few ulps wide. Each round of bisection is one
-    more array call of k. A cell that needs more than 128 pieces (a constant
-    |k| above about 2.7e8), or a piece at the ulp floor whose kappa is still
-    large, raises DomainError.
+    jumps that are not breakpoints. Each fit is checked through its two
+    highest Chebyshev coefficients and against k next to both ends of the
+    cell. A cell where it misses, or whose kappa coefficients sum to more
+    than 1 in absolute value ((h/2)^2 |k| > 1 for constant k, which keeps
+    the series short), is bisected into pieces, each with its own fit and
+    matrix, until neither holds or the piece is a few ulps wide. Each round
+    of bisection is one more array call of k. A cell that needs more than
+    128 pieces (a constant |k| above about 2.7e8), or a piece at the ulp
+    floor whose kappa is still large, raises DomainError.
 
     Every solve has the relative accuracy ``DEFAULT_REL_TOL``. It sets the
     number of Taylor terms: the series of a piece stop once its newest two

@@ -126,7 +126,7 @@ def test_still_falling_growth_ratio_certifies_nothing():
 def test_a_late_bump_is_read_from_the_tails(height, limit):
     # flat but for a bump on (19.5, 20.5), past the last horizon: every
     # sampled ratio is 1, the limit is m'(22)^2, against the threshold 1/2
-    k = formula_curvature(f"where(abs(t - 20.0) < 0.5, {height!r}, 0.0)",
+    k = formula_curvature(lambda t: np.where(np.abs(t - 20.0) < 0.5, height, 0.0),
                           [0.0, 19.5, 20.5, 21.0])
     flat = rg.RadialCurvature.zero()
     rep = rg.ricci_pinch_check(3, flat, flat, numerator=rg.RotSymManifold.from_curvature(3, k))
@@ -162,35 +162,36 @@ def test_main_check_domination_violation_raises():
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
 
 
-def formula_curvature(expr, breakpoints, tail=None):
-    return rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": expr, "breakpoints": breakpoints},
-        "tail": tail or {"kind": "zero"}, "t_tail": breakpoints[-1]})
+def formula_curvature(func, breakpoints, tail=None):
+    """The closed form func on [0, last breakpoint], with a zero tail by default."""
+    return rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints),
+                              tail or rg.ZeroTail(), breakpoints[-1])
 
 
-@pytest.mark.parametrize("expr, breakpoints, where", [
+@pytest.mark.parametrize("func, breakpoints, where", [
     # -0.5 on (1.006, 1.014), which holds no point of a 641-point grid to 16;
     # the first sample of the least gap is one ulp past the knot 1.006
-    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 1.006, 1.01, 1.014, 2.0], "1.006"),
+    (lambda t: np.where(np.abs(t - 1.01) < 0.004, -0.5, 0.0), [0.0, 1.006, 1.01, 1.014, 2.0],
+     "1.006"),
     # below zero only within 1e-6 of its knot
-    ("minimum(0.0, 1000.0 * abs(t - 1.01) - 1e-3)", [0.0, 1.01, 2.0], "1.01"),
+    (lambda t: np.minimum(0.0, 1000.0 * np.abs(t - 1.01) - 1e-3), [0.0, 1.01, 2.0], "1.01"),
 ], ids=["dip", "knot-only"])
-def test_domination_is_checked_at_every_knot(expr, breakpoints, where):
-    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(expr, breakpoints),
+def test_domination_is_checked_at_every_knot(func, breakpoints, where):
+    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(func, breakpoints),
                                            t_max=17.0)
     flat = rg.RadialCurvature.zero()
     with pytest.raises(rg.DomainError, match=rf"domination fails near t = {re.escape(where)}: "):
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
 
 
-@pytest.mark.parametrize("expr, breakpoints, tail", [
+@pytest.mark.parametrize("func, breakpoints, tail", [
     # below the flat bound only past the last horizon, t = 16
-    ("where(t < 17, 0.0, 17.0 - t)", [0.0, 17.0, 18.0], {"kind": "constant", "c": -1.0}),
+    (lambda t: np.where(t < 17.0, 0.0, 17.0 - t), [0.0, 17.0, 18.0], rg.ConstantTail(-1.0)),
     # -0.5 on (1.006, 1.014), with no breakpoint over it
-    ("where(abs(t - 1.01) < 0.004, -0.5, 0.0)", [0.0, 2.0], None),
+    (lambda t: np.where(np.abs(t - 1.01) < 0.004, -0.5, 0.0), [0.0, 2.0], None),
 ], ids=["step", "dip"])
-def test_domination_is_decided_on_the_whole_half_line(expr, breakpoints, tail):
-    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(expr, breakpoints, tail))
+def test_domination_is_decided_on_the_whole_half_line(func, breakpoints, tail):
+    mfd = rg.RotSymManifold.from_curvature(3, formula_curvature(func, breakpoints, tail))
     flat = rg.RadialCurvature.zero()
     with pytest.raises(rg.DomainError, match="declared domination fails near t = "):
         rg.ricci_pinch_check(3, flat, flat, numerator=mfd)
@@ -252,7 +253,8 @@ def domination_cases(draw):
         centre, half = draw(st.floats(0.2, 3.0)), draw(st.floats(0.0015, 0.05))
         height = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 1.0))
         bp = [0.0, centre - half, centre, centre + half, 4.0] if draw(st.booleans()) else [0.0, 4.0]
-        num = formula_curvature(f"where(abs(t - {centre!r}) < {half!r}, {height!r}, 0.0)", bp)
+        num = formula_curvature(
+            lambda t: np.where(np.abs(t - centre) < half, height, 0.0), bp)
         return num, rg.RadialCurvature.zero(), height > 0.0
     # c_n s^-p_n and c_b s^-p_b, s = t / a, with |c_n| < |c_b|: for p_n < p_b
     # they cross at s_x, t = a s_x past the last horizon, for p_n > p_b never
@@ -295,7 +297,7 @@ def growth_cases(draw):
     centre, half = draw(st.floats(17.0, 30.0) if late else st.floats(0.6, 3.0)), draw(
         st.floats(0.05, 0.5))
     height = draw(st.floats(0.0, 0.9)) / (2.0 * half * centre)
-    num = formula_curvature(f"where(abs(t - {centre!r}) < {half!r}, {height!r}, 0.0)",
+    num = formula_curvature(lambda t: np.where(np.abs(t - centre) < half, height, 0.0),
                             [0.0, centre - half, centre + half, centre + 2.0 * half])
     bound = rg.RadialCurvature.zero()
     if not late and draw(st.booleans()):

@@ -413,10 +413,10 @@ def test_spline_nonpositivity_is_decided_on_its_pieces():
 
 def test_formula_nonpositivity_is_read_where_a_solve_reads_k():
     # +0.5 on (1.0008, 1.0018), between two points of an 801-point scan of [0, 2]
-    bump = rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": "where(abs(t - 1.0013) < 0.0005, 0.5, -0.1)",
-                 "breakpoints": [0.0, 2.0]},
-        "tail": {"kind": "constant", "c": -0.1}, "t_tail": 2.0})
+    bump = rg.RadialCurvature(
+        rg.FormulaCore(lambda t: np.where(np.abs(t - 1.0013) < 0.0005, 0.5, -0.1),
+                       breakpoints=[0.0, 2.0]),
+        rg.ConstantTail(-0.1), 2.0)
     assert not bump.is_nonpositive()
     with pytest.raises(rg.DomainError, match="nonpositive"):
         rg.moment_integral(bump)
@@ -635,23 +635,25 @@ def test_moment_of_evenly_knotted_cores_adds_no_split_points():
 
 
 @pytest.mark.parametrize("breakpoints", [None, [0.0, 0.5, 1.0, 1.5, 2.0]], ids=["1", "4"])
-@pytest.mark.parametrize("expr, kink, c", [
-    ("-0.5 - 0.3*abs(t - 1.003)", 1.003, -0.7991),
-    ("where(t < 1.003, -1.0, -0.5)", 1.003, -0.5),
-    ("where(t < 0.9999999, -1.0, -0.5)", 0.9999999, -0.5),
-    ("minimum(-0.6, -1.2 + 0.45*t*t)", math.sqrt(0.6 / 0.45), -0.6),
-    ("-sqrt(abs(t - 1.0))", 1.0, -1.0),
+@pytest.mark.parametrize("func, kink, c", [
+    pytest.param(lambda t: -0.5 - 0.3 * np.abs(t - 1.003), 1.003, -0.7991,
+                 id="-0.5 - 0.3*abs(t - 1.003)-1.003--0.7991"),
+    pytest.param(lambda t: np.where(t < 1.003, -1.0, -0.5), 1.003, -0.5,
+                 id="where(t < 1.003, -1.0, -0.5)-1.003--0.5"),
+    pytest.param(lambda t: np.where(t < 0.9999999, -1.0, -0.5), 0.9999999, -0.5,
+                 id="where(t < 0.9999999, -1.0, -0.5)-0.9999999--0.5"),
+    pytest.param(lambda t: np.minimum(-0.6, -1.2 + 0.45 * t * t), math.sqrt(0.6 / 0.45), -0.6,
+                 id="minimum(-0.6, -1.2 + 0.45*t*t)-1.1547005383792515--0.6"),
+    pytest.param(lambda t: -np.sqrt(np.abs(t - 1.0)), 1.0, -1.0,
+                 id="-sqrt(abs(t - 1.0))-1.0--1.0"),
 ])
-def test_moment_of_formula_core_with_kink_inside_a_panel(expr, kink, c, breakpoints):
+def test_moment_of_formula_core_with_kink_inside_a_panel(func, kink, c, breakpoints):
     # the kink, jump or cusp is no breakpoint: bisection finds it, also
     # where it lies between the centre or an end of a panel and the nearest
     # node of either rule (1.003 in [0, 2], and in [1, 2] after one bisection)
     t_tail = 2.0
-    core = {"kind": "formula", "expr": expr}
-    if breakpoints is not None:
-        core["breakpoints"] = breakpoints
-    k = rg.RadialCurvature.from_json(
-        {"core": core, "tail": {"kind": "power_law", "c": c, "p": 3.0}, "t_tail": t_tail})
+    k = rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints),
+                           rg.PowerLawTail(c, 3.0), t_tail)
     want = k.tail.moment(t_tail, t_tail) + sum(
         quad(lambda t: t * k(t), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         for lo, hi in ((0.0, kink), (kink, t_tail)))

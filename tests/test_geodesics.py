@@ -168,6 +168,20 @@ def test_triangle_on_a_surface_without_a_horizon_equals_a_longer_solve(sides):
     assert rg.gauss_bonnet_residual(carried, tri) == rg.gauss_bonnet_residual(longer, want)
 
 
+def test_a_tiny_flat_triangle_has_the_angles_of_its_shape():
+    # sides s, 2s, 2.5s: the nu tolerance is relative to m at the inner
+    # radius, so a side solve of a tiny triangle runs past its first pass,
+    # also from sigma = 0 below r_in = 1e-150, where the model guess is NaN.
+    # At 1e-160, where (m - nu)(m + nu) in the slope is subnormal, the angles
+    # are 8.2e-14 off
+    want = (math.acos(-0.3125), math.acos(0.65), math.acos(0.925))
+    surface = flat_surface()
+    for e in range(5, 161):
+        s = 10.0 ** -e
+        angles = rg.comparison_triangle(surface, s, 2.0 * s, 2.5 * s).angles
+        assert max(abs(a - b) for a, b in zip(angles, want)) <= 1e-12, e
+
+
 def test_false_position_step_rounded_onto_a_bracket_end_stays_inside():
     # three times a false-position step of this needle triangle rounds onto
     # an end of its bracket and is moved half the bracket inside
@@ -381,7 +395,7 @@ def test_side_solve_without_a_confirming_pass_matches_a_pass(monkeypatch):
         pass_angle, pass_length, dangle = geodesics._side_value(surface, side)
         # the solve leaves nu within tol of the root
         nu_c = min(side.m1, side.m2)
-        tol = 0.5 * (1e-15 * max(1.0, nu_c) + 8.9e-16 * side.nu)
+        tol = 0.5 * (1e-15 * nu_c + 8.9e-16 * side.nu)
         assert abs(pass_angle - angle) <= 8.0 * (math.ulp(angle) + abs(dangle) * tol)
         assert abs(pass_length - length) <= 8.0 * (math.ulp(length)
                                                    + side.nu * abs(dangle) * tol)

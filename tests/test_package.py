@@ -139,8 +139,7 @@ def test_readme_command_line_flags_are_the_parsers(capsys):
 
 def _package_names(trees):
     """Every name the given {module: tree} binds: defs, classes and their
-    parameters, assignment targets (attributes too), imports and the string
-    keys of dict literals (the formula namespace)."""
+    parameters, assignment targets (attributes too) and imports."""
     names = {"radialgeo"}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -152,8 +151,6 @@ def _package_names(trees):
                 names.add(node.id if isinstance(node, ast.Name) else node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.Dict):
-                names.update(key.value for key in node.keys if isinstance(key, ast.Constant))
     return names
 
 

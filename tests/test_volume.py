@@ -126,16 +126,16 @@ def test_growth_ratio_violation_reported():
         bishop_monotonicity_check(gr)
 
 
-def formula_curvature(expr, breakpoints, tail):
-    return rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": expr, "breakpoints": breakpoints},
-        "tail": tail, "t_tail": breakpoints[-1]})
+def formula_curvature(func, breakpoints, tail):
+    """The closed form func on [0, last breakpoint], then the tail."""
+    return rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints), tail,
+                              breakpoints[-1])
 
 
 def test_growth_limit_of_equal_growing_modes_is_their_amplitude_ratio():
     # flat to t = 1, then k = -1: m = e^(t - 1) against sinh t ~ e^t / 2
-    num = rg.solve_warping(formula_curvature("where(t < 1.0, 0.0, -1.0)", [0.0, 1.0],
-                                             {"kind": "constant", "c": -1.0}))
+    num = rg.solve_warping(formula_curvature(lambda t: np.where(t < 1.0, 0.0, -1.0), [0.0, 1.0],
+                                             rg.ConstantTail(-1.0)))
     den = rg.solve_warping(rg.RadialCurvature.constant(-1.0))
     for n in (2, 3, 5):
         limit, err = rg.growth_ratio(n, num, den, rg.DEFAULT_HORIZONS, dominated=True).limit()
@@ -147,8 +147,8 @@ def test_a_growth_limit_beyond_the_largest_float_is_no_limit():
     # m = sin t to t = 1.57, then m' = cos(1.57), about 8e-4, so for n = 300
     # the limit 1250^299 of flat over it is no float
     num = rg.solve_warping(rg.RadialCurvature.zero())
-    den = rg.solve_warping(formula_curvature("where(t < 1.57, 1.0, 0.0)", [0.0, 1.57],
-                                             {"kind": "zero"}))
+    den = rg.solve_warping(formula_curvature(lambda t: np.where(t < 1.57, 1.0, 0.0), [0.0, 1.57],
+                                             rg.ZeroTail()))
     gr = rg.growth_ratio(300, num, den, (1.0,))
     assert gr.limit() is None
     with pytest.raises(rg.DomainError, match="the numerator's ball volumes outgrow"):

@@ -163,12 +163,12 @@ def test_taylor_terms_and_transfer_rows_are_the_loops_bit_for_bit(workloads, mon
             "zero": rg.ZeroTail, "constant": rg.ConstantTail,
             "power_law": rg.PowerLawTail}[tail[0]](*tail[1:]))
         family += [raw, rg.nonpositive_min(raw)]
-    family += [rg.RadialCurvature.from_json(doc) for doc in (
-        {"core": {"kind": "formula", "expr": "-1 - maximum(0, 0.5 - abs(t - 1.3))"},
-         "tail": {"kind": "constant", "c": -1.0}, "t_tail": 4.0},
-        {"core": {"kind": "formula", "expr": "where(t < 1.4177, -1.0, -0.5)",
-                  "breakpoints": [0.0, 0.5, 1.0, 1.5, 2.0]},
-         "tail": {"kind": "constant", "c": -0.5}, "t_tail": 2.0})]
+    family += [
+        rg.RadialCurvature(rg.FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 1.3))),
+                           rg.ConstantTail(-1.0), 4.0),
+        rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < 1.4177, -1.0, -0.5),
+                                          breakpoints=[0.0, 0.5, 1.0, 1.5, 2.0]),
+                           rg.ConstantTail(-0.5), 2.0)]
     family += [rg.RadialCurvature.from_spline([0.0, 0.05], [-1e8, 0.0]), CUSP,
                formula_constant(0.0)]
     blocks = []
@@ -251,11 +251,9 @@ DENSE_KNOTS = np.union1d(SPL.breakpoints, np.linspace(0.0, 2.7, 401))
 DENSE_SPL = rg.RadialCurvature.from_spline(DENSE_KNOTS, SPL(DENSE_KNOTS), tail=SPL.tail)
 
 
-def formula(expr, end_value):
-    """Formula core on [0, 2] from a scenario document, with a p = 3 tail."""
-    return rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": expr},
-        "tail": {"kind": "power_law", "c": end_value, "p": 3.0}, "t_tail": 2.0})
+def formula(func, end_value):
+    """Formula core on [0, 2], with a p = 3 tail."""
+    return rg.RadialCurvature(rg.FormulaCore(func), rg.PowerLawTail(end_value, 3.0), 2.0)
 
 
 @pytest.mark.parametrize("k, horizon, kinks", [
@@ -268,12 +266,13 @@ def formula(expr, end_value):
     (SPL, 40.0, []),
     # a jump and two kinks that are no breakpoints, each strictly inside a
     # cell (the nodes lie on multiples of 1/64)
-    (formula("where(t < 1.003, -1.0, -0.5)", -0.5), 8.0, [1.003]),
-    (formula("-0.5 - 0.3 * abs(t - 1.003)", -0.5 - 0.3 * 0.997), 8.0, [1.003]),
-    (formula("minimum(-0.4, -1.2 + t)", -0.4), 8.0, [0.8]),
+    (formula(lambda t: np.where(t < 1.003, -1.0, -0.5), -0.5), 8.0, [1.003]),
+    (formula(lambda t: -0.5 - 0.3 * np.abs(t - 1.003), -0.5 - 0.3 * 0.997), 8.0, [1.003]),
+    (formula(lambda t: np.minimum(-0.4, -1.2 + t), -0.4), 8.0, [0.8]),
     # (h/2)^2 |k| > 1 on the 1/256 pitch splits every cell, and the kink
     # inside the cell of 0.1003 splits its halves again
-    (formula("-1e6 - 2e5 * abs(t - 0.1003)", -1e6 - 2e5 * (2.0 - 0.1003)), 0.25, [0.1003]),
+    (formula(lambda t: -1e6 - 2e5 * np.abs(t - 0.1003), -1e6 - 2e5 * (2.0 - 0.1003)), 0.25,
+     [0.1003]),
 ], ids=["403-knots", "bump", "power-law", "power-law-two-blocks", "formula-jump", "formula-abs",
         "formula-minimum", "formula-large-abs"])
 def test_nodes_match_dop853_referee(k, horizon, kinks):
@@ -317,9 +316,8 @@ def test_smooth_curvature_is_sampled_once_per_block(horizon, blocks):
 def test_conjugate_point_in_a_later_block():
     # m = t up to t = 40, where a ramp to k = 1 and a p = 3 tail begin: m
     # turns over after t = 41, past the first block of 2,048 cells
-    k = rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": "where(t < 40.0, 0.0, t - 40.0)"},
-        "tail": {"kind": "power_law", "c": 1.0, "p": 3.0}, "t_tail": 41.0})
+    k = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < 40.0, 0.0, t - 40.0)),
+                           rg.PowerLawTail(1.0, 3.0), 41.0)
     rhs = lambda t, y: (y[1], -float(k(t)) * y[0])
     vanish = lambda t, y: y[0]
     vanish.terminal, vanish.direction = True, -1
@@ -335,16 +333,16 @@ def test_conjugate_point_in_a_later_block():
 def test_too_rough_curvature_raises_domain_error():
     # every cell misses its fit, and so does every half of it, and so on
     with pytest.raises(rg.DomainError, match="varies too fast"):
-        rg.solve_warping(formula("-1.0 + 0.5 * sin(1e5 * t)", -1.0 + 0.5 * np.sin(2e5)), 4.0)
+        rg.solve_warping(formula(lambda t: -1.0 + 0.5 * np.sin(1e5 * t),
+                                 -1.0 + 0.5 * np.sin(2e5)), 4.0)
 
 
 def test_large_curvature_at_the_ulp_floor_raises_domain_error():
     # k = -1e30 within 1e-15 of the node t = 1: the pieces next to it reach
     # the 64-ulp floor with (h/2)^2 |k| still far above 1, where a series cut
     # at its last term would return m' of order 1e40
-    k = rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": "where(abs(t - 1.0) < 1e-15, -1e30, -1.0)"},
-        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 2.0})
+    k = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(np.abs(t - 1.0) < 1e-15, -1e30, -1.0)),
+                           rg.ConstantTail(-1.0), 2.0)
     with pytest.raises(rg.DomainError, match="too large to solve"):
         rg.solve_warping(k, 2.0)
 
@@ -391,9 +389,8 @@ def test_a_smooth_formula_core_solves_at_large_t():
     and 100 against Floquet in 20-digit mpmath: the map over one period 1/8
     from mpmath's Taylor integrator, to the powers 512 and 800."""
     mp = pytest.importorskip("mpmath")
-    k = rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": "-1 + 25 * sin(16 * pi * t)"},
-        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 100.0})
+    k = rg.RadialCurvature(rg.FormulaCore(lambda t: -1.0 + 25.0 * np.sin(16.0 * np.pi * t)),
+                           rg.ConstantTail(-1.0), 100.0)
     w = rg.solve_warping(k)
     with mp.workdps(20):
         rhs = lambda t, y: [y[1], (1 - 25 * mp.sin(16 * mp.pi * t)) * y[0]]
@@ -413,9 +410,9 @@ def test_a_kink_of_a_formula_core_at_large_t_is_bisected():
     DOP853 referee restarted at the kinks."""
     from radialgeo.warping import _fitted_pieces
 
-    k = rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": "-1 - maximum(0, 0.5 - abs(t - 300.3))"},
-        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 301.0})
+    k = rg.RadialCurvature(
+        rg.FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 300.3))),
+        rg.ConstantTail(-1.0), 301.0)
     _mid, half, _cell, _kappa = _fitted_pieces(k, np.array([19219.0, 19220.0]) / 64.0)
     assert np.min(half) <= 0.5e-6
     w = rg.solve_warping(k)
@@ -660,8 +657,7 @@ def test_two_close_breakpoints_leave_no_sliver_cell():
     # made a cell 4.4e-16 wide whose m' read 1.28086 at both ends and
     # 1.69175 at its midpoint
     twin = 1.0 + 2.0 * np.spacing(1.0)
-    core = rg.FormulaCore(lambda t: -np.abs(t - 1.0) - 0.2, expr="-abs(t - 1.0) - 0.2",
-                          breakpoints=[0.0, 1.0, twin, 3.0])
+    core = rg.FormulaCore(lambda t: -np.abs(t - 1.0) - 0.2, breakpoints=[0.0, 1.0, twin, 3.0])
     k = rg.RadialCurvature(core, rg.ConstantTail(-2.2), 3.0)
     w = rg.solve_warping(k, 3.0)
     assert twin not in w.grid
@@ -833,10 +829,10 @@ def test_an_integral_table_outlives_a_carry(k):
 
 def _spike(c, at):
     """k = c on [at - 0.015, at + 0.015], between two breakpoints, and -1 elsewhere."""
-    return rg.RadialCurvature.from_json({
-        "core": {"kind": "formula", "expr": f"where(abs(t - {at}) < 0.015, {c}, -1.0)",
-                 "breakpoints": [0.0, at - 0.015, at + 0.015, 16.0]},
-        "tail": {"kind": "constant", "c": -1.0}, "t_tail": 16.0})
+    return rg.RadialCurvature(
+        rg.FormulaCore(lambda t: np.where(np.abs(t - at) < 0.015, c, -1.0),
+                       breakpoints=[0.0, at - 0.015, at + 0.015, 16.0]),
+        rg.ConstantTail(-1.0), 16.0)
 
 
 def test_the_piece_budget_is_per_cell_whatever_the_carries():
