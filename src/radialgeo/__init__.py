@@ -21,7 +21,6 @@ from .errors import (
 from .curvature import (
     NEG_INFINITY,
     ConstantTail,
-    FormulaCore,
     MomentIntegral,
     PowerLawTail,
     RadialCurvature,
@@ -70,7 +69,7 @@ __all__ = [
     "GeometryError", "DomainError", "ConjugatePointError", "UnboundedError",
     "ConditionB1ViolatedError", "ScenarioError",
     # curvature
-    "RadialCurvature", "SplineCore", "FormulaCore", "ZeroTail", "PowerLawTail",
+    "RadialCurvature", "SplineCore", "ZeroTail", "PowerLawTail",
     "ConstantTail", "MomentIntegral", "moment_integral", "nonpositive_min",
     "NEG_INFINITY",
     # warping

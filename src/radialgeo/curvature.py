@@ -28,11 +28,13 @@ and ``RadialCurvature.constant`` builds every constant model, zero included,
 as the spline through (c, c) on [0, t_tail].
 
 Cores are cubic splines over breakpoints, the one core a JSON document
-holds, or closed-form callables built in Python. A curvature's knots are
-fixed at construction and computed on first read: ``breakpoints``, sorted
-once, from 0 to t_tail. Only ``_cubics`` reads a spline's coefficients, as
-cubics on given knots: the exact comparison of two curvatures
-(``_lowest_gap``) and the scan grid of an envelope read them.
+holds, or the nonpositive envelope (``_Envelope``); a core is any object
+with ``__call__``, ``breakpoints`` (a float array from 0), ``kind`` and
+``to_json``. A curvature's knots are fixed at construction and computed on
+first read: ``breakpoints``, sorted once, from 0 to t_tail. Only
+``_cubics`` reads a spline's coefficients, as cubics on given knots: the
+exact comparison of two curvatures (``_lowest_gap``) and the scan grid of
+an envelope read them.
 Pointwise minima (the nonpositive envelope used by the growth criteria) are
 represented exactly by lazy evaluation over the merged knots, and have no
 JSON form; their kinks, the changes of the minimiser on a scan grid, are
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,7 +71,7 @@ _JUNCTION_TOL = 1e-8
 # Uniform points of the kink scan of a lazy envelope.
 _SCAN_POINTS = 801
 # Warping solves read k on the cells of the 1/64 lattice up to t = 4096 (2^18
-# nodes, about 75 MB for a solution and its tables); formulas are compared there.
+# nodes, about 75 MB for a solution and its tables); other cores are compared there.
 _NODES_PER_UNIT = 64
 _MAX_HORIZON = 4096.0
 # a uniform node closer than this fraction of the node pitch to an interior
@@ -312,14 +314,21 @@ class ConstantTail(_Tail):
         return f"ConstantTail(c={self.c!r})"
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a boolean, a string or anything else raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, got {value!r:.40}")
+    return float(value)
+
+
 def _tail_from_json(obj) -> _Tail:
     kind = obj.get("kind")
     if kind == "zero":
         return ZeroTail()
     if kind == "power_law":
-        return PowerLawTail(float(obj["c"]), float(obj["p"]))
+        return PowerLawTail(_number(obj["c"], "tail.c"), _number(obj["p"], "tail.p"))
     if kind == "constant":
-        return ConstantTail(float(obj["c"]))
+        return ConstantTail(_number(obj["c"], "tail.c"))
     raise DomainError(f"unknown tail kind {kind!r:.40}")
 
 
@@ -390,42 +399,6 @@ def _knot_slopes(x, dx, y, slope):
                                check_finite=False)
 
 
-class FormulaCore:
-    """Elementwise closed-form core, built in Python only: scenario files
-    hold spline cores, so a formula has no JSON form.
-
-    ``breakpoints`` are hints for quadrature splitting (the function may have
-    kinks there, e.g. for pointwise minima); they do not affect evaluation.
-    Given as a function of no arguments they are found on first read, once:
-    a lazy minimum's kinks. A solve and ``_lowest_gap`` read a formula at
-    the same samples, so a feature narrower than every sample is invisible
-    to both.
-    """
-
-    kind = "formula"
-
-    def __init__(
-        self,
-        func: Callable,
-        breakpoints: Sequence[float] | Callable[[], Sequence[float]] | None = None,
-    ):
-        self._func = func
-        if callable(breakpoints):
-            self._find_breakpoints = breakpoints
-        else:
-            self.breakpoints = None if breakpoints is None else np.asarray(breakpoints, dtype=float)
-
-    @cached_property
-    def breakpoints(self) -> np.ndarray:
-        return np.asarray(self._find_breakpoints(), dtype=float)
-
-    def __call__(self, t):
-        return self._func(np.asarray(t, dtype=float))
-
-    def to_json(self):
-        raise DomainError("a formula core (a lazy minimum, say) has no JSON form")
-
-
 class RadialCurvature:
     """Curvature as a function of distance from the pole.
 
@@ -438,13 +411,12 @@ class RadialCurvature:
     ``ZeroTail``.
     """
 
-    def __init__(self, core, tail, t_tail: float, *, _known_nonpositive: bool | None = None):
+    def __init__(self, core, tail, t_tail: float):
         if not (t_tail > 0 and math.isfinite(t_tail)):
             raise DomainError(f"t_tail must be positive and finite, got {t_tail}")
         self.core = core
         self.tail = ZeroTail() if tail.c == 0 else tail
         self.t_tail = float(t_tail)
-        self._nonpositive = _known_nonpositive
         self._check_junction()
 
     def _check_junction(self):
@@ -459,8 +431,7 @@ class RadialCurvature:
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
-        core_bp = getattr(self.core, "breakpoints", None)
-        core_bp = np.empty(0) if core_bp is None else np.asarray(core_bp, dtype=float)
+        core_bp = self.core.breakpoints
         if self.core.kind == "spline" and core_bp[-1] == self.t_tail:
             return core_bp  # strictly increasing from 0: already the set
         return np.unique(np.concatenate(
@@ -490,30 +461,33 @@ class RadialCurvature:
         return _lowest_gap(None, self)[0]  # smallest -k on [0, inf)
 
     def is_nonpositive(self) -> bool:
-        """True when the function stays <= 0 everywhere, to 1e-12: exact for
-        a spline core, where a solve reads k for a formula (``_lowest_gap``)."""
-        return self._headroom >= -1e-12 if self._nonpositive is None else self._nonpositive
+        """True when the function stays <= 0 everywhere, to 1e-12: the
+        envelope by its kind, any other core by ``_headroom``."""
+        return self.core.kind == "envelope" or self._headroom >= -1e-12
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON object {core, tail, t_tail}; a formula core (a lazy minimum,
-        say) has none and raises DomainError."""
+        """JSON object {core, tail, t_tail}; the nonpositive envelope has
+        none and raises DomainError."""
         return {"core": self.core.to_json(), "tail": self.tail.to_json(), "t_tail": self.t_tail}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RadialCurvature":
-        """Inverse of ``to_json``; a malformed document, or a core whose kind
-        is not "spline", raises DomainError."""
+        """Inverse of ``to_json``; a malformed document (a number given as
+        a boolean or a string among them), or a core whose kind is not
+        "spline", raises DomainError."""
         try:
             core_obj, tail_obj = obj["core"], obj["tail"]
             if not (isinstance(core_obj, dict) and isinstance(tail_obj, dict)):
                 raise DomainError("curvature core and tail must be objects")
             tail = _tail_from_json(tail_obj)
-            t_tail = float(obj["t_tail"])
+            t_tail = _number(obj["t_tail"], "t_tail")
             if (kind := core_obj.get("kind")) != "spline":
                 raise DomainError(f"core.kind must be 'spline', got {kind!r:.40}")
-            return cls(SplineCore(core_obj["breakpoints"], core_obj["values"]), tail, t_tail)
+            numbers = lambda key: [_number(x, f"core.{key}[{i}]")
+                                   for i, x in enumerate(core_obj[key])]
+            return cls(SplineCore(numbers("breakpoints"), numbers("values")), tail, t_tail)
         except DomainError:  # a ValueError too; its message already says what is wrong
             raise
         except KeyError as exc:
@@ -535,7 +509,7 @@ class RadialCurvature:
         """
         core = SplineCore([0.0, t_tail], [c, c])
         tail = ConstantTail(c) if c <= 0 else PowerLawTail(c, 3.0)
-        return cls(core, tail, t_tail, _known_nonpositive=(c <= 0))
+        return cls(core, tail, t_tail)
 
     @classmethod
     def zero(cls) -> "RadialCurvature":
@@ -629,7 +603,7 @@ def _lowest_gap(f: RadialCurvature | None, g: RadialCurvature | None):
     t_end = max(k.t_tail for k, _sign in sides)
     if any(k.core.kind != "spline" or k.tail.p and k.t_tail < t_end for k, _sign in sides):
         if not t_end <= _MAX_HORIZON:
-            raise DomainError(f"formula and power-law curvatures are compared up to t = "
+            raise DomainError(f"non-spline cores and power-law tails are compared up to t = "
                               f"{_MAX_HORIZON:g}, where solves end, not to t = {t_end:.6g}")
         grids = (_node_grid(k.breakpoints, 0, math.ceil(
             (t_end if k.tail.p else k.t_tail) * _NODES_PER_UNIT)) for k, _sign in sides)
@@ -754,11 +728,26 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
     k = curvatures[0]
     if len(curvatures) == 1 and k.core.kind == "spline" and k._headroom >= 0.0:
         return k
+    return RadialCurvature(_Envelope(curvatures, t_tail), tail, t_tail)
 
-    def envelope(t):
-        return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in curvatures)])
 
-    def breakpoints():
+class _Envelope:
+    """Core of the lazy minimum of zero and ``curvatures`` on [0, t_tail],
+    exact, never resampled, and with no JSON form. Its knots, read once on
+    first use, are the inputs' knots and the kinks of the minimum."""
+
+    kind = "envelope"
+
+    def __init__(self, curvatures, t_tail):
+        self._curvatures, self._t_tail = curvatures, t_tail
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.minimum.reduce([np.zeros_like(t), *(c(t) for c in self._curvatures)])
+
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        curvatures, t_tail = self._curvatures, self._t_tail
         # every input's knots start at 0; RadialCurvature sorts the union once
         bp = np.concatenate([[t_tail], *(c.breakpoints for c in curvatures)])
         # a spline is monotone between its knots and the roots of its derivative
@@ -770,8 +759,8 @@ def nonpositive_min(*curvatures: RadialCurvature) -> RadialCurvature:
         return np.concatenate([bp, kinks[np.abs(kinks[:, None] - bp).min(axis=1)
                                          > 1e-13 + 4.0 * np.spacing(kinks)]])
 
-    core = FormulaCore(envelope, breakpoints=breakpoints)
-    return RadialCurvature(core, tail, t_tail, _known_nonpositive=True)
+    def to_json(self):
+        raise DomainError("the nonpositive envelope (a lazy minimum) has no JSON form")
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +812,9 @@ def moment_integral(curv: RadialCurvature) -> MomentIntegral:
     first round's integral of |t * k| (the whole core moment, for k <= 0).
     In each round the panels kept may use half of what is left of it,
     equally; the others are bisected, down to a half-width of 64 ulps. This
-    covers kinks, jumps and cusps of a formula core that are not
-    breakpoints. More than 16 open pieces per panel on average (a core that
-    is rough throughout) raise DomainError.
+    covers kinks, jumps and cusps of a core that are not breakpoints. More
+    than 16 open pieces per panel on average (a core that is rough
+    throughout) raise DomainError.
     """
     if not curv.is_nonpositive():
         raise DomainError(

@@ -136,22 +136,30 @@ def _side_value(surface, side: _SideGeodesic):
     dangle = -float(q @ (mpp / (mp * mp)))
     for m_end, mp_end, sign in side.ends():
         if m_end / nu > 1.0:
-            dangle -= sign / (mp_end * math.sqrt((m_end - nu) * (m_end + nu)))
+            dangle -= sign / (mp_end * math.sqrt(m_end - nu) * math.sqrt(m_end + nu))
     return float((q / ch).sum()), nu * float(q @ ch), dangle
 
 
 _MAX_PASSES = 100  # side passes per solve
+# a turning side with nu below this fraction of nu_c is solved in sigma - 1:
+# sigma itself is no closer to 1 than 2^-53, so nu = nu_c (1 - sigma^2) moves
+# in steps of about 2^-52 nu_c, all of nu once m grows fast (2.2e-16 sinh 40
+# is 26, where a side of length 79 between radii 40 needs nu = 1.31). Sides
+# between radii up to 6 on the hyperbolic plane, angles at least 0.05 from
+# pi, stay above 1.2e-4.
+_NEAR_END = 2.0 ** -16
 
 
-def _model_sigma(r1: float, r2: float, nu_c: float, target: float, by_length: bool) -> float:
-    """sigma of the same side problem in the plane of curvature -a^2 whose
-    m_K(t) = sinh(a t)/a (t for a = 0) is nu_c at the inner radius (NaN where
-    cosh(a (r1 + r2)) overflows or r_in < 1e-150 underflows m_K(r1) m_K(r2)):
-    the K-law of cosines m_K(c/2)^2 = m_K((r1 - r2)/2)^2 + m_K(r1) m_K(r2)
-    sin^2(theta/2) gives the side c or the angle theta, and Clairaut with the
-    K-law of sines nu_K = m_K(r1) m_K(r2) sin(theta)/m_K(c). The side turns
-    iff the angle at the inner vertex is acute, cosh(a r_in) cosh(a c) >
-    cosh(a r_out) in half-angle form; sigma = +-sqrt(1 - nu_K/nu_c)."""
+def _model_nu(r1: float, r2: float, nu_c: float, target: float, by_length: bool) -> float:
+    """nu_K/nu_c of the same side problem, negative for a monotone side, in
+    the plane of curvature -a^2 whose m_K(t) = sinh(a t)/a (t for a = 0) is
+    nu_c at the inner radius (NaN where cosh(a (r1 + r2)) overflows or
+    r_in < 1e-150 underflows m_K(r1) m_K(r2)): the K-law of cosines
+    m_K(c/2)^2 = m_K((r1 - r2)/2)^2 + m_K(r1) m_K(r2) sin^2(theta/2) gives
+    the side c or the angle theta, and Clairaut with the K-law of sines
+    nu_K = m_K(r1) m_K(r2) sin(theta)/m_K(c). The side turns iff the angle
+    at the inner vertex is acute, cosh(a r_in) cosh(a c) > cosh(a r_out) in
+    half-angle form."""
     r_in, r_out = min(r1, r2), max(r1, r2)
     rho, x = nu_c / r_in, 0.0
     if rho > 1.0:  # asinh(rho x) = x, concave in x: Newton steps from bounds above the root
@@ -173,8 +181,8 @@ def _model_sigma(r1: float, r2: float, nu_c: float, target: float, by_length: bo
         theta, half = target, math.sqrt(q + p * math.sin(0.5 * target) ** 2)
         c = 2.0 * (math.asinh(a * half) / a if a > 0.0 else half)
     h_in, h_c = m_k(0.5 * r_in) ** 2, m_k(0.5 * c) ** 2
-    sigma = min(math.sqrt(max(1.0 - p * math.sin(theta) / m_k(c) / nu_c, 0.0)), 1.0 - 2.0 ** -53)
-    return sigma if h_in + h_c + 2.0 * a * a * h_in * h_c > m_k(0.5 * r_out) ** 2 else -sigma
+    ratio = p * math.sin(theta) / m_k(c) / nu_c
+    return ratio if h_in + h_c + 2.0 * a * a * h_in * h_c > m_k(0.5 * r_out) ** 2 else -ratio
 
 
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
@@ -187,8 +195,8 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     negative on the monotone branch and positive on the turning one. Near
     nu_c a side's value goes like crit -+ c sqrt(nu_c - nu), where Newton in
     nu stalls; in sigma the angle (length) is smooth and increasing on
-    [-1, 1], from 0 to pi (|r1 - r2| to r1 + r2). The first pass is at
-    ``_model_sigma``, the answer up to rounding on a constant-curvature
+    [-1, 1], from 0 to pi (|r1 - r2| to r1 + r2). The first pass is at the
+    sigma of ``_model_nu``, the answer up to rounding on a constant-curvature
     surface, or at sigma = 0 where that is not finite; the slope of a pass
     is its own, and at sigma = 0 sqrt(2)/m'(min radius), times nu_c for a
     length and doubled for equal radii. A safeguarded Newton method
@@ -199,60 +207,73 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     would leave it or shrinks too slowly. A pass whose value is within a few
     ulps of the target, or whose next Newton step or one-signed bracket is
     narrower in nu than tol = 0.5 (1e-15 nu_c + 8.9e-16 nu), gives
-    angle and length. Once Newton's estimate C newton^2 (C = |newton|/step^2)
-    of the next step's error is below tol/100 in nu, that step is taken
-    without a pass: the target is met and the other part moves by
-    d length = nu d angle. m, m' at both radii come from one read.
+    angle and length. A turning side with nu below 2^-16 nu_c
+    (``_NEAR_END``), at its first pass or later, is solved in x = sigma - 1
+    from there on, whose float holds nu to a few ulps, and 2|x| nu_c takes
+    the place of nu_c in tol, which so stays relative to nu. Once Newton's
+    estimate C newton^2 (C = |newton|/step^2) of the next step's error is
+    below tol/100 in nu, that step is taken without a pass: the target is
+    met and the other part moves by d length = nu d angle. m, m' at both
+    radii come from one read.
     """
     (m1, mp1), (m2, mp2) = surface.warping.m_and_prime(np.array([r1, r2])).tolist()
     nu_c, mp_c = (m1, mp1) if r1 <= r2 else (m2, mp2)
     by_length = target_angle is None
     target = target_length if by_length else target_angle
-    nu_at = lambda sigma: nu_c * ((1.0 - sigma) * (1.0 + sigma))
+    end = 0.0  # sigma is carried as x = sigma - end: end is 1 near the turning end, else 0
+    nu_at = lambda x: nu_c * (((1.0 - end) - x) * ((1.0 + end) + x))
     df_0 = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
 
-    def pass_at(sigma):
-        side = _SideGeodesic(nu_at(sigma), sigma > 0.0, r1, r2, m1, m2, mp1, mp2)
+    def pass_at(x):
+        sigma = x + end
+        side = _SideGeodesic(nu_at(x), sigma > 0.0, r1, r2, m1, m2, mp1, mp2)
         angle, length, dangle = _side_value(surface, side)
         # d nu/d sigma = -2 nu_c sigma
         dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0) if sigma else df_0
         return side, angle, length, (length if by_length else angle) - target, dvalue
 
-    sigma = _model_sigma(r1, r2, nu_c, target, by_length)
-    sigma = sigma if math.isfinite(sigma) else 0.0
+    # the model's sigma = +-sqrt(1 - |ratio|); near the turning end x = sigma - 1
+    ratio = _model_nu(r1, r2, nu_c, target, by_length)
+    if 0.0 < ratio < _NEAR_END:
+        end, x = 1.0, -ratio / (1.0 + math.sqrt(1.0 - ratio))
+    else:
+        x = math.copysign(min(math.sqrt(max(1.0 - abs(ratio), 0.0)), 1.0 - 2.0 ** -53), ratio)
+        x = x if math.isfinite(x) else 0.0
     lo, f_lo = -1.0, (abs(r1 - r2) if by_length else 0.0) - target
     hi, f_hi = 1.0, (r1 + r2 if by_length else math.pi) - target
     step, step_before, by_newton, moved_lo = 1.0, 1.0, False, None
     for _ in range(_MAX_PASSES):
-        side, angle, length, f, df = pass_at(sigma)
+        if not end and x > 0.0 and nu_at(x) < _NEAR_END * nu_c:
+            end, x, lo, hi = 1.0, x - 1.0, lo - 1.0, hi - 1.0
+        side, angle, length, f, df = pass_at(x)
         newton = f / df if df > 0.0 else math.inf
-        ahead = sigma - newton
+        ahead = x - newton
         # Illinois: the value at an end kept twice running is halved
         moved_lo, kept_twice = f < 0.0, moved_lo == (f < 0.0)
         if moved_lo:
-            lo, f_lo, f_hi = sigma, f, 0.5 * f_hi if kept_twice else f_hi
+            lo, f_lo, f_hi = x, f, 0.5 * f_hi if kept_twice else f_hi
         else:
-            hi, f_hi, f_lo = sigma, f, 0.5 * f_lo if kept_twice else f_lo
-        tol = 0.5 * (1e-15 * nu_c + 8.9e-16 * side.nu)
+            hi, f_hi, f_lo = x, f, 0.5 * f_lo if kept_twice else f_lo
+        tol = 0.5 * (1e-15 * nu_c * (2.0 * abs(x) if end else 1.0) + 8.9e-16 * side.nu)
         if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(ahead) - side.nu) < tol
-                or lo * hi >= 0.0 and abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol):
+                or (lo + end) * (hi + end) >= 0.0 and abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol):
             return side, angle, length
         if by_newton and lo < ahead < hi and abs(
                 nu_at(ahead + newton ** 3 / step ** 2) - nu_at(ahead)) < 0.01 * tol:
             nu_mid = 0.5 * (side.nu + nu_at(ahead))
-            side = _SideGeodesic(nu_at(ahead), ahead > 0.0, r1, r2, m1, m2, mp1, mp2)
+            side = _SideGeodesic(nu_at(ahead), ahead + end > 0.0, r1, r2, m1, m2, mp1, mp2)
             if by_length:
                 return side, angle - f / nu_mid, target
             return side, target, length - f * nu_mid
         # a Newton step inside the bracket and at most half the step before last
         by_newton = lo < ahead < hi and 2.0 * abs(newton) <= step_before
         if by_newton:
-            step_before, step, sigma = step, abs(newton), ahead
+            step_before, step, x = step, abs(newton), ahead
         else:
             step_before, step = step, 0.5 * (hi - lo)
-            sigma = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not lo < sigma < hi:  # rounded onto an end, where nu may be 0
-                sigma = lo + step
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < x < hi:  # rounded onto an end, where nu may be 0
+                x = lo + step
     raise DomainError(f"side solve between radii {r1:.6g} and {r2:.6g} did not converge "
                       f"in {_MAX_PASSES} passes")
 

@@ -12,7 +12,7 @@ interpolant of k sampled in one array call per block of cells (high-order
 Taylor methods for linear ODEs: Jorba and Zou, *Experimental Mathematics*
 14, 2005). The fixed relative accuracy ``DEFAULT_REL_TOL`` sets the number
 of Taylor terms, each one array product and one sum; a cell where
-the interpolant misses k (a kink or jump of a formula core) or where |k| is
+the interpolant misses k (a kink or jump that is not a knot) or where |k| is
 large is bisected into pieces with their own matrices; a conjugate point is
 the root of the series of the piece where m first reaches zero. From the
 node data the solution is rebuilt as a piecewise quintic (values, slopes,
@@ -380,8 +380,8 @@ def solve_warping(k: RadialCurvature, t_max: float | None = None) -> WarpingSolu
     carry gives every node from the pole; a ``PowerLawTail`` keeps the
     matrices.
 
-    k need not be smooth inside a cell: a formula core may have kinks or
-    jumps that are not breakpoints. Each fit is checked through its two
+    k need not be smooth inside a cell: a core may have kinks or jumps
+    that are not breakpoints. Each fit is checked through its two
     highest Chebyshev coefficients and against k next to both ends of the
     cell. A cell where it misses, or whose kappa coefficients sum to more
     than 1 in absolute value ((h/2)^2 |k| > 1 for constant k, which keeps

@@ -19,6 +19,26 @@ from radialgeo.warping import _MAX_TERMS, _TAYLOR_TOL
 BENCH = Path(__file__).resolve().parents[1] / "radialbench"
 
 
+class FormulaCore:
+    """Referee core: an elementwise closed form, built in Python. Its
+    ``breakpoints`` (none: only 0 and t_tail) are hints for quadrature
+    splitting, where the function may have kinks; they do not affect
+    evaluation. ``RadialCurvature`` takes it as any core: an object with
+    ``__call__``, ``breakpoints``, ``kind`` and ``to_json``."""
+
+    kind = "formula"
+
+    def __init__(self, func, breakpoints=()):
+        self._func = func
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+
+    def __call__(self, t):
+        return self._func(np.asarray(t, dtype=float))
+
+    def to_json(self):
+        raise rg.DomainError("a formula core has no JSON form")
+
+
 @pytest.fixture(scope="session")
 def workloads():
     """``radialbench/workloads.py``, loaded by path and only read."""
@@ -200,9 +220,8 @@ def majorant_referee(k):
     x = k.breakpoints
     if k.core.kind == "spline":
         x = np.union1d(x, PPoly.construct_fast(_cubics(k, x), x).roots(extrapolate=False))
-    core = rg.FormulaCore(lambda t: -np.abs(k.core(t)), breakpoints=x)
-    majorant = rg.RadialCurvature(core, rg.ConstantTail(-abs(k.tail.c)), k.t_tail,
-                                  _known_nonpositive=True)
+    core = FormulaCore(lambda t: -np.abs(k.core(t)), breakpoints=x)
+    majorant = rg.RadialCurvature(core, rg.ConstantTail(-abs(k.tail.c)), k.t_tail)
     return rg.solve_warping(majorant).anchor_state()
 
 

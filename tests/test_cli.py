@@ -108,6 +108,27 @@ def test_a_moment_divergent_from_its_tail_reads_no_envelope_kinks(tmp_path, monk
     assert len(searches) == 1
 
 
+def test_a_threshold_over_a_zero_crossing_spline_reads_its_envelope_kinks(
+        tmp_path, monkeypatch, workloads):
+    """The one CLI path that reads the kinks of a lazy envelope: delta of
+    min(0, k) for a spline k that crosses zero four times, against the
+    benchmark's quad referee of the same moment."""
+    from radialgeo import curvature
+
+    searches = []
+    kinks = curvature._kinks
+    monkeypatch.setattr(curvature, "_kinks", lambda *args: searches.append(1) or kinks(*args))
+    knots, values = [0.0, 0.5, 1.0, 1.5, 2.0], [-0.5, 0.4, -0.3, 0.2, 0.0]
+    wave = {"core": {"kind": "spline", "breakpoints": knots, "values": values},
+            "tail": {"kind": "zero"}, "t_tail": 2.0}
+    code, report, _ = run_cli(tmp_path, base_scenario(
+        curvatures={"wave": wave}, commands=[{"task": "threshold", "curvatures": ["wave"]}]))
+    ref = workloads.ref
+    moment = ref.spline_moment(ref.SplineCurvature(knots, values, ("zero",)))
+    assert code == 0 and searches == [1]
+    assert abs(report["tasks"][0]["delta"] - math.pi / 2.0 * math.exp(moment)) <= 1e-12
+
+
 def test_check_main_flat_verdict_and_exit(tmp_path):
     doc = base_scenario(commands=[
         {"task": "check-main", "g": "flat", "k": "flat", "numerator": "manifold"},
@@ -169,11 +190,26 @@ CHECK_FLAT = {"task": "check-main", "g": "flat", "k": "flat"}
     # kinds too long to echo whole
     {"core": {**FLAT_CORE, "kind": "x" * 100000}, "tail": {"kind": "zero"}},
     {"core": FLAT_CORE, "tail": {"kind": "x" * 100000}},
+    # numbers given as booleans or strings, each of which float() reads
+    {"core": {**FLAT_CORE, "breakpoints": ["0", "1"]}, "tail": {"kind": "zero"}},
+    {"core": {**FLAT_CORE, "values": [False, False]}, "tail": {"kind": "zero"}},
+    {"core": FLAT_CORE, "tail": {"kind": "zero"}, "t_tail": True},
+    {"core": FLAT_CORE, "tail": {"kind": "zero"}, "t_tail": "1"},
+    {"core": {**FLAT_CORE, "breakpoints": ["0", "1"], "values": [False, False]},
+     "tail": {"kind": "zero"}, "t_tail": True},
+    {"core": {**FLAT_CORE, "values": [-1.0, -1.0]}, "tail": {"kind": "constant", "c": "-1"}},
+    {"core": FLAT_CORE, "tail": {"kind": "constant", "c": False}},
+    {"core": {**FLAT_CORE, "values": [-1.0, -1.0]},
+     "tail": {"kind": "power_law", "c": -1.0, "p": "3"}},
+    {"core": {**FLAT_CORE, "values": [1.0, 1.0]},
+     "tail": {"kind": "power_law", "c": True, "p": 3.0}},
 ], ids=["no-breakpoints", "string-tail", "string-values", "huge-int", "long-core-kind",
-        "long-tail-kind"])
+        "long-tail-kind", "string-knots", "boolean-values", "boolean-t-tail", "string-t-tail",
+        "flat-in-strings-and-booleans", "string-tail-c", "boolean-tail-c", "string-tail-p",
+        "boolean-power-law-c"])
 def test_malformed_curvature_exits_one_with_path(tmp_path, capsys, body):
     doc = base_scenario()
-    doc["curvatures"]["bad"] = {**body, "t_tail": 1.0}
+    doc["curvatures"]["bad"] = {"t_tail": 1.0, **body}
     code, report, _ = run_cli(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 1
@@ -195,8 +231,9 @@ def _without_manifold(doc):
     (_without_manifold(base_scenario(commands=[CHECK_FLAT])), (),
      "scenario.commands[0].numerator"),
     (base_scenario(), ("--tasks", "threshold,no-such-task"), "--tasks"),
+    (base_scenario(manifold={**SPLINE_FLAT, "n": 3, "t_tail": True}), (), "scenario.manifold"),
 ], ids=["n-below-two", "no-curvatures", "curvature-not-object", "manifold-n",
-        "no-commands", "no-manifold", "unknown-task-filter"])
+        "no-commands", "no-manifold", "unknown-task-filter", "manifold-boolean-t-tail"])
 def test_scenario_failure_exits_one_with_path(tmp_path, capsys, doc, args, path):
     code, report, _ = run_cli(tmp_path, doc, extra_args=args)
     assert code == 1
@@ -322,6 +359,29 @@ def test_triangle_and_gauss_bonnet_tasks(tmp_path):
     assert abs(sum(tri["angles"]) - 3.141592653589793) <= 1e-9
     assert (out / tri["csv"]).exists()
     assert abs(gb["residual"]) <= 1e-9
+
+
+def test_a_tiny_triangle_task_ends_without_a_traceback(tmp_path, capsys):
+    # (m - nu)(m + nu) in the side's slope underflows to 0 at these sides
+    doc = base_scenario(commands=[{"task": "triangle", "surface": "flat",
+                                   "sides": [1e-300, 1e-300, 1e-300]}])
+    code, report, _ = run_cli(tmp_path, doc)
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    assert max(abs(a - math.pi / 3.0) for a in report["tasks"][0]["angles"]) <= 1e-12
+
+
+def test_a_far_hyperbolic_triangle_task_has_the_closed_form_angles(tmp_path):
+    hyp = {"core": {"kind": "spline", "breakpoints": [0.0, 1.0], "values": [-1.0, -1.0]},
+           "tail": {"kind": "constant", "c": -1.0}, "t_tail": 1.0}
+    doc = base_scenario(curvatures={"hyp": hyp}, commands=[
+        {"task": "triangle", "surface": "hyp", "sides": [40.0, 40.0, 79.0]}])
+    code, report, _ = run_cli(tmp_path, doc)
+    # sin^2 of the half angles from the hyperbolic half-angle law
+    half = [math.sinh(39.5) / math.sinh(40.0),
+            math.sqrt(math.sinh(0.5) * math.sinh(39.5) / (math.sinh(40.0) * math.sinh(79.0)))]
+    want = [2.0 * math.asin(half[0]), 2.0 * math.asin(half[1]), 2.0 * math.asin(half[1])]
+    assert code == 0
+    assert max(abs(a - b) for a, b in zip(report["tasks"][0]["angles"], want)) <= 1e-9
 
 
 def test_check_corollary_finite_volume(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import radialgeo as rg
 from radialgeo.curvature import _lowest_gap
 
-from conftest import dop853_nodes
+from conftest import FormulaCore, dop853_nodes
 
 RAMP_DELTA = (math.pi / 2.0) * math.exp(-1.0 / 6.0)
 
@@ -164,7 +164,7 @@ def test_main_check_domination_violation_raises():
 
 def formula_curvature(func, breakpoints, tail=None):
     """The closed form func on [0, last breakpoint], with a zero tail by default."""
-    return rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints),
+    return rg.RadialCurvature(FormulaCore(func, breakpoints=breakpoints),
                               tail or rg.ZeroTail(), breakpoints[-1])
 
 
@@ -232,7 +232,7 @@ def test_a_spline_behind_a_formula_core_gets_the_same_domination_decision():
     for seed in range(40):
         rng = np.random.default_rng(270_000 + seed)
         f, g = _constant_tail_spline(rng), _constant_tail_spline(rng)
-        sampled = rg.RadialCurvature(rg.FormulaCore(f.core, breakpoints=f.core.breakpoints),
+        sampled = rg.RadialCurvature(FormulaCore(f.core, breakpoints=f.core.breakpoints),
                                      f.tail, f.t_tail)
         (exact, _t), (seen, _s) = _lowest_gap(f, g), _lowest_gap(sampled, g)
         assert exact <= seen + 1e-14

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline
 import radialgeo as rg
 from radialgeo import curvature
 
-from conftest import random_compact_curvature, tail_referee
+from conftest import FormulaCore, random_compact_curvature, tail_referee
 
 # Composite Simpson (2**20 + 1 points) of t * min(0, k(t)) for the spline
 # below, whose interpolant overshoots to +1.01 near t = 2.1.
@@ -288,7 +288,7 @@ def test_envelope_records_only_kinks_of_the_minimum():
 
 def test_envelope_kinks_are_refined_in_few_array_calls(monkeypatch):
     # min(0, -sin(20 t)) on [0, 3 pi / 10] has kinks at j pi / 20, j = 1..5
-    k = rg.RadialCurvature(rg.FormulaCore(lambda t: -np.sin(20.0 * t)), rg.ZeroTail(),
+    k = rg.RadialCurvature(FormulaCore(lambda t: -np.sin(20.0 * t)), rg.ZeroTail(),
                            0.3 * math.pi)
     calls = []
     call = rg.RadialCurvature.__call__
@@ -340,7 +340,7 @@ def test_spline_envelope_matches_the_scan():
     for seed in range(240):
         raw = _corpus_style_member(np.random.default_rng(240_000 + seed))
         scanned = rg.nonpositive_min(rg.RadialCurvature(
-            rg.FormulaCore(raw.core, breakpoints=raw.core.breakpoints), raw.tail, raw.t_tail))
+            FormulaCore(raw.core, breakpoints=raw.core.breakpoints), raw.tail, raw.t_tail))
         env = rg.nonpositive_min(raw)
         assert env.breakpoints.size == scanned.breakpoints.size
         assert np.max(np.abs(env.breakpoints - scanned.breakpoints)) <= 3.7e-14
@@ -414,19 +414,19 @@ def test_spline_nonpositivity_is_decided_on_its_pieces():
 def test_formula_nonpositivity_is_read_where_a_solve_reads_k():
     # +0.5 on (1.0008, 1.0018), between two points of an 801-point scan of [0, 2]
     bump = rg.RadialCurvature(
-        rg.FormulaCore(lambda t: np.where(np.abs(t - 1.0013) < 0.0005, 0.5, -0.1),
-                       breakpoints=[0.0, 2.0]),
+        FormulaCore(lambda t: np.where(np.abs(t - 1.0013) < 0.0005, 0.5, -0.1),
+                    breakpoints=[0.0, 2.0]),
         rg.ConstantTail(-0.1), 2.0)
     assert not bump.is_nonpositive()
     with pytest.raises(rg.DomainError, match="nonpositive"):
         rg.moment_integral(bump)
     # no solve reads k past t = 4096
-    far = rg.RadialCurvature(rg.FormulaCore(lambda t: np.full_like(t, -1.0)),
+    far = rg.RadialCurvature(FormulaCore(lambda t: np.full_like(t, -1.0)),
                              rg.ConstantTail(-1.0), 5000.0)
     with pytest.raises(rg.DomainError, match="up to t = 4096"):
         far.is_nonpositive()
     hole = rg.RadialCurvature(
-        rg.FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -1.0)),
+        FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -1.0)),
         rg.ConstantTail(-1.0), 2.0)
     with pytest.raises(rg.DomainError, match="not finite"):
         hole.is_nonpositive()
@@ -466,7 +466,7 @@ def test_spline_decisions_with_the_anchor_before_at_and_past_the_last_knot(t_tai
 def test_an_envelope_with_a_nan_hole_is_not_finite_to_moment_and_solve():
     # the envelope is known nonpositive, so no comparison reads k first
     k = rg.RadialCurvature(
-        rg.FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, t - 2.0)),
+        FormulaCore(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, t - 2.0)),
         rg.ZeroTail(), 2.0)
     env = rg.nonpositive_min(k)
     for run in (rg.moment_integral, lambda env: rg.solve_warping(env, 4.0)):
@@ -483,6 +483,16 @@ def test_nonpositivity_is_computed_once_per_curvature(monkeypatch):
     assert rg.nonpositive_min(k) is k
     rg.moment_integral(k)
     assert k.is_nonpositive() and calls == [(None, k)]
+    # an envelope is nonpositive by its kind
+    env = rg.nonpositive_min(rg.RadialCurvature.from_spline([0.0, 1.0, 2.0], [-1.0, 0.5, 0.0]))
+    calls.clear()
+    assert env.is_nonpositive() and calls == []
+    # a constant model reads its headroom once, on its spline's pieces
+    sampled = []
+    monkeypatch.setattr(curvature, "_cell_samples", lambda *args: sampled.append(args))
+    hyp = rg.RadialCurvature.constant(-0.5)
+    assert hyp.is_nonpositive() and hyp.is_nonpositive() and calls == [(None, hyp)]
+    assert hyp._headroom == 0.5 and sampled == []
 
 
 def test_envelope_of_a_curvature_passed_twice_is_its_envelope():
@@ -560,7 +570,7 @@ def test_constructor_validation():
         )
     # a NaN core end is no value the tail can continue
     with pytest.raises(rg.DomainError, match="junction"):
-        rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t > 1.0, np.nan, -1.0)),
+        rg.RadialCurvature(FormulaCore(lambda t: np.where(t > 1.0, np.nan, -1.0)),
                            rg.ConstantTail(-1.0), 2.0)
 
 
@@ -606,7 +616,7 @@ def _counting(k):
     """k behind a formula core that records each array call."""
     calls = []
     counted = rg.RadialCurvature(
-        rg.FormulaCore(lambda t: calls.append(t.size) or k(t), breakpoints=k.breakpoints),
+        FormulaCore(lambda t: calls.append(t.size) or k(t), breakpoints=k.breakpoints),
         k.tail, k.t_tail)
     counted.is_nonpositive()
     calls.clear()
@@ -652,7 +662,7 @@ def test_moment_of_formula_core_with_kink_inside_a_panel(func, kink, c, breakpoi
     # where it lies between the centre or an end of a panel and the nearest
     # node of either rule (1.003 in [0, 2], and in [1, 2] after one bisection)
     t_tail = 2.0
-    k = rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints),
+    k = rg.RadialCurvature(FormulaCore(func, breakpoints=breakpoints),
                            rg.PowerLawTail(c, 3.0), t_tail)
     want = k.tail.moment(t_tail, t_tail) + sum(
         quad(lambda t: t * k(t), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
@@ -664,7 +674,7 @@ def test_moment_of_formula_core_with_kink_inside_a_panel(func, kink, c, breakpoi
 
 
 def test_moment_of_too_rough_core_raises():
-    core = rg.FormulaCore(lambda t: -1.0 + 0.5 * np.sin(1e5 * t))
+    core = FormulaCore(lambda t: -1.0 + 0.5 * np.sin(1e5 * t))
     k = rg.RadialCurvature(core, rg.PowerLawTail(float(core(1.0)), 3.0), 1.0)
     with pytest.raises(rg.DomainError, match="too fast"):
         rg.moment_integral(k)

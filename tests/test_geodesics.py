@@ -172,14 +172,50 @@ def test_a_tiny_flat_triangle_has_the_angles_of_its_shape():
     # sides s, 2s, 2.5s: the nu tolerance is relative to m at the inner
     # radius, so a side solve of a tiny triangle runs past its first pass,
     # also from sigma = 0 below r_in = 1e-150, where the model guess is NaN.
-    # At 1e-160, where (m - nu)(m + nu) in the slope is subnormal, the angles
-    # are 8.2e-14 off
+    # The slope's sqrt(m - nu) sqrt(m + nu) does not underflow where their
+    # product would (subnormal from about 1e-155, zero from 1e-162 or so)
     want = (math.acos(-0.3125), math.acos(0.65), math.acos(0.925))
     surface = flat_surface()
-    for e in range(5, 161):
+    for e in range(5, 301):
         s = 10.0 ** -e
-        angles = rg.comparison_triangle(surface, s, 2.0 * s, 2.5 * s).angles
-        assert max(abs(a - b) for a, b in zip(angles, want)) <= 1e-12, e
+        for sides, angles in [((s, 2.0 * s, 2.5 * s), want), ((s, s, s), (math.pi / 3.0,) * 3)]:
+            try:
+                got = rg.comparison_triangle(surface, *sides).angles
+            except rg.DomainError:
+                continue
+            assert max(abs(a - b) for a, b in zip(got, angles)) <= 1e-12, (e, sides)
+
+
+def hyperbolic_half_angle(p, q, r):
+    """Angle between sides p and q, opposite r, on the plane of curvature
+    -1, by the half-angle law sin^2(angle/2) = sinh((r - p + q)/2)
+    sinh((r + p - q)/2) / (sinh p sinh q), which keeps its digits where the
+    cosine law cancels."""
+    return 2.0 * math.asin(math.sqrt(math.sinh(0.5 * (r - p + q)) * math.sinh(0.5 * (r + p - q))
+                                     / (math.sinh(p) * math.sinh(q))))
+
+
+@pytest.mark.parametrize("sides", [(40.0, 40.0, 79.0), (20.0, 20.0, 39.99), (30.0, 30.0, 59.999),
+                                   (35.0, 38.0, 72.5)])
+def test_a_side_turning_far_inside_its_radii_meets_its_length(sides):
+    # nu / nu_c is 1.1e-17 at (40, 40, 79): sigma = 1 - 2^-53 is nu = 26 there,
+    # where the side needs nu = 1.31
+    s = rg.ModelSurface.from_curvature(rg.RadialCurvature.constant(-1.0), 16.0)
+    a, b, c = sides
+    tri = rg.comparison_triangle(s, a, b, c)
+    want = (hyperbolic_half_angle(a, b, c), hyperbolic_half_angle(a, c, b),
+            hyperbolic_half_angle(b, c, a))
+    assert max(abs(got - w) for got, w in zip(tri.angles, want)) <= 1e-9
+    closing = rg.distance(s, rg.SurfacePoint(a, 0.0), rg.SurfacePoint(b, tri.angles[0]))
+    assert abs(closing - c) <= 1e-9
+
+
+def test_a_distance_past_the_pole_far_out_is_the_closed_form():
+    s = rg.ModelSurface.from_curvature(rg.RadialCurvature.constant(-1.0), 16.0)
+    for ra, rb, dth in [(50.0, 50.0, 3.1), (40.0, 30.0, 3.1), (60.0, 55.0, 3.14159),
+                        (45.0, 44.0, 0.01)]:
+        got = rg.distance(s, rg.SurfacePoint(ra, 0.0), rg.SurfacePoint(rb, dth))
+        assert abs(got - hyperbolic_distance(ra, rb, dth)) <= 1e-9, (ra, rb, dth)
 
 
 def test_false_position_step_rounded_onto_a_bracket_end_stays_inside():
@@ -372,7 +408,7 @@ def test_side_solves_take_few_passes(monkeypatch):
     nus.clear()
     rg.distance(hyperbolic_surface(), *far)
     assert len(nus) == 1
-    monkeypatch.setattr(geodesics, "_model_sigma", lambda *args: math.nan)
+    monkeypatch.setattr(geodesics, "_model_nu", lambda *args: math.nan)
     nus.clear()
     rg.distance(hyperbolic_surface(), *far)
     assert len(nus) <= 11
@@ -492,7 +528,7 @@ def test_variable_curvature_sides_match_the_referee_in_few_passes(monkeypatch):
 def test_a_non_finite_model_guess_starts_at_sigma_zero(monkeypatch, guess):
     from radialgeo import geodesics
 
-    monkeypatch.setattr(geodesics, "_model_sigma", lambda *args: guess)
+    monkeypatch.setattr(geodesics, "_model_nu", lambda *args: guess)
     nus = counted_side_values(monkeypatch)
     s = hyperbolic_surface()
     d = rg.distance(s, rg.SurfacePoint(1.3, 0.0), rg.SurfacePoint(3.1, 1.2))

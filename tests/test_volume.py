@@ -7,8 +7,8 @@ import pytest
 
 import radialgeo as rg
 
-from conftest import (bishop_monotonicity_check, bishop_pair, cap_volume, gauss_ball_volume,
-                      majorant_referee)
+from conftest import (FormulaCore, bishop_monotonicity_check, bishop_pair, cap_volume,
+                      gauss_ball_volume, majorant_referee)
 
 # Total volume of the finite fixture below: classical RK4 (h = 1e-5) to the
 # tail anchor plus the closed-form integral of the decaying tail mode.
@@ -128,7 +128,7 @@ def test_growth_ratio_violation_reported():
 
 def formula_curvature(func, breakpoints, tail):
     """The closed form func on [0, last breakpoint], then the tail."""
-    return rg.RadialCurvature(rg.FormulaCore(func, breakpoints=breakpoints), tail,
+    return rg.RadialCurvature(FormulaCore(func, breakpoints=breakpoints), tail,
                               breakpoints[-1])
 
 
@@ -220,8 +220,8 @@ def mpmath_cusp_amplitude(k):
 
 def step_core(a):
     """k = 1 up to a, then a zero tail: m = sin t there, so m'(a) = cos a."""
-    return rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < a, 1.0, 0.0),
-                                             breakpoints=[0.0, a]), rg.ZeroTail(), a)
+    return rg.RadialCurvature(FormulaCore(lambda t: np.where(t < a, 1.0, 0.0),
+                                          breakpoints=[0.0, a]), rg.ZeroTail(), a)
 
 
 ANCHOR_CASES = {

@@ -12,7 +12,7 @@ from scipy.interpolate import BPoly
 import radialgeo as rg
 
 import radialgeo.warping as warping
-from conftest import (dop853_nodes, loop_taylor_coefficients, newton_inverse,
+from conftest import (FormulaCore, dop853_nodes, loop_taylor_coefficients, newton_inverse,
                       random_compact_curvature, tail_referee, tensordot_transfer_rows)
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
@@ -45,7 +45,7 @@ def formula_constant(c, t_tail=1.0):
     """Constant curvature c as a formula core, which the transfer matrices
     solve up to the anchor; ``RadialCurvature.constant`` builds the spline
     that the solver takes in closed form from the pole."""
-    return rg.RadialCurvature(rg.FormulaCore(lambda t: np.full_like(t, c)),
+    return rg.RadialCurvature(FormulaCore(lambda t: np.full_like(t, c)),
                               rg.ConstantTail(c), t_tail)
 
 
@@ -164,10 +164,10 @@ def test_taylor_terms_and_transfer_rows_are_the_loops_bit_for_bit(workloads, mon
             "power_law": rg.PowerLawTail}[tail[0]](*tail[1:]))
         family += [raw, rg.nonpositive_min(raw)]
     family += [
-        rg.RadialCurvature(rg.FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 1.3))),
+        rg.RadialCurvature(FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 1.3))),
                            rg.ConstantTail(-1.0), 4.0),
-        rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < 1.4177, -1.0, -0.5),
-                                          breakpoints=[0.0, 0.5, 1.0, 1.5, 2.0]),
+        rg.RadialCurvature(FormulaCore(lambda t: np.where(t < 1.4177, -1.0, -0.5),
+                                       breakpoints=[0.0, 0.5, 1.0, 1.5, 2.0]),
                            rg.ConstantTail(-0.5), 2.0)]
     family += [rg.RadialCurvature.from_spline([0.0, 0.05], [-1e8, 0.0]), CUSP,
                formula_constant(0.0)]
@@ -253,7 +253,7 @@ DENSE_SPL = rg.RadialCurvature.from_spline(DENSE_KNOTS, SPL(DENSE_KNOTS), tail=S
 
 def formula(func, end_value):
     """Formula core on [0, 2], with a p = 3 tail."""
-    return rg.RadialCurvature(rg.FormulaCore(func), rg.PowerLawTail(end_value, 3.0), 2.0)
+    return rg.RadialCurvature(FormulaCore(func), rg.PowerLawTail(end_value, 3.0), 2.0)
 
 
 @pytest.mark.parametrize("k, horizon, kinks", [
@@ -316,7 +316,7 @@ def test_smooth_curvature_is_sampled_once_per_block(horizon, blocks):
 def test_conjugate_point_in_a_later_block():
     # m = t up to t = 40, where a ramp to k = 1 and a p = 3 tail begin: m
     # turns over after t = 41, past the first block of 2,048 cells
-    k = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(t < 40.0, 0.0, t - 40.0)),
+    k = rg.RadialCurvature(FormulaCore(lambda t: np.where(t < 40.0, 0.0, t - 40.0)),
                            rg.PowerLawTail(1.0, 3.0), 41.0)
     rhs = lambda t, y: (y[1], -float(k(t)) * y[0])
     vanish = lambda t, y: y[0]
@@ -341,7 +341,7 @@ def test_large_curvature_at_the_ulp_floor_raises_domain_error():
     # k = -1e30 within 1e-15 of the node t = 1: the pieces next to it reach
     # the 64-ulp floor with (h/2)^2 |k| still far above 1, where a series cut
     # at its last term would return m' of order 1e40
-    k = rg.RadialCurvature(rg.FormulaCore(lambda t: np.where(np.abs(t - 1.0) < 1e-15, -1e30, -1.0)),
+    k = rg.RadialCurvature(FormulaCore(lambda t: np.where(np.abs(t - 1.0) < 1e-15, -1e30, -1.0)),
                            rg.ConstantTail(-1.0), 2.0)
     with pytest.raises(rg.DomainError, match="too large to solve"):
         rg.solve_warping(k, 2.0)
@@ -389,7 +389,7 @@ def test_a_smooth_formula_core_solves_at_large_t():
     and 100 against Floquet in 20-digit mpmath: the map over one period 1/8
     from mpmath's Taylor integrator, to the powers 512 and 800."""
     mp = pytest.importorskip("mpmath")
-    k = rg.RadialCurvature(rg.FormulaCore(lambda t: -1.0 + 25.0 * np.sin(16.0 * np.pi * t)),
+    k = rg.RadialCurvature(FormulaCore(lambda t: -1.0 + 25.0 * np.sin(16.0 * np.pi * t)),
                            rg.ConstantTail(-1.0), 100.0)
     w = rg.solve_warping(k)
     with mp.workdps(20):
@@ -411,7 +411,7 @@ def test_a_kink_of_a_formula_core_at_large_t_is_bisected():
     from radialgeo.warping import _fitted_pieces
 
     k = rg.RadialCurvature(
-        rg.FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 300.3))),
+        FormulaCore(lambda t: -1.0 - np.maximum(0.0, 0.5 - np.abs(t - 300.3))),
         rg.ConstantTail(-1.0), 301.0)
     _mid, half, _cell, _kappa = _fitted_pieces(k, np.array([19219.0, 19220.0]) / 64.0)
     assert np.min(half) <= 0.5e-6
@@ -657,7 +657,7 @@ def test_two_close_breakpoints_leave_no_sliver_cell():
     # made a cell 4.4e-16 wide whose m' read 1.28086 at both ends and
     # 1.69175 at its midpoint
     twin = 1.0 + 2.0 * np.spacing(1.0)
-    core = rg.FormulaCore(lambda t: -np.abs(t - 1.0) - 0.2, breakpoints=[0.0, 1.0, twin, 3.0])
+    core = FormulaCore(lambda t: -np.abs(t - 1.0) - 0.2, breakpoints=[0.0, 1.0, twin, 3.0])
     k = rg.RadialCurvature(core, rg.ConstantTail(-2.2), 3.0)
     w = rg.solve_warping(k, 3.0)
     assert twin not in w.grid
@@ -830,8 +830,8 @@ def test_an_integral_table_outlives_a_carry(k):
 def _spike(c, at):
     """k = c on [at - 0.015, at + 0.015], between two breakpoints, and -1 elsewhere."""
     return rg.RadialCurvature(
-        rg.FormulaCore(lambda t: np.where(np.abs(t - at) < 0.015, c, -1.0),
-                       breakpoints=[0.0, at - 0.015, at + 0.015, 16.0]),
+        FormulaCore(lambda t: np.where(np.abs(t - at) < 0.015, c, -1.0),
+                    breakpoints=[0.0, at - 0.015, at + 0.015, 16.0]),
         rg.ConstantTail(-1.0), 16.0)
 
 
