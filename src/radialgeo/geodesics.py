@@ -220,7 +220,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     nu_c, mp_c = (m1, mp1) if r1 <= r2 else (m2, mp2)
     by_length = target_angle is None
     target = target_length if by_length else target_angle
-    end = 0.0  # sigma is carried as x = sigma - end: end is 1 near the turning end, else 0
+    # sigma is carried as x = sigma - end: end is 1 near the turning end, else 0
     nu_at = lambda x: nu_c * (((1.0 - end) - x) * ((1.0 + end) + x))
     df_0 = math.sqrt(2.0) / mp_c * (2.0 if r1 == r2 else 1.0) * (nu_c if by_length else 1.0)
 
@@ -232,15 +232,17 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
         dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0) if sigma else df_0
         return side, angle, length, (length if by_length else angle) - target, dvalue
 
-    # the model's sigma = +-sqrt(1 - |ratio|); near the turning end x = sigma - 1
+    # the model's sigma = +-sqrt(1 - |ratio|), in x = sigma - 1 if nu starts
+    # near the turning end; the bracket [-1, 1] in sigma is in the same form
     ratio = _model_nu(r1, r2, nu_c, target, by_length)
-    if 0.0 < ratio < _NEAR_END:
-        end, x = 1.0, -ratio / (1.0 + math.sqrt(1.0 - ratio))
+    end = 1.0 if 0.0 < ratio < _NEAR_END else 0.0
+    if end:
+        x = -ratio / (1.0 + math.sqrt(1.0 - ratio))
     else:
         x = math.copysign(min(math.sqrt(max(1.0 - abs(ratio), 0.0)), 1.0 - 2.0 ** -53), ratio)
         x = x if math.isfinite(x) else 0.0
-    lo, f_lo = -1.0, (abs(r1 - r2) if by_length else 0.0) - target
-    hi, f_hi = 1.0, (r1 + r2 if by_length else math.pi) - target
+    lo, f_lo = -1.0 - end, (abs(r1 - r2) if by_length else 0.0) - target
+    hi, f_hi = 1.0 - end, (r1 + r2 if by_length else math.pi) - target
     step, step_before, by_newton, moved_lo = 1.0, 1.0, False, None
     for _ in range(_MAX_PASSES):
         if not end and x > 0.0 and nu_at(x) < _NEAR_END * nu_c:
