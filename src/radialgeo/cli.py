@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -390,7 +391,9 @@ def run(scenario_path, out_dir=None, tasks=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: a parse keeps no state."""
     parser = argparse.ArgumentParser(
         prog="radialgeo",
         description="Run volume-growth and comparison-geometry scenarios.")
@@ -401,8 +404,12 @@ def main(argv=None) -> int:
     parser.add_argument("--tasks", default=None,
                         help="comma-separated task names: run only the "
                              "scenario's commands of those tasks")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its message; exit 2 would read as Inconclusive
         return 1 if exc.code else 0

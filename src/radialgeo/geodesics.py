@@ -30,7 +30,7 @@ the angle in nu that steers the root-find.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -120,7 +120,8 @@ def _side_nodes(surface, side: _SideGeodesic):
 
 
 def _side_value(surface, side: _SideGeodesic):
-    """The side's swept angle, its length and d angle/d nu, from one pass.
+    """The side's swept angle, its length and d angle/d nu, from one pass,
+    and the pass's nodes (``_side_nodes``).
 
     Each is the integral from the turning radius of nu up to t_hi plus
     (turning side) or minus (monotone side) the same integral up to t_lo.
@@ -130,14 +131,14 @@ def _side_value(surface, side: _SideGeodesic):
     -sign/(m'_end sqrt(m_end^2 - nu^2)). By the first variation
     d length/d nu = nu d angle/d nu.
     """
-    ch, weights, _, mp, mpp = _side_nodes(surface, side)
+    nodes = ch, weights, _, mp, mpp = _side_nodes(surface, side)
     nu = side.nu
     q = weights / mp
     dangle = -float(q @ (mpp / (mp * mp)))
     for m_end, mp_end, sign in side.ends():
         if m_end / nu > 1.0:
             dangle -= sign / (mp_end * math.sqrt(m_end - nu) * math.sqrt(m_end + nu))
-    return float((q / ch).sum()), nu * float(q @ ch), dangle
+    return float((q / ch).sum()), nu * float(q @ ch), dangle, nodes
 
 
 _MAX_PASSES = 100  # side passes per solve
@@ -188,8 +189,10 @@ def _model_nu(r1: float, r2: float, nu_c: float, target: float, by_length: bool)
 def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
                 target_angle: float | None = None,
                 target_length: float | None = None):
-    """(side, angle, length) of the geodesic between radii r1, r2 with the
-    given angle or length; exactly one target must be provided.
+    """(side, angle, length, nodes) of the geodesic between radii r1, r2
+    with the given angle or length; exactly one target must be provided.
+    nodes are those of the pass that evaluated side (``_side_nodes``), or
+    None where a Newton step past the last pass gave it.
 
     With nu_c = m(min radius) the solve runs in sigma = -+sqrt(1 - nu/nu_c),
     negative on the monotone branch and positive on the turning one. Near
@@ -227,10 +230,10 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     def pass_at(x):
         sigma = x + end
         side = _SideGeodesic(nu_at(x), sigma > 0.0, r1, r2, m1, m2, mp1, mp2)
-        angle, length, dangle = _side_value(surface, side)
+        angle, length, dangle, nodes = _side_value(surface, side)
         # d nu/d sigma = -2 nu_c sigma
         dvalue = -2.0 * nu_c * sigma * dangle * (side.nu if by_length else 1.0) if sigma else df_0
-        return side, angle, length, (length if by_length else angle) - target, dvalue
+        return side, angle, length, nodes, (length if by_length else angle) - target, dvalue
 
     # the model's sigma = +-sqrt(1 - |ratio|), in x = sigma - 1 if nu starts
     # near the turning end; the bracket [-1, 1] in sigma is in the same form
@@ -247,7 +250,7 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
     for _ in range(_MAX_PASSES):
         if not end and x > 0.0 and nu_at(x) < _NEAR_END * nu_c:
             end, x, lo, hi = 1.0, x - 1.0, lo - 1.0, hi - 1.0
-        side, angle, length, f, df = pass_at(x)
+        side, angle, length, nodes, f, df = pass_at(x)
         newton = f / df if df > 0.0 else math.inf
         ahead = x - newton
         # Illinois: the value at an end kept twice running is halved
@@ -259,14 +262,14 @@ def _solve_side(surface: ModelSurface, r1: float, r2: float, *,
         tol = 0.5 * (1e-15 * nu_c * (2.0 * abs(x) if end else 1.0) + 8.9e-16 * side.nu)
         if (abs(f) <= 4.0 * math.ulp(target) or abs(nu_at(ahead) - side.nu) < tol
                 or (lo + end) * (hi + end) >= 0.0 and abs(nu_at(lo) - nu_at(hi)) < 2.0 * tol):
-            return side, angle, length
+            return side, angle, length, nodes
         if by_newton and lo < ahead < hi and abs(
                 nu_at(ahead + newton ** 3 / step ** 2) - nu_at(ahead)) < 0.01 * tol:
             nu_mid = 0.5 * (side.nu + nu_at(ahead))
             side = _SideGeodesic(nu_at(ahead), ahead + end > 0.0, r1, r2, m1, m2, mp1, mp2)
             if by_length:
-                return side, angle - f / nu_mid, target
-            return side, target, length - f * nu_mid
+                return side, angle - f / nu_mid, target, None
+            return side, target, length - f * nu_mid, None
         # a Newton step inside the bracket and at most half the step before last
         by_newton = lo < ahead < hi and 2.0 * abs(newton) <= step_before
         if by_newton:
@@ -315,13 +318,16 @@ class GeodesicTriangle:
 
     vertices: (pole, x, y); side_lengths: (pole-x, pole-y, x-y);
     angles: (at pole, at x, at y). The pole sides are meridians, so the pole
-    angle equals the angular separation of x and y by construction.
+    angle equals the angular separation of x and y by construction. _nodes
+    is (warping solution, nodes) of the pass that evaluated the x-y side,
+    which ``gauss_bonnet_residual`` reads on that solution's surface, or None.
     """
 
     vertices: tuple
     side_lengths: tuple
     angles: tuple
     _side: _SideGeodesic
+    _nodes: tuple | None = field(default=None, compare=False, repr=False)
 
     def angle_sum(self) -> float:
         return float(sum(self.angles))
@@ -366,7 +372,7 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
     if not (d_xy < d_ox + d_oy and d_ox < d_oy + d_xy and d_oy < d_ox + d_xy):
         raise DomainError(
             f"side lengths {sides} violate the strict triangle inequality")
-    side, theta_star, _ = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
+    side, theta_star, _, nodes = _solve_side(surface, d_ox, d_oy, target_length=d_xy)
     theta_star = min(theta_star, math.pi)
 
     pole = SurfacePoint(0.0, 0.0)
@@ -377,7 +383,8 @@ def comparison_triangle(surface: ModelSurface, d_ox: float, d_oy: float,
         _endpoint_angle(side, d_ox, side.m1),
         _endpoint_angle(side, d_oy, side.m2),
     )
-    return GeodesicTriangle((pole, x, y), sides, angles, _side=side)
+    return GeodesicTriangle((pole, x, y), sides, angles, _side=side,
+                            _nodes=None if nodes is None else (surface.warping, nodes))
 
 
 def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float:
@@ -387,9 +394,13 @@ def gauss_bonnet_residual(surface: ModelSurface, tri: GeodesicTriangle) -> float
     the connecting geodesic; since theta is monotone along that side, Fubini
     collapses the double integral to a single integral of the cumulative
     curvature mass along the side. Vanishes identically on every geodesic
-    triangle up to quadrature and solver error.
+    triangle up to quadrature and solver error. The side's nodes are those
+    its triangle kept, where they were read from this surface's solution.
     """
-    ch, weights, t, mp, _ = _side_nodes(surface, tri._side)
+    warping, nodes = tri._nodes or (None, None)
+    if warping is not surface.warping:
+        nodes = _side_nodes(surface, tri._side)
+    ch, weights, t, mp, _ = nodes
     # the mass up to t is the warping's km_integral, a quadrature of k*m that
     # never reads m': by m'' = -k m it equals 1 - m'(t), and the residual is
     # the gap between the two along the side

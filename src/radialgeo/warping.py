@@ -134,6 +134,13 @@ def _quintic(x, y, dy, d2y, derivatives=0) -> PPoly:
     return PPoly.construct_fast(jet if derivatives else c, np.append(x, x[-1] + h[-1]))
 
 
+def _by_columns(a, b):
+    """a @ b for a 2-d b, each column of it rounded as in a product with any
+    other columns: BLAS takes a one-column product to gemv, which rounds
+    otherwise than gemm, so that one is formed as one of two equal columns."""
+    return a @ b if b.shape[1] > 1 else (a @ np.repeat(b, 2, axis=1))[:, :1]
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int):
     """n-point Gauss-Legendre rule: nodes and weights on [-1, 1], and the
@@ -274,7 +281,7 @@ class WarpingSolution:
         for row in c[1:]:
             row *= scale
             scale = scale * h
-        return powers @ c
+        return _by_columns(powers, c)
 
     def _integral(self, key, t):
         """Integral over [0, t] (t clipped at 0, the solution carried on to
@@ -285,7 +292,8 @@ class WarpingSolution:
         node i with grid[i] <= t lies past j sums onto it an n-point
         Gauss-Legendre rule over the cells j .. i - 1, with m at its nodes
         from ``_cell_values`` (n = floor(5q/2) + 1 is exact on m^q, of degree
-        5q on a cell; k*m takes n = 8), bit for bit as a table built at once.
+        5q on a cell; k*m takes n = 8), summed node by node in a fixed order,
+        so bit for bit as a table built at once.
         It adds to the entry at node i one panel of the rule over [grid[i],
         t]; where every panel is empty (t at nodes) it returns table entries.
         """
@@ -301,7 +309,8 @@ class WarpingSolution:
             first = table.size - 1
             half = 0.5 * np.diff(self.grid[first:last + 1])
             x = (self.grid[first:last] + half) + half * nodes[:, None]
-            cells = half * (weights @ integrand(x, self._cell_values(powers, first, last)))
+            values = integrand(x, self._cell_values(powers, first, last))
+            cells = half * np.add.reduce(weights[:, None] * values, axis=0)
             table = self._tables[key] = np.concatenate(
                 [table[:-1], np.cumsum(np.append(table[-1], cells))])
         half = 0.5 * (t - self.grid[i])
@@ -549,12 +558,13 @@ def _fitted_pieces(k: RadialCurvature, grid: np.ndarray):
         kappa, size = half ** 2 * samples, np.max(np.abs(samples), axis=0)
         scale = size if scale is None else scale
         fit = kappa[:_CHEB.size]
-        coef, check = _FIT @ fit, _CHECK @ fit
+        coef, check = _by_columns(_FIT, fit), _by_columns(_CHECK, fit)
         miss = np.maximum(np.abs(check[0]) + np.abs(check[1]),
                           np.max(np.abs(check[2:] - kappa[_CHEB.size:]), axis=0))
         magnitude = np.abs(coef)
-        rounding = 64 * eps * (half ** 2 * np.maximum(scale[cell], size)
-                               + np.abs(mid) / half * (_DEGREES @ magnitude))
+        # summed row by row, so a piece's sum is the same in a block of any size
+        rounding = 64 * eps * (half ** 2 * np.maximum(scale[cell], size) + np.abs(mid) / half
+                               * np.add.reduce(_DEGREES[:, None] * magnitude, axis=0))
         large = np.sum(magnitude, axis=0) > 1.0
         floor = half <= 64 * eps * np.maximum(1.0, np.abs(mid))
         split = ((miss > _TAYLOR_TOL * half + rounding) | large) & ~floor

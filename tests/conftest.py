@@ -92,6 +92,17 @@ def random_envelope(rng):
     return rg.nonpositive_min(random_compact_curvature(rng))
 
 
+def corpus_curvature(rng, kind):
+    """A random spline curvature with evenly spaced knots and a zero,
+    power-law or constant tail, as the benchmark corpus draws them."""
+    if kind == "zero":
+        return random_compact_curvature(rng)
+    t_tail, vals = rng.uniform(0.8, 3.0), -rng.uniform(0.1, 1.2, rng.integers(4, 7))
+    tail = (rg.ConstantTail(vals[-1]) if kind == "constant"
+            else rg.PowerLawTail(vals[-1], rng.uniform(3.0, 4.5)))
+    return rg.RadialCurvature.from_spline(np.linspace(0.0, t_tail, vals.size), vals, tail)
+
+
 def bishop_pair(rng):
     """(n, numerator warping, denominator warping) with numerator curvature
     >= denominator curvature pointwise.

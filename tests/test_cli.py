@@ -314,6 +314,36 @@ def test_help_returns_zero(capsys):
     assert "--scenario" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    cli._parser.cache_clear()
+    doc = base_scenario(commands=[
+        "threshold",
+        {"task": "triangle", "surface": "flat", "sides": [3.0, 4.0, 5.0]},
+    ])
+    p = write_scenario(tmp_path, doc)
+
+    def outputs(out):
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    first, again, some = tmp_path / "first", tmp_path / "again", tmp_path / "some"
+    assert cli.main(["--scenario", str(p), "--out", str(first)]) == 0
+    assert cli.main(["--scenario", str(p), "--bogus"]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
+    assert cli.main(["--scenario", str(p), "--out", str(some), "--tasks", "threshold"]) == 0
+    assert [t["task"] for t in json.loads((some / "report.json").read_text())["tasks"]] == [
+        "threshold"]
+    # no option of one call stays behind for the next
+    assert cli.main(["--scenario", str(p), "--out", str(again)]) == 0
+    assert outputs(again) == outputs(first)
+    assert len(built) == 1
+
+
 def test_unknown_task_lists_valid_names(tmp_path, capsys):
     doc = base_scenario(commands=["no-such-task"])
     code, _, _ = run_cli(tmp_path, doc)

@@ -333,6 +333,76 @@ def test_gauss_bonnet_residual_sees_curvature_mass_error(monkeypatch):
     assert after - before == pytest.approx(-1e-6 * tri.angles[0], rel=1e-6)
 
 
+def carried_bump_surface():
+    """The bump surface solved to t = 1: its triangles carry it on."""
+    return bump_surface(t_max=1.0)
+
+
+def random_triangles(rng, count):
+    """count side triples as the geodesy benchmark draws them."""
+    triples = []
+    for _ in range(count):
+        a, b = rng.uniform(0.4, 4.5, 2)
+        c = rng.uniform(abs(a - b) + 0.05, min(a + b - 0.05, 9.5))
+        triples.append((float(a), float(b), float(c)))
+    return triples
+
+
+@pytest.mark.parametrize("surface", [flat_surface, hyperbolic_surface, bump_surface,
+                                     carried_bump_surface],
+                         ids=["flat", "hyperbolic", "bump", "carried"])
+def test_gauss_bonnet_from_the_kept_nodes_is_the_recomputed_residual(surface):
+    from dataclasses import replace
+
+    s = surface()
+    kept = 0
+    for sides in random_triangles(np.random.default_rng(41), 40):
+        tri = rg.comparison_triangle(s, *sides)
+        if tri._nodes is None:
+            continue
+        kept += 1
+        assert tri._nodes[0] is s.warping
+        assert rg.gauss_bonnet_residual(s, tri) == rg.gauss_bonnet_residual(
+            s, replace(tri, _nodes=None))
+        # after a carry a pass on the solution still reads the kept nodes
+        s.warping.m(s.warping.t_max + 0.5)
+        assert rg.gauss_bonnet_residual(s, tri) == rg.gauss_bonnet_residual(
+            s, replace(tri, _nodes=None))
+    assert kept >= 2
+
+
+def test_gauss_bonnet_reads_new_nodes_only_off_its_triangles_pass(monkeypatch):
+    from radialgeo import geodesics
+
+    calls = []
+    side_nodes = geodesics._side_nodes
+    monkeypatch.setattr(geodesics, "_side_nodes",
+                        lambda *args: calls.append(1) or side_nodes(*args))
+
+    def node_passes(surface, tri):
+        calls.clear()
+        residual = rg.gauss_bonnet_residual(surface, tri)
+        return len(calls), residual
+
+    # the flat plane's first pass is its answer, so the side is a pass
+    s = flat_surface()
+    tri = rg.comparison_triangle(s, 2.0, 3.0, 2.5)
+    passes, residual = node_passes(s, tri)
+    assert tri._nodes is not None and passes == 0
+    # the same solution on another surface object reads the kept nodes; a
+    # solution of the same curvature that is another object does not
+    assert node_passes(rg.ModelSurface(s.warping), tri) == (0, residual)
+    assert node_passes(flat_surface(), tri) == (1, residual)
+    # a bump side from a Newton step past its last pass has no nodes
+    s = bump_surface()
+    seen = set()
+    for sides in random_triangles(np.random.default_rng(42), 20):
+        tri = rg.comparison_triangle(s, *sides)
+        seen.add(tri._nodes is None)
+        assert node_passes(s, tri)[0] == (tri._nodes is None)
+    assert seen == {False, True}
+
+
 def test_side_root_find_reads_m_once_per_side(monkeypatch):
     from radialgeo import geodesics
 
@@ -450,14 +520,16 @@ def test_side_solve_without_a_confirming_pass_matches_a_pass(monkeypatch):
     stepped = 0
     for surface, r1, r2, target in side_problems(28, 80):
         nus.clear()
-        side, angle, length = geodesics._solve_side(surface, r1, r2, **target)
-        if side.nu in nus:
+        side, angle, length, nodes = geodesics._solve_side(surface, r1, r2, **target)
+        # a side from a pass comes with that pass's nodes, a Newton step with none
+        assert (nodes is not None) == (side.nu in nus)
+        if nodes is not None:
             continue
         stepped += 1
         # the target exactly, and the other part by the first variation
         assert target.get("target_angle", angle) == angle
         assert target.get("target_length", length) == length
-        pass_angle, pass_length, dangle = geodesics._side_value(surface, side)
+        pass_angle, pass_length, dangle, _ = geodesics._side_value(surface, side)
         # the solve leaves nu within tol of the root
         nu_c = min(side.m1, side.m2)
         tol = 0.5 * (1e-15 * nu_c + 8.9e-16 * side.nu)
@@ -589,7 +661,7 @@ def test_side_derivative_matches_central_differences(surface, turning):
 
             def parts(nu):
                 side = geodesics._SideGeodesic(nu, turning, r1, r2, m1, m2, mp1, mp2)
-                return geodesics._side_value(s, side)
+                return geodesics._side_value(s, side)[:3]
 
             angle, length, dangle = parts(nu)
             (a_hi, l_hi, _), (a_lo, l_lo, _) = parts(nu + h), parts(nu - h)

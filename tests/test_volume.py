@@ -8,7 +8,7 @@ import pytest
 import radialgeo as rg
 
 from conftest import (FormulaCore, bishop_monotonicity_check, bishop_pair, cap_volume,
-                      gauss_ball_volume, majorant_referee)
+                      corpus_curvature, gauss_ball_volume, majorant_referee)
 
 # Total volume of the finite fixture below: classical RK4 (h = 1e-5) to the
 # tail anchor plus the closed-form integral of the decaying tail mode.
@@ -451,14 +451,22 @@ def test_first_integral_read_reads_no_cell_past_t(key):
 
 
 def test_integral_table_grown_in_steps_is_the_table_built_at_once():
-    k, _t_max = _ball_curvatures()["power-law"]
-    steps, once = rg.solve_warping(k, 16.0), rg.solve_warping(k, 16.0)
-    for key in (1, 2, 5, "km"):
-        for w, horizons in ((steps, (2.0, 4.0, 8.0, 16.0)), (once, (16.0,))):
-            for t in horizons:
-                w.km_integral(t) if key == "km" else w.power_integral(key, t)
-        assert np.array_equal(steps._tables[key], once._tables[key])
-        assert steps._tables[key].size == steps.grid.size
+    # a cell's weighted sum once rounded by its place among the cells summed
+    # with it: grown through these horizons, the "km" table of corpus member
+    # 18 differed from the one built at once in 23 entries, by up to 2.2e-16
+    # relative; the step of one cell past t = 1.3 sums one cell alone
+    rng = np.random.default_rng(7)
+    curvatures = [corpus_curvature(rng, ("zero", "power-law", "constant")[i % 3])
+                  for i in range(20)]
+    for k in [_ball_curvatures()["power-law"][0], *curvatures]:
+        steps, once = rg.solve_warping(k, 16.0), rg.solve_warping(k, 16.0)
+        for key in (1, 2, 5, "km"):
+            for w, horizons in ((steps, (1.3, 1.3 + 1 / 64, 2.0, 4.7, 8.0, 16.0)),
+                                (once, (16.0,))):
+                for t in horizons:
+                    w.km_integral(t) if key == "km" else w.power_integral(key, t)
+            assert np.array_equal(steps._tables[key], once._tables[key])
+            assert steps._tables[key].size == steps.grid.size
 
 
 def test_cap_volume_rejects_out_of_range_angle():

@@ -12,8 +12,9 @@ from scipy.interpolate import BPoly
 import radialgeo as rg
 
 import radialgeo.warping as warping
-from conftest import (FormulaCore, dop853_nodes, loop_taylor_coefficients, newton_inverse,
-                      random_compact_curvature, tail_referee, tensordot_transfer_rows)
+from conftest import (FormulaCore, corpus_curvature, dop853_nodes, loop_taylor_coefficients,
+                      newton_inverse, random_compact_curvature, tail_referee,
+                      tensordot_transfer_rows)
 
 # Classical fixed-step RK4 (h = 2e-5) for m'' = -k m on the spline fixture
 # below, evaluated at t = 3. Independent of the solver in the package; the
@@ -858,22 +859,11 @@ def test_the_piece_budget_is_per_cell_whatever_the_carries():
     assert w.t_max == 8.0
 
 
-def _corpus_curvature(rng, kind):
-    """A random spline curvature with evenly spaced knots and a zero,
-    power-law or constant tail, as the benchmark corpus draws them."""
-    if kind == "zero":
-        return random_compact_curvature(rng)
-    t_tail, vals = rng.uniform(0.8, 3.0), -rng.uniform(0.1, 1.2, rng.integers(4, 7))
-    tail = (rg.ConstantTail(vals[-1]) if kind == "constant"
-            else rg.PowerLawTail(vals[-1], rng.uniform(3.0, 4.5)))
-    return rg.RadialCurvature.from_spline(np.linspace(0.0, t_tail, vals.size), vals, tail)
-
-
 def test_a_solution_carried_on_is_a_direct_solve_whatever_its_first_horizon():
     rng = np.random.default_rng(23)
     sliver = 1e-3 / 64
     for i in range(36):
-        raw = _corpus_curvature(rng, ("zero", "power-law", "constant")[i % 3])
+        raw = corpus_curvature(rng, ("zero", "power-law", "constant")[i % 3])
         for k in (raw, rg.nonpositive_min(raw)):
             full = rg.solve_warping(k, 16.0)
             for first in (1.0, 2.3, 3.0, k.t_tail):
@@ -882,10 +872,24 @@ def test_a_solution_carried_on_is_a_direct_solve_whatever_its_first_horizon():
                     continue  # the one exception: a breakpoint in the stop node's place
                 w = rg.solve_warping(k, first)
                 assert w.t_max == stop
-                w.m(16.0)
+                # a carry of one cell, whose fit BLAS once took to gemv and
+                # rounded otherwise than a block's gemm, then of two cells
+                for t in (stop + 1 / 64, stop + 3 / 64, 16.0):
+                    w.m(t)
                 assert np.array_equal(w.grid, full.grid)
                 assert np.array_equal(w.m_values, full.m_values)
                 assert np.array_equal(w.m_prime_values, full.m_prime_values)
+
+
+def test_a_cell_is_fitted_alike_alone_and_in_a_block():
+    k = corpus_curvature(np.random.default_rng(23), "power-law")
+    grid = rg.solve_warping(k, 4.0).grid  # the knots are nodes: no cell is split
+    mid, _, cell, kappa = warping._fitted_pieces(k, grid)
+    assert np.array_equal(cell, np.arange(grid.size - 1))
+    for i in range(0, grid.size - 1, 7):
+        alone = warping._fitted_pieces(k, grid[i:i + 2])
+        assert alone[0] == mid[i:i + 1]
+        assert np.array_equal(alone[3], kappa[:, i:i + 1])
 
 
 def test_solution_without_a_horizon_starts_at_the_lattice_node_past_the_anchor():
